@@ -8,7 +8,8 @@
  *  1. Untraced run: builds the network and a Simulator with the
  *     options flexon_sim uses by default (health monitors on), steps
  *     it `checkSteps` steps (the digest window, which doubles as
- *     warm-up) and then times stepOnce() over a wall-clock window.
+ *     warm-up) and then times stepOnce() over a wall-clock window,
+ *     correcting each block of steps for core sharing (ContentionProbe).
  *     The set-up is then repeated for a stable setup_s median. This
  *     gives the end-to-end metrics.
  *  2. Composed run: rebuilds the same workload from its layers
@@ -251,13 +252,6 @@ denseDigest(const Simulator &sim)
         stats.modelNeuronSec);
 }
 
-/** Per-step host nanoseconds of a timed window. */
-struct Window
-{
-    std::vector<uint64_t> stepNs;
-    double wallSec = 0.0;
-};
-
 double
 percentile(std::vector<uint64_t> v, double q)
 {
@@ -269,20 +263,105 @@ percentile(std::vector<uint64_t> v, double q)
     return static_cast<double>(v[k]);
 }
 
+/**
+ * Measures how much the cores the workload runs on are shared.
+ *
+ * A benchmark host that shares its physical cores with other tenants
+ * loses vector throughput while a sibling hardware thread is busy: by
+ * up to half, for periods from milliseconds to minutes, and longer
+ * timed windows do not average it out. A fixed vector loop over an
+ * L1-resident array slows with the simulator's kernels, so its time,
+ * taken between blocks of steps, gives each block's slowdown.
+ */
+class ContentionProbe
+{
+  public:
+    /** The loop's time on a quiet core of the recording host (Intel
+     *  Xeon, 4 vCPUs, GCC 12 -O3): the reference for the correction. */
+    static constexpr double kQuietNs = 190'000.0;
+
+    explicit ContentionProbe(size_t lanes)
+        : lanes_(std::max<size_t>(1, lanes)), state_(lanes_ * kWidth, 0.f)
+    {
+    }
+
+    /** Mean time of the loop over the workload's lanes, in ns. */
+    double
+    measure()
+    {
+        if (lanes_ == 1)
+            return static_cast<double>(run(0));
+        uint64_t lane[ThreadPool::maxLanes] = {};
+        ThreadPool::global().forEachLane(
+            lanes_, [&](size_t l) { lane[l] = run(l); });
+        return std::accumulate(lane, lane + lanes_, 0.0) / lanes_;
+    }
+
+  private:
+    static constexpr size_t kWidth = 4096; // 16 KiB per lane
+    static constexpr int kPasses = 64;
+
+    uint64_t
+    run(size_t l)
+    {
+        float *v = state_.data() + l * kWidth;
+        const Clock::time_point t0 = Clock::now();
+        for (int p = 0; p < kPasses; ++p) {
+            for (size_t i = 0; i < kWidth; ++i) {
+                const float x = v[i] * 0.9375f + 0.0625f * (i & 7);
+                v[i] = x > 0.25f ? 0.f : x;
+            }
+        }
+        return nanosBetween(t0, Clock::now());
+    }
+
+    size_t lanes_;
+    std::vector<float> state_;
+};
+
+/**
+ * A timed window, stepped in blocks of ~kBlockNs with a probe reading
+ * before the first block and after every block.
+ */
+struct Window
+{
+    static constexpr uint64_t kBlockNs = 2'000'000;
+
+    /** Host nanoseconds of every step, in window order. */
+    std::vector<uint64_t> stepNs;
+    /** The same, each divided by its block's slowdown: the mean of
+     *  the two bracketing probe readings over kQuietNs. */
+    std::vector<uint64_t> quietStepNs;
+    std::vector<double> probeNs;
+};
+
 Window
-timeDense(Simulator &sim, double seconds)
+timeDense(Simulator &sim, size_t threads, double seconds)
 {
     Window win;
-    const Clock::time_point start = Clock::now();
+    ContentionProbe probe(threads);
     const uint64_t budget = static_cast<uint64_t>(seconds * 1e9);
-    Clock::time_point now = start;
+    const Clock::time_point start = Clock::now();
+    win.probeNs.push_back(probe.measure());
     do {
-        const Clock::time_point t0 = now;
-        sim.stepOnce();
-        now = Clock::now();
-        win.stepNs.push_back(nanosBetween(t0, now));
-    } while (nanosBetween(start, now) < budget);
-    win.wallSec = nanosBetween(start, now) * 1e-9;
+        const size_t first = win.stepNs.size();
+        uint64_t blockNs = 0;
+        Clock::time_point now = Clock::now();
+        do {
+            const Clock::time_point t0 = now;
+            sim.stepOnce();
+            now = Clock::now();
+            win.stepNs.push_back(nanosBetween(t0, now));
+            blockNs += win.stepNs.back();
+        } while (blockNs < Window::kBlockNs);
+        win.probeNs.push_back(probe.measure());
+        const double slowdown =
+            0.5 * (win.probeNs.end()[-2] + win.probeNs.back()) /
+            ContentionProbe::kQuietNs;
+        for (size_t k = first; k < win.stepNs.size(); ++k)
+            win.quietStepNs.push_back(
+                static_cast<uint64_t>(win.stepNs[k] / slowdown + 0.5));
+    } while (nanosBetween(start, Clock::now()) < budget);
     return win;
 }
 
@@ -683,6 +762,17 @@ ledgerMetrics(const Workload &w, ComposedRun &composed,
         ratio(static_cast<double>(ledger.stepNs) - spanNs, ledger.stepNs),
         "ratio");
     add("trace.gap_frac", ratio(gapTraced, gapBase) - 1.0, "ratio");
+    add("host.slowdown",
+        std::accumulate(untraced.probeNs.begin(), untraced.probeNs.end(),
+                        0.0) /
+            (untraced.probeNs.size() * ContentionProbe::kQuietNs),
+        "ratio");
+    add("host.uncorrected_steps_per_s",
+        untraced.stepNs.size() /
+            (std::accumulate(untraced.stepNs.begin(), untraced.stepNs.end(),
+                             0.0) *
+             1e-9),
+        "1/s");
     return out;
 }
 
@@ -781,14 +871,25 @@ main(int argc, char **argv)
     // 1. Set-up of the workload as a user runs it, its digest window
     //    (also the warm-up), then the timed window. Peak RSS is read
     //    here, while the process has built exactly one network.
+    //    Set-up times are corrected for core sharing like the steps;
+    //    set-up runs on one thread, so one probe lane brackets it.
+    ContentionProbe setupProbe(1);
     std::vector<double> setupSec;
-    Clock::time_point t0 = Clock::now();
-    DenseRun dense = setupDense(w, seed);
-    setupSec.push_back(secondsSince(t0));
+    auto timeSetup = [&]() {
+        const double before = setupProbe.measure();
+        const Clock::time_point t0 = Clock::now();
+        DenseRun run = setupDense(w, seed);
+        const double sec = secondsSince(t0);
+        const double slowdown = 0.5 * (before + setupProbe.measure()) /
+                                ContentionProbe::kQuietNs;
+        setupSec.push_back(sec / slowdown);
+        return run;
+    };
+    DenseRun dense = timeSetup();
     for (uint64_t s = 0; s < w.checkSteps; ++s)
         dense.sim->stepOnce();
     const std::string untracedDigest = denseDigest(*dense.sim);
-    const Window win = timeDense(*dense.sim, denseSeconds);
+    const Window win = timeDense(*dense.sim, w.threads, denseSeconds);
     const double peakRss = peakRssMiB();
     const uint64_t nanEvents = dense.sim->healthCounters().nanEvents;
     const size_t numNeurons = dense.inst->network.numNeurons();
@@ -797,9 +898,7 @@ main(int argc, char **argv)
 
     // 2. More set-ups for a stable median.
     while (setupSec.size() < w.setupReps) {
-        t0 = Clock::now();
-        dense = setupDense(w, seed);
-        setupSec.push_back(secondsSince(t0));
+        dense = timeSetup();
         dense.release();
     }
     std::vector<double> sortedSetup = setupSec;
@@ -817,13 +916,14 @@ main(int argc, char **argv)
     const std::string tracedDigest = composed.digest();
 
     std::vector<Metric> metrics;
-    const double stepP50Ns = percentile(win.stepNs, 0.5);
     if (!traced) {
-        metrics.push_back({"steps_per_s",
-                           static_cast<double>(win.stepNs.size()) /
-                               win.wallSec,
-                           "1/s"});
-        metrics.push_back({"step_us_p50", stepP50Ns * 1e-3, "us"});
+        const double quietNs = std::accumulate(
+            win.quietStepNs.begin(), win.quietStepNs.end(), 0.0);
+        metrics.push_back(
+            {"steps_per_s", win.quietStepNs.size() / (quietNs * 1e-9),
+             "1/s"});
+        metrics.push_back(
+            {"step_us_p50", percentile(win.quietStepNs, 0.5) * 1e-3, "us"});
         metrics.push_back({"setup_s", setupMedian, "s"});
         metrics.push_back({"peak_rss_mb", peakRss, "MiB"});
     } else {
