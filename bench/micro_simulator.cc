@@ -15,7 +15,6 @@
 #include "common/health.hh"
 #include "common/random.hh"
 #include "common/telemetry.hh"
-#include "common/thread_pool.hh"
 #include "nets/table1.hh"
 #include "plan/calibration.hh"
 #include "registry/registry.hh"
@@ -163,97 +162,6 @@ BM_NeuronPhase(benchmark::State &state)
                             static_cast<int64_t>(n));
 }
 
-/**
- * The pre-routing-table delivery path, kept here as the in-binary
- * baseline for BM_SynapsePhase: per target shard, a 64-bit
- * permutation over the synapse table gathered as 12-byte Synapse
- * records, the ring slot recomputed from the delay per event, and an
- * unconditional dense std::fill clear of the consumed slot.
- */
-class LegacyRouter
-{
-  public:
-    LegacyRouter(const Network &net, size_t shards)
-        : ringDepth_(static_cast<size_t>(net.maxDelay()) + 1),
-          slotSize_(net.numNeurons() * maxSynapseTypes),
-          ring_(ringDepth_ * slotSize_, 0.0)
-    {
-        const size_t n = net.numNeurons();
-        shards = std::min(shards == 0 ? 1 : shards, n);
-        synapses_ = net.outgoing(0).data(); // rowStart(0) == 0
-
-        std::vector<uint64_t> incoming(n, 0);
-        for (uint32_t src = 0; src < n; ++src)
-            for (const Synapse &syn : net.outgoing(src))
-                ++incoming[syn.target];
-        shardTargetBegin_.assign(shards + 1, 0);
-        shardTargetBegin_[shards] = static_cast<uint32_t>(n);
-        uint64_t accum = 0;
-        size_t shard = 1;
-        for (uint32_t t = 0; t < n && shard < shards; ++t) {
-            accum += incoming[t];
-            if (accum * shards >= net.numSynapses() * shard)
-                shardTargetBegin_[shard++] = t + 1;
-        }
-        for (; shard < shards; ++shard)
-            shardTargetBegin_[shard] = static_cast<uint32_t>(n);
-
-        rowPtr_.assign(shards, {});
-        synOrder_.reserve(net.numSynapses());
-        std::vector<uint64_t> perShard;
-        for (size_t s = 0; s < shards; ++s) {
-            rowPtr_[s].assign(n + 1, 0);
-            for (uint32_t src = 0; src < n; ++src) {
-                const uint64_t base = net.rowStart(src);
-                const auto row = net.outgoing(src);
-                for (size_t k = 0; k < row.size(); ++k) {
-                    if (row[k].target >= shardTargetBegin_[s] &&
-                        row[k].target < shardTargetBegin_[s + 1])
-                        synOrder_.push_back(base + k);
-                }
-                rowPtr_[s][src + 1] =
-                    static_cast<uint64_t>(synOrder_.size());
-            }
-        }
-    }
-
-    void
-    routeStep(uint64_t t, std::span<const uint32_t> fired)
-    {
-        const size_t shards = rowPtr_.size();
-        double *const cur =
-            ring_.data() + (t % ringDepth_) * slotSize_;
-        ThreadPool::global().forEachLane(shards, [&](size_t s) {
-            const uint32_t lo =
-                shardTargetBegin_[s] * maxSynapseTypes;
-            const uint32_t hi =
-                shardTargetBegin_[s + 1] * maxSynapseTypes;
-            std::fill(cur + lo, cur + hi, 0.0);
-            const auto &rows = rowPtr_[s];
-            uint64_t events = 0;
-            for (const uint32_t n : fired) {
-                for (uint64_t k = rows[n]; k < rows[n + 1]; ++k) {
-                    const Synapse &syn = synapses_[synOrder_[k]];
-                    ring_[((t + syn.delay) % ringDepth_) * slotSize_ +
-                          syn.target * maxSynapseTypes + syn.type] +=
-                        syn.weight;
-                    ++events;
-                }
-            }
-            benchmark::DoNotOptimize(events);
-        });
-    }
-
-  private:
-    size_t ringDepth_;
-    size_t slotSize_;
-    std::vector<double> ring_;
-    const Synapse *synapses_;
-    std::vector<uint32_t> shardTargetBegin_;
-    std::vector<uint64_t> synOrder_;
-    std::vector<std::vector<uint64_t>> rowPtr_;
-};
-
 /** Ascending fired list covering ratePct percent of the neurons. */
 std::vector<uint32_t>
 syntheticFired(size_t numNeurons, int64_t ratePct)
@@ -268,7 +176,7 @@ syntheticFired(size_t numNeurons, int64_t ratePct)
 
 /**
  * Synapse-calculation phase in isolation: deliver a synthetic fired
- * list through the precompiled routing table (clear + route), the
+ * list through the materialized provider's rows (clear + route), the
  * loop the packed delivery records accelerate. Args: firing rate in
  * percent of the population (1 = sparse, 10 = Vogels-Abbott-like,
  * 100 = every neuron), worker-lane count.
@@ -296,35 +204,6 @@ BM_SynapsePhase(benchmark::State &state)
         router.routeStep(t++, fired);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(perStep));
-}
-
-/**
- * The same phase through the pre-routing-table data path (Synapse
- * gather via a 64-bit permutation, dense slot clears): the in-binary
- * before/after baseline for BM_SynapsePhase.
- */
-void
-BM_SynapsePhaseLegacy(benchmark::State &state)
-{
-    const int64_t ratePct = state.range(0);
-    const auto threads = static_cast<size_t>(state.range(1));
-    BenchmarkInstance inst =
-        buildBenchmark(findBenchmark("Vogels-Abbott"), 1.0, 3);
-    LegacyRouter router(inst.network, threads);
-    const std::vector<uint32_t> fired =
-        syntheticFired(inst.network.numNeurons(), ratePct);
-    uint64_t events = 0;
-    for (const uint32_t n : fired)
-        events += inst.network.outgoing(n).size();
-
-    uint64_t t = 0;
-    router.routeStep(t++, fired); // warm-up
-    state.SetLabel("r" + std::to_string(ratePct) + "/t" +
-                   std::to_string(threads));
-    for (auto _ : state)
-        router.routeStep(t++, fired);
-    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(events));
 }
 
 } // namespace
@@ -359,11 +238,6 @@ BENCHMARK(flexon::BM_SynapsePhase)
     ->Args({1, 4})
     ->Args({10, 4})
     ->Args({100, 4});
-BENCHMARK(flexon::BM_SynapsePhaseLegacy)
-    ->Args({1, 1})
-    ->Args({10, 1})
-    ->Args({100, 1})
-    ->Args({10, 4});
 
 /**
  * Custom main (overrides the benchmark_main archive member):

@@ -6,14 +6,13 @@
  * (shard, bucket) streams and full-slot clears.
  *
  *   BM_MicrocircuitSynapsePhase  synapse phase in isolation, real
- *       recorded spike activity replayed through the router with the
- *       sparse fast path on vs. off (the PR 5 schedule), at a
+ *       recorded spike activity replayed through the router, at a
  *       background (~7 Hz) and a driven (~10x) regime.
- *   BM_MicrocircuitStep  full-step cost of the dense engine (sparse
- *       and legacy delivery), the event-driven engine and the
- *       rate-adaptive auto session on the same scenario.
+ *   BM_MicrocircuitStep  full-step cost of the dense engine, the
+ *       event-driven engine and the rate-adaptive auto session on
+ *       the same scenario.
  *
- * All variants produce bit-identical spike trains (enforced in
+ * All engines produce bit-identical spike trains (enforced in
  * tests/test_routing.cc and tests/test_session.cc); these benchmarks
  * only measure the schedules.
  */
@@ -85,15 +84,13 @@ recordActivity(MicrocircuitInstance &inst, uint64_t steps)
 
 /**
  * Synapse phase in isolation: recorded fired lists streamed through
- * the router. Args: sparse fast path on/off, rate-scale multiplier,
- * worker-lane count.
+ * the router. Args: rate-scale multiplier, worker-lane count.
  */
 void
 BM_MicrocircuitSynapsePhase(benchmark::State &state)
 {
-    const bool sparse = state.range(0) != 0;
-    const auto rateScale = static_cast<double>(state.range(1));
-    const auto threads = static_cast<size_t>(state.range(2));
+    const auto rateScale = static_cast<double>(state.range(0));
+    const auto threads = static_cast<size_t>(state.range(1));
 
     // A window long enough to cover the scenario's burst/quiet
     // mixture — the aggregate the schedules differ on.
@@ -101,7 +98,6 @@ BM_MicrocircuitSynapsePhase(benchmark::State &state)
     const auto fired = recordActivity(inst, 2048);
 
     SpikeRouter router(inst.network, threads);
-    router.setSparseDelivery(sparse);
     uint64_t t = 0;
     for (const auto &step : fired) // warm the ring
         router.routeStep(t++, step);
@@ -109,9 +105,8 @@ BM_MicrocircuitSynapsePhase(benchmark::State &state)
     uint64_t spikes = 0;
     for (const auto &step : fired)
         spikes += step.size();
-    state.SetLabel(std::string(sparse ? "sparse" : "legacy") + "/x" +
-                   std::to_string(state.range(1)) + "/t" +
-                   std::to_string(threads));
+    state.SetLabel("sparse/x" + std::to_string(state.range(0)) +
+                   "/t" + std::to_string(threads));
 
     for (auto _ : state) {
         router.routeStep(t, fired[t % fired.size()]);
@@ -124,9 +119,10 @@ BM_MicrocircuitSynapsePhase(benchmark::State &state)
 }
 
 /**
- * Full-step cost per engine. Args: engine (0 = dense with the legacy
- * PR 5 delivery, 1 = dense sparse, 2 = event-driven, 3 = auto),
- * rate-scale multiplier.
+ * Full-step cost per engine. Args: engine (0 = dense, 1 =
+ * event-driven, 2 = auto), rate-scale multiplier. The dense rows keep
+ * their "sparse" label (the delivery schedule they measure), so the
+ * planner gate's static rows are "sparse" and "event".
  */
 void
 BM_MicrocircuitStep(benchmark::State &state)
@@ -135,17 +131,15 @@ BM_MicrocircuitStep(benchmark::State &state)
     const auto rateScale = static_cast<double>(state.range(1));
     MicrocircuitInstance inst = benchInstance(rateScale);
 
-    SimulatorOptions opts;
-    opts.sparseDelivery = engine != 0;
     AutoEngineOptions autoOpts;
-    autoOpts.engine = engine == 2   ? EngineKind::Event
-                      : engine == 3 ? EngineKind::Auto
+    autoOpts.engine = engine == 1   ? EngineKind::Event
+                      : engine == 2 ? EngineKind::Auto
                                     : EngineKind::Dense;
-    AutoSession sim(inst.network, inst.stimulus, opts, autoOpts);
+    AutoSession sim(inst.network, inst.stimulus, SimulatorOptions{},
+                    autoOpts);
     sim.run(warmupSteps);
 
-    static const char *const names[] = {"legacy", "sparse", "event",
-                                        "auto"};
+    static const char *const names[] = {"sparse", "event", "auto"};
     state.SetLabel(std::string(names[engine]) + "/x" +
                    std::to_string(state.range(1)));
     for (auto _ : state)
@@ -159,24 +153,18 @@ BM_MicrocircuitStep(benchmark::State &state)
 } // namespace flexon
 
 BENCHMARK(flexon::BM_MicrocircuitSynapsePhase)
-    ->Args({0, 1, 1})
-    ->Args({1, 1, 1})
-    ->Args({0, 8, 1})
-    ->Args({1, 8, 1})
-    ->Args({0, 1, 4})
-    ->Args({1, 1, 4})
-    ->Args({0, 8, 4})
-    ->Args({1, 8, 4})
+    ->Args({1, 1})
+    ->Args({8, 1})
+    ->Args({1, 4})
+    ->Args({8, 4})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(flexon::BM_MicrocircuitStep)
     ->Args({0, 1})
     ->Args({1, 1})
     ->Args({2, 1})
-    ->Args({3, 1})
     ->Args({0, 8})
     ->Args({1, 8})
     ->Args({2, 8})
-    ->Args({3, 8})
     ->Unit(benchmark::kMicrosecond);
 
 #ifndef FLEXON_BENCH_BUILD_TYPE

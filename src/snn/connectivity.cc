@@ -6,8 +6,8 @@
 #include <limits>
 
 #include "common/logging.hh"
+#include "common/telemetry.hh"
 #include "common/thread_pool.hh"
-#include "snn/routing.hh"
 
 namespace flexon {
 
@@ -174,6 +174,19 @@ decodeRowForShard(std::span<const Synapse> row, size_t shard,
 
 // ---- Materialized ---------------------------------------------------
 
+/**
+ * The synapse table compiled once into delivery order: per (source,
+ * shard), that source's 8-byte records contiguous in ascending-bucket
+ * runs behind packed run headers, row order kept within a run. A
+ * fired row streams as one header line plus one record run per shard
+ * and rowSpan() is a zero-copy view.
+ *
+ * Weights are copied into the records, so in-place plasticity updates
+ * (Network::synapseAt) are re-mirrored from the network's
+ * weight-mutation log by refreshWeights() — O(mutations), or one
+ * full O(synapses) pass when more than Network::weightLogCapacity
+ * mutations behind.
+ */
 class MaterializedProvider final : public ConnectivityProvider
 {
   public:
@@ -182,33 +195,147 @@ class MaterializedProvider final : public ConnectivityProvider
         : ConnectivityProvider(
               ConnectivityKind::Materialized,
               buildConnectivityGeometry(network, shardCount)),
-          table_(network, shardCount, metrics)
+          net_(network)
     {
-        masksExact_ = table_.rowMasksExact();
-        maskData_ = masksExact_ ? table_.rowMaskRow(0) : nullptr;
+        if (metrics != nullptr) {
+            tailRefreshCounter_ = &metrics->counter(
+                "route.refresh_tail",
+                "weight refreshes replayed from the mutation-log tail");
+            fullRefreshCounter_ = &metrics->counter(
+                "route.refresh_full",
+                "weight refreshes via a full-table mirror");
+        }
+        const uint64_t total = network.numSynapses();
+        if (total >= std::numeric_limits<uint32_t>::max()) {
+            fatal("materialized connectivity supports < 2^32 synapses "
+                  "(network has %llu)",
+                  static_cast<unsigned long long>(total));
+        }
+        const size_t n = network.numNeurons();
+        const size_t sc = geo_.shardCount;
+        const size_t buckets = geo_.bucketDelay.size();
+        masksExact_ = buckets <= 64;
+        if (masksExact_)
+            mask_.assign(n * sc, 0);
+        records_.resize(total);
+        recordOf_.resize(total);
+        runPtr_.assign(n * sc + 1, 0);
+        recPtr_.assign(n * sc + 1, 0);
+
+        // One counting sort per source row into (shard, bucket) runs;
+        // it is stable, so each run keeps row order (the
+        // order-preservation invariant).
+        std::vector<uint32_t> cursor(sc * buckets);
+        uint32_t placed = 0;
+        for (uint32_t src = 0; src < n; ++src) {
+            const std::span<const Synapse> row = network.outgoing(src);
+            std::fill(cursor.begin(), cursor.end(), 0);
+            for (const Synapse &syn : row)
+                ++cursor[geo_.shardOf[syn.target] * buckets +
+                         geo_.bucketOf[syn.delay]];
+            for (size_t s = 0; s < sc; ++s) {
+                const size_t at = src * sc + s;
+                runPtr_[at] = static_cast<uint32_t>(runs_.size());
+                recPtr_[at] = placed;
+                for (size_t b = 0; b < buckets; ++b) {
+                    uint32_t &slot = cursor[s * buckets + b];
+                    if (slot == 0)
+                        continue;
+                    flexon_assert(slot < (uint32_t{1} << 24));
+                    runs_.push_back(
+                        packRunHeader(static_cast<uint32_t>(b), slot));
+                    if (masksExact_)
+                        mask_[at] |= uint64_t{1} << b;
+                    const uint32_t len = slot;
+                    slot = placed; // becomes the run's write cursor
+                    placed += len;
+                }
+            }
+            const uint64_t base = network.rowStart(src);
+            for (size_t k = 0; k < row.size(); ++k) {
+                const Synapse &syn = row[k];
+                const uint32_t pos =
+                    cursor[geo_.shardOf[syn.target] * buckets +
+                           geo_.bucketOf[syn.delay]]++;
+                records_[pos] = {static_cast<uint32_t>(
+                                     syn.target * maxSynapseTypes +
+                                     syn.type),
+                                 syn.weight};
+                recordOf_[base + k] = pos;
+            }
+        }
+        runPtr_[n * sc] = static_cast<uint32_t>(runs_.size());
+        recPtr_[n * sc] = placed;
+        runs_.shrink_to_fit();
+        if (masksExact_)
+            maskData_ = mask_.data();
+        weightsSeen_ = network.weightMutations();
     }
 
     RowView
     rowSpan(uint32_t src, size_t shard,
             RowScratch & /*scratch*/) const override
     {
-        // Zero-copy view of the table's source-major mirror.
-        return {table_.sourceRuns(src, shard),
-                table_.sourceRecords(src, shard)};
+        const size_t at =
+            static_cast<size_t>(src) * geo_.shardCount + shard;
+        return {std::span<const uint32_t>(
+                    runs_.data() + runPtr_[at],
+                    runPtr_[at + 1] - runPtr_[at]),
+                records_.data() + recPtr_[at]};
     }
 
-    void refreshWeights() override { table_.refreshWeights(); }
-    size_t connectivityBytes() const override
+    void
+    refreshWeights() override
     {
-        return table_.memoryBytes();
+        const uint64_t total = net_.weightMutations();
+        if (total == weightsSeen_)
+            return;
+        if (total - weightsSeen_ <= Network::weightLogCapacity) {
+            // Replay just the logged mutations (idempotent,
+            // duplicates and read-only accesses included).
+            for (uint64_t m = weightsSeen_; m < total; ++m) {
+                const uint64_t idx = net_.weightLogEntry(m);
+                records_[recordOf_[idx]].weight =
+                    net_.synapseAt(idx).weight;
+            }
+            if (tailRefreshCounter_ != nullptr)
+                tailRefreshCounter_->add(1);
+        } else {
+            // Too far behind the log ring: mirror every weight.
+            for (uint64_t idx = 0; idx < net_.numSynapses(); ++idx)
+                records_[recordOf_[idx]].weight =
+                    net_.synapseAt(idx).weight;
+            if (fullRefreshCounter_ != nullptr)
+                fullRefreshCounter_->add(1);
+        }
+        weightsSeen_ = total;
     }
-    const RoutingTable *materializedTable() const override
+
+    size_t
+    connectivityBytes() const override
     {
-        return &table_;
+        return records_.capacity() * sizeof(DeliveryRecord) +
+               (recordOf_.capacity() + runs_.capacity() +
+                runPtr_.capacity() + recPtr_.capacity()) *
+                   sizeof(uint32_t) +
+               mask_.capacity() * sizeof(uint64_t) +
+               geometryBytes(geo_);
     }
 
   private:
-    RoutingTable table_;
+    const Network &net_;
+    std::vector<DeliveryRecord> records_;
+    std::vector<uint32_t> runs_;
+    /** (src * shardCount + shard) -> runs_ / records_; +1 sentinel. */
+    std::vector<uint32_t> runPtr_;
+    std::vector<uint32_t> recPtr_;
+    std::vector<uint64_t> mask_;
+    /** Global synapse index -> records_ position (weight refresh). */
+    std::vector<uint32_t> recordOf_;
+    /** Network::weightMutations() already mirrored. */
+    uint64_t weightsSeen_ = 0;
+    telemetry::Counter *tailRefreshCounter_ = nullptr;
+    telemetry::Counter *fullRefreshCounter_ = nullptr;
 };
 
 // ---- Compressed -----------------------------------------------------

@@ -9,10 +9,10 @@
  * ConnectivityProvider answers that query — rowSpan() — from one of
  * three representations:
  *
- *  - **materialized**: the precompiled RoutingTable CSR (PR 3/PR 6).
- *    rowSpan() is a zero-copy view of the source-major mirror; the
- *    SpikeRouter additionally keeps its direct fast paths over the
- *    table, so this mode is byte-for-byte the previous engine.
+ *  - **materialized**: one precompiled source-major array of 8-byte
+ *    delivery records, per (source, shard) ascending-bucket runs in
+ *    row order behind packed run headers. rowSpan() is a zero-copy
+ *    view into it.
  *  - **compressed**: per-(source, shard) delta/varint-encoded blobs
  *    (see DESIGN.md §12 for the row format), decoded on delivery
  *    into a per-shard scratch buffer. ~6× smaller than the
@@ -50,8 +50,6 @@ namespace telemetry {
 class Registry;
 }
 
-class RoutingTable;
-
 /** One delivery: ring cell (target * maxSynapseTypes + type) and
  *  the weight to accumulate into it. */
 struct DeliveryRecord
@@ -62,7 +60,7 @@ struct DeliveryRecord
 
 /** Available connectivity representations. */
 enum class ConnectivityKind {
-    Materialized, ///< precompiled CSR routing table (default)
+    Materialized, ///< precompiled source-major records (default)
     Compressed,   ///< delta/varint row blobs, decoded on delivery
     Procedural,   ///< rows regenerated from the spec'd RNG
 };
@@ -77,9 +75,7 @@ bool parseConnectivityKind(const std::string &text,
 
 /**
  * Packed bucket-run header: delay-bucket index in the top byte, run
- * length (record count) in the low 24 bits. Identical to the
- * RoutingTable source-major mirror's header packing, so materialized
- * views need no translation.
+ * length (record count) in the low 24 bits.
  */
 constexpr uint32_t
 packRunHeader(uint32_t bucket, uint32_t length)
@@ -100,10 +96,9 @@ runHeaderLength(uint32_t header)
 }
 
 /**
- * Shard/bucket layout shared by every provider (and by the
- * RoutingTable itself — it builds from the same function, which is
- * what makes cross-provider geometry equality structural rather
- * than coincidental).
+ * Shard/bucket layout shared by every provider (all build it with
+ * the same function, which is what makes cross-provider geometry
+ * equality structural rather than coincidental).
  */
 struct ConnectivityGeometry
 {
@@ -217,13 +212,6 @@ class ConnectivityProvider
     /** Heap bytes owned by this provider (tables, blobs, caches). */
     virtual size_t connectivityBytes() const = 0;
 
-    /** The wrapped RoutingTable, when this provider is the
-     *  materialized one (the router's fast-path handle). */
-    virtual const RoutingTable *materializedTable() const
-    {
-        return nullptr;
-    }
-
     /** Forget cached rows / zero the cache counters (bit-exact
      *  session reset). */
     virtual void reset()
@@ -259,8 +247,8 @@ class ConnectivityProvider
 /**
  * Construct a provider over a finalized network.
  *
- * Materialized requires a materialized network (it builds the CSR
- * routing table from stored rows); procedural requires a network
+ * Materialized requires a materialized network (it compiles its
+ * record array from stored rows); procedural requires a network
  * built with buildFromSpec(procedural = true); compressed accepts
  * either storage mode (it encodes from regenerated or stored rows).
  */

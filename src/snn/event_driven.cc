@@ -14,8 +14,8 @@ bool
 eventDrivenEligible(const Network &network, std::string *why)
 {
     if (network.procedural()) {
-        // The engine's lazy membrane updates walk stored rows via
-        // RoutingTable; a row-regenerating network has none.
+        // The engine's deliveries walk stored rows through a
+        // materialized provider; a row-regenerating network has none.
         if (why)
             *why = "the engine requires stored synapse rows; this "
                    "network is procedural (rows regenerate on "
@@ -52,7 +52,6 @@ EventDrivenSimulator::EventDrivenSimulator(
     const Network &network, StimulusGenerator stimulus,
     const SessionOptions &options)
     : SimulationSession(network, std::move(stimulus), options),
-      table_(network, 1, &metrics()),
       updatesCounter_(metrics().counter(
           "ev.updates", "neuron updates actually performed")),
       denseUpdatesCounter_(metrics().counter(
@@ -63,6 +62,8 @@ EventDrivenSimulator::EventDrivenSimulator(
     std::string why;
     if (!eventDrivenEligible(network, &why))
         fatal("event-driven execution unavailable: %s", why.c_str());
+    rows_ = makeConnectivityProvider(ConnectivityKind::Materialized,
+                                     network, 1, &metrics());
     state_.resize(network.numNeurons());
     vLeak_.resize(network.numNeurons());
     arSteps_.resize(network.numNeurons());
@@ -205,7 +206,7 @@ EventDrivenSimulator::enginePrepareDelivery()
 {
     // Pick up weight updates made between steps (cheap no-op compare
     // when nothing changed).
-    table_.refreshWeights();
+    rows_->refreshWeights();
 }
 
 void
@@ -217,14 +218,16 @@ EventDrivenSimulator::engineDeliverSpikes(
     // the dense router's lanes (records keep row order within a
     // bucket), half the bytes per pending event.
     for (const uint32_t neuron : fired) {
-        for (size_t b = 0; b < table_.bucketCount(); ++b) {
-            const auto row = table_.row(0, b, neuron);
-            if (row.empty())
-                continue;
-            auto &slot =
-                ring_[(t + table_.bucketDelay(b)) % ringDepth_];
-            slot.insert(slot.end(), row.begin(), row.end());
-            evEvents_ += row.size();
+        const RowView row = rows_->rowSpan(neuron, 0, rowScratch_);
+        const DeliveryRecord *rec = row.records;
+        for (const uint32_t header : row.runs) {
+            const uint32_t len = runHeaderLength(header);
+            auto &slot = ring_[(t + rows_->bucketDelay(
+                                        runHeaderBucket(header))) %
+                               ringDepth_];
+            slot.insert(slot.end(), rec, rec + len);
+            rec += len;
+            evEvents_ += len;
         }
     }
 }
@@ -247,9 +250,9 @@ void
 EventDrivenSimulator::refreshEngineStats(PhaseStats &view) const
 {
     view.synapseEvents = evEvents_;
-    view.routingTableBytes = table_.memoryBytes();
+    view.routingTableBytes = rows_->connectivityBytes();
     view.connectivityBytes =
-        table_.memoryBytes() + network().connectivityBytes();
+        rows_->connectivityBytes() + network().connectivityBytes();
     view.rowCacheHits = 0;
     view.rowCacheMisses = 0;
     view.ringDenseClears = 0;

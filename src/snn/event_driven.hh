@@ -30,13 +30,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/telemetry.hh"
+#include "snn/connectivity.hh"
 #include "snn/network.hh"
-#include "snn/routing.hh"
 #include "snn/session.hh"
 #include "snn/stimulus.hh"
 
@@ -170,13 +171,14 @@ class EventDrivenSimulator : public SimulationSession
                       std::vector<uint8_t> &fired);
 
     /**
-     * Packed delivery rows (single shard): a fired neuron's bucket
-     * rows are appended to the pending ring as-is, so delivery
-     * streams 8-byte records instead of gathering Synapse structs.
-     * Constructed after the base class, so the session registry is
-     * live for the table's refresh counters.
+     * Packed delivery rows (one-shard materialized provider): a
+     * fired neuron's bucket runs are appended to the pending ring
+     * as-is, so delivery streams 8-byte records instead of gathering
+     * Synapse structs. Built after the base class, so the session
+     * registry is live for the provider's refresh counters.
      */
-    RoutingTable table_;
+    std::unique_ptr<ConnectivityProvider> rows_;
+    RowScratch rowScratch_;
     std::vector<NeuronState> state_;
     /** Per-neuron cached parameters. */
     std::vector<double> vLeak_;

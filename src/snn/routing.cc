@@ -1,11 +1,9 @@
 #include "snn/routing.hh"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <string>
 
@@ -16,229 +14,20 @@ namespace flexon {
 
 namespace {
 
-/**
- * Touch-key encodings for the delivery ring's undo lists. The PR 5
- * loops write `bucket << 32 | src` and the clear re-derives the
- * record span with a row probe; the sparse loops instead write the
- * span itself — kRangeKey | [kSourceMajorKey] | len << 32 | offset —
- * so the clear streams records with no probing. Bucket indices are
- * < 2^24, so bit 63 cleanly separates the two forms and mixed lists
- * (mode switches, restored checkpoints) stay interpretable.
- */
-constexpr uint64_t kRangeKey = uint64_t{1} << 63;
-/** Range key's offset addresses the source-major mirror. */
-constexpr uint64_t kSourceMajorKey = uint64_t{1} << 62;
-
+/** Touch key of a routed run: its delay bucket and fired source. */
 constexpr uint64_t
-rangeKey(uint32_t offset, uint32_t len, bool sourceMajor)
+touchKey(size_t bucket, uint32_t src)
 {
-    return kRangeKey | (sourceMajor ? kSourceMajorKey : 0) |
-           (static_cast<uint64_t>(len) << 32) | offset;
+    return (static_cast<uint64_t>(bucket) << 32) | src;
 }
 
 } // namespace
-
-RoutingTable::RoutingTable(const Network &network, size_t shardCount,
-                           telemetry::Registry *metrics)
-    : network_(network)
-{
-    if (metrics != nullptr) {
-        tailRefreshCounter_ = &metrics->counter(
-            "route.refresh_tail",
-            "weight refreshes replayed from the mutation-log tail");
-        fullRefreshCounter_ = &metrics->counter(
-            "route.refresh_full",
-            "weight refreshes via a full-table mirror");
-    }
-    if (!network.finalized())
-        fatal("network must be finalized before routing-table build");
-    const size_t n = network.numNeurons();
-    const uint64_t total = network.numSynapses();
-    if (total >= std::numeric_limits<uint32_t>::max()) {
-        fatal("routing table supports < 2^32 synapses (network has "
-              "%llu)",
-              static_cast<unsigned long long>(total));
-    }
-    rowStride_ = n + 1;
-
-    // Shard boundaries, delay buckets and the shard lookup come from
-    // the shared geometry builder, so every ConnectivityProvider —
-    // this table included — agrees on the layout structurally.
-    geo_ = buildConnectivityGeometry(network, shardCount);
-    const size_t shardTotal = geo_.shardCount;
-    const std::vector<uint32_t> &shardOf = geo_.shardOf;
-    const std::array<uint8_t, 256> &bucketOf = geo_.bucketOf;
-    const size_t buckets = geo_.bucketDelay.size();
-    const size_t blocks = shardTotal * buckets;
-
-    // Activity bitmaps: which (shard, bucket) pairs each source row
-    // can deliver into. One word per (source, shard) as long as the
-    // bucket count fits; beyond 64 distinct delays the masks are
-    // dropped and delivery scans buckets instead.
-    masksExact_ = buckets <= 64;
-    if (masksExact_)
-        rowMask_.assign(n * shardTotal, 0);
-
-    // Counting sort into (shard, bucket, source-row) runs, keeping
-    // row order within each run (the order-preservation invariant).
-    rowPtr_.assign(blocks * rowStride_, 0);
-    for (uint32_t src = 0; src < n; ++src) {
-        for (const Synapse &syn : network.outgoing(src)) {
-            const size_t s = shardOf[syn.target];
-            const size_t b = bucketOf[syn.delay];
-            ++rowPtr_[(s * buckets + b) * rowStride_ + src + 1];
-            if (masksExact_)
-                rowMask_[src * shardTotal + s] |= uint64_t{1} << b;
-        }
-    }
-    uint32_t running = 0;
-    for (size_t block = 0; block < blocks; ++block) {
-        uint32_t *ptr = rowPtr_.data() + block * rowStride_;
-        ptr[0] = running;
-        for (size_t r = 1; r <= n; ++r) {
-            running += ptr[r];
-            ptr[r] = running;
-        }
-    }
-
-    records_.resize(total);
-    recordOf_.resize(total);
-    std::vector<uint32_t> fill(rowPtr_.size());
-    for (size_t block = 0; block < blocks; ++block)
-        for (size_t r = 0; r < n; ++r)
-            fill[block * rowStride_ + r] =
-                rowPtr_[block * rowStride_ + r];
-    for (uint32_t src = 0; src < n; ++src) {
-        const uint64_t base = network.rowStart(src);
-        const auto row = network.outgoing(src);
-        for (size_t k = 0; k < row.size(); ++k) {
-            const Synapse &syn = row[k];
-            const size_t block =
-                shardOf[syn.target] * buckets + bucketOf[syn.delay];
-            const uint32_t pos = fill[block * rowStride_ + src]++;
-            records_[pos] = {static_cast<uint32_t>(
-                                 syn.target * maxSynapseTypes +
-                                 syn.type),
-                             syn.weight};
-            recordOf_[base + k] = pos;
-        }
-    }
-
-    // Source-major mirror: copy each (src, shard)'s rows in
-    // ascending-bucket order out of the bucket-major table, packing
-    // one run header per populated bucket. srcPosOf_ keeps weight
-    // refreshes O(1) per mutation for both layouts.
-    srcRecords_.resize(total);
-    srcPosOf_.resize(total);
-    srcRunPtr_.assign(n * shardTotal + 1, 0);
-    srcRecPtr_.assign(n * shardTotal + 1, 0);
-    uint32_t runCount = 0, recCount = 0;
-    for (uint32_t src = 0; src < n; ++src) {
-        for (size_t s = 0; s < shardTotal; ++s) {
-            const size_t at = src * shardTotal + s;
-            srcRunPtr_[at] = runCount;
-            srcRecPtr_[at] = recCount;
-            for (size_t b = 0; b < buckets; ++b) {
-                const uint32_t *ptr =
-                    rowPtr(s, b); // block-local CSR, global offsets
-                const uint32_t lo = ptr[src], hi = ptr[src + 1];
-                if (lo == hi)
-                    continue;
-                flexon_assert(hi - lo < (uint32_t{1} << 24));
-                ++runCount;
-                for (uint32_t p = lo; p < hi; ++p) {
-                    srcPosOf_[p] = recCount;
-                    srcRecords_[recCount++] = records_[p];
-                }
-            }
-        }
-    }
-    srcRunPtr_[n * shardTotal] = runCount;
-    srcRecPtr_[n * shardTotal] = recCount;
-    srcRuns_.resize(runCount);
-    runCount = 0;
-    for (uint32_t src = 0; src < n; ++src) {
-        for (size_t s = 0; s < shardTotal; ++s) {
-            for (size_t b = 0; b < buckets; ++b) {
-                const uint32_t *ptr = rowPtr(s, b);
-                if (ptr[src] == ptr[src + 1])
-                    continue;
-                srcRuns_[runCount++] =
-                    (static_cast<uint32_t>(b) << 24) |
-                    (ptr[src + 1] - ptr[src]);
-            }
-        }
-    }
-
-    weightsSeen_ = network.weightMutations();
-}
-
-void
-RoutingTable::refreshWeights()
-{
-    const uint64_t total = network_.weightMutations();
-    if (total == weightsSeen_)
-        return;
-    if (total - weightsSeen_ <= Network::weightLogCapacity) {
-        // Replay just the logged mutations (idempotent, duplicates
-        // and read-only accesses included).
-        for (uint64_t m = weightsSeen_; m < total; ++m) {
-            const uint64_t idx = network_.weightLogEntry(m);
-            const uint32_t pos = recordOf_[idx];
-            const float w = network_.synapseAt(idx).weight;
-            records_[pos].weight = w;
-            srcRecords_[srcPosOf_[pos]].weight = w;
-        }
-        if (tailRefreshCounter_ != nullptr)
-            tailRefreshCounter_->add(1);
-    } else {
-        // Too far behind the log ring: mirror every weight.
-        const uint64_t count = network_.numSynapses();
-        for (uint64_t idx = 0; idx < count; ++idx) {
-            const uint32_t pos = recordOf_[idx];
-            const float w = network_.synapseAt(idx).weight;
-            records_[pos].weight = w;
-            srcRecords_[srcPosOf_[pos]].weight = w;
-        }
-        if (fullRefreshCounter_ != nullptr)
-            fullRefreshCounter_->add(1);
-    }
-    weightsSeen_ = total;
-}
-
-size_t
-RoutingTable::memoryBytes() const
-{
-    return records_.capacity() * sizeof(DeliveryRecord) +
-           srcRecords_.capacity() * sizeof(DeliveryRecord) +
-           rowPtr_.capacity() * sizeof(uint32_t) +
-           recordOf_.capacity() * sizeof(uint32_t) +
-           srcRuns_.capacity() * sizeof(uint32_t) +
-           srcRunPtr_.capacity() * sizeof(uint32_t) +
-           srcRecPtr_.capacity() * sizeof(uint32_t) +
-           srcPosOf_.capacity() * sizeof(uint32_t) +
-           rowMask_.capacity() * sizeof(uint64_t) +
-           geo_.shardTargetBegin.capacity() * sizeof(uint32_t) +
-           geo_.shardOf.capacity() * sizeof(uint32_t) +
-           geo_.bucketDelay.capacity();
-}
-
-const RoutingTable &
-SpikeRouter::table() const
-{
-    if (mat_ == nullptr)
-        fatal("SpikeRouter::table(): the %s connectivity provider "
-              "has no materialized routing table",
-              connectivityKindName(conn_->kind()));
-    return *mat_;
-}
 
 SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
                          telemetry::Registry *metrics,
                          ConnectivityKind kind)
     : conn_(makeConnectivityProvider(kind, network, shardCount,
                                      metrics)),
-      mat_(conn_->materializedTable()),
       shards_(conn_->shardCount()),
       ringDepth_(static_cast<size_t>(network.maxDelay()) + 1),
       slotSize_(network.numNeurons() * maxSynapseTypes)
@@ -249,7 +38,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
             "target shards skipped entirely by sparse delivery");
         bucketsVisitedCounter_ = &metrics->counter(
             "snn.router.buckets_visited",
-            "(shard, delay-bucket) pairs streamed by delivery");
+            "(source, shard, delay-bucket) runs streamed by delivery");
     }
     if (metrics != nullptr && slotSize_ > 0) {
         touchedCellsCounter_ = &metrics->counter(
@@ -264,7 +53,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
     slotBase_.assign(ringDepth_, nullptr);
     touchBase_.assign(ringDepth_, nullptr);
     const size_t shards = shards_;
-    scratch_.resize(mat_ == nullptr ? shards : 0);
+    scratch_.resize(shards);
     laneEvents_.assign(shards, 0);
     laneBuckets_.assign(shards, 0);
     laneDense_.assign(shards, 0);
@@ -320,48 +109,18 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
         std::fill(base + cellLo, base + cellHi, 0.0);
     } else {
         // Undo the tracked writes of this shard only; lanes never
-        // touch another shard's cells. Range keys (bit 63, written
-        // by the sparse delivery loops) carry their record span
-        // directly; legacy (bucket << 32 | src) keys re-derive it
-        // with a row probe — against the materialized table when one
-        // exists, or by re-decoding the source row through the
-        // provider (topology is immutable, so the regenerated row
-        // covers exactly the cells the original delivery wrote).
-        // Mixed lists are fine — each key is self-describing, which
-        // keeps checkpoints portable across delivery modes.
+        // touch another shard's cells. A routed key names one run of
+        // a fired row; re-walking the row finds it again (topology is
+        // immutable, so the row covers exactly the cells the delivery
+        // wrote — decoding providers regenerate it into the lane's
+        // scratch).
         for (const uint64_t cell : stimTouch(slotIdx, shard).keys())
             base[cell] = 0.0;
+        RowScratch &scratch = scratch_[shard];
         for (const uint64_t key : touch(slotIdx, shard).keys()) {
-            if ((key & kRangeKey) != 0) {
-                if (mat_ == nullptr) {
-                    // Record-range keys are offsets into the
-                    // materialized arrays; they only appear here
-                    // when a materialized-mode checkpoint is
-                    // restored into a decoding provider.
-                    fatal("checkpoint touch records reference a "
-                          "materialized routing table; restore "
-                          "with --connectivity=materialized");
-                }
-                const auto off = static_cast<uint32_t>(key);
-                const uint32_t len = (key >> 32) & 0xFFFFFFu;
-                const DeliveryRecord *rec =
-                    (key & kSourceMajorKey) != 0
-                        ? mat_->sourceRecordAt(off)
-                        : mat_->recordAt(off);
-                for (uint32_t k = 0; k < len; ++k, ++rec)
-                    base[rec->cell] = 0.0;
-                continue;
-            }
-            const size_t bucket = key >> 32;
-            const auto src = static_cast<uint32_t>(key);
-            if (mat_ != nullptr) {
-                for (const DeliveryRecord &rec :
-                     mat_->row(shard, bucket, src))
-                    base[rec.cell] = 0.0;
-                continue;
-            }
-            const RowView row =
-                conn_->rowSpan(src, shard, scratch_[shard]);
+            const auto bucket = static_cast<uint32_t>(key >> 32);
+            const RowView row = conn_->rowSpan(
+                static_cast<uint32_t>(key), shard, scratch);
             const DeliveryRecord *rec = row.records;
             for (const uint32_t header : row.runs) {
                 const uint32_t len = runHeaderLength(header);
@@ -379,148 +138,14 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
 }
 
 void
-SpikeRouter::laneRoute(uint64_t t, size_t shard,
-                       std::span<const uint32_t> fired)
+SpikeRouter::laneRoute(size_t shard, std::span<const uint32_t> fired)
 {
-    const DeliveryRecord *const recs = mat_->records();
-    uint64_t events = 0;
-    uint64_t buckets = 0;
-    for (size_t b = 0; b < mat_->bucketCount(); ++b) {
-        if (mat_->bucketEmpty(shard, b))
-            continue;
-        ++buckets;
-        const uint32_t *const rows = mat_->rowPtr(shard, b);
-        const uint8_t delay = mat_->bucketDelay(b);
-        double *const base = slotBase_[delay];
-        TouchList &pending =
-            touch((t + delay) % ringDepth_, shard);
-        if (pending.saturated()) {
-            // The slot is already committed to a dense clear, so
-            // tracking further writes buys nothing: stream only.
-            for (const uint32_t n : fired) {
-                uint32_t k = rows[n];
-                const uint32_t end = rows[n + 1];
-                events += end - k;
-                for (; k < end; ++k)
-                    base[recs[k].cell] += recs[k].weight;
-            }
-            continue;
-        }
-        for (const uint32_t n : fired) {
-            uint32_t k = rows[n];
-            const uint32_t end = rows[n + 1];
-            if (k == end)
-                continue;
-            pending.add((static_cast<uint64_t>(b) << 32) | n,
-                        end - k);
-            events += end - k;
-            for (; k < end; ++k)
-                base[recs[k].cell] += recs[k].weight;
-        }
-    }
-    laneEvents_[shard] = events;
-    laneBuckets_[shard] = buckets;
-}
-
-void
-SpikeRouter::laneRouteMasked(uint64_t t, size_t shard,
-                             std::span<const uint32_t> fired)
-{
-    // Bucket-major like the scan loop — records of one (shard,
-    // bucket) stream sequentially across the fired sources — but
-    // directed by the OR of the fired rows' activity masks, so only
-    // buckets some fired source actually feeds are visited at all.
-    // The per-bucket fired scan is ascending as in the scan loop, so
-    // every ring cell receives its additions in the identical order:
-    // bit-identical results.
-    const DeliveryRecord *const recs = mat_->records();
-    uint64_t events = 0;
-    uint64_t m = routeMask_[shard];
-    laneBuckets_[shard] = static_cast<uint64_t>(std::popcount(m));
-    while (m != 0) {
-        const auto b = static_cast<size_t>(std::countr_zero(m));
-        m &= m - 1;
-        const uint32_t *const rows = mat_->rowPtr(shard, b);
-        const uint8_t delay = mat_->bucketDelay(b);
-        double *const base = slotBase_[delay];
-        TouchList &pending = touchBase_[delay][shard];
-        if (pending.saturated()) {
-            for (const uint32_t n : fired) {
-                uint32_t k = rows[n];
-                const uint32_t end = rows[n + 1];
-                events += end - k;
-                for (; k < end; ++k)
-                    base[recs[k].cell] += recs[k].weight;
-            }
-            continue;
-        }
-        for (const uint32_t n : fired) {
-            uint32_t k = rows[n];
-            const uint32_t end = rows[n + 1];
-            if (k == end)
-                continue;
-            pending.add(rangeKey(k, end - k, false), end - k);
-            events += end - k;
-            for (; k < end; ++k)
-                base[recs[k].cell] += recs[k].weight;
-        }
-    }
-    laneEvents_[shard] = events;
-}
-
-void
-SpikeRouter::laneRouteSourceMajor(uint64_t t, size_t shard,
-                                  std::span<const uint32_t> fired)
-{
-    // One contiguous (headers, records) stream per fired row — the
-    // probe-free walk sparse steps want. Addition order per cell is
-    // identical to the bucket-major loops (see the table's
-    // source-major notes), so results stay bit-identical.
-    uint64_t events = 0;
-    uint64_t streams = 0;
-    for (const uint32_t n : fired) {
-        const std::span<const uint32_t> runs =
-            mat_->sourceRuns(n, shard);
-        uint32_t off = mat_->sourceRecordOffset(n, shard);
-        const DeliveryRecord *rec = mat_->sourceRecordAt(off);
-        streams += runs.size();
-        for (const uint32_t header : runs) {
-            const size_t b = RoutingTable::runBucket(header);
-            const uint32_t len = RoutingTable::runLength(header);
-            const uint8_t delay = mat_->bucketDelay(b);
-            double *const base = slotBase_[delay];
-            TouchList &pending = touchBase_[delay][shard];
-            if (!pending.saturated())
-                pending.add(rangeKey(off, len, true), len);
-            events += len;
-            off += len;
-            for (uint32_t k = 0; k < len; ++k, ++rec)
-                base[rec->cell] += rec->weight;
-        }
-    }
-    laneEvents_[shard] = events;
-    laneBuckets_[shard] = streams;
-}
-
-void
-SpikeRouter::laneRouteRows(uint64_t t, size_t shard,
-                           std::span<const uint32_t> fired)
-{
-    // Decoding-provider delivery: stream each fired row through
-    // rowSpan() — source-major over (this shard's) bucket runs, the
-    // same walk order as laneRouteSourceMajor, so floating-point
-    // accumulation per ring cell is bit-identical to the
-    // materialized paths. Touch keys are the legacy self-describing
-    // (bucket << 32 | src) form, which laneClear can undo by
-    // re-decoding the row (record-offset range keys would dangle —
-    // decoded records live in scratch, not in a stable array).
-    (void)t;
     const bool exact = conn_->rowMasksExact();
     uint64_t events = 0;
     uint64_t streams = 0;
     RowScratch &scratch = scratch_[shard];
     for (const uint32_t n : fired) {
-        if (exact && (conn_->rowMask(n, shard) == 0))
+        if (exact && conn_->rowMask(n, shard) == 0)
             continue;
         const RowView row = conn_->rowSpan(n, shard, scratch);
         const DeliveryRecord *rec = row.records;
@@ -531,9 +156,10 @@ SpikeRouter::laneRouteRows(uint64_t t, size_t shard,
             const uint8_t delay = conn_->bucketDelay(b);
             double *const base = slotBase_[delay];
             TouchList &pending = touchBase_[delay][shard];
+            // A saturated slot is already committed to a dense clear,
+            // so tracking further writes buys nothing.
             if (!pending.saturated())
-                pending.add((static_cast<uint64_t>(b) << 32) | n,
-                            len);
+                pending.add(touchKey(b, n), len);
             events += len;
             for (uint32_t k = 0; k < len; ++k, ++rec)
                 base[rec->cell] += rec->weight;
@@ -541,41 +167,6 @@ SpikeRouter::laneRouteRows(uint64_t t, size_t shard,
     }
     laneEvents_[shard] = events;
     laneBuckets_[shard] = streams;
-}
-
-void
-SpikeRouter::legacyRouteStep(uint64_t t, size_t slotIdx,
-                             std::span<const uint32_t> fired)
-{
-    const size_t shards = shards_;
-    if (fired.empty() || conn_->bucketCount() == 0) {
-        // Quiet step: clear inline, no pool barrier.
-        for (size_t s = 0; s < shards; ++s)
-            laneClear(slotIdx, s, laneDense_[s] != 0);
-        return;
-    }
-
-    for (size_t d = 0; d < ringDepth_; ++d) {
-        const size_t slot = (t + d) % ringDepth_;
-        slotBase_[d] = ring_.data() + slot * slotSize_;
-        touchBase_[d] = touched_.data() + slot * shards;
-    }
-
-    // Every shard clears and bucket-scans, every active step pays
-    // the pool barrier: the PR 5 schedule, kept as the reference
-    // point for the sparse path (and as the mask-overflow fallback
-    // dispatch would behave without skipping). Decoding providers
-    // have no bucket-major CSR to scan, so their lanes stream the
-    // fired rows instead.
-    ThreadPool::global().forEachLane(shards, [&](size_t s) {
-        laneClear(slotIdx, s, laneDense_[s] != 0);
-        if (mat_ != nullptr)
-            laneRoute(t, s, fired);
-        else
-            laneRouteRows(t, s, fired);
-    });
-    for (size_t s = 0; s < shards; ++s)
-        events_ += laneEvents_[s];
 }
 
 void
@@ -587,7 +178,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     // Serial provider hook before any lane touches rowSpan(): the
     // procedural provider decodes this step's fired rows into its
     // hot-row cache here, where mutation is single-threaded.
-    if (mat_ == nullptr && !fired.empty())
+    if (!fired.empty())
         conn_->prepareStep(fired);
 
     // Dense/sparse decision for the consumed slot, per shard:
@@ -615,14 +206,9 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
                                static_cast<double>(slotSize_));
     }
 
-    if (!sparseDelivery_) {
-        legacyRouteStep(t, slotIdx, fired);
-        return;
-    }
-
     // Route-activity masks: OR the fired sources' per-shard bucket
     // bitmaps. Without exact masks (> 64 delay buckets) any firing
-    // marks every shard for the bucket-scan fallback.
+    // marks every shard active.
     const bool exact = conn_->rowMasksExact();
     const bool haveRoute =
         !fired.empty() && conn_->bucketCount() > 0;
@@ -666,29 +252,13 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
         }
     }
 
-    // Per-step layout choice, deterministic in the fired count alone:
-    // few sources -> stream each row's contiguous source-major runs
-    // (no per-bucket probing, and no mask needed, so it also covers
-    // the > 64-bucket case); many sources -> the bucket-major loops,
-    // whose per-bucket streams amortize better during bursts.
-    const bool sourceMajor =
-        haveRoute && fired.size() < conn_->bucketCount();
-
     auto laneWork = [&](size_t i) {
         const size_t s = activeShards_[i];
         laneEvents_[s] = 0;
         laneBuckets_[s] = 0;
         laneClear(slotIdx, s, laneDense_[s] != 0);
-        if (routeMask_[s] != 0) {
-            if (mat_ == nullptr)
-                laneRouteRows(t, s, fired);
-            else if (sourceMajor)
-                laneRouteSourceMajor(t, s, fired);
-            else if (exact)
-                laneRouteMasked(t, s, fired);
-            else
-                laneRoute(t, s, fired);
-        }
+        if (routeMask_[s] != 0)
+            laneRoute(s, fired);
     };
     if (!haveRoute) {
         // Clear-only step: stay inline regardless of shard count —
@@ -744,16 +314,24 @@ readRingRle(std::istream &is, std::vector<double> &values)
     size_t i = 0;
     std::string token;
     while (i < values.size() && is >> token) {
-        if (token[0] == 'z') {
-            const size_t run = std::stoull(token.substr(1));
-            if (run == 0 || run > values.size() - i)
-                fatal("corrupt ring run length in checkpoint");
-            std::fill(values.begin() + i, values.begin() + i + run,
-                      0.0);
-            i += run;
-        } else {
-            values[i++] = std::stod(token);
-        }
+        // A token is one value or a `zN` run of +0.0. strtod/strtoull
+        // throw nothing (and, unlike std::stod, keep subnormals); a
+        // token they do not consume whole is corrupt.
+        const bool zeros = token[0] == 'z';
+        const char *const text = token.c_str() + (zeros ? 1 : 0);
+        char *end = nullptr;
+        size_t run = 1;
+        double value = 0.0;
+        if (zeros)
+            run = std::strtoull(text, &end, 10);
+        else
+            value = std::strtod(text, &end);
+        if (end == text || *end != '\0')
+            fatal("malformed ring section in checkpoint");
+        if (run == 0 || run > values.size() - i)
+            fatal("corrupt ring run length in checkpoint");
+        std::fill_n(values.begin() + i, run, value);
+        i += run;
     }
     if (i != values.size())
         fatal("truncated delay-ring data in checkpoint");
@@ -769,21 +347,34 @@ writeTouchList(std::ostream &os, const TouchList &list)
     os << '\n';
 }
 
-void
-readTouchList(std::istream &is, TouchList &list)
+/** One checkpointed touch list: its undo cost and stored keys. */
+struct TouchLine
+{
+    uint64_t cost = 0;
+    std::vector<uint64_t> keys;
+};
+
+/**
+ * Read one `touch <cost> <count> <keys...>` line. A list stores keys
+ * only while its cost is under `budget`, and every key costs at least
+ * 1, so a count above the budget is corrupt — and must not size an
+ * allocation.
+ */
+TouchLine
+readTouchLine(std::istream &is, uint64_t budget)
 {
     std::string tag;
-    uint64_t cost = 0;
-    size_t count = 0;
-    is >> tag >> cost >> count;
-    if (tag != "touch" || !is)
+    TouchLine line;
+    uint64_t count = 0;
+    is >> tag >> line.cost >> count;
+    if (tag != "touch" || !is || count > budget)
         fatal("malformed touch list in checkpoint");
-    std::vector<uint64_t> keys(count);
-    for (uint64_t &key : keys)
+    line.keys.resize(count);
+    for (uint64_t &key : line.keys)
         is >> key;
     if (!is)
         fatal("truncated touch list in checkpoint");
-    list.restore(std::move(keys), cost);
+    return line;
 }
 
 } // namespace
@@ -850,10 +441,53 @@ SpikeRouter::loadState(std::istream &is)
     if (tag != "ring" || !is)
         fatal("malformed ring section in checkpoint");
     readRingRle(is, ring_);
-    for (TouchList &list : touched_)
-        readTouchList(is, list);
-    for (TouchList &list : stimTouched_)
-        readTouchList(is, list);
+
+    // laneClear walks every restored key, so a key this router could
+    // not have written would clear outside its shard or the ring.
+    const uint64_t neurons = slotSize_ / maxSynapseTypes;
+    for (size_t i = 0; i < touched_.size(); ++i) {
+        const size_t shard = i % shards_;
+        TouchLine line = readTouchLine(is, shardClearBudget_[shard]);
+        bool rangeKey = false;
+        for (const uint64_t key : line.keys) {
+            if ((key >> 63) != 0) {
+                rangeKey = true;
+                continue;
+            }
+            const uint64_t bucket = key >> 32;
+            const auto src = static_cast<uint32_t>(key);
+            if (bucket >= conn_->bucketCount() || src >= neurons ||
+                (conn_->rowMasksExact() &&
+                 ((conn_->rowMask(src, shard) >> bucket) & 1) == 0)) {
+                fatal("touch key %llu is outside shard %zu of the "
+                      "routing geometry in checkpoint",
+                      static_cast<unsigned long long>(key), shard);
+            }
+        }
+        if (rangeKey) {
+            // Older builds keyed runs by record ranges into arrays
+            // this build does not have. Restored saturated, the list
+            // forces a dense clear of its shard, which zeroes every
+            // cell any of its keys could name.
+            line.keys.clear();
+            line.cost = std::max(line.cost, shardClearBudget_[shard]);
+        }
+        touched_[i].restore(std::move(line.keys), line.cost);
+    }
+    for (size_t i = 0; i < stimTouched_.size(); ++i) {
+        const size_t shard = i % shards_;
+        TouchLine line = readTouchLine(is, shardClearBudget_[shard]);
+        for (const uint64_t cell : line.keys) {
+            if (cell >= slotSize_ ||
+                conn_->shardOfCell(static_cast<uint32_t>(cell)) !=
+                    shard) {
+                fatal("stimulus cell %llu is outside shard %zu of "
+                      "the ring in checkpoint",
+                      static_cast<unsigned long long>(cell), shard);
+            }
+        }
+        stimTouched_[i].restore(std::move(line.keys), line.cost);
+    }
     is >> tag >> events_ >> denseClears_ >> sparseClears_ >>
         cellsCleared_ >> shardsSkipped_ >> bucketsVisited_;
     if (tag != "counters" || !is)

@@ -465,7 +465,7 @@ SimulationSession::printStats(std::ostream &os) const
          "target shards skipped by sparse delivery");
     line("engine.router_buckets_visited",
          static_cast<double>(view.routerBucketsVisited),
-         "(shard, delay-bucket) pairs streamed");
+         "(source, shard, delay-bucket) runs streamed");
     if (view.totalSec() > 0.0) {
         line("phase.neuron_share",
              view.neuronSec / view.totalSec(),

@@ -132,7 +132,7 @@ struct PhaseStats
     uint64_t ringCellsCleared = 0;
     /** Target shards skipped entirely by sparse delivery. */
     uint64_t routerShardsSkipped = 0;
-    /** (shard, delay-bucket) pairs streamed by delivery. */
+    /** (source, shard, delay-bucket) runs streamed by delivery. */
     uint64_t routerBucketsVisited = 0;
 
     /** Host seconds across every tracked per-step phase. */

@@ -36,7 +36,6 @@ Simulator::Simulator(const Network &network, StimulusGenerator stimulus,
     router_ = std::make_unique<SpikeRouter>(
         network, options_.threads == 0 ? 1 : options_.threads,
         &metrics(), options_.connectivity);
-    router_->setSparseDelivery(options_.sparseDelivery);
 }
 
 void
@@ -95,7 +94,7 @@ Simulator::refreshEngineStats(PhaseStats &view) const
     view.synapseEvents = router_->events();
     view.routingTableBytes =
         router_->kind() == ConnectivityKind::Materialized
-            ? router_->table().memoryBytes()
+            ? router_->connectivityBytes()
             : 0;
     view.connectivityBytes = router_->connectivityBytes() +
                              network().connectivityBytes();

@@ -7,8 +7,8 @@
  * reports, reset, checkpointing) lives in the shared
  * SimulationSession core; this class supplies the dense phase
  * bodies: a pluggable NeuronBackend evaluates every neuron each
- * step, and a SpikeRouter delivers spikes through precompiled
- * routing tables.
+ * step, and a SpikeRouter delivers spikes from the rows of a
+ * connectivity provider.
  *
  * Spike propagation uses a delay ring buffer: a fired neuron's
  * synaptic weights are accumulated into the input buffer of time step
@@ -43,15 +43,9 @@ struct SimulatorOptions
     /** Record (step, neuron) spike events (memory-heavy). */
     bool recordSpikes = false;
     /**
-     * Sparse-activity delivery (activity bitmaps + shard skipping);
-     * off restores the PR 5 every-shard schedule. Bit-identical
-     * either way.
-     */
-    bool sparseDelivery = true;
-    /**
      * Connectivity representation spikes are delivered from
      * (snn/connectivity.hh). Materialized is the precompiled
-     * routing table; compressed and procedural trade delivery-time
+     * record array; compressed and procedural trade delivery-time
      * decoding for 4-100x smaller memory footprints, bit-identical
      * results.
      */
@@ -92,7 +86,7 @@ class Simulator : public SimulationSession
     }
 
     /**
-     * The delivery engine: precompiled routing table + delay ring
+     * The delivery engine: connectivity provider + delay ring
      * (read-only; for tests, benchmarks and diagnostics).
      */
     const SpikeRouter &router() const { return *router_; }
@@ -143,7 +137,7 @@ class Simulator : public SimulationSession
     SimulatorOptions options_;
     std::unique_ptr<NeuronBackend> backend_;
     /**
-     * Spike delivery: routing table, delay ring, and
+     * Spike delivery: connectivity provider, delay ring, and
      * activity-proportional ring maintenance (snn/routing.hh).
      * Shard count == configured threads; results are bit-identical
      * to serial at any thread count.

@@ -181,8 +181,14 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(connectivityKindName(info.param));
     });
 
-TEST(ConnectivityMemory, CompressedAtLeastFourTimesSmaller)
+TEST(ConnectivityMemory, CompressedAtLeastTwiceSmaller)
 {
+    // Materialized bytes are the network's 12-byte Synapse rows plus
+    // the provider's one source-major record array (8-byte records
+    // and a 4-byte synapse -> record map). The bound was 4x while a
+    // second, bucket-major copy of every record also counted; with
+    // that copy deleted the measured ratio here is ~2.5x (383,864 vs
+    // 151,581 bytes), so the bound is now 2x.
     BenchmarkInstance mat =
         buildBenchmarkSpec(findBenchmark("Vogels-Abbott"), 0.2, 7,
                            false);
@@ -195,7 +201,7 @@ TEST(ConnectivityMemory, CompressedAtLeastFourTimesSmaller)
     const RunResult c = runWith(comp.network, comp.stimulus,
                                 ConnectivityKind::Compressed, 2, 50);
     ASSERT_GT(c.connectivityBytes, 0u);
-    EXPECT_GE(m.connectivityBytes, 4 * c.connectivityBytes)
+    EXPECT_GE(m.connectivityBytes, 2 * c.connectivityBytes)
         << "materialized " << m.connectivityBytes
         << " bytes vs compressed " << c.connectivityBytes;
     const RunResult p = runWith(comp.network, comp.stimulus,

@@ -1,11 +1,13 @@
 /**
  * @file
- * Bit-identity of the packed routing-table delivery engine
- * (snn/routing.hh) against a naive serial delivery oracle: same
- * spikes, same ring doubles, same synapse-event counts, at thread
- * counts 1/3/4, with mixed delays spanning the full ring depth,
- * multiple synapse types and multiple populations — plus the
- * sparse/dense ring-clear crossover and live STDP weight updates.
+ * Bit-identity of the delivery engine (snn/routing.hh) against a
+ * naive serial delivery oracle: same spikes, same ring doubles, same
+ * synapse-event counts, at thread counts 1/3/4, on a mixed network
+ * with delays spanning the full ring depth, multiple synapse types
+ * and populations, and on the degenerate shapes (more than 64 delay
+ * buckets, zero synapses, a single neuron) — plus the sparse/dense
+ * ring-clear crossover, live STDP weight updates, and the router's
+ * checkpoint: restart equivalence and rejection of corrupt state.
  *
  * The oracle replays the exact pre-routing-table semantics: dense
  * std::fill slot clears and per-fired-source scans of
@@ -16,6 +18,9 @@
 
 #include <cstring>
 #include <memory>
+#include <sstream>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "features/model_table.hh"
@@ -133,21 +138,126 @@ mixedStimulus()
     return stim;
 }
 
-class RoutingEquivalence : public ::testing::TestWithParam<size_t>
+/** Network shapes the oracle matrix runs. */
+enum class NetShape {
+    Mixed,      ///< mixedNetwork(8): the common case
+    ManyDelays, ///< > 64 distinct delays: no activity masks
+    NoSynapses, ///< stimulus only, nothing to route
+    OneNeuron,  ///< one neuron with autapses: every shard clamps to 1
+};
+
+/** More than 64 distinct delays (1..100), so no bucket mask fits. */
+Network
+manyDelayNetwork()
+{
+    Network net;
+    const size_t a =
+        net.addPopulation("a", defaultParams(ModelKind::DLIF), 60);
+    Rng rng(19);
+    net.connectRandom(a, a, 0.25, 0.06, 1, 100, 0, rng);
+    net.connectRandom(a, a, 0.05, -0.04, 1, 100, 1, rng);
+    net.addSynapse(0, {1, 0.2f, 1, 0});
+    net.addSynapse(1, {2, 0.2f, 100, 0});
+    net.finalize();
+    return net;
+}
+
+Network
+shapeNetwork(NetShape shape)
+{
+    switch (shape) {
+    case NetShape::Mixed:
+        return mixedNetwork(8);
+    case NetShape::ManyDelays:
+        return manyDelayNetwork();
+    case NetShape::NoSynapses: {
+        Network net;
+        net.addPopulation("bare", defaultParams(ModelKind::DLIF), 95);
+        net.finalize();
+        return net;
+    }
+    case NetShape::OneNeuron: {
+        Network net;
+        net.addPopulation("one", defaultParams(ModelKind::DLIF), 1);
+        net.addSynapse(0, {0, 0.3f, 2, 0});
+        net.addSynapse(0, {0, -0.1f, 5, 1});
+        net.finalize();
+        return net;
+    }
+    }
+    return {};
+}
+
+StimulusGenerator
+shapeStimulus(NetShape shape, size_t neurons)
+{
+    if (shape == NetShape::Mixed)
+        return mixedStimulus();
+    StimulusGenerator stim(11);
+    stim.addSource(StimulusSource::poisson(
+        0, static_cast<uint32_t>(neurons), 0.08, 0.5f, 0));
+    return stim;
+}
+
+/** One cell of the oracle matrix. */
+struct EquivalenceCase
+{
+    NetShape shape;
+    size_t threads;
+};
+
+/** Name prefix; the mixed shape keeps the bare t1/t3/t4 names. */
+const char *
+shapePrefix(NetShape shape)
+{
+    static const char *const prefix[] = {"", "manyDelays_",
+                                         "noSynapses_", "oneNeuron_"};
+    return prefix[static_cast<int>(shape)];
+}
+
+/** gtest's GetParam() printer: "1" for mixed/t1, "oneNeuron_3". */
+void
+PrintTo(const EquivalenceCase &c, std::ostream *os)
+{
+    *os << shapePrefix(c.shape) << c.threads;
+}
+
+std::vector<EquivalenceCase>
+equivalenceCases()
+{
+    std::vector<EquivalenceCase> cases;
+    for (const NetShape shape :
+         {NetShape::Mixed, NetShape::ManyDelays, NetShape::NoSynapses,
+          NetShape::OneNeuron})
+        for (const size_t threads : {1, 3, 4})
+            cases.push_back({shape, threads});
+    return cases;
+}
+
+class RoutingEquivalence
+    : public ::testing::TestWithParam<EquivalenceCase>
 {
 };
 
 TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
 {
-    const size_t threads = GetParam();
-    Network net = mixedNetwork(8);
-    ASSERT_EQ(net.maxDelay(), 8); // delays span the full ring
+    const auto [shape, threads] = GetParam();
+    Network net = shapeNetwork(shape);
+    const StimulusGenerator stim =
+        shapeStimulus(shape, net.numNeurons());
 
     SimulatorOptions opts;
     opts.threads = threads;
     opts.recordSpikes = true;
-    Simulator sim(net, mixedStimulus(), opts);
-    OracleSimulator oracle(net, mixedStimulus());
+    Simulator sim(net, stim, opts);
+    OracleSimulator oracle(net, stim);
+    if (shape == NetShape::Mixed) {
+        ASSERT_EQ(net.maxDelay(), 8); // delays span the full ring
+    }
+    if (shape == NetShape::ManyDelays) {
+        ASSERT_GT(sim.router().provider().bucketCount(), 64u);
+        ASSERT_FALSE(sim.router().provider().rowMasksExact());
+    }
 
     for (uint64_t step = 0; step < 400; ++step) {
         sim.stepOnce();
@@ -159,6 +269,9 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
     EXPECT_GT(oracle.events_.size(), 0u) << "network stayed silent";
     EXPECT_EQ(oracle.counts_, sim.spikeCounts());
     EXPECT_EQ(oracle.synapseEvents_, sim.stats().synapseEvents);
+    if (shape != NetShape::NoSynapses) {
+        EXPECT_GT(oracle.synapseEvents_, 0u) << "nothing was routed";
+    }
     ASSERT_EQ(oracle.events_.size(), sim.spikeEvents().size());
     for (size_t i = 0; i < oracle.events_.size(); ++i) {
         EXPECT_EQ(oracle.events_[i].step, sim.spikeEvents()[i].step);
@@ -167,29 +280,47 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
     }
 }
 
+std::string
+equivalenceName(const ::testing::TestParamInfo<EquivalenceCase> &info)
+{
+    return shapePrefix(info.param.shape) + std::string("t") +
+           std::to_string(info.param.threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, RoutingEquivalence,
-                         ::testing::Values(1, 3, 4),
-                         [](const auto &info) {
-                             return "t" + std::to_string(info.param);
-                         });
+                         ::testing::ValuesIn(equivalenceCases()),
+                         equivalenceName);
 
 TEST(RoutingTable, LayoutPreservesRowOrderAndCoversAllSynapses)
 {
     Network net = mixedNetwork(8);
-    RoutingTable table(net, 3);
-    const auto &begin = table.shardTargetBegin();
+    const std::unique_ptr<ConnectivityProvider> provider =
+        makeConnectivityProvider(ConnectivityKind::Materialized, net,
+                                 3, nullptr);
+    ASSERT_EQ(provider->shardCount(), 3u);
+    ASSERT_TRUE(provider->rowMasksExact());
+    const auto &begin = provider->shardTargetBegin();
 
-    // The (shard, bucket, src) row must equal the source's outgoing
-    // row filtered to that shard's target range and that bucket's
-    // delay, in original row order — the order-preservation
-    // invariant the bit-identity argument rests on.
+    // Each (source, shard) row must be ascending-bucket runs, each
+    // equal to the source's outgoing row filtered to that shard's
+    // target range and that bucket's delay, in original row order —
+    // the order-preservation invariant the bit-identity argument
+    // rests on. The activity mask names exactly the row's buckets.
+    RowScratch scratch;
     uint64_t covered = 0;
-    for (size_t s = 0; s < table.shardCount(); ++s) {
-        for (size_t b = 0; b < table.bucketCount(); ++b) {
-            for (uint32_t src = 0; src < net.numNeurons(); ++src) {
+    for (uint32_t src = 0; src < net.numNeurons(); ++src) {
+        for (size_t s = 0; s < provider->shardCount(); ++s) {
+            const RowView row = provider->rowSpan(src, s, scratch);
+            const DeliveryRecord *rec = row.records;
+            uint64_t mask = 0;
+            for (const uint32_t header : row.runs) {
+                const uint32_t b = runHeaderBucket(header);
+                const uint32_t len = runHeaderLength(header);
+                ASSERT_EQ(mask >> b, 0u) << "runs must ascend";
+                mask |= uint64_t{1} << b;
                 std::vector<DeliveryRecord> expected;
                 for (const Synapse &syn : net.outgoing(src)) {
-                    if (syn.delay != table.bucketDelay(b) ||
+                    if (syn.delay != provider->bucketDelay(b) ||
                         syn.target < begin[s] ||
                         syn.target >= begin[s + 1])
                         continue;
@@ -198,18 +329,19 @@ TEST(RoutingTable, LayoutPreservesRowOrderAndCoversAllSynapses)
                              syn.target * maxSynapseTypes + syn.type),
                          syn.weight});
                 }
-                const auto row = table.row(s, b, src);
-                ASSERT_EQ(expected.size(), row.size());
-                for (size_t i = 0; i < row.size(); ++i) {
-                    EXPECT_EQ(expected[i].cell, row[i].cell);
-                    EXPECT_EQ(expected[i].weight, row[i].weight);
+                ASSERT_EQ(expected.size(), len);
+                for (size_t i = 0; i < len; ++i) {
+                    EXPECT_EQ(expected[i].cell, rec[i].cell);
+                    EXPECT_EQ(expected[i].weight, rec[i].weight);
                 }
-                covered += row.size();
+                rec += len;
+                covered += len;
             }
+            EXPECT_EQ(provider->rowMask(src, s), mask);
         }
     }
     EXPECT_EQ(covered, net.numSynapses());
-    EXPECT_GT(table.memoryBytes(),
+    EXPECT_GT(provider->connectivityBytes(),
               net.numSynapses() * sizeof(DeliveryRecord));
 }
 
@@ -388,25 +520,23 @@ class SparseDelivery : public ::testing::TestWithParam<size_t>
 {
 };
 
-TEST_P(SparseDelivery, LegacySparseAndEventEnginesBitIdentical)
+TEST_P(SparseDelivery, DenseAndEventEnginesMatchOracle)
 {
-    // Three deliveries of the same simulation: the PR 5 every-shard
-    // schedule (sparseDelivery off), the masked sparse path, and the
-    // event-driven engine. All three must agree spike for spike and
-    // ring double for ring double at every thread count.
+    // The dense engine (activity masks, shard skipping) and the
+    // event-driven engine against the naive serial oracle: spike for
+    // spike, and ring double for ring double for the dense engine, at
+    // every thread count.
     const size_t threads = GetParam();
     const size_t n = 120;
-    Network netLegacy = llifNet(n, 31);
-    Network netSparse = llifNet(n, 31);
+    Network netOracle = llifNet(n, 31);
+    Network netDense = llifNet(n, 31);
     Network netEvent = llifNet(n, 31);
 
+    OracleSimulator oracle(netOracle, llifStim(n, 5));
     SimulatorOptions opts;
     opts.threads = threads;
     opts.recordSpikes = true;
-    SimulatorOptions legacyOpts = opts;
-    legacyOpts.sparseDelivery = false;
-    Simulator legacy(netLegacy, llifStim(n, 5), legacyOpts);
-    Simulator sparse(netSparse, llifStim(n, 5), opts);
+    Simulator dense(netDense, llifStim(n, 5), opts);
 
     SessionOptions evOpts;
     evOpts.threads = threads;
@@ -414,29 +544,23 @@ TEST_P(SparseDelivery, LegacySparseAndEventEnginesBitIdentical)
     EventDrivenSimulator event(netEvent, llifStim(n, 5), evOpts);
 
     for (uint64_t step = 0; step < 600; ++step) {
-        legacy.stepOnce();
-        sparse.stepOnce();
+        oracle.stepOnce();
+        dense.stepOnce();
         event.stepOnce();
-        ASSERT_EQ(legacy.lastFired(), sparse.lastFired())
-            << "step " << step;
-        ASSERT_EQ(legacy.lastFired(), event.lastFired())
-            << "step " << step;
-        expectRingBitIdentical(legacy.ringBuffer(),
-                               sparse.ringBuffer(), step);
+        ASSERT_EQ(oracle.fired_, dense.lastFired()) << "step " << step;
+        ASSERT_EQ(oracle.fired_, event.lastFired()) << "step " << step;
+        expectRingBitIdentical(oracle.ring_, dense.ringBuffer(), step);
     }
-    EXPECT_GT(legacy.stats().spikes, 0u) << "network stayed silent";
-    EXPECT_EQ(legacy.spikeCounts(), sparse.spikeCounts());
-    EXPECT_EQ(legacy.spikeCounts(), event.spikeCounts());
-    EXPECT_EQ(legacy.stats().synapseEvents,
-              sparse.stats().synapseEvents);
-    EXPECT_EQ(legacy.stats().synapseEvents,
+    EXPECT_GT(oracle.events_.size(), 0u) << "network stayed silent";
+    EXPECT_EQ(oracle.counts_, dense.spikeCounts());
+    EXPECT_EQ(oracle.counts_, event.spikeCounts());
+    EXPECT_EQ(oracle.synapseEvents_, dense.stats().synapseEvents);
+    EXPECT_EQ(oracle.synapseEvents_,
               event.SimulationSession::stats().synapseEvents);
 
-    // The sparse path must actually skip work the legacy schedule
-    // performs: on a low-rate network most (shard, bucket) streams
-    // are empty.
-    const PhaseStats &st = sparse.stats();
-    EXPECT_EQ(legacy.stats().routerShardsSkipped, 0u);
+    // The dense engine must actually skip work: on a low-rate network
+    // most shards receive nothing on most steps.
+    const PhaseStats &st = dense.stats();
     EXPECT_GT(st.routerBucketsVisited, 0u);
     if (threads > 1) {
         EXPECT_GT(st.routerShardsSkipped, 0u);
@@ -473,6 +597,195 @@ TEST(SparseDelivery, BucketsVisitedBoundedByPopulatedStreams)
     // at most 2 (shard, bucket) streams.
     EXPECT_LE(st.routerBucketsVisited, 2 * st.spikes);
     EXPECT_GT(st.routerShardsSkipped, 0u);
+}
+
+// ---- Router checkpoint: restart equivalence and corrupt state ---
+
+/**
+ * A checkpoint as lines, with the router section located: the
+ * `router D S K` line, the ring line, D x S routed touch lists, then
+ * D x S stimulus touch lists (slot-major).
+ */
+struct CheckpointLines
+{
+    std::vector<std::string> lines;
+    size_t router = 0;
+    size_t lists = 0;
+
+    explicit CheckpointLines(const std::string &text)
+    {
+        std::istringstream is(text);
+        for (std::string line; std::getline(is, line);)
+            lines.push_back(line);
+        while (router < lines.size() &&
+               lines[router].rfind("router ", 0) != 0)
+            ++router;
+        std::istringstream header(lines.at(router));
+        std::string tag;
+        size_t depth = 0, cells = 0, shards = 0;
+        header >> tag >> depth >> cells >> shards;
+        lists = depth * shards;
+    }
+
+    std::string &ring() { return lines.at(router + 1); }
+    std::string &routed(size_t i) { return lines.at(router + 2 + i); }
+    std::string &
+    stimulus(size_t i)
+    {
+        return lines.at(router + 2 + lists + i);
+    }
+
+    std::string
+    text() const
+    {
+        std::string out;
+        for (const std::string &line : lines)
+            out += line + '\n';
+        return out;
+    }
+};
+
+SimulatorOptions
+checkpointOptions()
+{
+    SimulatorOptions opts;
+    opts.threads = 3;
+    opts.recordSpikes = true;
+    return opts;
+}
+
+/** The mixed network's checkpoint after `steps` steps. */
+std::string
+savedCheckpoint(const Network &net, uint64_t steps)
+{
+    Simulator sim(net, mixedStimulus(), checkpointOptions());
+    sim.run(steps);
+    std::stringstream os;
+    sim.saveCheckpoint(os);
+    return os.str();
+}
+
+void
+restoreInto(const Network &net, const std::string &text)
+{
+    Simulator sim(net, mixedStimulus(), checkpointOptions());
+    std::istringstream is(text);
+    sim.loadCheckpoint(is);
+}
+
+TEST(RouterCheckpoint, RangeKeyFromOlderBuildForcesExactDenseClear)
+{
+    // Older builds keyed some undo runs by record range (bit 63). A
+    // restored list holding one is saturated, so its slot is cleared
+    // densely; were the key dropped instead, the cells it named would
+    // keep stale weights and the runs would diverge.
+    const Network net = mixedNetwork(8);
+    const uint64_t split = 60, total = 200;
+    Simulator full(net, mixedStimulus(), checkpointOptions());
+    full.run(split);
+    std::stringstream saved;
+    full.saveCheckpoint(saved);
+
+    CheckpointLines cp(saved.str());
+    bool rewritten = false;
+    for (size_t i = 0; i < cp.lists && !rewritten; ++i) {
+        std::istringstream line(cp.routed(i));
+        std::string tag;
+        uint64_t cost = 0, count = 0, first = 0;
+        line >> tag >> cost >> count;
+        if (count == 0)
+            continue;
+        line >> first;
+        std::ostringstream os;
+        os << "touch " << cost << ' ' << count << ' '
+           << ((uint64_t{3} << 62) | (uint64_t{4} << 32) | 17);
+        for (uint64_t key = 0; line >> key;)
+            os << ' ' << key;
+        cp.routed(i) = os.str();
+        rewritten = true;
+    }
+    ASSERT_TRUE(rewritten) << "no pending routed writes to rewrite";
+
+    Simulator resumed(net, mixedStimulus(), checkpointOptions());
+    std::istringstream is(cp.text());
+    resumed.loadCheckpoint(is);
+    const uint64_t denseBefore = full.stats().ringDenseClears;
+    for (uint64_t step = split; step < total; ++step) {
+        full.stepOnce();
+        resumed.stepOnce();
+        ASSERT_EQ(full.lastFired(), resumed.lastFired())
+            << "step " << step;
+        expectRingBitIdentical(full.ringBuffer(), resumed.ringBuffer(),
+                               step);
+    }
+    EXPECT_GT(full.stats().spikes, 0u);
+    EXPECT_EQ(full.spikeCounts(), resumed.spikeCounts());
+    EXPECT_EQ(full.stats().synapseEvents,
+              resumed.stats().synapseEvents);
+    // The saturated list took the dense clear the full run did not.
+    EXPECT_GT(resumed.stats().ringDenseClears - denseBefore,
+              full.stats().ringDenseClears - denseBefore);
+}
+
+// Corrupt-state death tests: each edits one field of a checkpoint the
+// test saved itself. "threadsafe" re-executes the binary for the
+// death assertion, since the pool's worker threads are alive.
+
+TEST(RouterCheckpoint, RejectsStimulusCellOutsideItsShard)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Network net = mixedNetwork(8);
+    const std::string text = savedCheckpoint(net, 60);
+    CheckpointLines cp(text);
+    const uint64_t cells = net.numNeurons() * maxSynapseTypes;
+    cp.stimulus(0) = "touch 1 1 " + std::to_string(cells);
+    EXPECT_DEATH(restoreInto(net, cp.text()),
+                 "stimulus cell [0-9]+ is outside shard 0");
+    // Cell 0 belongs to shard 0, not to the last shard's list.
+    CheckpointLines other(text);
+    other.stimulus(other.lists - 1) = "touch 1 1 0";
+    EXPECT_DEATH(restoreInto(net, other.text()),
+                 "stimulus cell 0 is outside shard 2");
+}
+
+TEST(RouterCheckpoint, RejectsTouchKeyOutsideTheGeometry)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Network net = mixedNetwork(8);
+    const std::string text = savedCheckpoint(net, 60);
+    CheckpointLines source(text);
+    source.routed(0) =
+        "touch 1 1 " + std::to_string(net.numNeurons()); // bucket 0
+    EXPECT_DEATH(restoreInto(net, source.text()),
+                 "touch key [0-9]+ is outside shard 0");
+    CheckpointLines bucket(text);
+    bucket.routed(0) = "touch 1 1 " + std::to_string(uint64_t{8} << 32);
+    EXPECT_DEATH(restoreInto(net, bucket.text()),
+                 "touch key [0-9]+ is outside shard 0");
+}
+
+TEST(RouterCheckpoint, RejectsTouchCountAboveTheClearBudget)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Network net = mixedNetwork(8);
+    CheckpointLines cp(savedCheckpoint(net, 60));
+    cp.routed(0) = "touch 5 1000000000000 1 2 3";
+    EXPECT_DEATH(restoreInto(net, cp.text()),
+                 "malformed touch list in checkpoint");
+}
+
+TEST(RouterCheckpoint, RejectsMalformedRingTokens)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Network net = mixedNetwork(8);
+    const std::string text = savedCheckpoint(net, 60);
+    for (const char *token : {"zq", "z", "0.5x", "abc"}) {
+        CheckpointLines cp(text);
+        cp.ring() = std::string("ring ") + token;
+        EXPECT_DEATH(restoreInto(net, cp.text()),
+                     "malformed ring section in checkpoint")
+            << token;
+    }
 }
 
 } // namespace

@@ -84,7 +84,6 @@ struct Args
     IntegrationMode mode = IntegrationMode::Discrete;
     SolverKind solver = SolverKind::Euler;
     bool raster = false;
-    bool legacyDelivery = false;
     bool stats = false;
     bool list = false;
     bool listModels = false;
@@ -120,8 +119,6 @@ usage()
         "                    synapse-table representation; any\n"
         "                    explicit choice builds benchmarks from\n"
         "                    their generative spec\n"
-        "  [--legacy-delivery]  disable the sparse-activity "
-        "delivery fast path\n"
         "  [--calibration FILE]  install a measured calibration.json "
         "(tools/calibrate)\n"
         "  [--plan auto|fixed]  auto = the execution planner picks\n"
@@ -315,8 +312,6 @@ parseArgs(int argc, char **argv)
             args.checkpointDir = need_value(i);
         } else if (flag == "--restore") {
             args.restore = need_value(i);
-        } else if (flag == "--legacy-delivery") {
-            args.legacyDelivery = true;
         } else if (flag == "--raster") {
             args.raster = true;
         } else if (flag == "--stats") {
@@ -628,7 +623,6 @@ main(int argc, char **argv)
     opts.solver = args.solver;
     opts.threads = args.threads;
     opts.recordSpikes = args.raster || !args.csv.empty();
-    opts.sparseDelivery = !args.legacyDelivery;
     opts.connectivity = args.connectivity;
     opts.health = args.health;
     opts.metricsOut = args.metricsOut;
