@@ -151,6 +151,8 @@ childMain(double growth, const std::string &kindName, size_t threads)
                          static_cast<double>(steps);
 
     const PhaseStats &st = sim.stats();
+    const double connBytes =
+        sim.metrics().gauge("snn.connectivity.bytes").value();
     std::printf(
         "{\"name\": \"ScaleSweep/g%g/%s\", \"run_type\": "
         "\"iteration\", \"iterations\": %" PRIu64
@@ -163,8 +165,10 @@ childMain(double growth, const std::string &kindName, size_t threads)
         PRIu64 "}\n",
         growth, kindName.c_str(), steps, wallMs, cpuMs, growth,
         inst.network.numNeurons(), inst.network.numSynapses(),
-        st.spikes, hash, peakRssBytes(), st.connectivityBytes,
-        st.bytesPerSynapse, st.rowCacheHits, st.rowCacheMisses);
+        st.spikes, hash, peakRssBytes(),
+        static_cast<uint64_t>(connBytes),
+        connBytes / static_cast<double>(inst.network.numSynapses()),
+        sim.router().rowCacheHits(), sim.router().rowCacheMisses());
     return 0;
 }
 

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <fstream>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -338,15 +339,19 @@ Registry::reset()
         metric->reset();
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-Registry::counterValues() const
+void
+Registry::writeText(std::ostream &os) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(counters_.size());
     for (const auto &[name, metric] : counters_)
-        out.emplace_back(name, metric->value());
-    return out;
+        writeStatLine(os, name, std::to_string(metric->value()),
+                      metric->desc());
+    for (const auto &[name, metric] : gauges_)
+        writeStatLine(os, name, jsonNumber(metric->value()),
+                      metric->desc());
+    for (const auto &[name, metric] : timers_)
+        writeStatLine(os, name, jsonNumber(metric->seconds()),
+                      metric->desc());
 }
 
 MetricsSnapshot
@@ -375,63 +380,64 @@ indentOf(int n)
     return std::string(static_cast<size_t>(n), ' ');
 }
 
+/**
+ * One `"kind": {"name": value, ...}` member of Registry::writeJson;
+ * `value` writes one metric's JSON value.
+ */
+template <typename Map, typename Value>
+void
+writeJsonKind(std::ostream &os, int indent, const char *kind,
+              const Map &metrics, Value value, const char *close)
+{
+    const std::string pad1 = indentOf(indent + 2);
+    os << pad1 << '"' << kind << "\": {";
+    bool first = true;
+    for (const auto &[name, metric] : metrics) {
+        os << (first ? "\n" : ",\n") << indentOf(indent + 4)
+           << jsonQuoted(name) << ": ";
+        value(*metric);
+        first = false;
+    }
+    os << (first ? "" : "\n" + pad1) << close;
+}
+
 } // namespace
 
 void
 Registry::writeJson(std::ostream &os, int indent) const
 {
     std::lock_guard<std::mutex> guard(mutex_);
-    const std::string pad = indentOf(indent);
-    const std::string pad1 = indentOf(indent + 2);
-    const std::string pad2 = indentOf(indent + 4);
-
     os << "{\n";
-    os << pad1 << "\"counters\": {";
-    bool first = true;
-    for (const auto &[name, metric] : counters_) {
-        os << (first ? "\n" : ",\n")
-           << pad2 << jsonQuoted(name) << ": " << metric->value();
-        first = false;
-    }
-    os << (first ? "" : "\n" + pad1) << "},\n";
-
-    os << pad1 << "\"gauges\": {";
-    first = true;
-    for (const auto &[name, metric] : gauges_) {
-        os << (first ? "\n" : ",\n") << pad2 << jsonQuoted(name)
-           << ": " << jsonNumber(metric->value());
-        first = false;
-    }
-    os << (first ? "" : "\n" + pad1) << "},\n";
-
-    os << pad1 << "\"timers\": {";
-    first = true;
-    for (const auto &[name, metric] : timers_) {
-        os << (first ? "\n" : ",\n") << pad2 << jsonQuoted(name)
-           << ": {\"seconds\": " << jsonNumber(metric->seconds())
-           << ", \"count\": " << metric->count() << "}";
-        first = false;
-    }
-    os << (first ? "" : "\n" + pad1) << "},\n";
-
-    os << pad1 << "\"histograms\": {";
-    first = true;
-    for (const auto &[name, metric] : histograms_) {
-        const Histogram merged = metric->merged();
-        os << (first ? "\n" : ",\n") << pad2 << jsonQuoted(name)
-           << ": {\"lo\": " << jsonNumber(merged.lo())
-           << ", \"hi\": " << jsonNumber(merged.hi())
-           << ", \"total\": " << merged.total() << ", \"bins\": [";
-        for (size_t i = 0; i < merged.bins(); ++i)
-            os << (i ? ", " : "") << merged.binCount(i);
-        os << "], \"p50\": " << jsonNumber(merged.percentile(50))
-           << ", \"p90\": " << jsonNumber(merged.percentile(90))
-           << ", \"p99\": " << jsonNumber(merged.percentile(99))
-           << "}";
-        first = false;
-    }
-    os << (first ? "" : "\n" + pad1) << "}\n";
-    os << pad << "}";
+    writeJsonKind(
+        os, indent, "counters", counters_,
+        [&os](const Counter &m) { os << m.value(); }, "},\n");
+    writeJsonKind(
+        os, indent, "gauges", gauges_,
+        [&os](const Gauge &m) { os << jsonNumber(m.value()); },
+        "},\n");
+    writeJsonKind(
+        os, indent, "timers", timers_,
+        [&os](const Timer &m) {
+            os << "{\"seconds\": " << jsonNumber(m.seconds())
+               << ", \"count\": " << m.count() << "}";
+        },
+        "},\n");
+    writeJsonKind(
+        os, indent, "histograms", histograms_,
+        [&os](const HistogramMetric &m) {
+            const Histogram merged = m.merged();
+            os << "{\"lo\": " << jsonNumber(merged.lo())
+               << ", \"hi\": " << jsonNumber(merged.hi())
+               << ", \"total\": " << merged.total() << ", \"bins\": [";
+            for (size_t i = 0; i < merged.bins(); ++i)
+                os << (i ? ", " : "") << merged.binCount(i);
+            os << "], \"p50\": " << jsonNumber(merged.percentile(50))
+               << ", \"p90\": " << jsonNumber(merged.percentile(90))
+               << ", \"p99\": " << jsonNumber(merged.percentile(99))
+               << "}";
+        },
+        "}\n");
+    os << indentOf(indent) << "}";
 }
 
 // ---------------------------------------------------------------
@@ -584,6 +590,14 @@ jsonNumber(double x)
     return out;
 }
 
+void
+writeStatLine(std::ostream &os, std::string_view name,
+              std::string_view value, std::string_view desc)
+{
+    os << std::left << std::setw(34) << name << ' ' << value
+       << "  # " << desc << '\n';
+}
+
 namespace {
 
 void
@@ -676,15 +690,13 @@ void
 writeReportJson(std::ostream &os, const ReportContext &context)
 {
     os << "{\n";
-    os << "  \"schema\": \"flexon-run-report-v5\",\n";
+    os << "  \"schema\": \"flexon-run-report-v6\",\n";
     os << "  \"build\": ";
     writeFields(os, buildFields(), 4);
     os << ",\n  \"telemetry\": ";
     writeFields(os, telemetryFields(), 4);
     os << ",\n  \"config\": ";
     writeFields(os, context.config, 4);
-    os << ",\n  \"stats\": ";
-    writeFields(os, context.stats, 4);
     for (const auto &[name, fields] : context.sections) {
         os << ",\n  " << jsonQuoted(name) << ": ";
         writeFields(os, fields, 4);

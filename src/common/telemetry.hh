@@ -3,12 +3,10 @@
  * Low-overhead telemetry: a registry of named metrics plus a
  * Chrome-trace flight recorder.
  *
- * Three perf PRs in a row (thread pool, SoA kernels, routing tables)
- * were tuned through a hand-grown PhaseStats struct and printf-style
- * printStats; seeing *inside* a phase (per-lane imbalance, ring
- * occupancy, kernel dispatch mix) meant recompiling. This layer makes
- * that observability first class, the way gem5's Stats / NEST's
- * per-VP counters do:
+ * A simulation session's registry is the only store of its run
+ * statistics, in the way of gem5's Stats / NEST's per-VP counters:
+ * the text stats, the run report and the live export are generated
+ * from it.
  *
  *   - **Metrics registry** (`Registry`): named monotonic counters,
  *     gauges, scoped timers and fixed-bin histograms. Counter and
@@ -316,11 +314,14 @@ class Registry
      */
     void writeJson(std::ostream &os, int indent = 0) const;
 
-    /** Snapshot of all counter values (tests, run comparisons). */
-    std::vector<std::pair<std::string, uint64_t>>
-    counterValues() const;
+    /**
+     * Write every counter, gauge and timer (seconds) as one
+     * writeStatLine() each, names sorted within each kind.
+     */
+    void writeText(std::ostream &os) const;
 
-    /** Point-in-time copy of every scalar metric (exporters). */
+    /** Point-in-time copy of every scalar metric (exporters, tests,
+     *  run comparisons). */
     MetricsSnapshot snapshot() const;
 
   private:
@@ -449,13 +450,15 @@ std::string jsonQuoted(std::string_view s);
 /** Encode a double as JSON (handles non-finite values as null). */
 std::string jsonNumber(double x);
 
+/** One gem5-style statistics line: `name value  # desc`. */
+void writeStatLine(std::ostream &os, std::string_view name,
+                   std::string_view value, std::string_view desc);
+
 /** Inputs to writeReportJson beyond the always-present sections. */
 struct ReportContext
 {
     /** Extra "config" fields (backend, threads, network, ...). */
     ReportFields config;
-    /** Extra "stats" fields (steps, spikes, phase seconds, ...). */
-    ReportFields stats;
     /** Extra engine-specific sections, emitted verbatim. */
     std::vector<std::pair<std::string, ReportFields>> sections;
     /** The owning engine's registry (omitted when null). */
@@ -463,12 +466,12 @@ struct ReportContext
 };
 
 /**
- * Write a schema "flexon-run-report-v5" JSON document: build +
- * telemetry metadata, the caller's config/stats/extra sections, the
- * caller's registry under "metrics", the process registry under
- * "global_metrics", and the shared ThreadPool's lane accounting
- * under "pool". Validated by tools/check_report against
- * tools/report_schema.json.
+ * Write a schema "flexon-run-report-v6" JSON document: build +
+ * telemetry metadata, the caller's config and extra sections, the
+ * caller's registry under "metrics" (the run's statistics), the
+ * process registry under "global_metrics", and the shared
+ * ThreadPool's lane accounting under "pool". Validated by
+ * tools/check_report against tools/report_schema.json.
  */
 void writeReportJson(std::ostream &os, const ReportContext &context);
 

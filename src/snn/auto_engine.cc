@@ -37,25 +37,6 @@ parseEngineKind(const std::string &text, EngineKind &out)
     return true;
 }
 
-namespace {
-
-SessionOptions
-toSessionOptions(const SimulatorOptions &options)
-{
-    SessionOptions session;
-    session.stimulusSeed = options.stimulusSeed;
-    session.threads = options.threads;
-    session.recordSpikes = options.recordSpikes;
-    session.probes = options.probes;
-    session.health = options.health;
-    session.metricsOut = options.metricsOut;
-    session.metricsEvery = options.metricsEvery;
-    session.label = options.label;
-    return session;
-}
-
-} // namespace
-
 AutoSession::AutoSession(const Network &network,
                          StimulusGenerator stimulus,
                          const SimulatorOptions &options,
@@ -176,7 +157,7 @@ AutoSession::makeEngine(bool event) const
 {
     if (event)
         return std::make_unique<EventDrivenSimulator>(
-            network_, stimulus_, toSessionOptions(options_));
+            network_, stimulus_, options_);
     return std::make_unique<Simulator>(network_, stimulus_, options_);
 }
 

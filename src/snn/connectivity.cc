@@ -95,6 +95,50 @@ buildConnectivityGeometry(const Network &network, size_t shardCount)
     return geo;
 }
 
+telemetry::Counter &
+synapseEventsCounter(telemetry::Registry &metrics)
+{
+    return metrics.counter("sim.synapse_events",
+                           "synaptic weight deliveries");
+}
+
+ConnectivityProvider::ConnectivityProvider(ConnectivityGeometry geo,
+                                           const Network &network,
+                                           telemetry::Registry *metrics)
+    : geo_(std::move(geo)), net_(network)
+{
+    if (metrics != nullptr) {
+        providerBytes_ = &metrics->gauge(
+            "snn.connectivity.provider_bytes",
+            "delivery provider footprint (records, blobs or hot-row "
+            "cache)");
+        totalBytes_ = &metrics->gauge(
+            "snn.connectivity.bytes",
+            "total connectivity footprint (provider + network)");
+    }
+}
+
+void
+ConnectivityProvider::publishFootprint()
+{
+    if (providerBytes_ == nullptr)
+        return;
+    const size_t own = connectivityBytes();
+    providerBytes_->set(static_cast<double>(own));
+    totalBytes_->set(
+        static_cast<double>(own + net_.connectivityBytes()));
+}
+
+void
+ConnectivityProvider::reset()
+{
+    if (hits_ != nullptr) {
+        hits_->reset();
+        misses_->reset();
+    }
+    publishFootprint();
+}
+
 namespace {
 
 size_t
@@ -193,9 +237,8 @@ class MaterializedProvider final : public ConnectivityProvider
     MaterializedProvider(const Network &network, size_t shardCount,
                          telemetry::Registry *metrics)
         : ConnectivityProvider(
-              ConnectivityKind::Materialized,
-              buildConnectivityGeometry(network, shardCount)),
-          net_(network)
+              buildConnectivityGeometry(network, shardCount), network,
+              metrics)
     {
         if (metrics != nullptr) {
             tailRefreshCounter_ = &metrics->counter(
@@ -270,6 +313,7 @@ class MaterializedProvider final : public ConnectivityProvider
         if (masksExact_)
             maskData_ = mask_.data();
         weightsSeen_ = network.weightMutations();
+        publishFootprint();
     }
 
     RowView
@@ -309,6 +353,7 @@ class MaterializedProvider final : public ConnectivityProvider
                 fullRefreshCounter_->add(1);
         }
         weightsSeen_ = total;
+        publishFootprint();
     }
 
     size_t
@@ -323,7 +368,6 @@ class MaterializedProvider final : public ConnectivityProvider
     }
 
   private:
-    const Network &net_;
     std::vector<DeliveryRecord> records_;
     std::vector<uint32_t> runs_;
     /** (src * shardCount + shard) -> runs_ / records_; +1 sentinel. */
@@ -369,11 +413,10 @@ class CompressedProvider final : public ConnectivityProvider
 
   public:
     CompressedProvider(const Network &network, size_t shardCount,
-                       telemetry::Registry * /*metrics*/)
+                       telemetry::Registry *metrics)
         : ConnectivityProvider(
-              ConnectivityKind::Compressed,
-              buildConnectivityGeometry(network, shardCount)),
-          net_(network)
+              buildConnectivityGeometry(network, shardCount), network,
+              metrics)
     {
         const size_t n = network.numNeurons();
         const size_t sc = geo_.shardCount;
@@ -422,6 +465,7 @@ class CompressedProvider final : public ConnectivityProvider
         if (masksExact_)
             maskData_ = mask_.data();
         weightsSeen_ = net_.weightMutations();
+        publishFootprint();
     }
 
     RowView
@@ -502,6 +546,7 @@ class CompressedProvider final : public ConnectivityProvider
             allPatched_ = true;
         }
         weightsSeen_ = total;
+        publishFootprint();
     }
 
     size_t
@@ -568,7 +613,6 @@ class CompressedProvider final : public ConnectivityProvider
         }
     }
 
-    const Network &net_;
     std::vector<uint8_t> blob_;
     /** (src * shardCount + shard) -> blob offset; +1 sentinel. */
     std::vector<uint64_t> rowOffset_;
@@ -610,12 +654,19 @@ class ProceduralProvider final : public ConnectivityProvider
 
   public:
     ProceduralProvider(const Network &network, size_t shardCount,
-                       telemetry::Registry * /*metrics*/)
+                       telemetry::Registry *metrics)
         : ConnectivityProvider(
-              ConnectivityKind::Procedural,
-              buildConnectivityGeometry(network, shardCount)),
-          net_(network)
+              buildConnectivityGeometry(network, shardCount), network,
+              metrics)
     {
+        if (metrics != nullptr) {
+            hits_ = &metrics->counter(
+                "snn.connectivity.row_cache_hits",
+                "procedural hot-row cache hits");
+            misses_ = &metrics->counter(
+                "snn.connectivity.row_cache_misses",
+                "procedural hot-row cache misses (rows decoded)");
+        }
         buildMasks();
         cacheCap_ = kDefaultRowCacheBytes;
         if (const char *env = std::getenv("FLEXON_ROW_CACHE_BYTES")) {
@@ -625,6 +676,7 @@ class ProceduralProvider final : public ConnectivityProvider
                 cacheCap_ = static_cast<size_t>(v);
         }
         weightsSeen_ = net_.weightMutations();
+        publishFootprint();
     }
 
     RowView
@@ -651,14 +703,14 @@ class ProceduralProvider final : public ConnectivityProvider
     prepareStep(std::span<const uint32_t> fired) override
     {
         ++tick_;
+        uint64_t misses = 0;
         for (const uint32_t src : fired) {
             const auto it = cache_.find(src);
             if (it != cache_.end()) {
                 it->second.lastUse = tick_;
-                hits_.fetch_add(1, std::memory_order_relaxed);
                 continue;
             }
-            misses_.fetch_add(1, std::memory_order_relaxed);
+            ++misses;
             CachedRow row = decodeAllShards(src);
             row.lastUse = tick_;
             cacheBytes_ += row.bytes();
@@ -666,6 +718,12 @@ class ProceduralProvider final : public ConnectivityProvider
         }
         if (cacheBytes_ > cacheCap_)
             evict();
+        if (hits_ != nullptr) {
+            hits_->add(fired.size() - misses);
+            misses_->add(misses);
+        }
+        if (misses > 0)
+            publishFootprint();
     }
 
     void
@@ -685,6 +743,7 @@ class ProceduralProvider final : public ConnectivityProvider
             cacheBytes_ = 0;
         }
         weightsSeen_ = total;
+        publishFootprint();
     }
 
     size_t
@@ -697,11 +756,11 @@ class ProceduralProvider final : public ConnectivityProvider
     void
     reset() override
     {
-        ConnectivityProvider::reset();
         cache_.clear();
         cacheBytes_ = 0;
         tick_ = 0;
         weightsSeen_ = net_.weightMutations();
+        ConnectivityProvider::reset();
     }
 
   private:
@@ -836,7 +895,6 @@ class ProceduralProvider final : public ConnectivityProvider
         cache_.erase(it);
     }
 
-    const Network &net_;
     std::unordered_map<uint32_t, CachedRow> cache_;
     size_t cacheCap_ = kDefaultRowCacheBytes;
     size_t cacheBytes_ = 0;

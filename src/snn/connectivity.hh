@@ -34,7 +34,6 @@
 #define FLEXON_SNN_CONNECTIVITY_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -42,13 +41,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/telemetry.hh"
 #include "snn/network.hh"
 
 namespace flexon {
-
-namespace telemetry {
-class Registry;
-}
 
 /** One delivery: ring cell (target * maxSynapseTypes + type) and
  *  the weight to accumulate into it. */
@@ -165,7 +161,6 @@ class ConnectivityProvider
   public:
     virtual ~ConnectivityProvider() = default;
 
-    ConnectivityKind kind() const { return kind_; }
     const ConnectivityGeometry &geometry() const { return geo_; }
     size_t shardCount() const { return geo_.shardCount; }
     size_t bucketCount() const { return geo_.bucketDelay.size(); }
@@ -213,36 +208,50 @@ class ConnectivityProvider
     virtual size_t connectivityBytes() const = 0;
 
     /** Forget cached rows / zero the cache counters (bit-exact
-     *  session reset). */
-    virtual void reset()
-    {
-        hits_.store(0, std::memory_order_relaxed);
-        misses_.store(0, std::memory_order_relaxed);
-    }
+     *  session reset) and republish the footprint gauges. */
+    virtual void reset();
 
-    uint64_t rowCacheHits() const
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    uint64_t rowCacheMisses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
+    /** Procedural hot-row cache hits / misses (rows decoded); 0 for
+     *  the other kinds. */
+    uint64_t rowCacheHits() const { return hits_ ? hits_->value() : 0; }
+    uint64_t rowCacheMisses() const { return misses_ ? misses_->value() : 0; }
 
   protected:
-    ConnectivityProvider(ConnectivityKind kind,
-                         ConnectivityGeometry geo)
-        : kind_(kind), geo_(std::move(geo))
-    {
-    }
+    /**
+     * @param metrics registry the footprint gauges (and any
+     *        subclass counters) live in; nullptr = no telemetry
+     */
+    ConnectivityProvider(ConnectivityGeometry geo,
+                         const Network &network,
+                         telemetry::Registry *metrics);
 
-    ConnectivityKind kind_;
+    /**
+     * Set the footprint gauges: this provider's bytes and the total
+     * with the network's own synapse storage. Called at the serial
+     * points where either changes (construction, weight refresh,
+     * cache fills, reset).
+     */
+    void publishFootprint();
+
     ConnectivityGeometry geo_;
+    const Network &net_;
     const uint64_t *maskData_ = nullptr; ///< set by the subclass
     bool masksExact_ = false;
-    mutable std::atomic<uint64_t> hits_{0};
-    mutable std::atomic<uint64_t> misses_{0};
+    /** Row-cache counters (registered by the procedural provider). */
+    telemetry::Counter *hits_ = nullptr;
+    telemetry::Counter *misses_ = nullptr;
+
+  private:
+    telemetry::Gauge *providerBytes_ = nullptr;
+    telemetry::Gauge *totalBytes_ = nullptr;
 };
+
+/**
+ * The synapse-event counter (weight deliveries into future steps'
+ * inputs) of `metrics`: one name and description for every delivery
+ * engine, the dense router and the event engine alike.
+ */
+telemetry::Counter &synapseEventsCounter(telemetry::Registry &metrics);
 
 /**
  * Construct a provider over a finalized network.

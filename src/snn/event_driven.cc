@@ -52,6 +52,7 @@ EventDrivenSimulator::EventDrivenSimulator(
     const Network &network, StimulusGenerator stimulus,
     const SessionOptions &options)
     : SimulationSession(network, std::move(stimulus), options),
+      synapseEvents_(synapseEventsCounter(metrics())),
       updatesCounter_(metrics().counter(
           "ev.updates", "neuron updates actually performed")),
       denseUpdatesCounter_(metrics().counter(
@@ -217,6 +218,7 @@ EventDrivenSimulator::engineDeliverSpikes(
     // bucket, sources ascending — the same per-slot arrival order as
     // the dense router's lanes (records keep row order within a
     // bucket), half the bytes per pending event.
+    uint64_t events = 0;
     for (const uint32_t neuron : fired) {
         const RowView row = rows_->rowSpan(neuron, 0, rowScratch_);
         const DeliveryRecord *rec = row.records;
@@ -227,9 +229,10 @@ EventDrivenSimulator::engineDeliverSpikes(
                                ringDepth_];
             slot.insert(slot.end(), rec, rec + len);
             rec += len;
-            evEvents_ += len;
+            events += len;
         }
     }
+    synapseEvents_.add(events);
 }
 
 void
@@ -243,34 +246,7 @@ EventDrivenSimulator::engineReset()
     acc_.assign(acc_.size(), std::array<double, maxSynapseTypes>{});
     std::fill(queued_.begin(), queued_.end(), 0);
     touched_.clear();
-    evEvents_ = 0;
-}
-
-void
-EventDrivenSimulator::refreshEngineStats(PhaseStats &view) const
-{
-    view.synapseEvents = evEvents_;
-    view.routingTableBytes = rows_->connectivityBytes();
-    view.connectivityBytes =
-        rows_->connectivityBytes() + network().connectivityBytes();
-    view.rowCacheHits = 0;
-    view.rowCacheMisses = 0;
-    view.ringDenseClears = 0;
-    view.ringSparseClears = 0;
-    view.ringCellsCleared = 0;
-    view.routerShardsSkipped = 0;
-    view.routerBucketsVisited = 0;
-}
-
-const EventDrivenStats &
-EventDrivenSimulator::stats() const
-{
-    const PhaseStats &view = SimulationSession::stats();
-    evStats_.steps = view.steps;
-    evStats_.spikes = view.spikes;
-    evStats_.updates = updatesCounter_.value();
-    evStats_.denseUpdates = denseUpdatesCounter_.value();
-    return evStats_;
+    rows_->reset();
 }
 
 void
@@ -279,18 +255,6 @@ EventDrivenSimulator::engineReportConfig(
 {
     config.emplace_back("backend",
                         telemetry::jsonQuoted("event-driven"));
-}
-
-void
-EventDrivenSimulator::engineReportStats(
-    telemetry::ReportFields &stats) const
-{
-    const EventDrivenStats &ev = this->stats();
-    stats.emplace_back("updates", std::to_string(ev.updates));
-    stats.emplace_back("dense_updates",
-                       std::to_string(ev.denseUpdates));
-    stats.emplace_back("update_savings",
-                       telemetry::jsonNumber(ev.savings()));
 }
 
 double
@@ -308,8 +272,8 @@ void
 EventDrivenSimulator::engineSaveState(std::ostream &os) const
 {
     os << "ev " << state_.size() << ' ' << ringDepth_ << ' '
-       << evEvents_ << ' ' << updatesCounter_.value() << ' '
-       << denseUpdatesCounter_.value() << '\n';
+       << synapseEvents_.value() << ' ' << updatesCounter_.value()
+       << ' ' << denseUpdatesCounter_.value() << '\n';
     os << "states";
     for (const NeuronState &s : state_)
         os << ' ' << s.v << ' ' << s.refractory << ' '
@@ -347,7 +311,7 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
               "engine (%zu neurons, ring depth %zu)",
               state_.size(), ringDepth_);
     }
-    evEvents_ = events;
+    synapseEvents_.add(events);
     updatesCounter_.add(updates);
     denseUpdatesCounter_.add(denseUpdates);
 
@@ -384,7 +348,6 @@ EventDrivenSimulator::engineExportTransfer(EngineTransfer &out) const
 {
     const uint64_t now = currentStep();
     out.t = now;
-    out.synapseEvents = evEvents_;
 
     // Materialize every neuron's state at step `now` without
     // mutating: the same closed-form evolution catchUp applies.
@@ -449,7 +412,6 @@ EventDrivenSimulator::engineImportTransfer(const EngineTransfer &in)
         carry.clear();
     for (size_t d = 0; d < in.ring.size(); ++d)
         carry_[(in.t + d) % ringDepth_] = in.ring[d];
-    evEvents_ = in.synapseEvents;
     return true;
 }
 

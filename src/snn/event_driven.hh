@@ -53,28 +53,11 @@ namespace flexon {
 bool eventDrivenEligible(const Network &network,
                          std::string *why = nullptr);
 
-/** Statistics of an event-driven run. */
-struct EventDrivenStats
-{
-    uint64_t steps = 0;
-    uint64_t spikes = 0;
-    /** Neuron updates actually performed. */
-    uint64_t updates = 0;
-    /** Updates a dense per-step engine would have performed. */
-    uint64_t denseUpdates = 0;
-
-    /** Fraction of dense updates skipped (the headline saving). */
-    double
-    savings() const
-    {
-        return denseUpdates == 0
-                   ? 0.0
-                   : 1.0 - static_cast<double>(updates) /
-                               static_cast<double>(denseUpdates);
-    }
-};
-
-/** The event-driven LLIF engine. */
+/**
+ * The event-driven LLIF engine. Besides the session metrics it counts
+ * "ev.updates" (neuron updates performed) and "ev.dense_updates"
+ * (updates a dense engine would have performed) in the registry.
+ */
 class EventDrivenSimulator : public SimulationSession
 {
   public:
@@ -85,12 +68,6 @@ class EventDrivenSimulator : public SimulationSession
     EventDrivenSimulator(const Network &network,
                          StimulusGenerator stimulus,
                          const SessionOptions &options = {});
-
-    /**
-     * Event-driven statistics view (hides the base PhaseStats view;
-     * use SimulationSession::stats() for the phase breakdown).
-     */
-    const EventDrivenStats &stats() const;
 
     /** Membrane potential of a neuron *as of the current step*. */
     double membrane(uint32_t neuron) const override;
@@ -115,11 +92,8 @@ class EventDrivenSimulator : public SimulationSession
     void engineDeliverSpikes(
         uint64_t t, std::span<const uint32_t> fired) override;
     void engineReset() override;
-    void refreshEngineStats(PhaseStats &view) const override;
     void engineReportConfig(
         telemetry::ReportFields &config) const override;
-    void engineReportStats(
-        telemetry::ReportFields &stats) const override;
     void engineSaveState(std::ostream &os) const override;
     void engineLoadState(std::istream &is) override;
 
@@ -212,13 +186,8 @@ class EventDrivenSimulator : public SimulationSession
     std::vector<uint8_t> queued_;
     std::vector<uint32_t> touched_;
 
-    /** Delivery records appended to the pending ring (synapse
-     *  events). */
-    uint64_t evEvents_ = 0;
-
-    /** Materialized by stats() from the session counters. */
-    mutable EventDrivenStats evStats_;
-
+    /** Delivery records appended to the pending ring. */
+    telemetry::Counter &synapseEvents_;
     telemetry::Counter &updatesCounter_;
     telemetry::Counter &denseUpdatesCounter_;
 };

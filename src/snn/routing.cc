@@ -26,25 +26,36 @@ touchKey(size_t bucket, uint32_t src)
 SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
                          telemetry::Registry *metrics,
                          ConnectivityKind kind)
-    : conn_(makeConnectivityProvider(kind, network, shardCount,
-                                     metrics)),
+    : ownMetrics_(metrics == nullptr
+                      ? std::make_unique<telemetry::Registry>()
+                      : nullptr),
+      metrics_(metrics != nullptr ? *metrics : *ownMetrics_),
+      events_(synapseEventsCounter(metrics_)),
+      denseClears_(metrics_.counter("snn.router.dense_clears",
+                                    "ring-slot clears via dense fill")),
+      sparseClears_(metrics_.counter(
+          "snn.router.sparse_clears",
+          "ring-slot clears via tracked-write undo")),
+      cellsCleared_(metrics_.counter(
+          "snn.router.cells_cleared",
+          "cells zeroed by sparse clears (incl. duplicates)")),
+      shardsSkipped_(metrics_.counter(
+          "snn.router.shards_skipped",
+          "target shards skipped entirely by sparse delivery")),
+      bucketsVisited_(metrics_.counter(
+          "snn.router.buckets_visited",
+          "(source, shard, delay-bucket) runs streamed by delivery")),
+      conn_(makeConnectivityProvider(kind, network, shardCount,
+                                     &metrics_)),
       shards_(conn_->shardCount()),
       ringDepth_(static_cast<size_t>(network.maxDelay()) + 1),
       slotSize_(network.numNeurons() * maxSynapseTypes)
 {
-    if (metrics != nullptr) {
-        shardsSkippedCounter_ = &metrics->counter(
-            "snn.router.shards_skipped",
-            "target shards skipped entirely by sparse delivery");
-        bucketsVisitedCounter_ = &metrics->counter(
-            "snn.router.buckets_visited",
-            "(source, shard, delay-bucket) runs streamed by delivery");
-    }
-    if (metrics != nullptr && slotSize_ > 0) {
-        touchedCellsCounter_ = &metrics->counter(
+    if (slotSize_ > 0) {
+        touchedCellsCounter_ = &metrics_.counter(
             "route.touched_cells",
             "ring cells tracked as written, summed over steps");
-        occupancyHist_ = &metrics->histogram(
+        occupancyHist_ = &metrics_.histogram(
             "route.ring_occupancy", 0.0, 1.0, 20,
             "per-step fraction of the consumed slot's cells "
             "tracked as written (1.0 = saturated/dense)");
@@ -195,10 +206,10 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
         anyDense = anyDense || laneDense_[s] != 0;
     }
     if (anyDense) {
-        ++denseClears_;
+        denseClears_.add(1);
     } else {
-        ++sparseClears_;
-        cellsCleared_ += totalCost;
+        sparseClears_.add(1);
+        cellsCleared_.add(totalCost);
     }
     if (occupancyHist_ != nullptr && telemetry::detailEnabled()) {
         touchedCellsCounter_->add(totalCost);
@@ -237,10 +248,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
         if (clearWork || routeMask_[s] != 0)
             activeShards_.push_back(static_cast<uint32_t>(s));
     }
-    const uint64_t skipped = shards - activeShards_.size();
-    shardsSkipped_ += skipped;
-    if (shardsSkippedCounter_ != nullptr)
-        shardsSkippedCounter_->add(skipped);
+    shardsSkipped_.add(shards - activeShards_.size());
     if (activeShards_.empty())
         return;
 
@@ -269,14 +277,14 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
         ThreadPool::global().forEachLane(activeShards_.size(),
                                          laneWork);
     }
+    uint64_t events = 0;
     uint64_t visited = 0;
     for (const uint32_t s : activeShards_) {
-        events_ += laneEvents_[s];
+        events += laneEvents_[s];
         visited += laneBuckets_[s];
     }
-    bucketsVisited_ += visited;
-    if (bucketsVisitedCounter_ != nullptr)
-        bucketsVisitedCounter_->add(visited);
+    events_.add(events);
+    bucketsVisited_.add(visited);
 }
 
 namespace {
@@ -420,9 +428,10 @@ SpikeRouter::saveState(std::ostream &os) const
         writeTouchList(os, list);
     for (const TouchList &list : stimTouched_)
         writeTouchList(os, list);
-    os << "counters " << events_ << ' ' << denseClears_ << ' '
-       << sparseClears_ << ' ' << cellsCleared_ << ' '
-       << shardsSkipped_ << ' ' << bucketsVisited_ << '\n';
+    os << "counters";
+    for (const telemetry::Counter *c : counters())
+        os << ' ' << c->value();
+    os << '\n';
 }
 
 void
@@ -488,8 +497,13 @@ SpikeRouter::loadState(std::istream &is)
         }
         stimTouched_[i].restore(std::move(line.keys), line.cost);
     }
-    is >> tag >> events_ >> denseClears_ >> sparseClears_ >>
-        cellsCleared_ >> shardsSkipped_ >> bucketsVisited_;
+    is >> tag;
+    for (telemetry::Counter *c : counters()) {
+        uint64_t value = 0;
+        is >> value;
+        c->reset();
+        c->add(value);
+    }
     if (tag != "counters" || !is)
         fatal("truncated router counters in checkpoint");
 }
@@ -502,12 +516,8 @@ SpikeRouter::reset()
         list.clear();
     for (TouchList &list : stimTouched_)
         list.clear();
-    events_ = 0;
-    denseClears_ = 0;
-    sparseClears_ = 0;
-    cellsCleared_ = 0;
-    shardsSkipped_ = 0;
-    bucketsVisited_ = 0;
+    for (telemetry::Counter *c : counters())
+        c->reset();
     conn_->reset();
 }
 

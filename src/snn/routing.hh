@@ -43,6 +43,7 @@
 #ifndef FLEXON_SNN_ROUTING_HH
 #define FLEXON_SNN_ROUTING_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -72,11 +73,10 @@ class SpikeRouter
 {
   public:
     /**
-     * @param metrics optional registry (must outlive the router;
-     *        nullptr = no telemetry). Registers refresh counters,
-     *        the sparse-path skip counters, a ring-occupancy
-     *        histogram and a touched-cells counter; the deep
-     *        per-step samples only fire while
+     * @param metrics registry the router's counters live in (must
+     *        outlive the router); nullptr = a private registry. The
+     *        delivery counters are always on; the deep per-step
+     *        samples (touched cells, ring occupancy) only fire while
      *        telemetry::detailEnabled().
      * @param kind connectivity representation spikes are delivered
      *        from. Materialized rows are zero-copy views; compressed
@@ -89,7 +89,6 @@ class SpikeRouter
 
     /** The connectivity source spikes are delivered from. */
     const ConnectivityProvider &provider() const { return *conn_; }
-    ConnectivityKind kind() const { return conn_->kind(); }
 
     /** Provider-owned connectivity bytes (tables/blobs/caches). */
     size_t connectivityBytes() const
@@ -165,16 +164,16 @@ class SpikeRouter
         return total;
     }
 
-    // Counters since construction / reset().
-    uint64_t events() const { return events_; }
-    uint64_t denseClears() const { return denseClears_; }
-    uint64_t sparseClears() const { return sparseClears_; }
+    // Registry counters since construction / reset().
+    uint64_t events() const { return events_.value(); }
+    uint64_t denseClears() const { return denseClears_.value(); }
+    uint64_t sparseClears() const { return sparseClears_.value(); }
     /** Cell zeroings performed by sparse clears (incl. duplicates). */
-    uint64_t cellsCleared() const { return cellsCleared_; }
+    uint64_t cellsCleared() const { return cellsCleared_.value(); }
     /** Shards skipped entirely by the sparse path, summed. */
-    uint64_t shardsSkipped() const { return shardsSkipped_; }
+    uint64_t shardsSkipped() const { return shardsSkipped_.value(); }
     /** (source, shard, bucket) runs streamed by delivery, summed. */
-    uint64_t bucketsVisited() const { return bucketsVisited_; }
+    uint64_t bucketsVisited() const { return bucketsVisited_.value(); }
 
     /** Zero the ring, the touch tracking and the counters. */
     void reset();
@@ -189,14 +188,13 @@ class SpikeRouter
      */
     void exportRing(uint64_t t, RingTransfer &out) const;
     void importRing(uint64_t t, const RingTransfer &slots);
-    /** Restore the cumulative event count after an engine hand-off. */
-    void seedEvents(uint64_t events) { events_ = events; }
 
     /**
      * Checkpoint the router's dynamic state: the delay ring (runs of
      * exact +0.0 run-length encoded as `zN` tokens — quiet slots
      * dominate the ring), every per-(slot, shard) routed and
-     * stimulus touch list, and the event/clear/skip counters. The
+     * stimulus touch list, and the event/clear/skip counters (read
+     * from and restored into the registry). The
      * touch lists are part of correctness, not just telemetry: a
      * restored ring without its pending-write tracking would let a
      * sparse clear miss stale cells. Saturated lists round trip as
@@ -224,6 +222,14 @@ class SpikeRouter
      */
     void laneRoute(size_t shard, std::span<const uint32_t> fired);
 
+    /** The checkpointed counters, in `counters` line order. */
+    std::array<telemetry::Counter *, 6>
+    counters() const
+    {
+        return {&events_,        &denseClears_,   &sparseClears_,
+                &cellsCleared_,  &shardsSkipped_, &bucketsVisited_};
+    }
+
     TouchList &touch(size_t slotIdx, size_t shard)
     {
         return touched_[slotIdx * shards_ + shard];
@@ -241,6 +247,16 @@ class SpikeRouter
     {
         return stimTouched_[slotIdx * shards_ + shard];
     }
+
+    /** Private registry when the caller supplies none. */
+    std::unique_ptr<telemetry::Registry> ownMetrics_;
+    telemetry::Registry &metrics_;
+    telemetry::Counter &events_;
+    telemetry::Counter &denseClears_;
+    telemetry::Counter &sparseClears_;
+    telemetry::Counter &cellsCleared_;
+    telemetry::Counter &shardsSkipped_;
+    telemetry::Counter &bucketsVisited_;
 
     std::unique_ptr<ConnectivityProvider> conn_;
     size_t shards_;
@@ -278,16 +294,6 @@ class SpikeRouter
     /** Per-shard sparse-clear cost cap: dense fill at or above. */
     std::vector<uint64_t> shardClearBudget_;
 
-    uint64_t events_ = 0;
-    uint64_t denseClears_ = 0;
-    uint64_t sparseClears_ = 0;
-    uint64_t cellsCleared_ = 0;
-    uint64_t shardsSkipped_ = 0;
-    uint64_t bucketsVisited_ = 0;
-
-    /** Sparse-path observability (always on when a registry exists). */
-    telemetry::Counter *shardsSkippedCounter_ = nullptr;
-    telemetry::Counter *bucketsVisitedCounter_ = nullptr;
     /** Deep telemetry, sampled per step while detailEnabled(). */
     telemetry::Counter *touchedCellsCounter_ = nullptr;
     telemetry::HistogramMetric *occupancyHist_ = nullptr;

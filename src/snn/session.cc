@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include "common/debug.hh"
 #include "common/logging.hh"
 #include "plan/planner.hh"
+#include "snn/connectivity.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
 
@@ -32,13 +32,24 @@ SimulationSession::SimulationSession(const Network &network,
           "host seconds in the delivery engine (clear + route)")),
       probeTimer_(metrics_.timer(
           "phase.probe", "host seconds sampling membrane probes")),
+      plasticityTimer_(metrics_.timer(
+          "phase.plasticity",
+          "host seconds in attached plasticity rules")),
+      healthTimer_(metrics_.timer(
+          "phase.health", "host seconds in sampled health sweeps")),
+      exportTimer_(metrics_.timer(
+          "phase.export", "host seconds in live metrics export")),
       stepsCounter_(
           metrics_.counter("sim.steps", "time steps simulated")),
       spikesCounter_(
           metrics_.counter("sim.spikes", "output spikes fired")),
+      synapseEventsCounter_(synapseEventsCounter(metrics_)),
       modelNeuronSecGauge_(metrics_.gauge(
           "hw.model_neuron_sec",
-          "modelled hardware neuron-phase seconds"))
+          "modelled hardware neuron-phase seconds")),
+      ewmaRateGauge_(metrics_.gauge(
+          "sim.ewma_rate",
+          "EWMA firing rate (spikes per neuron per step)"))
 {
     if (!network_.finalized())
         fatal("network must be finalized before simulation");
@@ -130,7 +141,8 @@ SimulationSession::phaseSynapse()
     if (numNeurons > 0) {
         const double inst = static_cast<double>(firedList_.size()) /
                             static_cast<double>(numNeurons);
-        ewmaRate_ += (inst - ewmaRate_) * plan::kEwmaAlpha;
+        const double ewma = ewmaRate();
+        ewmaRateGauge_.set(ewma + (inst - ewma) * plan::kEwmaAlpha);
     }
 
     telemetry::ScopedTimer routeScope(routeTimer_,
@@ -159,8 +171,12 @@ SimulationSession::stepOnce()
     // Plasticity observes the completed step: same ordering as the
     // external convention (run a step, then onStep(lastFired())), so
     // attached and hand-driven rules learn identically.
-    for (PlasticityRule *rule : plasticityRules_)
-        rule->onStep(fired_);
+    if (!plasticityRules_.empty()) {
+        telemetry::ScopedTimer scope(plasticityTimer_,
+                                     "sim.plasticity");
+        for (PlasticityRule *rule : plasticityRules_)
+            rule->onStep(fired_);
+    }
     FLEXON_DPRINTF(Simulator, "step %llu: %llu spikes so far",
                    static_cast<unsigned long long>(t_),
                    static_cast<unsigned long long>(
@@ -172,19 +188,23 @@ SimulationSession::stepOnce()
     // event-driven engine) see t_ = completed steps, exactly as an
     // external caller between steps would.
     if (!options_.probes.empty()) {
-        telemetry::ScopedTimer scope(probeTimer_);
+        telemetry::ScopedTimer scope(probeTimer_, "sim.probe");
         for (size_t i = 0; i < options_.probes.size(); ++i)
             probeTraces_[i].push_back(membrane(options_.probes[i]));
     }
     // Health layer: a sampled detector sweep, the watchdog
     // heartbeat, and the live exporter. All three gates are a bool
     // test / relaxed load on the default path.
-    if (healthActive_ && t_ % options_.health.samplePeriod == 0)
+    if (healthActive_ && t_ % options_.health.samplePeriod == 0) {
+        telemetry::ScopedTimer scope(healthTimer_, "sim.health");
         healthSweep();
+    }
     if (health::watchdogArmed())
         health::heartbeat(t_);
-    if (exporter_ && t_ % options_.metricsEvery == 0)
+    if (exporter_ && t_ % options_.metricsEvery == 0) {
+        telemetry::ScopedTimer scope(exportTimer_, "sim.export");
         exporter_->exportNow(metrics_, t_, engineKind());
+    }
 }
 
 void
@@ -270,19 +290,20 @@ SimulationSession::healthSweep()
 
     // Rate anomalies engage after the warmup transient: the EWMA
     // needs history before "explosion" or "silence" means anything.
+    const double ewma = ewmaRate();
     if (ho.rate != health::Policy::Off && t_ >= ho.rateWarmupSteps) {
-        if (ewmaRate_ > ho.rateExplosion) {
+        if (ewma > ho.rateExplosion) {
             ++healthCounters_.rateExplosions;
             std::ostringstream msg;
-            msg << "EWMA firing rate " << ewmaRate_
+            msg << "EWMA firing rate " << ewma
                 << " above explosion threshold " << ho.rateExplosion
                 << ", step " << t_;
             healthApply(ho.rate, "rate-explosion",
                         healthCounters_.rateExplosions, msg.str());
-        } else if (ewmaRate_ < ho.rateSilence) {
+        } else if (ewma < ho.rateSilence) {
             ++healthCounters_.rateSilences;
             std::ostringstream msg;
-            msg << "EWMA firing rate " << ewmaRate_
+            msg << "EWMA firing rate " << ewma
                 << " below silence threshold " << ho.rateSilence
                 << ", step " << t_;
             healthApply(ho.rate, "rate-silence",
@@ -361,122 +382,75 @@ SimulationSession::meanRate() const
             static_cast<double>(network_.numNeurons()));
 }
 
-const PhaseStats &
+PhaseStats
 SimulationSession::stats() const
 {
-    statsView_.stimulusSec = stimulusTimer_.seconds();
-    statsView_.neuronSec = neuronTimer_.seconds();
-    statsView_.synapseSec = synapseTimer_.seconds();
-    statsView_.synapseRouteSec = routeTimer_.seconds();
-    statsView_.probeSec = probeTimer_.seconds();
-    statsView_.steps = stepsCounter_.value();
-    statsView_.spikes = spikesCounter_.value();
-    statsView_.modelNeuronSec = modelNeuronSecGauge_.value();
-    statsView_.threadsUsed =
-        options_.threads == 0 ? 1 : options_.threads;
-    refreshEngineStats(statsView_);
+    PhaseStats view;
+    view.stimulusSec = stimulusTimer_.seconds();
+    view.neuronSec = neuronTimer_.seconds();
+    view.synapseSec = synapseTimer_.seconds();
+    view.synapseRouteSec = routeTimer_.seconds();
+    view.probeSec = probeTimer_.seconds();
+    view.steps = stepsCounter_.value();
+    view.spikes = spikesCounter_.value();
+    view.synapseEvents = synapseEventsCounter_.value();
+    view.modelNeuronSec = modelNeuronSecGauge_.value();
     // The route interval is strictly nested inside the synapse-phase
     // interval on the same steady clock.
-    flexon_debug_assert(statsView_.synapseRouteSec <=
-                        statsView_.synapseSec);
-    const uint64_t synapses = network_.numSynapses();
-    statsView_.bytesPerSynapse =
-        synapses == 0
-            ? 0.0
-            : static_cast<double>(statsView_.connectivityBytes) /
-                  static_cast<double>(synapses);
-    return statsView_;
+    flexon_debug_assert(view.synapseRouteSec <= view.synapseSec);
+    return view;
+}
+
+double
+SimulationSession::measuredStepSec() const
+{
+    const uint64_t timedSteps = neuronTimer_.count();
+    if (timedSteps == 0)
+        return 0.0;
+    double seconds = 0.0;
+    for (const auto &[name, value] : metrics_.snapshot().timers) {
+        if (name.starts_with("phase.") &&
+            name.find('.', 6) == std::string::npos)
+            seconds += value.seconds;
+    }
+    return seconds / static_cast<double>(timedSteps);
 }
 
 void
 SimulationSession::printStats(std::ostream &os) const
 {
-    const PhaseStats &view = stats();
+    os << "---------- simulation statistics ----------\n";
+    metrics_.writeText(os);
+
+    // Derived ratios, not metrics. Host seconds are per timed step
+    // (timers restart at a restore); counters are per simulated step.
     auto line = [&os](const char *name, double value,
                       const char *desc) {
-        os << std::left << std::setw(34) << name << ' '
-           << std::setprecision(9) << value << "  # " << desc
-           << '\n';
+        telemetry::writeStatLine(os, name, telemetry::jsonNumber(value),
+                                 desc);
     };
-    os << "---------- simulation statistics ----------\n";
-    line("sim.steps", static_cast<double>(view.steps),
-         "time steps simulated");
-    line("sim.neurons", static_cast<double>(network_.numNeurons()),
-         "neurons in the network");
-    line("sim.synapses", static_cast<double>(network_.numSynapses()),
-         "synapses in the network");
-    line("sim.spikes", static_cast<double>(view.spikes),
-         "output spikes fired");
+    const PhaseStats &view = stats();
     line("sim.rate", meanRate(), "spikes per neuron per step");
-    line("sim.synapse_events",
-         static_cast<double>(view.synapseEvents),
-         "synaptic weight deliveries");
-    line("phase.stimulus_sec", view.stimulusSec,
-         "host seconds in stimulus generation");
-    line("phase.neuron_sec", view.neuronSec,
-         "host seconds in neuron computation");
-    line("phase.synapse_sec", view.synapseSec,
-         "host seconds in synapse calculation");
-    line("phase.synapse_route_sec", view.synapseRouteSec,
-         "host seconds in parallel spike routing");
-    line("phase.probe_sec", view.probeSec,
-         "host seconds sampling membrane probes");
-    if (view.totalSec() > 0.0) {
-        line("sim.steps_per_sec",
-             static_cast<double>(view.steps) / view.totalSec(),
+    const double stepSec = measuredStepSec();
+    if (stepSec > 0.0) {
+        const double timedSteps =
+            static_cast<double>(neuronTimer_.count());
+        line("sim.steps_per_sec", 1.0 / stepSec,
              "simulated steps per host second");
         line("sim.synapse_events_per_sec",
              static_cast<double>(view.synapseEvents) /
-                 view.totalSec(),
+                 static_cast<double>(view.steps) / stepSec,
              "synaptic deliveries per host second");
-    }
-    line("engine.threads", static_cast<double>(view.threadsUsed),
-         "worker lanes per phase (1 = serial)");
-    if (view.synapseSec > 0.0) {
-        line("engine.route_share",
-             view.synapseRouteSec / view.synapseSec,
-             "delivery-engine fraction of the synapse phase");
-    }
-    line("engine.routing_table_bytes",
-         static_cast<double>(view.routingTableBytes),
-         "precompiled spike-routing table footprint");
-    line("engine.connectivity_bytes",
-         static_cast<double>(view.connectivityBytes),
-         "total connectivity footprint (provider + network)");
-    line("engine.bytes_per_synapse", view.bytesPerSynapse,
-         "connectivity bytes per synapse");
-    line("engine.row_cache_hits",
-         static_cast<double>(view.rowCacheHits),
-         "procedural hot-row cache hits");
-    line("engine.row_cache_misses",
-         static_cast<double>(view.rowCacheMisses),
-         "procedural hot-row cache misses (rows decoded)");
-    line("engine.ring_dense_clears",
-         static_cast<double>(view.ringDenseClears),
-         "ring-slot clears via dense fill");
-    line("engine.ring_sparse_clears",
-         static_cast<double>(view.ringSparseClears),
-         "ring-slot clears via tracked-write undo");
-    line("engine.ring_cells_cleared",
-         static_cast<double>(view.ringCellsCleared),
-         "cells zeroed by sparse clears");
-    line("engine.router_shards_skipped",
-         static_cast<double>(view.routerShardsSkipped),
-         "target shards skipped by sparse delivery");
-    line("engine.router_buckets_visited",
-         static_cast<double>(view.routerBucketsVisited),
-         "(source, shard, delay-bucket) runs streamed");
-    if (view.totalSec() > 0.0) {
         line("phase.neuron_share",
-             view.neuronSec / view.totalSec(),
+             view.neuronSec / timedSteps / stepSec,
              "neuron-computation fraction of the step (Figure 3)");
-    }
-    if (view.modelNeuronSec > 0.0) {
-        line("hw.model_neuron_sec", view.modelNeuronSec,
-             "modelled hardware neuron-phase seconds");
-        line("hw.speedup_vs_host",
-             view.neuronSec / view.modelNeuronSec,
-             "modelled hardware speedup over this host");
+        if (view.modelNeuronSec > 0.0) {
+            line("hw.speedup_vs_host",
+                 (view.neuronSec / timedSteps) /
+                     (view.modelNeuronSec /
+                      static_cast<double>(view.steps)),
+                 "modelled hardware speedup over this host");
+        }
     }
     os << "--------------------------------------------\n";
 }
@@ -484,6 +458,9 @@ SimulationSession::printStats(std::ostream &os) const
 void
 SimulationSession::reset()
 {
+    // Registry first: engines republish the gauges that describe
+    // their structures (connectivity footprint) when they reset.
+    metrics_.reset();
     engineReset();
     std::fill(spikeCounts_.begin(), spikeCounts_.end(), 0);
     // Drop the previous run's fired flags too: lastFired() must
@@ -493,10 +470,7 @@ SimulationSession::reset()
     spikeEvents_.clear();
     for (auto &trace : probeTraces_)
         trace.clear();
-    metrics_.reset();
-    statsView_ = PhaseStats{};
     t_ = 0;
-    ewmaRate_ = 0.0;
     stimulus_ = stimulusInitial_;
     restored_ = false;
     restoredStep_ = 0;
@@ -525,11 +499,12 @@ SimulationSession::adoptSessionCore(const SimulationSession &other)
     spikeEvents_ = other.spikeEvents_;
     probeTraces_ = other.probeTraces_;
     stimulus_ = other.stimulus_;
-    ewmaRate_ = other.ewmaRate_;
+    ewmaRateGauge_.set(other.ewmaRate());
     // Simulation-meaningful counters continue; wall-clock timers
     // restart from zero, exactly as after a checkpoint restore.
     stepsCounter_.add(other.stepsCounter_.value());
     spikesCounter_.add(other.spikesCounter_.value());
+    synapseEventsCounter_.add(other.synapseEventsCounter_.value());
     modelNeuronSecGauge_.add(other.modelNeuronSecGauge_.value());
     checkpointSaves_ = other.checkpointSaves_;
     restored_ = other.restored_;
@@ -551,12 +526,12 @@ SimulationSession::adoptSessionCore(const SimulationSession &other)
 bool
 SimulationSession::writeRunReport(const std::string &path) const
 {
-    const PhaseStats &view = stats();
     telemetry::ReportContext context;
     auto &config = context.config;
     engineReportConfig(config);
-    config.emplace_back("threads",
-                        std::to_string(view.threadsUsed));
+    config.emplace_back(
+        "threads",
+        std::to_string(options_.threads == 0 ? 1 : options_.threads));
     config.emplace_back("stimulus_seed",
                         std::to_string(options_.stimulusSeed));
     config.emplace_back("neurons",
@@ -568,53 +543,7 @@ SimulationSession::writeRunReport(const std::string &path) const
     config.emplace_back("record_spikes",
                         options_.recordSpikes ? "true" : "false");
 
-    auto &stats = context.stats;
     auto num = [](double x) { return telemetry::jsonNumber(x); };
-    stats.emplace_back("steps", std::to_string(view.steps));
-    stats.emplace_back("spikes", std::to_string(view.spikes));
-    stats.emplace_back("synapse_events",
-                       std::to_string(view.synapseEvents));
-    stats.emplace_back("mean_rate", num(meanRate()));
-    stats.emplace_back("stimulus_sec", num(view.stimulusSec));
-    stats.emplace_back("neuron_sec", num(view.neuronSec));
-    stats.emplace_back("synapse_sec", num(view.synapseSec));
-    stats.emplace_back("synapse_route_sec",
-                       num(view.synapseRouteSec));
-    stats.emplace_back("probe_sec", num(view.probeSec));
-    stats.emplace_back("total_sec", num(view.totalSec()));
-    stats.emplace_back("model_neuron_sec",
-                       num(view.modelNeuronSec));
-    stats.emplace_back("routing_table_bytes",
-                       std::to_string(view.routingTableBytes));
-    stats.emplace_back("connectivity_bytes",
-                       std::to_string(view.connectivityBytes));
-    stats.emplace_back("bytes_per_synapse",
-                       num(view.bytesPerSynapse));
-    stats.emplace_back("row_cache_hits",
-                       std::to_string(view.rowCacheHits));
-    stats.emplace_back("row_cache_misses",
-                       std::to_string(view.rowCacheMisses));
-    stats.emplace_back("ring_dense_clears",
-                       std::to_string(view.ringDenseClears));
-    stats.emplace_back("ring_sparse_clears",
-                       std::to_string(view.ringSparseClears));
-    stats.emplace_back("ring_cells_cleared",
-                       std::to_string(view.ringCellsCleared));
-    stats.emplace_back("router_shards_skipped",
-                       std::to_string(view.routerShardsSkipped));
-    stats.emplace_back("router_buckets_visited",
-                       std::to_string(view.routerBucketsVisited));
-    stats.emplace_back("ewma_rate", num(ewmaRate_));
-    if (view.totalSec() > 0.0) {
-        stats.emplace_back(
-            "steps_per_sec",
-            num(static_cast<double>(view.steps) / view.totalSec()));
-        stats.emplace_back(
-            "synapse_events_per_sec",
-            num(static_cast<double>(view.synapseEvents) /
-                view.totalSec()));
-    }
-    engineReportStats(stats);
 
     telemetry::ReportFields checkpoint;
     checkpoint.emplace_back(
@@ -630,7 +559,7 @@ SimulationSession::writeRunReport(const std::string &path) const
     context.sections.emplace_back("checkpoint",
                                   std::move(checkpoint));
 
-    // Health section (always present in v5): what the detectors were
+    // Health section (always present since v5): what the detectors were
     // configured to do and what they saw.
     telemetry::ReportFields healthFields;
     healthFields.emplace_back("enabled",
@@ -708,11 +637,8 @@ SimulationSession::writeRunReport(const std::string &path) const
                                                   : "false");
         planFields.emplace_back(
             "predicted_step_sec", num(planInfo_.predictedStepSec));
-        const double measured =
-            view.steps > 0
-                ? view.totalSec() / static_cast<double>(view.steps)
-                : 0.0;
-        planFields.emplace_back("measured_step_sec", num(measured));
+        planFields.emplace_back("measured_step_sec",
+                                num(measuredStepSec()));
         planFields.emplace_back("crossover_rate",
                                 num(planInfo_.crossoverRate));
         planFields.emplace_back(
@@ -741,7 +667,7 @@ SimulationSession::saveCheckpoint(std::ostream &os) const
     // deterministically after a restore.
     os << "counters " << stepsCounter_.value() << ' '
        << spikesCounter_.value() << ' '
-       << modelNeuronSecGauge_.value() << ' ' << ewmaRate_ << '\n';
+       << modelNeuronSecGauge_.value() << ' ' << ewmaRate() << '\n';
 
     os << "spike_counts";
     for (const uint64_t c : spikeCounts_)
@@ -839,13 +765,14 @@ SimulationSession::loadCheckpoint(std::istream &is,
     }
 
     uint64_t steps = 0, spikes = 0;
-    double modelSec = 0.0;
-    is >> tag >> steps >> spikes >> modelSec >> ewmaRate_;
+    double modelSec = 0.0, ewma = 0.0;
+    is >> tag >> steps >> spikes >> modelSec >> ewma;
     if (tag != "counters" || !is)
         fatal("malformed checkpoint counters line");
     stepsCounter_.add(steps);
     spikesCounter_.add(spikes);
     modelNeuronSecGauge_.add(modelSec);
+    ewmaRateGauge_.set(ewma);
 
     is >> tag;
     if (tag != "spike_counts")

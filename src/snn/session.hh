@@ -73,15 +73,16 @@ struct SessionOptions
 };
 
 /**
- * Accumulated per-phase wall-clock time plus event counters. This is
- * a *materialized view* over the session's telemetry registry:
- * stats() refreshes it from the underlying counters and timers, so
- * the struct stays a plain value type for callers while the phases
- * write through wait-free sharded metrics.
+ * A typed view of the session's core metrics. The telemetry registry
+ * stores every run statistic once; stats() copies these from cached
+ * registry handles. printStats and the run report read the registry
+ * itself, so a new metric reaches them without touching this struct,
+ * and engine-specific counters are read where they live (registry
+ * names, or accessors such as SpikeRouter::denseClears()).
  *
  * Units: every `*Sec` field is host wall-clock seconds accumulated
- * over all steps of the run (steady clock); counter fields are event
- * counts over the same extent.
+ * since the timers last started (construction, reset, restore or
+ * engine hand-off); counter fields are event counts since step 0.
  */
 struct PhaseStats
 {
@@ -106,36 +107,11 @@ struct PhaseStats
     uint64_t spikes = 0;
     /** Synaptic weight deliveries into the delay ring. */
     uint64_t synapseEvents = 0;
-    /** Worker lanes the engine was configured with. */
-    size_t threadsUsed = 1;
     /** Modelled hardware seconds (Flexon/folded backends only). */
     double modelNeuronSec = 0.0;
-    /** Bytes of the precompiled spike-routing table. */
-    uint64_t routingTableBytes = 0;
-    /**
-     * Total connectivity footprint: the delivery provider's bytes
-     * (routing table, compressed blobs or hot-row cache) plus the
-     * network's own synapse storage (CSR + row geometry + overlay).
-     */
-    uint64_t connectivityBytes = 0;
-    /** connectivityBytes / network synapses (0 when no synapses). */
-    double bytesPerSynapse = 0.0;
-    /** Procedural hot-row cache hits (fired-row lookups). */
-    uint64_t rowCacheHits = 0;
-    /** Procedural hot-row cache misses (rows decoded). */
-    uint64_t rowCacheMisses = 0;
-    /** Ring-slot clears done densely (std::fill over the slot). */
-    uint64_t ringDenseClears = 0;
-    /** Ring-slot clears done sparsely (tracked writes undone). */
-    uint64_t ringSparseClears = 0;
-    /** Cells zeroed by sparse clears (incl. duplicate zeroings). */
-    uint64_t ringCellsCleared = 0;
-    /** Target shards skipped entirely by sparse delivery. */
-    uint64_t routerShardsSkipped = 0;
-    /** (source, shard, delay-bucket) runs streamed by delivery. */
-    uint64_t routerBucketsVisited = 0;
 
-    /** Host seconds across every tracked per-step phase. */
+    /** Host seconds in the four engine phases above (the registry's
+     *  phase.plasticity/health/export timers are not in the view). */
     double totalSec() const
     {
         return stimulusSec + neuronSec + synapseSec + probeSec;
@@ -210,8 +186,6 @@ struct EngineTransfer
 {
     /** Completed steps at the hand-off point. */
     uint64_t t = 0;
-    /** Cumulative synaptic deliveries (continues the counter). */
-    uint64_t synapseEvents = 0;
     /** Per-neuron membrane potential, reference units. */
     std::vector<double> v;
     /** Per-neuron absolute-refractory countdown, in steps. */
@@ -249,11 +223,11 @@ class SimulationSession
     void stepOnce();
 
     /**
-     * Refresh and return the statistics view (sums the sharded
-     * telemetry slots; cheap, but not free — cache the reference's
-     * fields rather than calling per step in hot loops).
+     * The core metrics as of now (sums the sharded telemetry slots;
+     * cheap, but not free — keep the copy rather than calling per
+     * step in hot loops).
      */
-    const PhaseStats &stats() const;
+    PhaseStats stats() const;
     const Network &network() const { return network_; }
 
     /** Per-neuron output spike counts. */
@@ -306,13 +280,12 @@ class SimulationSession
     /**
      * Exponentially weighted moving average of the per-step firing
      * rate (spikes per neuron per step), alpha = plan::kEwmaAlpha
-     * (1/64). Updated every step from the fired sweep, checkpointed,
-     * and deterministic —
-     * it derives purely from the spike history, so it is safe to
-     * base engine-selection decisions on without breaking
-     * bit-identity.
+     * (1/64): the sim.ewma_rate gauge. Updated every step from the
+     * fired sweep, checkpointed, and deterministic — it derives
+     * purely from the spike history, so it is safe to base
+     * engine-selection decisions on without breaking bit-identity.
      */
-    double ewmaRate() const { return ewmaRate_; }
+    double ewmaRate() const { return ewmaRateGauge_.value(); }
 
     /**
      * Copy the engine-independent core — step counter, spike
@@ -327,8 +300,10 @@ class SimulationSession
     void adoptSessionCore(const SimulationSession &other);
 
     /**
-     * Dump a gem5-style statistics block: one `name value # desc`
-     * line per statistic, hierarchical dot-separated names.
+     * Dump a gem5-style statistics block generated from the
+     * registry: one `name value # desc` line per counter, gauge and
+     * timer (seconds), then the derived ratios that are not metrics
+     * (firing rate, throughput, neuron share, modelled speedup).
      */
     void printStats(std::ostream &os) const;
 
@@ -344,12 +319,12 @@ class SimulationSession
     const telemetry::Registry &metrics() const { return metrics_; }
 
     /**
-     * Write a "flexon-run-report-v5" JSON document (config, stats,
+     * Write a "flexon-run-report-v6" JSON document (config,
      * checkpoint section, health section, plan section when
      * setPlanInfo() was called, plan_audit section when decisions
-     * were recorded, this registry, the process registry, pool lane
-     * accounting) to `path`. Returns false (after warn()) on I/O
-     * failure.
+     * were recorded, this registry — the run's statistics — under
+     * "metrics", the process registry, pool lane accounting) to
+     * `path`. Returns false (after warn()) on I/O failure.
      */
     bool writeRunReport(const std::string &path) const;
 
@@ -470,7 +445,7 @@ class SimulationSession
     }
 
     /** Force the EWMA rate to 1.0 (rate-explosion detector hook). */
-    void debugInjectRateExplosion() { ewmaRate_ = 1.0; }
+    void debugInjectRateExplosion() { ewmaRateGauge_.set(1.0); }
 
   protected:
     /** Engine kind tag written into checkpoints and reports. */
@@ -515,19 +490,9 @@ class SimulationSession
     /** Modelled hardware seconds of the step just evaluated. */
     virtual double engineModelSecondsPerStep() const { return 0.0; }
 
-    /** Fill the engine-owned PhaseStats fields (stats() refresh). */
-    virtual void refreshEngineStats(PhaseStats &view) const = 0;
-
     /** Engine-specific run-report config fields ("backend", ...). */
     virtual void
     engineReportConfig(telemetry::ReportFields &config) const = 0;
-
-    /** Engine-specific run-report stats fields (appended last). */
-    virtual void
-    engineReportStats(telemetry::ReportFields &stats) const
-    {
-        (void)stats;
-    }
 
     /** Checkpoint the engine's dynamic state (saveCheckpoint). */
     virtual void engineSaveState(std::ostream &os) const = 0;
@@ -573,20 +538,19 @@ class SimulationSession
         return false;
     }
 
-  protected:
-
-    const SessionOptions &sessionOptions() const { return options_; }
-
-    /** Fired neuron indices of the current step, ascending. */
-    const std::vector<uint32_t> &firedList() const
-    {
-        return firedList_;
-    }
-
   private:
     void phaseStimulus();
     void phaseNeuron();
     void phaseSynapse();
+
+    /**
+     * Host seconds in every top-level phase timer ("phase.<name>";
+     * nested intervals such as phase.synapse.route lie inside their
+     * parent) over the steps they timed, i.e. the phase.neuron
+     * interval count: timers restart at a restore or hand-off, the
+     * step counter does not. 0 before the first timed step.
+     */
+    double measuredStepSec() const;
 
     /** Run every enabled detector over one scan window. */
     void healthSweep();
@@ -616,18 +580,19 @@ class SimulationSession
     telemetry::Timer &synapseTimer_;
     telemetry::Timer &routeTimer_;
     telemetry::Timer &probeTimer_;
+    telemetry::Timer &plasticityTimer_;
+    telemetry::Timer &healthTimer_;
+    telemetry::Timer &exportTimer_;
     telemetry::Counter &stepsCounter_;
     telemetry::Counter &spikesCounter_;
+    /** Written by the delivery engine (synapseEventsCounter()). */
+    telemetry::Counter &synapseEventsCounter_;
     telemetry::Gauge &modelNeuronSecGauge_;
-
-    /** Materialized by stats() from the registry + engine. */
-    mutable PhaseStats statsView_;
+    /** EWMA of the per-step firing rate (see ewmaRate()). */
+    telemetry::Gauge &ewmaRateGauge_;
 
     /** Fired neuron indices of the current step (capacity N). */
     std::vector<uint32_t> firedList_;
-
-    /** EWMA of the per-step firing rate (see ewmaRate()). */
-    double ewmaRate_ = 0.0;
 
     // Checkpoint bookkeeping (saveCheckpoint is logically const).
     mutable uint64_t checkpointSaves_ = 0;

@@ -6,29 +6,9 @@
 
 namespace flexon {
 
-namespace {
-
-SessionOptions
-toSessionOptions(const SimulatorOptions &options)
-{
-    SessionOptions session;
-    session.stimulusSeed = options.stimulusSeed;
-    session.threads = options.threads;
-    session.recordSpikes = options.recordSpikes;
-    session.probes = options.probes;
-    session.health = options.health;
-    session.metricsOut = options.metricsOut;
-    session.metricsEvery = options.metricsEvery;
-    session.label = options.label;
-    return session;
-}
-
-} // namespace
-
 Simulator::Simulator(const Network &network, StimulusGenerator stimulus,
                      const SimulatorOptions &options)
-    : SimulationSession(network, std::move(stimulus),
-                        toSessionOptions(options)),
+    : SimulationSession(network, std::move(stimulus), options),
       options_(options)
 {
     backend_ = makeBackend(options_.backend, network, options_.mode,
@@ -89,25 +69,6 @@ Simulator::engineModelSecondsPerStep() const
 }
 
 void
-Simulator::refreshEngineStats(PhaseStats &view) const
-{
-    view.synapseEvents = router_->events();
-    view.routingTableBytes =
-        router_->kind() == ConnectivityKind::Materialized
-            ? router_->connectivityBytes()
-            : 0;
-    view.connectivityBytes = router_->connectivityBytes() +
-                             network().connectivityBytes();
-    view.rowCacheHits = router_->rowCacheHits();
-    view.rowCacheMisses = router_->rowCacheMisses();
-    view.ringDenseClears = router_->denseClears();
-    view.ringSparseClears = router_->sparseClears();
-    view.ringCellsCleared = router_->cellsCleared();
-    view.routerShardsSkipped = router_->shardsSkipped();
-    view.routerBucketsVisited = router_->bucketsVisited();
-}
-
-void
 Simulator::engineReportConfig(telemetry::ReportFields &config) const
 {
     config.emplace_back(
@@ -152,7 +113,6 @@ Simulator::engineExportTransfer(EngineTransfer &out) const
     if (!backend_->exportLlifState(out.v, out.refractory))
         return false;
     out.t = currentStep();
-    out.synapseEvents = router_->events();
     router_->exportRing(out.t, out.ring);
     return true;
 }
@@ -164,7 +124,6 @@ Simulator::engineImportTransfer(const EngineTransfer &in)
     if (!backend_->importLlifState(in.v, in.refractory))
         return false;
     router_->importRing(in.t, in.ring);
-    router_->seedEvents(in.synapseEvents);
     return true;
 }
 

@@ -31,17 +31,13 @@
 
 namespace flexon {
 
-/** Options controlling a simulation run. */
-struct SimulatorOptions
+/** Options controlling a simulation run: the session options plus
+ *  the dense engine's backend and connectivity choices. */
+struct SimulatorOptions : SessionOptions
 {
     BackendKind backend = BackendKind::Reference;
     IntegrationMode mode = IntegrationMode::Discrete;
     SolverKind solver = SolverKind::Euler;
-    uint64_t stimulusSeed = 1;
-    /** Worker threads for the reference neuron-update loop. */
-    size_t threads = 1;
-    /** Record (step, neuron) spike events (memory-heavy). */
-    bool recordSpikes = false;
     /**
      * Connectivity representation spikes are delivered from
      * (snn/connectivity.hh). Materialized is the precompiled
@@ -50,16 +46,6 @@ struct SimulatorOptions
      * results.
      */
     ConnectivityKind connectivity = ConnectivityKind::Materialized;
-    /** Neurons whose membrane potential is sampled every step. */
-    std::vector<uint32_t> probes;
-    /** Runtime invariant detectors (common/health.hh). */
-    health::HealthOptions health;
-    /** Live metric export target; empty disables the exporter. */
-    std::string metricsOut;
-    /** Steps between live metric snapshots. */
-    uint64_t metricsEvery = 256;
-    /** Session label stamped onto exported metrics. */
-    std::string label = "flexon";
 };
 
 /** The dense three-phase SNN simulation engine. */
@@ -114,7 +100,6 @@ class Simulator : public SimulationSession
         uint64_t t, std::span<const uint32_t> fired) override;
     void engineReset() override;
     double engineModelSecondsPerStep() const override;
-    void refreshEngineStats(PhaseStats &view) const override;
     void engineReportConfig(
         telemetry::ReportFields &config) const override;
     void engineSaveState(std::ostream &os) const override;

@@ -71,7 +71,8 @@ runWith(const Network &net, const StimulusGenerator &stim,
     result.events = sim.spikeEvents();
     result.spikes = sim.stats().spikes;
     result.synapseEvents = sim.stats().synapseEvents;
-    result.connectivityBytes = sim.stats().connectivityBytes;
+    result.connectivityBytes = static_cast<uint64_t>(
+        sim.metrics().gauge("snn.connectivity.bytes").value());
     return result;
 }
 

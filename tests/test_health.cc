@@ -215,7 +215,7 @@ TEST(HealthDetector, ResetClearsCounters)
     EXPECT_EQ(sim.healthCounters().sweeps, 0u);
 }
 
-TEST(HealthReport, V5ReportCarriesHealthSection)
+TEST(HealthReport, RunReportCarriesHealthSection)
 {
     LlifSetup s = llifNetwork(40, 0.02, 31);
     SimulatorOptions opts;
@@ -226,7 +226,7 @@ TEST(HealthReport, V5ReportCarriesHealthSection)
     ASSERT_TRUE(sim.writeRunReport(path));
     const std::string text = slurp(path);
     std::remove(path.c_str());
-    EXPECT_NE(text.find("\"flexon-run-report-v5\""),
+    EXPECT_NE(text.find("\"flexon-run-report-v6\""),
               std::string::npos);
     EXPECT_NE(text.find("\"health\""), std::string::npos);
     EXPECT_NE(text.find("\"sweeps\""), std::string::npos);

@@ -368,12 +368,12 @@ TEST(RingMaintenance, QuietNetworkClearsSparsely)
         expectRingBitIdentical(oracle.ring_, sim.ringBuffer(),
                                static_cast<uint64_t>(step));
     }
-    const PhaseStats &st = sim.stats();
-    EXPECT_EQ(st.ringDenseClears, 0u);
-    EXPECT_EQ(st.ringSparseClears, 300u);
-    EXPECT_GT(st.spikes, 0u);
+    const SpikeRouter &router = sim.router();
+    EXPECT_EQ(router.denseClears(), 0u);
+    EXPECT_EQ(router.sparseClears(), 300u);
+    EXPECT_GT(sim.stats().spikes, 0u);
     // Sparse clears undo far fewer cells than 300 dense fills would.
-    EXPECT_LT(st.ringCellsCleared,
+    EXPECT_LT(router.cellsCleared(),
               300u * net.numNeurons() * maxSynapseTypes / 10);
 }
 
@@ -401,9 +401,8 @@ TEST(RingMaintenance, DenseActivityFallsBackToFill)
         expectRingBitIdentical(oracle.ring_, sim.ringBuffer(),
                                static_cast<uint64_t>(step));
     }
-    EXPECT_GT(sim.stats().ringDenseClears, 0u);
-    EXPECT_EQ(sim.stats().ringDenseClears +
-                  sim.stats().ringSparseClears,
+    EXPECT_GT(sim.router().denseClears(), 0u);
+    EXPECT_EQ(sim.router().denseClears() + sim.router().sparseClears(),
               100u);
 }
 
@@ -555,15 +554,13 @@ TEST_P(SparseDelivery, DenseAndEventEnginesMatchOracle)
     EXPECT_EQ(oracle.counts_, dense.spikeCounts());
     EXPECT_EQ(oracle.counts_, event.spikeCounts());
     EXPECT_EQ(oracle.synapseEvents_, dense.stats().synapseEvents);
-    EXPECT_EQ(oracle.synapseEvents_,
-              event.SimulationSession::stats().synapseEvents);
+    EXPECT_EQ(oracle.synapseEvents_, event.stats().synapseEvents);
 
     // The dense engine must actually skip work: on a low-rate network
     // most shards receive nothing on most steps.
-    const PhaseStats &st = dense.stats();
-    EXPECT_GT(st.routerBucketsVisited, 0u);
+    EXPECT_GT(dense.router().bucketsVisited(), 0u);
     if (threads > 1) {
-        EXPECT_GT(st.routerShardsSkipped, 0u);
+        EXPECT_GT(dense.router().shardsSkipped(), 0u);
     }
 }
 
@@ -591,12 +588,12 @@ TEST(SparseDelivery, BucketsVisitedBoundedByPopulatedStreams)
     opts.threads = 4;
     Simulator sim(net, stim, opts);
     sim.run(400);
-    const PhaseStats &st = sim.stats();
-    EXPECT_GT(st.spikes, 0u);
+    const uint64_t spikes = sim.stats().spikes;
+    EXPECT_GT(spikes, 0u);
     // Neuron 0's two targets live in one shard; every firing visits
     // at most 2 (shard, bucket) streams.
-    EXPECT_LE(st.routerBucketsVisited, 2 * st.spikes);
-    EXPECT_GT(st.routerShardsSkipped, 0u);
+    EXPECT_LE(sim.router().bucketsVisited(), 2 * spikes);
+    EXPECT_GT(sim.router().shardsSkipped(), 0u);
 }
 
 // ---- Router checkpoint: restart equivalence and corrupt state ---
@@ -709,7 +706,7 @@ TEST(RouterCheckpoint, RangeKeyFromOlderBuildForcesExactDenseClear)
     Simulator resumed(net, mixedStimulus(), checkpointOptions());
     std::istringstream is(cp.text());
     resumed.loadCheckpoint(is);
-    const uint64_t denseBefore = full.stats().ringDenseClears;
+    const uint64_t denseBefore = full.router().denseClears();
     for (uint64_t step = split; step < total; ++step) {
         full.stepOnce();
         resumed.stepOnce();
@@ -723,8 +720,8 @@ TEST(RouterCheckpoint, RangeKeyFromOlderBuildForcesExactDenseClear)
     EXPECT_EQ(full.stats().synapseEvents,
               resumed.stats().synapseEvents);
     // The saturated list took the dense clear the full run did not.
-    EXPECT_GT(resumed.stats().ringDenseClears - denseBefore,
-              full.stats().ringDenseClears - denseBefore);
+    EXPECT_GT(resumed.router().denseClears() - denseBefore,
+              full.router().denseClears() - denseBefore);
 }
 
 // Corrupt-state death tests: each edits one field of a checkpoint the

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include <cmath>
 
@@ -355,19 +357,43 @@ TEST(Simulator, StatsDumpHasGem5Shape)
     std::ostringstream oss;
     sim.printStats(oss);
     const std::string out = oss.str();
-    EXPECT_NE(out.find("sim.steps"), std::string::npos);
-    EXPECT_NE(out.find("sim.spikes"), std::string::npos);
-    EXPECT_NE(out.find("phase.neuron_share"), std::string::npos);
-    EXPECT_NE(out.find("hw.model_neuron_sec"), std::string::npos);
-    EXPECT_NE(out.find("# output spikes fired"), std::string::npos);
-    EXPECT_NE(out.find("engine.routing_table_bytes"),
-              std::string::npos);
-    EXPECT_NE(out.find("engine.ring_dense_clears"), std::string::npos);
-    EXPECT_NE(out.find("engine.ring_sparse_clears"),
-              std::string::npos);
-    EXPECT_NE(out.find("engine.ring_cells_cleared"),
-              std::string::npos);
-    EXPECT_NE(out.find("200"), std::string::npos);
+
+    // One `name value  # desc` line per statistic.
+    std::map<std::string, std::string> lines;  // name -> desc
+    std::map<std::string, std::string> values; // name -> value
+    std::istringstream in(out);
+    for (std::string line; std::getline(in, line);) {
+        const size_t hash = line.find("  # ");
+        if (hash == std::string::npos)
+            continue;
+        std::istringstream fields(line.substr(0, hash));
+        std::string name;
+        fields >> name >> values[name];
+        lines[name] = line.substr(hash + 4);
+    }
+
+    // Generated from the registry: every counter, gauge and timer,
+    // with its registry description.
+    telemetry::Registry &metrics = sim.metrics();
+    const telemetry::MetricsSnapshot snap = metrics.snapshot();
+    auto expectLine = [&](const std::string &name,
+                          const std::string &desc) {
+        ASSERT_EQ(lines.count(name), 1u) << name << " not in the dump";
+        EXPECT_FALSE(desc.empty()) << name;
+        EXPECT_EQ(lines[name], desc) << name;
+    };
+    for (const auto &[name, value] : snap.counters)
+        expectLine(name, metrics.counter(name).desc());
+    for (const auto &[name, value] : snap.gauges)
+        expectLine(name, metrics.gauge(name).desc());
+    for (const auto &[name, value] : snap.timers)
+        expectLine(name, metrics.timer(name).desc());
+    EXPECT_EQ(values["sim.steps"], "200");
+    // Then the derived ratios.
+    for (const char *derived :
+         {"sim.rate", "sim.steps_per_sec", "phase.neuron_share",
+          "hw.speedup_vs_host"})
+        EXPECT_EQ(lines.count(derived), 1u) << derived;
 }
 
 TEST(Simulator, ResetClearsLastFired)
@@ -392,9 +418,11 @@ TEST(Simulator, ResetClearsLastFired)
     EXPECT_TRUE(sim.lastFired().empty());
     EXPECT_EQ(sim.router().events(), 0u);
     // And stats survive the reset with the table footprint intact.
-    EXPECT_GT(sim.stats().routingTableBytes, 0u);
-    EXPECT_EQ(sim.stats().ringDenseClears +
-                  sim.stats().ringSparseClears,
+    EXPECT_GT(sim.metrics()
+                  .gauge("snn.connectivity.provider_bytes")
+                  .value(),
+              0.0);
+    EXPECT_EQ(sim.router().denseClears() + sim.router().sparseClears(),
               0u);
 }
 

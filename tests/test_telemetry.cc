@@ -280,17 +280,17 @@ TEST(TelemetrySimulator, ResetReportsIdenticalCounters)
     Simulator sim(inst.network, inst.stimulus, opts);
 
     sim.run(200);
-    const auto first = sim.metrics().counterValues();
+    const auto first = sim.metrics().snapshot().counters;
     const PhaseStats firstStats = sim.stats();
 
     sim.reset();
     // reset() zeroes the registry: a fresh run starts from scratch.
     for (const auto &[name, value] :
-         sim.metrics().counterValues())
+         sim.metrics().snapshot().counters)
         EXPECT_EQ(value, 0u) << name;
 
     sim.run(200);
-    const auto second = sim.metrics().counterValues();
+    const auto second = sim.metrics().snapshot().counters;
     EXPECT_EQ(first, second);
     EXPECT_EQ(firstStats.spikes, sim.stats().spikes);
     EXPECT_EQ(firstStats.synapseEvents,
@@ -338,11 +338,11 @@ TEST(TelemetrySimulator, RunReportIsWellFormed)
     const std::string json = oss.str();
     std::remove(path.c_str());
 
-    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v5\""),
+    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v6\""),
               std::string::npos);
     for (const char *section :
-         {"\"build\"", "\"telemetry\"", "\"config\"", "\"stats\"",
-          "\"pool\"", "\"metrics\"", "\"global_metrics\""})
+         {"\"build\"", "\"telemetry\"", "\"config\"", "\"pool\"",
+          "\"metrics\"", "\"global_metrics\""})
         EXPECT_NE(json.find(section), std::string::npos)
             << section;
     EXPECT_EQ(countOf(json, "{"), countOf(json, "}"));

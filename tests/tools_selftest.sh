@@ -34,9 +34,21 @@ fail() {
 "$TRACE_SUMMARY" trace.json --report run.json > /dev/null \
     || fail "trace_summary cross-check rejected a good pair"
 
-grep -q '"flexon-run-report-v5"' run.json \
-    || fail "report is not schema v5"
+grep -q '"flexon-run-report-v6"' run.json \
+    || fail "report is not schema v6"
 grep -q '"health"' run.json || fail "report lacks a health section"
+
+# --- A restored run: save at step 200, restore, run 100 more. --------
+# The phase timers restart at the restore while the counters continue,
+# so the report's measured step cost must divide by the timed steps.
+"$SIM" --benchmark Vogels-Abbott --scale 1 --steps 200 \
+    --checkpoint-every 200 > ckpt.log 2>&1 \
+    || fail "checkpointing run exited $?"
+"$SIM" --benchmark Vogels-Abbott --scale 1 --restore checkpoint-200.fxc \
+    --steps 100 --report restored.json > restored.log 2>&1 \
+    || fail "restored run exited $?"
+"$CHECK_REPORT" restored.json \
+    || fail "check_report rejected the restored run's report"
 
 # --- Prometheus snapshot shape. -------------------------------------
 grep -q '^# TYPE flexon_export_step gauge$' metrics.prom \
@@ -46,7 +58,7 @@ grep -q '^flexon_export_step{session="Vogels-Abbott",engine=' \
 test -s metrics.prom.jsonl || fail "metrics JSONL history is empty"
 
 # --- Corrupted artifacts must fail non-zero. ------------------------
-sed 's/"flexon-run-report-v5"/"flexon-run-report-v99"/' run.json \
+sed 's/"flexon-run-report-v6"/"flexon-run-report-v99"/' run.json \
     > bad_schema.json
 if "$CHECK_REPORT" bad_schema.json > /dev/null 2>&1; then
     fail "check_report accepted an unknown schema version"
@@ -72,7 +84,7 @@ fi
 python3 -c "
 import json, sys
 d = json.load(open('run.json'))
-d['stats']['neuron_sec'] = d['stats']['neuron_sec'] + 10.0
+d['metrics']['timers']['phase.neuron']['seconds'] += 10.0
 json.dump(d, open('bad_phase.json', 'w'))
 "
 if "$TRACE_SUMMARY" trace.json --report bad_phase.json \

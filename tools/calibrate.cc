@@ -136,7 +136,7 @@ measureDense(size_t neurons, double stimRate, size_t threads,
     g.recordsPerStep =
         static_cast<double>(st.synapseEvents) / steps;
     g.cellsPerStep =
-        static_cast<double>(st.ringCellsCleared) / steps;
+        static_cast<double>(sim.router().cellsCleared()) / steps;
     g.firedPerStep = static_cast<double>(st.spikes) / steps;
     return g;
 }
@@ -148,10 +148,7 @@ measureEvent(size_t neurons, double stimRate,
     Microbench m = makeMicrobench(neurons, stimRate, cfg.seed);
     EventDrivenSimulator sim(m.net, m.stim, SessionOptions{});
     sim.run(cfg.warmup + cfg.steps);
-    // EventDrivenSimulator::stats() is the event-specific view; the
-    // phase breakdown lives on the session base.
-    const PhaseStats &st =
-        static_cast<const SimulationSession &>(sim).stats();
+    const PhaseStats &st = sim.stats();
     const double steps = static_cast<double>(st.steps);
 
     GridPoint g;
