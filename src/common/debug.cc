@@ -1,8 +1,10 @@
 #include "common/debug.hh"
 
+#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -12,53 +14,63 @@ namespace debug {
 
 namespace {
 
-std::set<std::string> &
-flags()
+/** The enabled flag names, seeded from FLEXON_DEBUG on first use. */
+struct Flags
 {
-    static std::set<std::string> set = [] {
-        std::set<std::string> initial;
+    Flags()
+    {
         if (const char *env = std::getenv("FLEXON_DEBUG")) {
             std::istringstream iss(env);
             std::string flag;
             while (std::getline(iss, flag, ','))
                 if (!flag.empty())
-                    initial.insert(flag);
+                    names.insert(flag);
         }
-        return initial;
-    }();
-    return set;
-}
+        any = !names.empty();
+    }
 
-std::mutex &
-mutex()
+    std::mutex mutex;
+    std::set<std::string, std::less<>> names; ///< guarded by mutex
+    /** !names.empty(), kept current under mutex, read without it. */
+    std::atomic<bool> any{false};
+};
+
+Flags &
+flags()
 {
-    static std::mutex m;
-    return m;
+    static Flags instance;
+    return instance;
 }
 
 } // namespace
 
 bool
-enabled(const std::string &flag)
+enabled(std::string_view flag)
 {
-    std::lock_guard<std::mutex> lock(mutex());
-    const auto &set = flags();
-    return set.count(flag) > 0 || set.count("All") > 0;
+    Flags &f = flags();
+    if (!f.any.load())
+        return false;
+    std::lock_guard<std::mutex> lock(f.mutex);
+    return f.names.contains(flag) || f.names.contains("All");
 }
 
 void
 enable(const std::string &flag)
 {
-    std::lock_guard<std::mutex> lock(mutex());
-    flags().insert(flag);
+    Flags &f = flags();
+    std::lock_guard<std::mutex> lock(f.mutex);
+    f.names.insert(flag);
+    f.any = true;
 }
 
 void
 disable(const std::string &flag)
 {
-    std::lock_guard<std::mutex> lock(mutex());
-    flags().erase(flag);
-    flags().erase("All");
+    Flags &f = flags();
+    std::lock_guard<std::mutex> lock(f.mutex);
+    f.names.erase(flag);
+    f.names.erase("All");
+    f.any = !f.names.empty();
 }
 
 void

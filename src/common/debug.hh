@@ -7,14 +7,16 @@
  *
  * Tracing is for humans chasing a bug, not for programs: output goes
  * to stderr and the format is free-form. Hot paths guard with
- * FLEXON_DPRINTF's flag check, which is a single hash-set probe the
- * first time and a cached boolean afterwards.
+ * FLEXON_DPRINTF's flag check, which reads one atomic boolean and
+ * returns while no flag is set; only with a flag set does it lock and
+ * look the name up.
  */
 
 #ifndef FLEXON_COMMON_DEBUG_HH
 #define FLEXON_COMMON_DEBUG_HH
 
 #include <string>
+#include <string_view>
 
 namespace flexon {
 namespace debug {
@@ -24,7 +26,7 @@ namespace debug {
  * lazily) plus any flags force-enabled through enable(). The special
  * value `All` enables everything.
  */
-bool enabled(const std::string &flag);
+bool enabled(std::string_view flag);
 
 /** Force-enable / disable a flag at runtime (tests, tools). */
 void enable(const std::string &flag);

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 
 namespace flexon {
 
@@ -108,16 +109,21 @@ class FixedPoint
      * Saturating multiplication; the double-width product is shifted
      * right arithmetically (truncation toward negative infinity), as a
      * hardware multiplier followed by a fixed shifter would behave.
+     * Raw values of a format up to 32 bits are at most 2^31 in
+     * magnitude, so their product (at most 2^62) fits an int64_t;
+     * wider formats form it in 128 bits.
      */
     friend constexpr FixedPoint
     operator*(FixedPoint a, FixedPoint b)
     {
-        const __int128 prod =
-            static_cast<__int128>(a.raw_) * static_cast<__int128>(b.raw_);
-        const __int128 shifted = prod >> FracBits;
-        if (shifted > static_cast<__int128>(rawMax))
+        using Wide =
+            std::conditional_t<(totalBits <= 32), int64_t, __int128>;
+        const Wide shifted =
+            (static_cast<Wide>(a.raw_) * static_cast<Wide>(b.raw_)) >>
+            FracBits;
+        if (shifted > static_cast<Wide>(rawMax))
             return fromRaw(rawMax);
-        if (shifted < static_cast<__int128>(rawMin))
+        if (shifted < static_cast<Wide>(rawMin))
             return fromRaw(rawMin);
         return fromRaw(static_cast<int64_t>(shifted));
     }

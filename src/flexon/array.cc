@@ -149,16 +149,40 @@ FlexonArray::step(std::span<const double> input,
     stepImpl(input.data(), fired);
 }
 
-FlexonNeuronView
-FlexonArray::neuron(size_t idx) const
+std::pair<size_t, size_t>
+FlexonArray::locate(size_t idx) const
 {
     flexon_assert(idx < numNeurons_);
     for (size_t p = 0; p < populations_.size(); ++p) {
         const PopulationInfo &pop = populations_[p];
         if (idx < pop.base + pop.count)
-            return {pop.config, state_[p], idx - pop.base};
+            return {p, idx - pop.base};
     }
     panic("neuron index %zu outside every population", idx);
+}
+
+FlexonNeuronView
+FlexonArray::neuron(size_t idx) const
+{
+    const auto [p, i] = locate(idx);
+    return {populations_[p].config, state_[p], i};
+}
+
+void
+FlexonArray::setNeuron(size_t idx, const FlexonState &state,
+                       Fix preResetV)
+{
+    const auto [p, i] = locate(idx);
+    PopulationSoA &soa = state_[p];
+    soa.v[i] = state.v;
+    soa.w[i] = state.w;
+    soa.r[i] = state.r;
+    soa.cnt[i] = state.cnt;
+    soa.preResetV[i] = preResetV;
+    for (size_t t = 0; t < soa.synStride; ++t) {
+        soa.y[i * soa.synStride + t] = state.y[t];
+        soa.g[i * soa.synStride + t] = state.g[t];
+    }
 }
 
 bool

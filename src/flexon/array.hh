@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.hh"
@@ -103,6 +104,13 @@ class FlexonArray
     /** Read-only view of one neuron's state (probes and tests). */
     FlexonNeuronView neuron(size_t idx) const;
 
+    /**
+     * Overwrite one neuron's state and preResetV (checkpoint
+     * restore): the inverse of neuron(idx) over the population's
+     * synapse types.
+     */
+    void setNeuron(size_t idx, const FlexonState &state, Fix preResetV);
+
     /** Population base index and size. */
     struct PopulationInfo
     {
@@ -131,6 +139,9 @@ class FlexonArray
     void loadState(std::istream &is);
 
   private:
+    /** (population, index within it) of global neuron idx. */
+    std::pair<size_t, size_t> locate(size_t idx) const;
+
     template <typename InputT>
     void stepImpl(const InputT *input, std::vector<uint8_t> &fired);
 

@@ -5,31 +5,28 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
+#include "folded/program.hh"
 
 namespace flexon {
 
 FoldedFlexonArray::FoldedFlexonArray(size_t width, double clockHz)
-    : width_(width), clockHz_(clockHz)
+    : neurons_(width, clockHz)
 {
-    flexon_assert(width > 0);
-    flexon_assert(clockHz > 0.0);
 }
 
 size_t
 FoldedFlexonArray::addPopulation(const FlexonConfig &config,
                                  size_t count)
 {
-    flexon_assert(count > 0);
-    MicrocodeProgram program = buildProgram(config);
-    populations_.push_back(
-        {neurons_.size(), count, config, program.length()});
+    const size_t id = neurons_.addPopulation(config, count);
+    const MicrocodeProgram program = buildProgram(config);
+    const std::string err = program.validate(config.numSynapseTypes);
+    if (!err.empty())
+        fatal("invalid microcode program: %s", err.c_str());
+    programLength_.push_back(program.length());
     signalsPerStep_ +=
         static_cast<uint64_t>(count) * program.length();
-    neurons_.reserve(neurons_.size() + count);
-    for (size_t i = 0; i < count; ++i)
-        neurons_.emplace_back(config, program);
-    return populations_.size() - 1;
+    return id;
 }
 
 uint64_t
@@ -38,71 +35,55 @@ FoldedFlexonArray::cyclesPerStep() const
     // Stage 1 is occupied program-length cycles per neuron in a lane;
     // neurons pipeline back to back and the last drains one stage-2
     // cycle.
+    const auto &pops = neurons_.populations();
     uint64_t cycles = 0;
-    for (const auto &pop : populations_) {
-        const uint64_t rounds = (pop.count + width_ - 1) / width_;
-        cycles += rounds * pop.programLength;
+    for (size_t p = 0; p < pops.size(); ++p) {
+        const uint64_t rounds = (pops[p].count + width() - 1) / width();
+        cycles += rounds * programLength_[p];
     }
-    return cycles + (populations_.empty() ? 0 : 1);
+    return cycles + (pops.empty() ? 0 : 1);
+}
+
+void
+FoldedFlexonArray::tick()
+{
+    // Every neuron executes its population's full program each step,
+    // so the control-signal tally is a precomputed per-step constant.
+    controlSignals_ += signalsPerStep_;
+    cycles_ += cyclesPerStep();
 }
 
 void
 FoldedFlexonArray::step(std::span<const Fix> input,
                         std::vector<uint8_t> &fired)
 {
-    flexon_assert(input.size() >= neurons_.size() * maxSynapseTypes);
-    fired.resize(neurons_.size());
-    uint8_t *const flags = fired.data();
-    ThreadPool::global().parallelFor(
-        neurons_.size(), hostThreads_,
-        [&](size_t, size_t begin, size_t end) {
-            for (size_t i = begin; i < end; ++i) {
-                flags[i] = neurons_[i].step(input.subspan(
-                    i * maxSynapseTypes, maxSynapseTypes));
-            }
-        });
-    // Every neuron executes its population's full program each step,
-    // so the control-signal tally is a precomputed per-step constant
-    // (also keeps the accounting off the parallel lanes).
-    controlSignals_ += signalsPerStep_;
-    cycles_ += cyclesPerStep();
-}
-
-const FoldedFlexonNeuron &
-FoldedFlexonArray::neuron(size_t idx) const
-{
-    flexon_assert(idx < neurons_.size());
-    return neurons_[idx];
-}
-
-FoldedFlexonNeuron &
-FoldedFlexonArray::neuron(size_t idx)
-{
-    flexon_assert(idx < neurons_.size());
-    return neurons_[idx];
+    neurons_.step(input, fired);
+    tick();
 }
 
 void
-FoldedFlexonArray::resetState()
+FoldedFlexonArray::step(std::span<const double> input,
+                        std::vector<uint8_t> &fired)
 {
-    for (auto &n : neurons_)
-        n.reset();
+    neurons_.step(input, fired);
+    tick();
 }
 
 void
 FoldedFlexonArray::saveState(std::ostream &os) const
 {
-    os << "folded-array " << neurons_.size() << ' ' << cycles_ << ' '
+    os << "folded-array " << numNeurons() << ' ' << cycles_ << ' '
        << controlSignals_ << '\n';
-    for (const FoldedFlexonNeuron &n : neurons_) {
-        const FlexonState &s = n.state();
+    for (size_t n = 0; n < numNeurons(); ++n) {
+        const FlexonNeuronView neuron = neurons_.neuron(n);
+        const FlexonState s = neuron.state();
         os << s.v.raw();
         for (const Fix y : s.y)
             os << ' ' << y.raw();
         for (const Fix g : s.g)
             os << ' ' << g.raw();
         os << ' ' << s.w.raw() << ' ' << s.r.raw() << ' ' << s.cnt
-           << ' ' << n.preResetV().raw() << '\n';
+           << ' ' << neuron.preResetV().raw() << '\n';
     }
 }
 
@@ -112,17 +93,17 @@ FoldedFlexonArray::loadState(std::istream &is)
     std::string tag;
     size_t count = 0;
     is >> tag >> count >> cycles_ >> controlSignals_;
-    if (tag != "folded-array" || !is || count != neurons_.size())
+    if (tag != "folded-array" || !is || count != numNeurons())
         fatal("checkpoint folded-array shape mismatch (expected %zu "
               "neurons)",
-              neurons_.size());
+              numNeurons());
     auto readFix = [&is]() {
         int64_t raw = 0;
         is >> raw;
         return Fix::fromRaw(raw);
     };
-    for (FoldedFlexonNeuron &n : neurons_) {
-        FlexonState &s = n.state();
+    for (size_t n = 0; n < count; ++n) {
+        FlexonState s;
         s.v = readFix();
         for (Fix &y : s.y)
             y = readFix();
@@ -131,7 +112,16 @@ FoldedFlexonArray::loadState(std::istream &is)
         s.w = readFix();
         s.r = readFix();
         is >> s.cnt;
-        n.setPreResetV(readFix());
+        const Fix preResetV = readFix();
+        // Synapse types a population does not have hold no state.
+        const size_t types = neurons_.neuron(n).config().numSynapseTypes;
+        for (size_t t = types; t < maxSynapseTypes; ++t) {
+            if (s.y[t] != Fix::zero() || s.g[t] != Fix::zero())
+                fatal("checkpoint folded-array neuron %zu has state "
+                      "for synapse type %zu of %zu",
+                      n, t, types);
+        }
+        neurons_.setNeuron(n, s, preResetV);
     }
     if (!is)
         fatal("truncated folded-array state in checkpoint");

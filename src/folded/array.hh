@@ -9,6 +9,13 @@
  * neuron, and the final neuron drains one extra stage-2 cycle, so one
  * simulation time step costs sum over populations of
  * ceil(count / width) * L, plus 1.
+ *
+ * The folded datapath computes exactly what the baseline Flexon
+ * computes, only on a different schedule (Section V). So the array's
+ * neuron state is a FlexonArray, stepped by the shared per-population
+ * batch kernels (flexon/kernel.hh); the microcode only sets the
+ * timing model. FoldedFlexonNeuron executes the microcode; it is the
+ * oracle the kernels are tested against.
  */
 
 #ifndef FLEXON_FOLDED_ARRAY_HH
@@ -19,7 +26,7 @@
 #include <span>
 #include <vector>
 
-#include "folded/neuron.hh"
+#include "flexon/array.hh"
 
 namespace flexon {
 
@@ -35,17 +42,19 @@ class FoldedFlexonArray
                                double clockHz = defaultClockHz);
 
     /**
-     * Add `count` neurons sharing one configuration; the microcode is
-     * built once and shared by the population.
+     * Add `count` neurons sharing one configuration; its microcode is
+     * built and validated once, for the population's program length.
      */
     size_t addPopulation(const FlexonConfig &config, size_t count);
 
-    size_t numNeurons() const { return neurons_.size(); }
-    size_t width() const { return width_; }
-    double clockHz() const { return clockHz_; }
+    size_t numNeurons() const { return neurons_.numNeurons(); }
+    size_t width() const { return neurons_.width(); }
+    double clockHz() const { return neurons_.clockHz(); }
 
     /** Simulate one SNN time step (same contract as FlexonArray). */
     void step(std::span<const Fix> input, std::vector<uint8_t> &fired);
+    void step(std::span<const double> input,
+              std::vector<uint8_t> &fired);
 
     /**
      * Host worker threads for the functional neuron loop; the
@@ -53,14 +62,14 @@ class FoldedFlexonArray
      */
     void setHostThreads(size_t threads)
     {
-        hostThreads_ = threads == 0 ? 1 : threads;
+        neurons_.setHostThreads(threads);
     }
-    size_t hostThreads() const { return hostThreads_; }
+    size_t hostThreads() const { return neurons_.hostThreads(); }
 
     uint64_t cycles() const { return cycles_; }
     double seconds() const
     {
-        return static_cast<double>(cycles_) / clockHz_;
+        return static_cast<double>(cycles_) / clockHz();
     }
 
     /** Cycles one time step costs for the current occupancy. */
@@ -69,39 +78,37 @@ class FoldedFlexonArray
     /** Total control signals executed so far (for energy modelling). */
     uint64_t controlSignals() const { return controlSignals_; }
 
-    const FoldedFlexonNeuron &neuron(size_t idx) const;
-    FoldedFlexonNeuron &neuron(size_t idx);
-
-    struct PopulationInfo
+    /** Read-only view of one neuron's state (probes and tests). */
+    FlexonNeuronView neuron(size_t idx) const
     {
-        size_t base;
-        size_t count;
-        FlexonConfig config;
-        size_t programLength;
-    };
-    const std::vector<PopulationInfo> &populations() const
-    {
-        return populations_;
+        return neurons_.neuron(idx);
     }
 
-    void resetState();
+    void resetState() { neurons_.resetState(); }
     void resetCycles() { cycles_ = 0; controlSignals_ = 0; }
 
     /**
      * Checkpoint the array's dynamic state: cycle / control-signal
-     * counters and every neuron's FlexonState, Fix values as raw
-     * fixed-point integers (exact by construction). loadState
-     * fatal()s when the recorded neuron count does not match.
+     * counters and, one line per neuron, its FlexonState and
+     * preResetV, Fix values as raw fixed-point integers (exact by
+     * construction). loadState fatal()s when the recorded neuron
+     * count does not match, or a neuron holds state for a synapse
+     * type its population does not have.
      */
     void saveState(std::ostream &os) const;
     void loadState(std::istream &is);
 
   private:
-    size_t width_;
-    double clockHz_;
-    size_t hostThreads_ = 1;
-    std::vector<FoldedFlexonNeuron> neurons_;
-    std::vector<PopulationInfo> populations_;
+    /** Account one time step on the modelled hardware. */
+    void tick();
+
+    /**
+     * Neuron state and populations; also holds this array's width
+     * and clock. Its own single-cycle cycle count goes unused.
+     */
+    FlexonArray neurons_;
+    /** Control signals of each population's program. */
+    std::vector<size_t> programLength_;
     uint64_t cycles_ = 0;
     uint64_t controlSignals_ = 0;
     /** Sum over populations of count * programLength. */

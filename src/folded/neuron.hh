@@ -56,9 +56,6 @@ class FoldedFlexonNeuron
     /** The v' value of the last step before any firing reset. */
     Fix preResetV() const { return preResetV_; }
 
-    /** Overwrite the recorded pre-reset v (checkpoint restore). */
-    void setPreResetV(Fix v) { preResetV_ = v; }
-
     /** Pipeline latency of one neuron evaluation, in cycles. */
     size_t latencyCycles() const { return program_.latencyCycles(); }
 

@@ -45,42 +45,6 @@ NeuronBackend::healthProbe(size_t begin, size_t end,
 namespace {
 
 /**
- * Scale one accumulated input exactly like FlexonConfig::scaleWeight
- * (bit-identical product), but report when either the double->Fix
- * conversion or the scaled product pins at a representation rail.
- * The intermediate matters: an inputScale <= 1 can shrink a railed
- * conversion back inside the range, hiding the clip from any check
- * on the product alone.
- */
-inline Fix
-scaleWeightChecked(const FlexonConfig &c, double in)
-{
-    const Fix w = Fix::fromDouble(in);
-    const Fix f = w * c.inputScale;
-    if (w.raw() == Fix::rawMax || w.raw() == Fix::rawMin ||
-        f.raw() == Fix::rawMax || f.raw() == Fix::rawMin)
-        health::noteFixSaturation();
-    return f;
-}
-
-/** Rail check shared by the fixed-point backends' health probes. */
-template <typename Array>
-void
-probeFixArray(const Array &array, size_t begin, size_t end,
-              health::HealthScan &scan)
-{
-    for (size_t n = begin; n < end; ++n) {
-        ++scan.checked;
-        const int64_t raw = array.neuron(n).state().v.raw();
-        if (raw == Fix::rawMax || raw == Fix::rawMin) {
-            ++scan.saturated;
-            if (scan.firstBad < 0)
-                scan.firstBad = static_cast<int64_t>(n);
-        }
-    }
-}
-
-/**
  * Software backend. Discrete mode runs one ReferenceBatch per
  * population (shared parameters, SoA state — see
  * models/reference_batch.hh); continuous mode keeps per-neuron
@@ -332,94 +296,18 @@ class ReferenceBackend : public NeuronBackend
 };
 
 /**
- * Input conversion for the folded hardware backend: reference-unit
- * accumulated weights scaled into the hardware convention (epsilon_m
- * pre-scaling, CUB merging all synapse types into one signed input).
- * One configuration is stored per population — not per neuron — and
- * all-zero slots skip the double->Fix conversion (bit-exact:
- * scaleWeight(0.0) == Fix::zero()).
- *
- * The baseline Flexon backend no longer uses this: its batch kernels
- * fuse the scaling into the neuron step (flexon/kernel.hh).
+ * Fixed-point array backend: the baseline Flexon array or the
+ * spatially folded one. Input scaling is fused into the arrays'
+ * per-population batch kernels, so the reference-unit input goes
+ * straight to the array.
  */
-class HardwareInputScaler
+template <typename Array>
+class FixArrayBackend : public NeuronBackend
 {
   public:
-    explicit HardwareInputScaler(const Network &network)
-    {
-        size_t base = 0;
-        for (size_t p = 0; p < network.numPopulations(); ++p) {
-            const Population &pop = network.population(p);
-            pops_.push_back(
-                {base, pop.count,
-                 FlexonConfig::fromParams(pop.params)});
-            base += pop.count;
-        }
-        scaled_.resize(base * maxSynapseTypes, Fix::zero());
-    }
-
-    std::span<const Fix>
-    scale(std::span<const double> input)
-    {
-        for (const PopulationSlice &pop : pops_) {
-            const FlexonConfig &c = pop.config;
-            const bool cub = c.features.has(Feature::CUB);
-            for (size_t i = pop.base; i < pop.base + pop.count; ++i) {
-                const size_t base = i * maxSynapseTypes;
-                if (cub) {
-                    double sum = 0.0;
-                    for (size_t s = 0; s < maxSynapseTypes; ++s)
-                        sum += input[base + s];
-                    scaled_[base] = sum == 0.0
-                                        ? Fix::zero()
-                                        : scaleWeightChecked(c, sum);
-                    for (size_t s = 1; s < maxSynapseTypes; ++s)
-                        scaled_[base + s] = Fix::zero();
-                } else {
-                    for (size_t s = 0; s < maxSynapseTypes; ++s) {
-                        const double in = input[base + s];
-                        scaled_[base + s] =
-                            in == 0.0 ? Fix::zero()
-                                      : scaleWeightChecked(c, in);
-                    }
-                }
-            }
-        }
-        return scaled_;
-    }
-
-    const FlexonConfig &
-    config(size_t neuron) const
-    {
-        for (const PopulationSlice &pop : pops_) {
-            if (neuron < pop.base + pop.count)
-                return pop.config;
-        }
-        panic("neuron index %zu outside every population", neuron);
-    }
-
-  private:
-    struct PopulationSlice
-    {
-        size_t base;
-        size_t count;
-        FlexonConfig config;
-    };
-    std::vector<PopulationSlice> pops_;
-    std::vector<Fix> scaled_;
-};
-
-/**
- * Baseline Flexon array backend. Input scaling is fused into the
- * array's per-population batch kernels, so the reference-unit input
- * goes straight to the array.
- */
-class FlexonBackend : public NeuronBackend
-{
-  public:
-    FlexonBackend(const Network &network, size_t width,
-                  double clock_hz, size_t threads)
-        : array_(width, clock_hz)
+    FixArrayBackend(const char *name, const Network &network,
+                    size_t width, double clock_hz, size_t threads)
+        : name_(name), array_(width, clock_hz)
     {
         array_.setHostThreads(threads);
         for (size_t p = 0; p < network.numPopulations(); ++p) {
@@ -429,7 +317,7 @@ class FlexonBackend : public NeuronBackend
         }
     }
 
-    const char *name() const override { return "flexon"; }
+    const char *name() const override { return name_; }
 
     void
     step(std::span<const double> input,
@@ -456,7 +344,7 @@ class FlexonBackend : public NeuronBackend
     void
     saveState(std::ostream &os) const override
     {
-        os << "backend flexon\n";
+        os << "backend " << name_ << '\n';
         array_.saveState(os);
     }
 
@@ -465,94 +353,31 @@ class FlexonBackend : public NeuronBackend
     {
         std::string tag, name;
         is >> tag >> name;
-        if (tag != "backend" || name != "flexon" || !is)
-            fatal("checkpoint backend state is not a flexon backend");
+        if (tag != "backend" || name != name_ || !is)
+            fatal("checkpoint backend state is not a %s backend",
+                  name_);
         array_.loadState(is);
     }
 
+    /** Rail check of the stored fixed-point membranes. */
     void
     healthProbe(size_t begin, size_t end,
                 health::HealthScan &scan) const override
     {
-        probeFixArray(array_, begin, end, scan);
-    }
-
-    FlexonArray &array() { return array_; }
-
-  private:
-    FlexonArray array_;
-};
-
-/** Spatially folded Flexon array backend. */
-class FoldedBackend : public NeuronBackend
-{
-  public:
-    FoldedBackend(const Network &network, size_t width,
-                  double clock_hz, size_t threads)
-        : array_(width, clock_hz), scaler_(network)
-    {
-        array_.setHostThreads(threads);
-        for (size_t p = 0; p < network.numPopulations(); ++p) {
-            const Population &pop = network.population(p);
-            array_.addPopulation(FlexonConfig::fromParams(pop.params),
-                                 pop.count);
+        for (size_t n = begin; n < end; ++n) {
+            ++scan.checked;
+            const int64_t raw = array_.neuron(n).state().v.raw();
+            if (raw == Fix::rawMax || raw == Fix::rawMin) {
+                ++scan.saturated;
+                if (scan.firstBad < 0)
+                    scan.firstBad = static_cast<int64_t>(n);
+            }
         }
     }
 
-    const char *name() const override { return "folded-flexon"; }
-
-    void
-    step(std::span<const double> input,
-         std::vector<uint8_t> &fired) override
-    {
-        array_.step(scaler_.scale(input), fired);
-    }
-
-    void reset() override { array_.resetState(); }
-
-    double
-    modelSecondsPerStep() const override
-    {
-        return static_cast<double>(array_.cyclesPerStep()) /
-               array_.clockHz();
-    }
-
-    double
-    membrane(size_t neuron) const override
-    {
-        return array_.neuron(neuron).state().v.toDouble();
-    }
-
-    void
-    saveState(std::ostream &os) const override
-    {
-        os << "backend folded-flexon\n";
-        array_.saveState(os);
-    }
-
-    void
-    loadState(std::istream &is) override
-    {
-        std::string tag, name;
-        is >> tag >> name;
-        if (tag != "backend" || name != "folded-flexon" || !is)
-            fatal("checkpoint backend state is not a folded-flexon "
-                  "backend");
-        array_.loadState(is);
-    }
-
-    void
-    healthProbe(size_t begin, size_t end,
-                health::HealthScan &scan) const override
-    {
-        probeFixArray(array_, begin, end, scan);
-    }
-
-    FoldedFlexonArray &array() { return array_; }
-
   private:
-    FoldedFlexonArray array_;
-    HardwareInputScaler scaler_;
+    const char *name_;
+    Array array_;
 };
 
 } // namespace
@@ -569,16 +394,16 @@ std::unique_ptr<NeuronBackend>
 makeFlexonBackend(const Network &network, size_t width,
                   double clock_hz, size_t threads)
 {
-    return std::make_unique<FlexonBackend>(network, width, clock_hz,
-                                           threads);
+    return std::make_unique<FixArrayBackend<FlexonArray>>(
+        "flexon", network, width, clock_hz, threads);
 }
 
 std::unique_ptr<NeuronBackend>
 makeFoldedBackend(const Network &network, size_t width,
                   double clock_hz, size_t threads)
 {
-    return std::make_unique<FoldedBackend>(network, width, clock_hz,
-                                           threads);
+    return std::make_unique<FixArrayBackend<FoldedFlexonArray>>(
+        "folded-flexon", network, width, clock_hz, threads);
 }
 
 std::unique_ptr<NeuronBackend>

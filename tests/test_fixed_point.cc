@@ -130,6 +130,58 @@ TEST(FixedPoint, PropertyMultiplicationMatchesDouble)
     }
 }
 
+/**
+ * Independent model of the Q10.22 product: the exact 128-bit
+ * product, divided by 2^22 rounding toward negative infinity, then
+ * clamped to the raw range.
+ */
+int64_t
+wideProductRaw(int64_t a, int64_t b)
+{
+    const __int128 prod = static_cast<__int128>(a) * b;
+    const __int128 scale = __int128(1) << Fix::fracBits;
+    __int128 quot = prod / scale;
+    if (prod % scale != 0 && prod < 0)
+        --quot;
+    if (quot > Fix::rawMax)
+        return Fix::rawMax;
+    if (quot < Fix::rawMin)
+        return Fix::rawMin;
+    return static_cast<int64_t>(quot);
+}
+
+TEST(FixedPoint, ProductMatchesWideModelAtRails)
+{
+    const int64_t corners[] = {
+        Fix::rawMin, Fix::rawMin + 1, -Fix::rawOne, -1, 0,
+        1,           Fix::rawOne,     Fix::rawMax - 1, Fix::rawMax};
+    for (const int64_t a : corners) {
+        for (const int64_t b : corners) {
+            EXPECT_EQ((Fix::fromRaw(a) * Fix::fromRaw(b)).raw(),
+                      wideProductRaw(a, b))
+                << a << " * " << b;
+        }
+    }
+}
+
+TEST(FixedPoint, ProductMatchesWideModelOnRandomPairs)
+{
+    // Raw values over the whole 32-bit range, each shifted down by a
+    // random amount so small and unsaturated products are common too.
+    Rng rng(109);
+    auto randomRaw = [&rng]() {
+        const auto raw = static_cast<int32_t>(rng.next());
+        return static_cast<int64_t>(raw >> rng.uniformInt(32));
+    };
+    for (int i = 0; i < 1'000'000; ++i) {
+        const int64_t a = randomRaw();
+        const int64_t b = randomRaw();
+        ASSERT_EQ((Fix::fromRaw(a) * Fix::fromRaw(b)).raw(),
+                  wideProductRaw(a, b))
+            << a << " * " << b;
+    }
+}
+
 TEST(TruncateMembrane, ClampsToUnitInterval)
 {
     EXPECT_EQ(truncateMembrane(Fix::fromDouble(-0.5)), Fix::zero());

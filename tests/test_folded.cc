@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -275,6 +277,41 @@ TEST(FoldedArrayTiming, MixedPopulations)
     array.addPopulation(configFor(ModelKind::LIF), 72);   // 1 op
     array.addPopulation(configFor(ModelKind::AdEx), 72);  // 11 ops
     EXPECT_EQ(array.cyclesPerStep(), 1u + 11u + 1u);
+}
+
+TEST(FoldedArrayCheckpoint, RoundTripsAndRejectsAbsentSynapseTypes)
+{
+    const FlexonConfig config = configFor(ModelKind::Izhikevich);
+    ASSERT_LT(config.numSynapseTypes, maxSynapseTypes);
+    FoldedFlexonArray array(72, 500.0e6);
+    array.addPopulation(config, 3);
+    std::vector<Fix> input(3 * maxSynapseTypes, Fix::zero());
+    for (size_t n = 0; n < 3; ++n)
+        input[n * maxSynapseTypes] = config.scaleWeight(0.5);
+    std::vector<uint8_t> fired;
+    for (int t = 0; t < 40; ++t)
+        array.step(input, fired);
+    std::ostringstream saved;
+    array.saveState(saved);
+
+    FoldedFlexonArray restored(72, 500.0e6);
+    restored.addPopulation(config, 3);
+    std::istringstream in(saved.str());
+    restored.loadState(in);
+    std::ostringstream resaved;
+    restored.saveState(resaved);
+    EXPECT_EQ(resaved.str(), saved.str());
+
+    // A neuron line is v, y[4], g[4], w, r, cnt, preResetV: give the
+    // first neuron a y value for a synapse type its population lacks.
+    std::string text = saved.str();
+    size_t pos = text.find('\n') + 1;
+    for (size_t field = 0; field <= config.numSynapseTypes; ++field)
+        pos = text.find(' ', pos) + 1;
+    text.replace(pos, text.find(' ', pos) - pos, "1");
+    std::istringstream bad(text);
+    EXPECT_EXIT(restored.loadState(bad), ::testing::ExitedWithCode(1),
+                "synapse type");
 }
 
 TEST(ArrayEquivalence, ArraysMatchSingleNeurons)

@@ -145,15 +145,19 @@ TEST(HealthDetector, NanPoisonIsDetectedInReferenceBackend)
 TEST(HealthDetector, FixSaturationStormIsAttributed)
 {
     // Stimulus far beyond the Fix<10,22> range rails the fused
-    // double->Fix conversion in the flexon kernels every step.
-    LlifSetup s = llifNetwork(40, 0.5, 13, 1.0e6f);
-    SimulatorOptions opts;
-    opts.backend = BackendKind::Flexon;
-    opts.health.samplePeriod = 1;
-    Simulator sim(s.net, s.stim, opts);
-    sim.run(32);
-    EXPECT_GT(sim.healthCounters().saturationEvents, 0u);
-    EXPECT_GT(sim.healthCounters().saturationHits, 0u);
+    // double->Fix conversion in the kernels both fixed-point arrays
+    // step on, every step.
+    for (BackendKind backend : {BackendKind::Flexon, BackendKind::Folded}) {
+        SCOPED_TRACE(backendName(backend));
+        LlifSetup s = llifNetwork(40, 0.5, 13, 1.0e6f);
+        SimulatorOptions opts;
+        opts.backend = backend;
+        opts.health.samplePeriod = 1;
+        Simulator sim(s.net, s.stim, opts);
+        sim.run(32);
+        EXPECT_GT(sim.healthCounters().saturationEvents, 0u);
+        EXPECT_GT(sim.healthCounters().saturationHits, 0u);
+    }
 }
 
 TEST(HealthDetector, RateExplosionAndSilenceTrip)

@@ -12,11 +12,17 @@
  * merging all synapse-type slots into one signed input) and fed to
  * FlexonNeuron::step. Spikes, post-step membrane potentials, and
  * preResetV are compared raw-bit for raw-bit on every step.
+ *
+ * The folded array steps on the same kernels, so each case also runs
+ * a FoldedFlexonArray against one FoldedFlexonNeuron per neuron: the
+ * microcode the array's timing model counts but does not execute.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -24,6 +30,8 @@
 #include "flexon/array.hh"
 #include "flexon/config.hh"
 #include "flexon/neuron.hh"
+#include "folded/array.hh"
+#include "folded/neuron.hh"
 #include "models/reference_batch.hh"
 #include "models/reference_neuron.hh"
 
@@ -80,9 +88,9 @@ makeInput(Rng &rng, size_t n)
 }
 
 /**
- * Pre-scale one neuron's input row exactly as the pre-kernel
- * HardwareInputScaler did: CUB merges all slots into one signed
- * input; otherwise each slot is scaled independently.
+ * Pre-scale one neuron's input row in the hardware convention: CUB
+ * merges all slots into one signed input; otherwise each slot is
+ * scaled independently.
  */
 std::array<Fix, maxSynapseTypes>
 scaleRow(const FlexonConfig &c, const double *row)
@@ -101,9 +109,34 @@ scaleRow(const FlexonConfig &c, const double *row)
 }
 
 /**
+ * The `folded-array` checkpoint text of neurons in the per-neuron
+ * layout: v, y[4], g[4], w, r, cnt, preResetV, raw integers.
+ */
+std::string
+foldedArrayText(const std::vector<FoldedFlexonNeuron> &neurons,
+                uint64_t cycles, uint64_t controlSignals)
+{
+    std::ostringstream os;
+    os << "folded-array " << neurons.size() << ' ' << cycles << ' '
+       << controlSignals << '\n';
+    for (const FoldedFlexonNeuron &n : neurons) {
+        const FlexonState &s = n.state();
+        os << s.v.raw();
+        for (const Fix y : s.y)
+            os << ' ' << y.raw();
+        for (const Fix g : s.g)
+            os << ' ' << g.raw();
+        os << ' ' << s.w.raw() << ' ' << s.r.raw() << ' ' << s.cnt
+           << ' ' << n.preResetV().raw() << '\n';
+    }
+    return os.str();
+}
+
+/**
  * Run `kSteps` of one population through the scalar neurons, the
- * fused double-input kernel path, and the legacy pre-scaled Fix
- * path, asserting bit-identical spikes / v / preResetV throughout.
+ * fused double-input kernel path, the legacy pre-scaled Fix path and
+ * the folded array, asserting bit-identical spikes / v / preResetV
+ * throughout, and the folded array against its microcode oracle.
  */
 void
 expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
@@ -124,8 +157,13 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
     scaled.setHostThreads(threads);
     scaled.addPopulation(config, n);
 
+    std::vector<FoldedFlexonNeuron> oracle(n, FoldedFlexonNeuron(config));
+    FoldedFlexonArray folded(/*width=*/5);
+    folded.setHostThreads(threads);
+    folded.addPopulation(config, n);
+
     Rng rng(0x5eed + threads * 0); // same stimulus at every thread count
-    std::vector<uint8_t> firedFused, firedScaled;
+    std::vector<uint8_t> firedFused, firedScaled, firedFolded;
     std::vector<Fix> scaledInput(n * maxSynapseTypes);
 
     size_t spikes = 0;
@@ -141,12 +179,24 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
 
         fused.step(std::span<const double>(input), firedFused);
         scaled.step(std::span<const Fix>(scaledInput), firedScaled);
+        folded.step(std::span<const double>(input), firedFolded);
 
         for (size_t i = 0; i < n; ++i) {
-            const bool expect = scalar[i].step(std::span<const Fix>(
+            const std::span<const Fix> row(
                 scaledInput.data() + i * maxSynapseTypes,
-                maxSynapseTypes));
+                maxSynapseTypes);
+            const bool expect = scalar[i].step(row);
             spikes += expect;
+            ASSERT_EQ(oracle[i].step(row), expect)
+                << "step " << step << " neuron " << i << " (microcode)";
+            ASSERT_EQ(firedFolded[i] != 0, expect)
+                << "step " << step << " neuron " << i << " (folded)";
+            ASSERT_EQ(folded.neuron(i).state().v.raw(),
+                      oracle[i].state().v.raw())
+                << "step " << step << " neuron " << i << " (folded)";
+            ASSERT_EQ(folded.neuron(i).preResetV().raw(),
+                      oracle[i].preResetV().raw())
+                << "step " << step << " neuron " << i << " (folded)";
             ASSERT_EQ(firedFused[i] != 0, expect)
                 << "step " << step << " neuron " << i << " (fused)";
             ASSERT_EQ(firedScaled[i] != 0, expect)
@@ -169,6 +219,14 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
     // The stimulus must actually drive activity, or the comparison
     // proves nothing.
     EXPECT_GT(spikes, 0u);
+
+    const uint64_t programLength = buildProgram(config).length();
+    EXPECT_EQ(folded.controlSignals(), kSteps * n * programLength);
+    std::ostringstream saved;
+    folded.saveState(saved);
+    EXPECT_EQ(saved.str(),
+              foldedArrayText(oracle, kSteps * folded.cyclesPerStep(),
+                              kSteps * n * programLength));
 }
 
 const std::array<size_t, 3> kThreadCounts = {1, 3, 4};
