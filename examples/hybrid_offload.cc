@@ -112,18 +112,15 @@ main()
         Rng drive_rng(77);
         std::vector<HHNeuron> hh(hh_count);
         std::vector<double> hh_current(hh_count, 0.0);
-        std::vector<Fix> input(adex_count * maxSynapseTypes,
-                               Fix::zero());
+        std::vector<double> input(adex_count * maxSynapseTypes, 0.0);
         std::vector<uint8_t> fired;
 
         for (int t = 0; t < steps; ++t) {
             for (size_t i = 0; i < adex_count; ++i) {
-                const double in =
+                input[i * maxSynapseTypes] =
                     drive_rng.bernoulli(0.15)
                         ? drive_rng.uniform(0.3, 0.8)
                         : 0.0;
-                input[i * maxSynapseTypes] =
-                    adex_config.scaleWeight(in);
             }
             array.step(input, fired);
 

@@ -57,9 +57,8 @@ FlexonArray::cyclesPerStep() const
     return (numNeurons_ + width_ - 1) / width_;
 }
 
-template <typename InputT>
 void
-FlexonArray::notePopulationSlice(size_t p, const InputT *input,
+FlexonArray::notePopulationSlice(size_t p, const double *input,
                                  size_t lo, size_t hi) const
 {
     const PopulationInfo &pop = populations_[p];
@@ -76,27 +75,27 @@ FlexonArray::notePopulationSlice(size_t p, const InputT *input,
         if (blocked > 0)
             pt.blocked->add(blocked);
     }
-    if constexpr (std::is_same_v<InputT, double>) {
-        // Fused-scaling path: rows whose live synapse-type cells are
-        // all zero skip the double->Fix conversion in the kernel.
-        const size_t types = pop.config.numSynapseTypes;
-        uint64_t zeroRows = 0;
-        for (size_t i = lo; i < hi; ++i) {
-            const double *const row = input + i * maxSynapseTypes;
-            bool zero = true;
-            for (size_t s = 0; s < types; ++s)
-                zero = zero && row[s] == 0.0;
-            zeroRows += zero ? 1 : 0;
-        }
-        if (zeroRows > 0)
-            pt.zeroInput->add(zeroRows);
+    // Rows whose live synapse-type cells are all zero skip the
+    // double->Fix conversion in the kernel.
+    const size_t types = pop.config.numSynapseTypes;
+    uint64_t zeroRows = 0;
+    for (size_t i = lo; i < hi; ++i) {
+        const double *const row = input + i * maxSynapseTypes;
+        bool zero = true;
+        for (size_t s = 0; s < types; ++s)
+            zero = zero && row[s] == 0.0;
+        zeroRows += zero ? 1 : 0;
     }
+    if (zeroRows > 0)
+        pt.zeroInput->add(zeroRows);
 }
 
-template <typename InputT>
 void
-FlexonArray::stepImpl(const InputT *input, std::vector<uint8_t> &fired)
+FlexonArray::step(std::span<const double> input,
+                  std::vector<uint8_t> &fired)
 {
+    flexon_assert(input.size() >= numNeurons_ * maxSynapseTypes);
+    const double *const in = input.data();
     fired.resize(numNeurons_);
     uint8_t *const flags = fired.data();
     // Chunks are intersected with population ranges, so every kernel
@@ -112,41 +111,16 @@ FlexonArray::stepImpl(const InputT *input, std::vector<uint8_t> &fired)
                 if (lo >= hi)
                     continue;
                 if (telemetry::detailEnabled())
-                    notePopulationSlice<InputT>(p, input, lo, hi);
+                    notePopulationSlice(p, in, lo, hi);
                 KernelArgs args;
                 args.config = &pop.config;
                 args.soa = &state_[p];
+                args.refInput = in + pop.base * maxSynapseTypes;
                 args.fired = flags + pop.base;
-                if constexpr (std::is_same_v<InputT, double>) {
-                    args.refInput =
-                        input + pop.base * maxSynapseTypes;
-                    kernels_[p].fused(args, lo - pop.base,
-                                      hi - pop.base);
-                } else {
-                    args.fixInput =
-                        input + pop.base * maxSynapseTypes;
-                    kernels_[p].scaled(args, lo - pop.base,
-                                       hi - pop.base);
-                }
+                kernels_[p].step(args, lo - pop.base, hi - pop.base);
             }
         });
     cycles_ += cyclesPerStep();
-}
-
-void
-FlexonArray::step(std::span<const Fix> input,
-                  std::vector<uint8_t> &fired)
-{
-    flexon_assert(input.size() >= numNeurons_ * maxSynapseTypes);
-    stepImpl(input.data(), fired);
-}
-
-void
-FlexonArray::step(std::span<const double> input,
-                  std::vector<uint8_t> &fired)
-{
-    flexon_assert(input.size() >= numNeurons_ * maxSynapseTypes);
-    stepImpl(input.data(), fired);
 }
 
 std::pair<size_t, size_t>

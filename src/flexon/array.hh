@@ -60,19 +60,14 @@ class FlexonArray
     double clockHz() const { return clockHz_; }
 
     /**
-     * Simulate one SNN time step from pre-scaled hardware inputs.
+     * Simulate one SNN time step. The double->Fix scaling of the
+     * synapse-calculation stage is fused into the batch kernel, so no
+     * dense staging buffer exists and refractory-blocked / all-zero
+     * slots skip conversion.
      *
-     * @param input row-major [neuron][synapseType] pre-scaled
+     * @param input row-major [neuron][synapseType] reference-unit
      *              accumulated weights; stride is maxSynapseTypes
      * @param fired output spike flags (0/1 bytes), one per neuron
-     */
-    void step(std::span<const Fix> input, std::vector<uint8_t> &fired);
-
-    /**
-     * Simulate one SNN time step from reference-unit (double) inputs:
-     * the double->Fix scaling of the synapse-calculation stage is
-     * fused into the batch kernel, so no dense staging buffer exists
-     * and refractory-blocked / all-zero slots skip conversion.
      */
     void step(std::span<const double> input,
               std::vector<uint8_t> &fired);
@@ -142,14 +137,10 @@ class FlexonArray
     /** (population, index within it) of global neuron idx. */
     std::pair<size_t, size_t> locate(size_t idx) const;
 
-    template <typename InputT>
-    void stepImpl(const InputT *input, std::vector<uint8_t> &fired);
-
     /** Dispatch-mix sampling for one population slice (detail only,
      *  called before the kernel: the kernel mutates cnt). */
-    template <typename InputT>
-    void notePopulationSlice(size_t p, const InputT *input,
-                             size_t lo, size_t hi) const;
+    void notePopulationSlice(size_t p, const double *input, size_t lo,
+                             size_t hi) const;
 
     size_t width_;
     double clockHz_;

@@ -72,10 +72,10 @@ struct RuntimeFeatures
 };
 
 /**
- * Fused-scaling input policy: reference-unit doubles converted to the
- * hardware convention inside the kernel (scale by epsilon_m; CUB
- * merges all synapse types into one signed input). Refractory-blocked
- * neurons and all-zero slots skip the fromDouble/multiply entirely —
+ * The input stream: reference-unit doubles converted to the hardware
+ * convention inside the kernel (scale by epsilon_m; CUB merges all
+ * synapse types into one signed input). Refractory-blocked neurons
+ * and all-zero slots skip the fromDouble/multiply entirely —
  * bit-exact, since Fix::fromDouble(0.0) * scale == Fix::zero() and
  * blocked neurons see a zeroed input bus (Equation 7).
  */
@@ -124,24 +124,6 @@ struct FusedInput
     }
 };
 
-/** Pre-scaled Fix input policy (the legacy FlexonArray::step path). */
-struct ScaledInput
-{
-    const Fix *p; ///< population base, stride maxSynapseTypes
-
-    Fix
-    get(size_t i, size_t t, bool blocked) const
-    {
-        return blocked ? Fix::zero() : p[i * maxSynapseTypes + t];
-    }
-
-    Fix
-    cub(size_t i, bool blocked) const
-    {
-        return get(i, 0, blocked);
-    }
-};
-
 /**
  * The one step body every kernel shares, in the exact Fix operation
  * order of FlexonNeuron::step (the Table V microcode order) — which
@@ -149,13 +131,13 @@ struct ScaledInput
  * With a StaticFeatures query the feature branches fold away at
  * compile time and only the population's datapaths remain.
  */
-template <typename FQ, typename In>
+template <typename FQ>
 inline void
-stepRange(FQ f, const In in, const KernelArgs &a, size_t begin,
-          size_t end)
+stepRange(FQ f, const KernelArgs &a, size_t begin, size_t end)
 {
     const FlexonConfig &c = *a.config;
     const FlexonConstants &k = c.consts;
+    const FusedInput in{a.refInput, c.inputScale};
     PopulationSoA &s = *a.soa;
     const size_t nTypes = c.numSynapseTypes;
     const size_t stride = s.synStride;
@@ -261,19 +243,9 @@ stepRange(FQ f, const In in, const KernelArgs &a, size_t begin,
 
 template <uint16_t Mask>
 void
-stepSpecializedFused(const KernelArgs &a, size_t begin, size_t end)
+stepSpecialized(const KernelArgs &a, size_t begin, size_t end)
 {
-    stepRange(StaticFeatures<Mask>{},
-              FusedInput{a.refInput, a.config->inputScale}, a, begin,
-              end);
-}
-
-template <uint16_t Mask>
-void
-stepSpecializedScaled(const KernelArgs &a, size_t begin, size_t end)
-{
-    stepRange(StaticFeatures<Mask>{}, ScaledInput{a.fixInput}, a,
-              begin, end);
+    stepRange(StaticFeatures<Mask>{}, a, begin, end);
 }
 
 /**
@@ -294,20 +266,10 @@ fallbackCounter()
 }
 
 void
-stepGenericFused(const KernelArgs &a, size_t begin, size_t end)
+stepGeneric(const KernelArgs &a, size_t begin, size_t end)
 {
     fallbackCounter().add(end - begin);
-    stepRange(RuntimeFeatures{a.config->features.raw()},
-              FusedInput{a.refInput, a.config->inputScale}, a, begin,
-              end);
-}
-
-void
-stepGenericScaled(const KernelArgs &a, size_t begin, size_t end)
-{
-    fallbackCounter().add(end - begin);
-    stepRange(RuntimeFeatures{a.config->features.raw()},
-              ScaledInput{a.fixInput}, a, begin, end);
+    stepRange(RuntimeFeatures{a.config->features.raw()}, a, begin, end);
 }
 
 constexpr uint16_t
@@ -358,13 +320,10 @@ constexpr uint16_t kSpecializedMasks[] = {
     featureMask(EXD, COBE, REV, AR, RR), // IF_cond_exp_gsfa_grr
 };
 
-constexpr size_t kNumSpecialized = std::size(kSpecializedMasks);
-
 struct KernelEntry
 {
     uint16_t mask;
-    StepKernelFn fused;
-    StepKernelFn scaled;
+    StepKernelFn step;
 };
 
 template <size_t... I>
@@ -372,12 +331,11 @@ constexpr std::array<KernelEntry, sizeof...(I)>
 makeKernelTable(std::index_sequence<I...>)
 {
     return {KernelEntry{kSpecializedMasks[I],
-                        &stepSpecializedFused<kSpecializedMasks[I]>,
-                        &stepSpecializedScaled<kSpecializedMasks[I]>}...};
+                        &stepSpecialized<kSpecializedMasks[I]>}...};
 }
 
-constexpr auto kKernelTable =
-    makeKernelTable(std::make_index_sequence<kNumSpecialized>{});
+constexpr auto kKernelTable = makeKernelTable(
+    std::make_index_sequence<std::size(kSpecializedMasks)>{});
 
 } // namespace
 
@@ -387,15 +345,9 @@ selectStepKernel(FeatureSet features)
     const uint16_t mask = features.raw();
     for (const KernelEntry &entry : kKernelTable) {
         if (entry.mask == mask)
-            return {entry.fused, entry.scaled, true};
+            return {entry.step, true};
     }
-    return {&stepGenericFused, &stepGenericScaled, false};
-}
-
-size_t
-numSpecializedKernels()
-{
-    return kNumSpecialized;
+    return {&stepGeneric, false};
 }
 
 } // namespace flexon

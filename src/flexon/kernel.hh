@@ -70,12 +70,9 @@ struct KernelArgs
     PopulationSoA *soa;
     /**
      * Reference-unit double input, row-major stride maxSynapseTypes,
-     * already offset to the population base (fused-scaling kernels);
-     * null when fixInput is used.
+     * already offset to the population base.
      */
     const double *refInput = nullptr;
-    /** Pre-scaled Fix input, same layout (legacy-path kernels). */
-    const Fix *fixInput = nullptr;
     /** Fired flags, offset to the population base. */
     uint8_t *fired = nullptr;
 };
@@ -84,13 +81,10 @@ struct KernelArgs
 using StepKernelFn = void (*)(const KernelArgs &args, size_t begin,
                               size_t end);
 
-/** The two input-mode variants of one population's step kernel. */
+/** One population's step kernel. */
 struct SelectedKernel
 {
-    /** Fused double->Fix scaling variant (reads KernelArgs::refInput). */
-    StepKernelFn fused;
-    /** Pre-scaled Fix variant (reads KernelArgs::fixInput). */
-    StepKernelFn scaled;
+    StepKernelFn step;
     /** True iff a compile-time specialized instantiation was found. */
     bool specialized;
 };
@@ -102,9 +96,6 @@ struct SelectedKernel
  * the generic runtime-dispatch kernel. Both are bit-identical.
  */
 SelectedKernel selectStepKernel(FeatureSet features);
-
-/** Number of feature masks with compiled specializations (for tests). */
-size_t numSpecializedKernels();
 
 /**
  * Read-only view of one neuron inside a PopulationSoA, materializing

@@ -45,28 +45,14 @@ FoldedFlexonArray::cyclesPerStep() const
 }
 
 void
-FoldedFlexonArray::tick()
-{
-    // Every neuron executes its population's full program each step,
-    // so the control-signal tally is a precomputed per-step constant.
-    controlSignals_ += signalsPerStep_;
-    cycles_ += cyclesPerStep();
-}
-
-void
-FoldedFlexonArray::step(std::span<const Fix> input,
-                        std::vector<uint8_t> &fired)
-{
-    neurons_.step(input, fired);
-    tick();
-}
-
-void
 FoldedFlexonArray::step(std::span<const double> input,
                         std::vector<uint8_t> &fired)
 {
     neurons_.step(input, fired);
-    tick();
+    // Every neuron executes its population's full program each step,
+    // so the control-signal tally is a precomputed per-step constant.
+    controlSignals_ += signalsPerStep_;
+    cycles_ += cyclesPerStep();
 }
 
 void

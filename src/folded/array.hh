@@ -52,7 +52,6 @@ class FoldedFlexonArray
     double clockHz() const { return neurons_.clockHz(); }
 
     /** Simulate one SNN time step (same contract as FlexonArray). */
-    void step(std::span<const Fix> input, std::vector<uint8_t> &fired);
     void step(std::span<const double> input,
               std::vector<uint8_t> &fired);
 
@@ -99,9 +98,6 @@ class FoldedFlexonArray
     void loadState(std::istream &is);
 
   private:
-    /** Account one time step on the modelled hardware. */
-    void tick();
-
     /**
      * Neuron state and populations; also holds this array's width
      * and clock. Its own single-cycle cycle count goes unused.

@@ -61,7 +61,8 @@ FoldedFlexonNeuron::writeState(StateVar s, Fix value)
 }
 
 bool
-FoldedFlexonNeuron::step(std::span<const Fix> input)
+FoldedFlexonNeuron::step(std::span<const Fix> input,
+                         const MicroOpSink &sink)
 {
     const FlexonConfig &c = config_;
     const FeatureSet &f = c.features;
@@ -78,7 +79,9 @@ FoldedFlexonNeuron::step(std::span<const Fix> input)
     // --- Pipeline stage 1: execute the control signals.
     Fix v_acc = Fix::zero();
     Fix tmp = Fix::zero();
-    for (const MicroOp &op : program_.ops()) {
+    const std::vector<MicroOp> &ops = program_.ops();
+    for (size_t i = 0; i < ops.size(); ++i) {
+        const MicroOp &op = ops[i];
         const Fix mul_opnd = op.a == MulSel::Tmp
                                  ? tmp
                                  : mul_consts.at(op.ca);
@@ -112,6 +115,8 @@ FoldedFlexonNeuron::step(std::span<const Fix> input)
             writeState(op.s, out);
         if (op.vAcc)
             v_acc += out;
+        if (sink)
+            sink({i, op, mul_opnd, state_opnd, add_opnd, out, v_acc});
     }
 
     // The LID datapath floors v' at the resting voltage (Figure 4).

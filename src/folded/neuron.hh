@@ -14,12 +14,28 @@
 #ifndef FLEXON_FOLDED_NEURON_HH
 #define FLEXON_FOLDED_NEURON_HH
 
+#include <functional>
 #include <span>
 
 #include "flexon/config.hh"
 #include "folded/program.hh"
 
 namespace flexon {
+
+/** One executed stage-1 cycle: the control signal and its operands. */
+struct MicroOpRecord
+{
+    size_t index;      ///< control-signal index within the step
+    MicroOp op;        ///< the executed control signal
+    Fix mulOperand;    ///< resolved MUL operand (constant or tmp)
+    Fix stateOperand;  ///< the addressed state variable's value
+    Fix addOperand;    ///< resolved ADD operand
+    Fix result;        ///< out (post-EXP if op.exp)
+    Fix vAccAfter;     ///< v' accumulator after this cycle
+};
+
+/** Receives one MicroOpRecord per executed control signal. */
+using MicroOpSink = std::function<void(const MicroOpRecord &)>;
 
 /** One spatially folded Flexon digital neuron. */
 class FoldedFlexonNeuron
@@ -37,9 +53,10 @@ class FoldedFlexonNeuron
      * Evaluate one simulation time step by executing the microcode.
      *
      * @param input pre-scaled accumulated weights per synapse type
+     * @param sink if set, called once per control signal, in order
      * @return true iff the neuron fired an output spike
      */
-    bool step(std::span<const Fix> input);
+    bool step(std::span<const Fix> input, const MicroOpSink &sink = {});
 
     /** Convenience overload for single-synapse-type configurations. */
     bool

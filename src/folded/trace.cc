@@ -2,144 +2,23 @@
 
 #include <iomanip>
 
-#include "common/logging.hh"
-#include "fixed/fast_exp.hh"
-
 namespace flexon {
 
-namespace {
-
-Fix
-readVar(const FlexonState &s, StateVar var)
-{
-    switch (var) {
-      case StateVar::V: return s.v;
-      case StateVar::W: return s.w;
-      case StateVar::R: return s.r;
-      case StateVar::Y0: return s.y[0];
-      case StateVar::Y1: return s.y[1];
-      case StateVar::Y2: return s.y[2];
-      case StateVar::Y3: return s.y[3];
-      case StateVar::G0: return s.g[0];
-      case StateVar::G1: return s.g[1];
-      case StateVar::G2: return s.g[2];
-      case StateVar::G3: return s.g[3];
-      default: panic("invalid state var %d", static_cast<int>(var));
-    }
-}
-
-void
-writeVar(FlexonState &s, StateVar var, Fix value)
-{
-    switch (var) {
-      case StateVar::V: s.v = value; break;
-      case StateVar::W: s.w = value; break;
-      case StateVar::R: s.r = value; break;
-      case StateVar::Y0: s.y[0] = value; break;
-      case StateVar::Y1: s.y[1] = value; break;
-      case StateVar::Y2: s.y[2] = value; break;
-      case StateVar::Y3: s.y[3] = value; break;
-      case StateVar::G0: s.g[0] = value; break;
-      case StateVar::G1: s.g[1] = value; break;
-      case StateVar::G2: s.g[2] = value; break;
-      case StateVar::G3: s.g[3] = value; break;
-      default: panic("invalid state var %d", static_cast<int>(var));
-    }
-}
-
-} // namespace
-
 TracedFoldedNeuron::TracedFoldedNeuron(const FlexonConfig &config)
-    : config_(config), program_(buildProgram(config)),
-      shadow_(config)
+    : neuron_(config)
 {
 }
 
 bool
 TracedFoldedNeuron::step(std::span<const Fix> input)
 {
-    const FeatureSet &f = config_.features;
-
-    const bool blocked = f.has(Feature::AR) && state_.cnt > 0;
-    if (f.has(Feature::AR) && state_.cnt > 0)
-        --state_.cnt;
-
-    Fix v_acc = Fix::zero();
-    Fix tmp = Fix::zero();
-    size_t index = 0;
-    for (const MicroOp &op : program_.ops()) {
-        TraceCycle cycle;
-        cycle.step = step_;
-        cycle.index = index++;
-        cycle.op = op;
-        cycle.mulOperand = op.a == MulSel::Tmp
-                               ? tmp
-                               : program_.mulConstants().at(op.ca);
-        cycle.stateOperand = readVar(state_, op.s);
-        switch (op.b) {
-          case AddSel::Zero:
-            cycle.addOperand = Fix::zero();
-            break;
-          case AddSel::Const:
-            cycle.addOperand = program_.addConstants().at(op.cb);
-            break;
-          case AddSel::Input:
-            cycle.addOperand = (blocked || op.type >= input.size())
-                                   ? Fix::zero()
-                                   : input[op.type];
-            break;
-          case AddSel::Tmp:
-            cycle.addOperand = tmp;
-            break;
-          default:
-            panic("invalid ADD select");
-        }
-
-        Fix out = cycle.mulOperand * cycle.stateOperand +
-                  cycle.addOperand;
-        if (op.exp)
-            out = fixedExp(out);
-        cycle.result = out;
-
-        tmp = out;
-        if (op.sWr)
-            writeVar(state_, op.s, out);
-        if (op.vAcc)
-            v_acc += out;
-        cycle.vAccAfter = v_acc;
-        cycles_.push_back(cycle);
-    }
-
-    if (f.has(Feature::LID) && v_acc < Fix::zero())
-        v_acc = Fix::zero();
-
-    TraceFire fire;
-    fire.step = step_;
-    fire.preResetV = v_acc;
-    fire.fired = v_acc > config_.consts.threshold;
-    if (fire.fired) {
-        v_acc = Fix::zero();
-        if (f.has(Feature::ADT) || f.has(Feature::SBT) ||
-            f.has(Feature::RR)) {
-            state_.w -= config_.consts.b;
-        }
-        if (f.has(Feature::RR))
-            state_.r -= config_.consts.qR;
-        if (f.has(Feature::AR))
-            state_.cnt = config_.arSteps;
-    }
-    state_.v = config_.truncateStorage ? truncateMembrane(v_acc)
-                                       : v_acc;
-    fires_.push_back(fire);
+    const bool fired =
+        neuron_.step(input, [this](const MicroOpRecord &record) {
+            cycles_.push_back({record, step_});
+        });
+    fires_.push_back({step_, neuron_.preResetV(), fired});
     ++step_;
-
-    // Keep the untraced twin in lock step; any divergence is a bug in
-    // one of the two interpreters.
-    const bool shadow_fired = shadow_.step(input);
-    flexon_assert(shadow_fired == fire.fired);
-    flexon_assert(shadow_.state().v.raw() == state_.v.raw());
-
-    return fire.fired;
+    return fired;
 }
 
 void
@@ -153,7 +32,8 @@ void
 TracedFoldedNeuron::write(std::ostream &os) const
 {
     os << "# spatially folded Flexon execution trace\n";
-    os << "# features: " << config_.features.toString() << '\n';
+    os << "# features: " << neuron_.config().features.toString()
+       << '\n';
     size_t fire_idx = 0;
     uint64_t current_step = ~uint64_t{0};
     for (const TraceCycle &c : cycles_) {
@@ -179,7 +59,7 @@ TracedFoldedNeuron::write(std::ostream &os) const
         os << '\n';
 
         const bool last_of_step =
-            c.index + 1 == program_.length();
+            c.index + 1 == neuron_.program().length();
         if (last_of_step && fire_idx < fires_.size()) {
             const TraceFire &f = fires_[fire_idx++];
             os << "  fire-stage: v'=" << f.preResetV.toDouble()

@@ -21,16 +21,9 @@
 namespace flexon {
 
 /** One traced stage-1 cycle. */
-struct TraceCycle
+struct TraceCycle : MicroOpRecord
 {
-    uint64_t step;     ///< simulation time step
-    size_t index;      ///< control-signal index within the step
-    MicroOp op;        ///< the executed control signal
-    Fix mulOperand;    ///< resolved MUL operand (constant or tmp)
-    Fix stateOperand;  ///< the addressed state variable's value
-    Fix addOperand;    ///< resolved ADD operand
-    Fix result;        ///< out (post-EXP if op.exp)
-    Fix vAccAfter;     ///< v' accumulator after this cycle
+    uint64_t step; ///< simulation time step
 };
 
 /** One traced stage-2 (firing) cycle. */
@@ -42,11 +35,9 @@ struct TraceFire
 };
 
 /**
- * Executes a folded Flexon neuron while recording every cycle.
- *
- * The traced execution re-implements the stage-1 semantics (it must:
- * the production interpreter does not pay for tracing); a self-check
- * against FoldedFlexonNeuron is part of the test suite.
+ * Executes a folded Flexon neuron while recording every cycle, through
+ * the trace sink of FoldedFlexonNeuron::step: the trace shows exactly
+ * what the microcode interpreter computed.
  */
 class TracedFoldedNeuron
 {
@@ -64,7 +55,7 @@ class TracedFoldedNeuron
 
     const std::vector<TraceCycle> &cycles() const { return cycles_; }
     const std::vector<TraceFire> &fires() const { return fires_; }
-    const FlexonState &state() const { return shadow_.state(); }
+    const FlexonState &state() const { return neuron_.state(); }
 
     /** Total stage-1 cycles executed (== cycles().size()). */
     uint64_t totalCycles() const { return cycles_.size(); }
@@ -75,10 +66,7 @@ class TracedFoldedNeuron
     void write(std::ostream &os) const;
 
   private:
-    FlexonConfig config_;
-    MicrocodeProgram program_;
-    FoldedFlexonNeuron shadow_; ///< untraced twin for cross-checks
-    FlexonState state_;
+    FoldedFlexonNeuron neuron_;
     uint64_t step_ = 0;
     std::vector<TraceCycle> cycles_;
     std::vector<TraceFire> fires_;

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "common/health.hh"
-#include "models/population.hh"
 #include "snn/network.hh"
+#include "solvers/solver.hh"
 
 namespace flexon {
 
@@ -33,6 +33,12 @@ enum class BackendKind {
 
 /** Printable backend name. */
 const char *backendName(BackendKind kind);
+
+/** How the reference backend integrates its neurons. */
+enum class IntegrationMode {
+    Discrete,   ///< exact discrete equations (Equations 3-8)
+    Continuous, ///< hybrid ODE integration with a SolverKind
+};
 
 /**
  * A neuron-computation engine stepping every neuron of a network.

@@ -315,11 +315,28 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
     updatesCounter_.add(updates);
     denseUpdatesCounter_.add(denseUpdates);
 
+    // The next step catches every neuron up from lastUpdate to the
+    // restored step, and indexes queued_ / acc_ by each pending cell.
+    const uint64_t now = currentStep();
+    const size_t cells = state_.size() * maxSynapseTypes;
+    auto checkCell = [cells](uint32_t cell) {
+        if (cell >= cells)
+            fatal("checkpoint event-driven cell %u is outside the %zu "
+                  "cells of this network",
+                  cell, cells);
+    };
+
     is >> tag;
     if (tag != "states")
         fatal("malformed checkpoint event-driven states block");
-    for (NeuronState &s : state_)
+    for (NeuronState &s : state_) {
         is >> s.v >> s.refractory >> s.lastUpdate;
+        if (is && s.lastUpdate > now)
+            fatal("checkpoint event-driven neuron was updated at step "
+                  "%llu, after the restored step %llu",
+                  static_cast<unsigned long long>(s.lastUpdate),
+                  static_cast<unsigned long long>(now));
+    }
 
     for (auto &slot : ring_) {
         size_t count = 0;
@@ -327,8 +344,10 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
         if (tag != "slot" || !is)
             fatal("malformed checkpoint event-driven slot block");
         slot.resize(count);
-        for (DeliveryRecord &rec : slot)
+        for (DeliveryRecord &rec : slot) {
             is >> rec.cell >> rec.weight;
+            checkCell(rec.cell);
+        }
     }
     for (auto &carry : carry_) {
         size_t count = 0;
@@ -336,8 +355,10 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
         if (tag != "carry" || !is)
             fatal("malformed checkpoint event-driven carry block");
         carry.resize(count);
-        for (auto &[cell, value] : carry)
+        for (auto &[cell, value] : carry) {
             is >> cell >> value;
+            checkCell(cell);
+        }
     }
     if (!is)
         fatal("truncated event-driven state in checkpoint");

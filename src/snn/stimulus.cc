@@ -121,6 +121,14 @@ StimulusSource::loadState(std::istream &is)
     is >> tag >> len;
     if (tag != "source" || !is)
         fatal("malformed stimulus-source state in checkpoint");
+    // generate() indexes the OU state by neuron, so it is either
+    // unallocated or one value per neuron; other kinds keep none.
+    const size_t expected =
+        kind_ == Kind::OrnsteinUhlenbeck ? count_ : 0;
+    if (len != 0 && len != expected)
+        fatal("checkpoint stimulus source has %zu OU values, this "
+              "source keeps %zu",
+              len, expected);
     ouState_.resize(len);
     for (double &x : ouState_)
         is >> x;

@@ -250,7 +250,7 @@ TEST(FlexonArrayTiming, SingleCycleThroughput)
     FlexonArray array(12, 250.0e6);
     array.addPopulation(configFor(ModelKind::LIF), 30);
     EXPECT_EQ(array.cyclesPerStep(), 3u); // ceil(30/12)
-    std::vector<Fix> input(30 * maxSynapseTypes, Fix::zero());
+    std::vector<double> input(30 * maxSynapseTypes, 0.0);
     std::vector<uint8_t> fired;
     array.step(input, fired);
     array.step(input, fired);
@@ -264,7 +264,7 @@ TEST(FoldedArrayTiming, PipelinedThroughput)
     array.addPopulation(configFor(ModelKind::DLIF), 144); // 7 ops
     // 2 rounds * 7 ops + 1 drain cycle.
     EXPECT_EQ(array.cyclesPerStep(), 15u);
-    std::vector<Fix> input(144 * maxSynapseTypes, Fix::zero());
+    std::vector<double> input(144 * maxSynapseTypes, 0.0);
     std::vector<uint8_t> fired;
     array.step(input, fired);
     EXPECT_EQ(array.cycles(), 15u);
@@ -285,9 +285,9 @@ TEST(FoldedArrayCheckpoint, RoundTripsAndRejectsAbsentSynapseTypes)
     ASSERT_LT(config.numSynapseTypes, maxSynapseTypes);
     FoldedFlexonArray array(72, 500.0e6);
     array.addPopulation(config, 3);
-    std::vector<Fix> input(3 * maxSynapseTypes, Fix::zero());
+    std::vector<double> input(3 * maxSynapseTypes, 0.0);
     for (size_t n = 0; n < 3; ++n)
-        input[n * maxSynapseTypes] = config.scaleWeight(0.5);
+        input[n * maxSynapseTypes] = 0.5;
     std::vector<uint8_t> fired;
     for (int t = 0; t < 40; ++t)
         array.step(input, fired);
@@ -323,15 +323,13 @@ TEST(ArrayEquivalence, ArraysMatchSingleNeurons)
     folded_array.addPopulation(config, 20);
 
     Rng rng(9);
-    std::vector<Fix> input(20 * maxSynapseTypes, Fix::zero());
+    std::vector<double> input(20 * maxSynapseTypes, 0.0);
     std::vector<uint8_t> fb, ff;
     for (int t = 0; t < 3000; ++t) {
         for (size_t n = 0; n < 20; ++n) {
             for (size_t i = 0; i < config.numSynapseTypes; ++i) {
                 input[n * maxSynapseTypes + i] =
-                    rng.bernoulli(0.1)
-                        ? config.scaleWeight(rng.uniform(0.0, 0.6))
-                        : Fix::zero();
+                    rng.bernoulli(0.1) ? rng.uniform(0.0, 0.6) : 0.0;
             }
         }
         base_array.step(input, fb);

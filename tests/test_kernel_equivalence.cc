@@ -2,10 +2,9 @@
  * @file
  * Kernel-equivalence suite: the per-population batch kernels
  * (flexon/kernel.hh) must be bit-identical to stepping scalar
- * FlexonNeuron instances — for every one of the 12 features, for every
- * Table III model (covering the Table I networks), through both the
- * fused double-input path and the legacy pre-scaled Fix path, at host
- * thread counts 1, 3, and 4 (uneven chunk boundaries included).
+ * FlexonNeuron instances — for every one of the 12 features and every
+ * Table III model (covering the Table I networks), at host thread
+ * counts 1, 3, and 4 (uneven chunk boundaries included).
  *
  * The scalar side reproduces the pre-kernel pipeline exactly: inputs
  * are pre-scaled per neuron with FlexonConfig::scaleWeight (CUB
@@ -134,9 +133,9 @@ foldedArrayText(const std::vector<FoldedFlexonNeuron> &neurons,
 
 /**
  * Run `kSteps` of one population through the scalar neurons, the
- * fused double-input kernel path, the legacy pre-scaled Fix path and
- * the folded array, asserting bit-identical spikes / v / preResetV
- * throughout, and the folded array against its microcode oracle.
+ * flexon array and the folded array, asserting bit-identical spikes /
+ * v / preResetV throughout, and the folded array against its
+ * microcode oracle.
  */
 void
 expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
@@ -149,13 +148,9 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
 
     std::vector<FlexonNeuron> scalar(n, FlexonNeuron(config));
 
-    FlexonArray fused(/*width=*/5);
-    fused.setHostThreads(threads);
-    fused.addPopulation(config, n);
-
-    FlexonArray scaled(/*width=*/5);
-    scaled.setHostThreads(threads);
-    scaled.addPopulation(config, n);
+    FlexonArray array(/*width=*/5);
+    array.setHostThreads(threads);
+    array.addPopulation(config, n);
 
     std::vector<FoldedFlexonNeuron> oracle(n, FoldedFlexonNeuron(config));
     FoldedFlexonArray folded(/*width=*/5);
@@ -163,28 +158,19 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
     folded.addPopulation(config, n);
 
     Rng rng(0x5eed + threads * 0); // same stimulus at every thread count
-    std::vector<uint8_t> firedFused, firedScaled, firedFolded;
-    std::vector<Fix> scaledInput(n * maxSynapseTypes);
+    std::vector<uint8_t> firedArray, firedFolded;
 
     size_t spikes = 0;
     for (size_t step = 0; step < kSteps; ++step) {
         const std::vector<double> input = makeInput(rng, n);
 
-        for (size_t i = 0; i < n; ++i) {
-            const auto row =
-                scaleRow(config, input.data() + i * maxSynapseTypes);
-            for (size_t t = 0; t < maxSynapseTypes; ++t)
-                scaledInput[i * maxSynapseTypes + t] = row[t];
-        }
-
-        fused.step(std::span<const double>(input), firedFused);
-        scaled.step(std::span<const Fix>(scaledInput), firedScaled);
+        array.step(std::span<const double>(input), firedArray);
         folded.step(std::span<const double>(input), firedFolded);
 
         for (size_t i = 0; i < n; ++i) {
-            const std::span<const Fix> row(
-                scaledInput.data() + i * maxSynapseTypes,
-                maxSynapseTypes);
+            const auto scaled =
+                scaleRow(config, input.data() + i * maxSynapseTypes);
+            const std::span<const Fix> row(scaled.data(), scaled.size());
             const bool expect = scalar[i].step(row);
             spikes += expect;
             ASSERT_EQ(oracle[i].step(row), expect)
@@ -197,23 +183,14 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
             ASSERT_EQ(folded.neuron(i).preResetV().raw(),
                       oracle[i].preResetV().raw())
                 << "step " << step << " neuron " << i << " (folded)";
-            ASSERT_EQ(firedFused[i] != 0, expect)
-                << "step " << step << " neuron " << i << " (fused)";
-            ASSERT_EQ(firedScaled[i] != 0, expect)
-                << "step " << step << " neuron " << i << " (scaled)";
-            const FlexonState golden = scalar[i].state();
-            ASSERT_EQ(fused.neuron(i).state().v.raw(),
-                      golden.v.raw())
-                << "step " << step << " neuron " << i << " (fused)";
-            ASSERT_EQ(scaled.neuron(i).state().v.raw(),
-                      golden.v.raw())
-                << "step " << step << " neuron " << i << " (scaled)";
-            ASSERT_EQ(fused.neuron(i).preResetV().raw(),
+            ASSERT_EQ(firedArray[i] != 0, expect)
+                << "step " << step << " neuron " << i << " (array)";
+            ASSERT_EQ(array.neuron(i).state().v.raw(),
+                      scalar[i].state().v.raw())
+                << "step " << step << " neuron " << i << " (array)";
+            ASSERT_EQ(array.neuron(i).preResetV().raw(),
                       scalar[i].preResetV().raw())
-                << "step " << step << " neuron " << i << " (fused)";
-            ASSERT_EQ(scaled.neuron(i).preResetV().raw(),
-                      scalar[i].preResetV().raw())
-                << "step " << step << " neuron " << i << " (scaled)";
+                << "step " << step << " neuron " << i << " (array)";
         }
     }
     // The stimulus must actually drive activity, or the comparison

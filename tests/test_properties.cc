@@ -130,8 +130,9 @@ TEST(Property, TruncationNeverIncreasesStoredMagnitude)
         const Fix t = truncateMembrane(v);
         ASSERT_GE(t.raw(), 0);
         ASSERT_LT(t.raw(), Fix::rawOne);
-        if (v.raw() >= 0 && v.raw() < Fix::rawOne)
+        if (v.raw() >= 0 && v.raw() < Fix::rawOne) {
             ASSERT_EQ(t.raw(), v.raw()); // identity inside [0, 1)
+        }
     }
 }
 

@@ -14,7 +14,6 @@
 #include "common/random.hh"
 #include "features/model_table.hh"
 #include "models/ode_neuron.hh"
-#include "models/population.hh"
 #include "models/reference_neuron.hh"
 
 namespace flexon {
@@ -304,38 +303,6 @@ TEST(OdeNeuron, Rkf45ProducesPlausibleSpiking)
         spikes += n.step(0.05);
     EXPECT_GT(spikes, 0);
     EXPECT_LT(spikes, 5000 / static_cast<int>(p.arSteps));
-}
-
-TEST(Population, StepsAllNeuronsAndReportsSpikes)
-{
-    NeuronParams p = defaultParams(ModelKind::LIF);
-    ReferencePopulation pop(p, 8);
-    std::vector<double> input(8 * p.numSynapseTypes, 0.0);
-    // Drive only neuron 3 above threshold.
-    input[3 * p.numSynapseTypes] = 1.5;
-    std::vector<uint8_t> fired;
-    int spikes3 = 0, others = 0;
-    for (int t = 0; t < 500; ++t) {
-        pop.step(input, fired);
-        for (size_t i = 0; i < fired.size(); ++i) {
-            if (fired[i])
-                (i == 3 ? spikes3 : others) += 1;
-        }
-    }
-    EXPECT_GT(spikes3, 0);
-    EXPECT_EQ(others, 0);
-}
-
-TEST(Population, ResetRestoresRestingState)
-{
-    NeuronParams p = defaultParams(ModelKind::LIF);
-    ReferencePopulation pop(p, 4);
-    std::vector<double> input(4 * p.numSynapseTypes, 0.5);
-    std::vector<uint8_t> fired;
-    pop.step(input, fired);
-    EXPECT_GT(pop.state(0).v, 0.0);
-    pop.reset();
-    EXPECT_DOUBLE_EQ(pop.state(0).v, 0.0);
 }
 
 } // namespace

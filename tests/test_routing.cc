@@ -5,7 +5,8 @@
  * synapse-event counts, at thread counts 1/3/4, on a mixed network
  * with delays spanning the full ring depth, multiple synapse types
  * and populations, and on the degenerate shapes (more than 64 delay
- * buckets, zero synapses, a single neuron) — plus the sparse/dense
+ * buckets, zero synapses, a single neuron, every neuron firing on
+ * every step) — plus the sparse/dense
  * ring-clear crossover, live STDP weight updates, and the router's
  * checkpoint: restart equivalence and rejection of corrupt state.
  *
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -144,6 +146,7 @@ enum class NetShape {
     ManyDelays, ///< > 64 distinct delays: no activity masks
     NoSynapses, ///< stimulus only, nothing to route
     OneNeuron,  ///< one neuron with autapses: every shard clamps to 1
+    AllFiring,  ///< every neuron fires on every step
 };
 
 /** More than 64 distinct delays (1..100), so no bucket mask fits. */
@@ -158,6 +161,23 @@ manyDelayNetwork()
     net.connectRandom(a, a, 0.05, -0.04, 1, 100, 1, rng);
     net.addSynapse(0, {1, 0.2f, 1, 0});
     net.addSynapse(1, {2, 0.2f, 100, 0});
+    net.finalize();
+    return net;
+}
+
+/**
+ * Recurrent LIF neurons: LIF has no refractory period, so a drive
+ * above threshold on every step (shapeStimulus) fires every neuron on
+ * every step, and the excitatory recurrence only adds to it.
+ */
+Network
+allFiringNetwork()
+{
+    Network net;
+    const size_t a =
+        net.addPopulation("a", defaultParams(ModelKind::LIF), 40);
+    Rng rng(23);
+    net.connectRandom(a, a, 0.2, 0.05, 1, 6, 0, rng);
     net.finalize();
     return net;
 }
@@ -184,6 +204,8 @@ shapeNetwork(NetShape shape)
         net.finalize();
         return net;
     }
+    case NetShape::AllFiring:
+        return allFiringNetwork();
     }
     return {};
 }
@@ -194,8 +216,11 @@ shapeStimulus(NetShape shape, size_t neurons)
     if (shape == NetShape::Mixed)
         return mixedStimulus();
     StimulusGenerator stim(11);
-    stim.addSource(StimulusSource::poisson(
-        0, static_cast<uint32_t>(neurons), 0.08, 0.5f, 0));
+    const auto count = static_cast<uint32_t>(neurons);
+    if (shape == NetShape::AllFiring)
+        stim.addSource(StimulusSource::pattern(0, count, 1, 150.0f, 0));
+    else
+        stim.addSource(StimulusSource::poisson(0, count, 0.08, 0.5f, 0));
     return stim;
 }
 
@@ -211,7 +236,8 @@ const char *
 shapePrefix(NetShape shape)
 {
     static const char *const prefix[] = {"", "manyDelays_",
-                                         "noSynapses_", "oneNeuron_"};
+                                         "noSynapses_", "oneNeuron_",
+                                         "allFiring_"};
     return prefix[static_cast<int>(shape)];
 }
 
@@ -228,7 +254,7 @@ equivalenceCases()
     std::vector<EquivalenceCase> cases;
     for (const NetShape shape :
          {NetShape::Mixed, NetShape::ManyDelays, NetShape::NoSynapses,
-          NetShape::OneNeuron})
+          NetShape::OneNeuron, NetShape::AllFiring})
         for (const size_t threads : {1, 3, 4})
             cases.push_back({shape, threads});
     return cases;
@@ -264,6 +290,12 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
         oracle.stepOnce();
         ASSERT_EQ(oracle.fired_, sim.lastFired()) << "step " << step;
         expectRingBitIdentical(oracle.ring_, sim.ringBuffer(), step);
+        if (shape == NetShape::AllFiring) {
+            const std::vector<uint8_t> &fired = sim.lastFired();
+            ASSERT_TRUE(std::all_of(fired.begin(), fired.end(),
+                                    [](uint8_t f) { return f != 0; }))
+                << "a neuron stayed silent at step " << step;
+        }
     }
 
     EXPECT_GT(oracle.events_.size(), 0u) << "network stayed silent";

@@ -388,6 +388,121 @@ TEST(SessionCheckpoint, RejectsNeuronCountMismatch)
     EXPECT_DEATH(other.loadCheckpoint(snapshot), "neurons");
 }
 
+// ---- Corrupt checkpoints -----------------------------------------
+// Each death test edits one field of a checkpoint it saved itself.
+// "threadsafe" re-executes the binary for the death assertion, since
+// the pool's worker threads may be alive.
+
+/** A saved checkpoint as lines, editable by line prefix. */
+struct SavedLines
+{
+    std::vector<std::string> lines;
+
+    explicit SavedLines(const SimulationSession &sim)
+    {
+        std::stringstream os;
+        sim.saveCheckpoint(os);
+        for (std::string line; std::getline(os, line);)
+            lines.push_back(line);
+    }
+
+    /** The `nth` line (from 0) that starts with `prefix`. */
+    std::string &
+    line(const std::string &prefix, size_t nth = 0)
+    {
+        for (std::string &l : lines) {
+            if (l.rfind(prefix, 0) == 0 && nth-- == 0)
+                return l;
+        }
+        ADD_FAILURE() << "checkpoint lacks a '" << prefix << "' line";
+        return lines.front();
+    }
+
+    std::string
+    text() const
+    {
+        std::string out;
+        for (const std::string &l : lines)
+            out += l + '\n';
+        return out;
+    }
+};
+
+/** Run `sim` for 40 steps and return its checkpoint. */
+SavedLines
+savedAfterRun(SimulationSession &sim)
+{
+    sim.run(40);
+    return SavedLines(sim);
+}
+
+TEST(StimulusCheckpoint, RejectsOuStateShorterThanTheSource)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    s.stim.addSource(StimulusSource::ou(0, 20, 0.1, 0.05, 10.0, 0));
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
+    SavedLines cp = savedAfterRun(sim);
+    // Sources save in order: the Poisson source, then the OU one.
+    cp.line("source ", 1) = "source 1 0.5";
+    Simulator fresh(s.net, s.stim, SimulatorOptions{});
+    std::istringstream is(cp.text());
+    EXPECT_DEATH(fresh.loadCheckpoint(is),
+                 "has 1 OU values, this source keeps 20");
+}
+
+TEST(StimulusCheckpoint, RejectsOuStateOnAPoissonSource)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
+    SavedLines cp = savedAfterRun(sim);
+    cp.line("source ") = "source 1 0.5";
+    Simulator fresh(s.net, s.stim, SimulatorOptions{});
+    std::istringstream is(cp.text());
+    EXPECT_DEATH(fresh.loadCheckpoint(is),
+                 "has 1 OU values, this source keeps 0");
+}
+
+TEST(EventDrivenCheckpoint, RejectsPendingCellsOutsideTheNetwork)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    EventDrivenSimulator sim(s.net, s.stim);
+    const SavedLines saved = savedAfterRun(sim);
+    const std::string cells =
+        std::to_string(s.net.numNeurons() * maxSynapseTypes);
+    for (const char *block : {"slot ", "carry "}) {
+        SCOPED_TRACE(block);
+        SavedLines cp = saved;
+        cp.line(block) = block + ("1 " + cells + " 0.5");
+        EventDrivenSimulator fresh(s.net, s.stim);
+        std::istringstream is(cp.text());
+        EXPECT_DEATH(fresh.loadCheckpoint(is),
+                     "event-driven cell " + cells + " is outside");
+    }
+}
+
+TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    EventDrivenSimulator sim(s.net, s.stim);
+    SavedLines cp = savedAfterRun(sim);
+    // `states` holds v, refractory, lastUpdate per neuron: move the
+    // first neuron's lastUpdate one step past the restored step 40.
+    std::istringstream states(cp.line("states "));
+    std::string tag, v, refractory, lastUpdate;
+    states >> tag >> v >> refractory >> lastUpdate;
+    std::string rest;
+    std::getline(states, rest);
+    cp.line("states ") = tag + ' ' + v + ' ' + refractory + " 41" + rest;
+    EventDrivenSimulator fresh(s.net, s.stim);
+    std::istringstream is(cp.text());
+    EXPECT_DEATH(fresh.loadCheckpoint(is),
+                 "updated at step 41, after the restored step 40");
+}
+
 // ---- Rate-adaptive engine switch --------------------------------
 
 /**

@@ -16,6 +16,7 @@
 
 #include "common/stats.hh"
 #include "features/model_table.hh"
+#include "snn/backend.hh"
 #include "snn/simulator.hh"
 
 namespace flexon {
@@ -100,6 +101,60 @@ chainNetwork(uint8_t delay, float weight)
     net.addSynapse(0, {1, weight, delay, 0});
     net.finalize();
     return net;
+}
+
+/** One LIF population of `count` unconnected neurons. */
+Network
+lifPopulation(size_t count)
+{
+    Network net;
+    net.addPopulation("pop", defaultParams(ModelKind::LIF), count);
+    net.finalize();
+    return net;
+}
+
+const IntegrationMode kIntegrationModes[] = {IntegrationMode::Discrete,
+                                             IntegrationMode::Continuous};
+
+TEST(Population, StepsAllNeuronsAndReportsSpikes)
+{
+    const Network net = lifPopulation(8);
+    for (const IntegrationMode mode : kIntegrationModes) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        const auto backend = makeReferenceBackend(net, mode);
+        std::vector<double> input(8 * maxSynapseTypes, 0.0);
+        // Drive only neuron 3 above threshold.
+        input[3 * maxSynapseTypes] = 1.5;
+        std::vector<uint8_t> fired;
+        int spikes3 = 0, others = 0;
+        for (int t = 0; t < 500; ++t) {
+            backend->step(input, fired);
+            ASSERT_EQ(fired.size(), 8u);
+            for (size_t i = 0; i < fired.size(); ++i) {
+                if (fired[i])
+                    (i == 3 ? spikes3 : others) += 1;
+            }
+        }
+        EXPECT_GT(spikes3, 0);
+        EXPECT_EQ(others, 0);
+    }
+}
+
+TEST(Population, ResetRestoresRestingState)
+{
+    const Network net = lifPopulation(4);
+    for (const IntegrationMode mode : kIntegrationModes) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        const auto backend = makeReferenceBackend(net, mode);
+        std::vector<double> input(4 * maxSynapseTypes, 0.0);
+        for (size_t i = 0; i < 4; ++i)
+            input[i * maxSynapseTypes] = 0.5;
+        std::vector<uint8_t> fired;
+        backend->step(input, fired);
+        EXPECT_GT(backend->membrane(0), 0.0);
+        backend->reset();
+        EXPECT_DOUBLE_EQ(backend->membrane(0), 0.0);
+    }
 }
 
 TEST(Simulator, SpikePropagatesAfterExactDelay)

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the folded-Flexon execution tracer: agreement with the
- * production interpreter (enforced internally by the shadow twin),
- * cycle accounting, operand capture, and the rendered log format.
+ * Tests for the folded-Flexon execution tracer: agreement with an
+ * untraced FoldedFlexonNeuron, cycle accounting, operand capture, and
+ * the rendered log format.
  */
 
 #include <gtest/gtest.h>
@@ -34,18 +34,23 @@ TEST(Trace, CycleCountMatchesProgramLength)
 
 TEST(Trace, ShadowTwinStaysInLockStep)
 {
-    // The tracer asserts internally against an untraced
-    // FoldedFlexonNeuron; driving it hard for many steps exercises
-    // that cross-check (a divergence would abort).
+    // Tracing must not change what the interpreter computes: a traced
+    // neuron and an untraced twin, driven hard for many steps, agree
+    // on every spike and state update.
     const FlexonConfig config = configFor(ModelKind::AdEx);
     TracedFoldedNeuron n(config);
+    FoldedFlexonNeuron twin(config);
     Rng rng(3);
     int spikes = 0;
     for (int t = 0; t < 5000; ++t) {
         const Fix in = rng.bernoulli(0.2)
                            ? config.scaleWeight(rng.uniform(0.2, 0.7))
                            : Fix::zero();
-        spikes += n.step(in);
+        const bool fired = n.step(in);
+        ASSERT_EQ(fired, twin.step(in)) << "step " << t;
+        ASSERT_EQ(n.state().v.raw(), twin.state().v.raw()) << "step " << t;
+        ASSERT_EQ(n.state().w.raw(), twin.state().w.raw()) << "step " << t;
+        spikes += fired;
     }
     EXPECT_GT(spikes, 0);
 }

@@ -411,7 +411,7 @@ main(int argc, char **argv)
                     "kernel", "ie", "description");
         for (const ModelDescriptor *d :
              ModelRegistry::instance().all()) {
-            std::printf("%-22s %-26s %3u %5zu %7zu  %-11s %-3s %s\n",
+            std::printf("%-22s %-26s %3zu %5zu %7zu  %-11s %-3s %s\n",
                         d->name.c_str(),
                         d->features().toString().c_str(),
                         d->params.numSynapseTypes, d->microcodeOps,
