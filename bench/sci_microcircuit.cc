@@ -9,7 +9,7 @@
  *       recorded spike activity replayed through the router, at a
  *       background (~7 Hz) and a driven (~10x) regime.
  *   BM_MicrocircuitStep  full-step cost of the dense engine, the
- *       event-driven engine and the rate-adaptive auto session on
+ *       event-driven engine and the rate-adaptive auto engine on
  *       the same scenario.
  *
  * All engines produce bit-identical spike trains (enforced in
@@ -28,7 +28,6 @@
 #include "nets/potjans_diesmann.hh"
 #include "plan/calibration.hh"
 #include "registry/registry.hh"
-#include "snn/auto_engine.hh"
 #include "snn/routing.hh"
 #include "snn/simulator.hh"
 
@@ -131,12 +130,11 @@ BM_MicrocircuitStep(benchmark::State &state)
     const auto rateScale = static_cast<double>(state.range(1));
     MicrocircuitInstance inst = benchInstance(rateScale);
 
-    AutoEngineOptions autoOpts;
-    autoOpts.engine = engine == 1   ? EngineKind::Event
-                      : engine == 2 ? EngineKind::Auto
-                                    : EngineKind::Dense;
-    AutoSession sim(inst.network, inst.stimulus, SimulatorOptions{},
-                    autoOpts);
+    SimulatorOptions opts;
+    opts.engine = engine == 1   ? EngineKind::Event
+                  : engine == 2 ? EngineKind::Auto
+                                : EngineKind::Dense;
+    Simulator sim(inst.network, inst.stimulus, opts);
     sim.run(warmupSteps);
 
     static const char *const names[] = {"sparse", "event", "auto"};
@@ -146,7 +144,7 @@ BM_MicrocircuitStep(benchmark::State &state)
         sim.run(1);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
     state.counters["rate"] =
-        benchmark::Counter(sim.session().meanRate());
+        benchmark::Counter(sim.meanRate());
 }
 
 } // namespace

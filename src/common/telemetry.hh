@@ -288,9 +288,8 @@ class Registry
     /**
      * The process-wide registry: instrumentation that is not owned by
      * one engine instance (kernel dispatch mix, tool-level counters).
-     * Per-run engines (Simulator, EventDrivenSimulator) own private
-     * registries instead, so concurrent or sequential instances never
-     * mix their numbers.
+     * Each session (Simulator) owns a private registry instead, so
+     * concurrent or sequential instances never mix their numbers.
      */
     static Registry &global();
 

@@ -52,8 +52,8 @@ class ThreadPool
 
     /**
      * The process-wide pool. Workers are spawned lazily on first use
-     * and reused by every caller (simulator phases, array backends,
-     * the legacy parallelFor shim).
+     * and reused by every caller (simulator phases, array
+     * backends).
      */
     static ThreadPool &global();
 

@@ -210,6 +210,8 @@ parseScript(std::istream &is)
             NeuronParams params = desc->params;
             const size_t count = static_cast<size_t>(
                 toUint(line, "count", kv.at("count")));
+            if (count == 0)
+                parseError(line.number, "empty population ", name);
             kv.erase("model");
             kv.erase("count");
             for (const auto &[key, value] : kv)

@@ -4,6 +4,35 @@
 #include <cmath>
 
 namespace flexon {
+
+const char *
+engineKindName(EngineKind kind)
+{
+    switch (kind) {
+    case EngineKind::Dense:
+        return "dense";
+    case EngineKind::Event:
+        return "event";
+    case EngineKind::Auto:
+        return "auto";
+    }
+    return "?";
+}
+
+bool
+parseEngineKind(const std::string &text, EngineKind &out)
+{
+    if (text == "dense")
+        out = EngineKind::Dense;
+    else if (text == "event")
+        out = EngineKind::Event;
+    else if (text == "auto")
+        out = EngineKind::Auto;
+    else
+        return false;
+    return true;
+}
+
 namespace plan {
 
 namespace {
@@ -19,20 +48,6 @@ effectiveLanes(unsigned threads, double parallelEfficiency)
 }
 
 } // namespace
-
-const char *
-strategyName(Strategy s)
-{
-    switch (s) {
-    case Strategy::Dense:
-        return "dense";
-    case Strategy::EventDriven:
-        return "event";
-    case Strategy::Adaptive:
-        return "auto";
-    }
-    return "unknown";
-}
 
 ExecutionPlanner::ExecutionPlanner()
     : ExecutionPlanner(activeCalibration())
@@ -131,18 +146,18 @@ ExecutionPlanner::plan(const NetworkStats &net, double rate,
     // expected to wander across it; the adaptive engine is the right
     // choice there. Outside the band one engine dominates, and
     // pinning it avoids the auto layer's decision bookkeeping.
-    const double margin = 1.0 + p.hysteresis;
+    const double margin = 1.0 + kSwitchHysteresis;
     const double r = std::max(rate, 0.0);
     if (p.crossoverRate > 0.0 && r < p.crossoverRate * margin &&
         r * margin > p.crossoverRate) {
-        p.strategy = Strategy::Adaptive;
+        p.engine = EngineKind::Auto;
         p.predictedStepSec = std::min(p.predictedDenseStepSec,
                                       p.predictedEventStepSec);
     } else if (p.predictedEventStepSec < p.predictedDenseStepSec) {
-        p.strategy = Strategy::EventDriven;
+        p.engine = EngineKind::Event;
         p.predictedStepSec = p.predictedEventStepSec;
     } else {
-        p.strategy = Strategy::Dense;
+        p.engine = EngineKind::Dense;
         p.predictedStepSec = p.predictedDenseStepSec;
     }
     return p;

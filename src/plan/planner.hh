@@ -1,6 +1,6 @@
 /**
  * @file
- * Execution planner: calibrated per-strategy step-cost prediction.
+ * Execution planner: calibrated per-engine step-cost prediction.
  *
  * The ExecutionPlanner turns a CalibrationData into decisions the
  * session layer used to hard-code: which engine (dense vs
@@ -9,7 +9,7 @@
  * Every prediction is a pure function of (calibration, NetworkStats,
  * rate, threads) — no clocks, no sampling — so planner-driven runs
  * are reproducible and bit-identical to the corresponding
- * fixed-strategy runs: the planner only ever changes *which* engine
+ * fixed-engine runs: the planner only ever changes *which* engine
  * steps, never what an engine computes.
  *
  * Cost model (all times per step, rate r = fired fraction):
@@ -28,8 +28,8 @@
  * T. Both engines pay the same per-record delivery + ring-clear cost
  * once a spike fires; at T = 1 those terms cancel out of the
  * crossover, which reduces to denseNs / ((K + 1) * eventNs) — with
- * the builtin calibration exactly the tuned 1 / (K + 1) crossover
- * PR 6's AutoSession shipped with (kBuiltinEventCostFactor = 1).
+ * the builtin calibration exactly the hand-tuned 1 / (K + 1)
+ * crossover (kBuiltinEventCostFactor = 1).
  */
 
 #ifndef FLEXON_PLAN_PLANNER_HH
@@ -41,6 +41,22 @@
 #include <string>
 
 namespace flexon {
+
+/** Which delivery engine a run uses (or Auto to switch between the
+ *  two at the planned crossover). */
+enum class EngineKind {
+    Dense, ///< dense per-step engine (NeuronBackend + SpikeRouter)
+    Event, ///< event-driven LLIF engine
+    Auto,  ///< rate-adaptive switch between the two
+};
+
+/** Printable engine-kind name ("dense" / "event" / "auto"). */
+const char *engineKindName(EngineKind kind);
+
+/** Parse "dense" / "event" / "auto"; returns false on anything
+ *  else. */
+bool parseEngineKind(const std::string &text, EngineKind &out);
+
 namespace plan {
 
 /**
@@ -92,29 +108,17 @@ struct NetworkStats
     }
 };
 
-/** Execution strategies the planner chooses among. */
-enum class Strategy
-{
-    Dense,      ///< dense per-step engine (Simulator)
-    EventDriven,///< event-driven engine (EventDrivenSimulator)
-    Adaptive,   ///< AutoSession switching at the planned crossover
-};
-
-const char *strategyName(Strategy s);
-
-/** A concrete plan for one run: strategy + tuning + provenance. */
+/** A concrete plan for one run: engine + tuning + provenance. */
 struct EnginePlan
 {
-    Strategy strategy = Strategy::Dense;
+    EngineKind engine = EngineKind::Dense;
     /** Worker lanes the planner predicts are worth their dispatch. */
     unsigned threads = 1;
     /** Planned crossover rate for the adaptive engine. */
     double crossoverRate = 0.0;
-    double hysteresis = kSwitchHysteresis;
-    uint64_t decisionWindow = kDecisionWindow;
-    /** Predicted seconds per step for the chosen strategy. */
+    /** Predicted seconds per step for the chosen engine. */
     double predictedStepSec = 0.0;
-    /** Per-strategy predictions backing the choice (diagnostics). */
+    /** Per-engine predictions backing the choice (diagnostics). */
     double predictedDenseStepSec = 0.0;
     double predictedEventStepSec = 0.0;
     /** Version of the calibration the plan was derived from. */
@@ -122,7 +126,7 @@ struct EnginePlan
 };
 
 /**
- * Predicts per-strategy step cost from a calibration and picks the
+ * Predicts per-engine step cost from a calibration and picks the
  * cheapest. Holds a copy of the calibration: a planner's decisions
  * never change behind its back.
  */
@@ -162,7 +166,7 @@ class ExecutionPlanner
                          unsigned maxThreads) const;
 
     /**
-     * Full plan for a run: per-strategy predictions at `rate` (use
+     * Full plan for a run: per-engine predictions at `rate` (use
      * kDefaultRatePrior before any steps have run), thread choice,
      * and the adaptive crossover. `maxThreads` caps the thread
      * search (e.g. a --threads flag or hardware_concurrency).

@@ -11,8 +11,34 @@
 namespace flexon {
 
 bool
-eventDrivenEligible(const Network &network, std::string *why)
+eventDrivenEligible(const Network &network,
+                    const SimulatorOptions &options, std::string *why)
 {
+    // The hand-off moves LLIF (v, refractory) arrays, which only the
+    // reference backend's discrete path can export and import.
+    if (options.backend != BackendKind::Reference) {
+        if (why)
+            *why = "the event-driven engine runs the reference "
+                   "backend's arithmetic only; the " +
+                   std::string(backendName(options.backend)) +
+                   " backend cannot hand off its neuron state";
+        return false;
+    }
+    if (options.mode != IntegrationMode::Discrete) {
+        if (why)
+            *why = "continuous integration carries solver state the "
+                   "event-driven engine cannot reproduce";
+        return false;
+    }
+    if (options.connectivity != ConnectivityKind::Materialized) {
+        if (why)
+            *why = "the event-driven engine delivers from materialized "
+                   "rows; " +
+                   std::string(connectivityKindName(
+                       options.connectivity)) +
+                   " connectivity has no event-driven delivery path";
+        return false;
+    }
     if (network.procedural()) {
         // The engine's deliveries walk stored rows through a
         // materialized provider; a row-regenerating network has none.
@@ -48,23 +74,19 @@ eventDrivenEligible(const Network &network, std::string *why)
     return true;
 }
 
-EventDrivenSimulator::EventDrivenSimulator(
-    const Network &network, StimulusGenerator stimulus,
-    const SessionOptions &options)
-    : SimulationSession(network, std::move(stimulus), options),
-      synapseEvents_(synapseEventsCounter(metrics())),
-      updatesCounter_(metrics().counter(
+EventEngine::EventEngine(const Network &network,
+                         telemetry::Registry &metrics)
+    : network_(network),
+      rows_(makeConnectivityProvider(ConnectivityKind::Materialized,
+                                     network, 1, &metrics)),
+      synapseEvents_(synapseEventsCounter(metrics)),
+      updatesCounter_(metrics.counter(
           "ev.updates", "neuron updates actually performed")),
-      denseUpdatesCounter_(metrics().counter(
+      denseUpdatesCounter_(metrics.counter(
           "ev.dense_updates",
           "updates a dense per-step engine would have performed"))
 {
-    // Validate the LLIF restriction and cache per-neuron parameters.
-    std::string why;
-    if (!eventDrivenEligible(network, &why))
-        fatal("event-driven execution unavailable: %s", why.c_str());
-    rows_ = makeConnectivityProvider(ConnectivityKind::Materialized,
-                                     network, 1, &metrics());
+    // Cache the per-neuron LLIF parameters.
     state_.resize(network.numNeurons());
     vLeak_.resize(network.numNeurons());
     arSteps_.resize(network.numNeurons());
@@ -88,7 +110,7 @@ EventDrivenSimulator::EventDrivenSimulator(
 }
 
 void
-EventDrivenSimulator::catchUp(uint32_t neuron, uint64_t now)
+EventEngine::catchUp(uint32_t neuron, uint64_t now)
 {
     NeuronState &s = state_[neuron];
     flexon_assert(now >= s.lastUpdate);
@@ -108,7 +130,7 @@ EventDrivenSimulator::catchUp(uint32_t neuron, uint64_t now)
 }
 
 void
-EventDrivenSimulator::updateNeuron(uint32_t neuron, double input,
+EventEngine::updateNeuron(uint32_t neuron, double input,
                                    uint64_t now,
                                    std::vector<uint8_t> &fired)
 {
@@ -132,8 +154,8 @@ EventDrivenSimulator::updateNeuron(uint32_t neuron, double input,
 }
 
 void
-EventDrivenSimulator::engineInjectStimulus(
-    uint64_t t, std::span<const StimulusSpike> spikes)
+EventEngine::injectStimulus(uint64_t t,
+                            std::span<const StimulusSpike> spikes)
 {
     touched_.clear();
 
@@ -176,8 +198,7 @@ EventDrivenSimulator::engineInjectStimulus(
 }
 
 void
-EventDrivenSimulator::engineStepNeurons(uint64_t t,
-                                        std::vector<uint8_t> &fired)
+EventEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 {
     // Per-type buckets summed in type order, exactly as the dense
     // engine's synapse-calculation slot does — so the floating-point
@@ -199,11 +220,11 @@ EventDrivenSimulator::engineStepNeurons(uint64_t t,
     // decay and the countdown lazily.
 
     updatesCounter_.add(touched_.size());
-    denseUpdatesCounter_.add(network().numNeurons());
+    denseUpdatesCounter_.add(network_.numNeurons());
 }
 
 void
-EventDrivenSimulator::enginePrepareDelivery()
+EventEngine::prepareDelivery()
 {
     // Pick up weight updates made between steps (cheap no-op compare
     // when nothing changed).
@@ -211,8 +232,7 @@ EventDrivenSimulator::enginePrepareDelivery()
 }
 
 void
-EventDrivenSimulator::engineDeliverSpikes(
-    uint64_t t, std::span<const uint32_t> fired)
+EventEngine::deliverSpikes(uint64_t t, std::span<const uint32_t> fired)
 {
     // Append the fired rows' packed delivery records per delay
     // bucket, sources ascending — the same per-slot arrival order as
@@ -236,7 +256,7 @@ EventDrivenSimulator::engineDeliverSpikes(
 }
 
 void
-EventDrivenSimulator::engineReset()
+EventEngine::reset()
 {
     state_.assign(state_.size(), NeuronState{});
     for (auto &slot : ring_)
@@ -250,26 +270,24 @@ EventDrivenSimulator::engineReset()
 }
 
 void
-EventDrivenSimulator::engineReportConfig(
-    telemetry::ReportFields &config) const
+EventEngine::reportConfig(telemetry::ReportFields &config) const
 {
     config.emplace_back("backend",
                         telemetry::jsonQuoted("event-driven"));
 }
 
 double
-EventDrivenSimulator::membrane(uint32_t neuron) const
+EventEngine::membrane(uint32_t neuron, uint64_t now) const
 {
-    flexon_assert(neuron < network().numNeurons());
+    flexon_assert(neuron < network_.numNeurons());
     const NeuronState &s = state_[neuron];
-    const uint64_t now = currentStep();
     const uint64_t elapsed = now - std::min(now, s.lastUpdate);
     return std::max(0.0, s.v - vLeak_[neuron] *
                              static_cast<double>(elapsed));
 }
 
 void
-EventDrivenSimulator::engineSaveState(std::ostream &os) const
+EventEngine::saveState(std::ostream &os) const
 {
     os << "ev " << state_.size() << ' ' << ringDepth_ << ' '
        << synapseEvents_.value() << ' ' << updatesCounter_.value()
@@ -298,7 +316,7 @@ EventDrivenSimulator::engineSaveState(std::ostream &os) const
 }
 
 void
-EventDrivenSimulator::engineLoadState(std::istream &is)
+EventEngine::loadState(std::istream &is, uint64_t now)
 {
     std::string tag;
     size_t numNeurons = 0, ringDepth = 0;
@@ -317,7 +335,6 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
 
     // The next step catches every neuron up from lastUpdate to the
     // restored step, and indexes queued_ / acc_ by each pending cell.
-    const uint64_t now = currentStep();
     const size_t cells = state_.size() * maxSynapseTypes;
     auto checkCell = [cells](uint32_t cell) {
         if (cell >= cells)
@@ -364,10 +381,9 @@ EventDrivenSimulator::engineLoadState(std::istream &is)
         fatal("truncated event-driven state in checkpoint");
 }
 
-bool
-EventDrivenSimulator::engineExportTransfer(EngineTransfer &out) const
+void
+EventEngine::exportTransfer(uint64_t now, EngineTransfer &out) const
 {
-    const uint64_t now = currentStep();
     out.t = now;
 
     // Materialize every neuron's state at step `now` without
@@ -413,17 +429,14 @@ EventDrivenSimulator::engineExportTransfer(EngineTransfer &out) const
             }
         }
     }
-    return true;
 }
 
-bool
-EventDrivenSimulator::engineImportTransfer(const EngineTransfer &in)
+void
+EventEngine::importTransfer(const EngineTransfer &in)
 {
-    if (in.v.size() != state_.size() ||
-        in.refractory.size() != state_.size() ||
-        in.ring.size() > ringDepth_)
-        return false;
-    flexon_assert(in.t == currentStep());
+    flexon_assert(in.v.size() == state_.size() &&
+                  in.refractory.size() == state_.size() &&
+                  in.ring.size() <= ringDepth_);
 
     for (size_t i = 0; i < state_.size(); ++i)
         state_[i] = NeuronState{in.v[i], in.refractory[i], in.t};
@@ -433,7 +446,6 @@ EventDrivenSimulator::engineImportTransfer(const EngineTransfer &in)
         carry.clear();
     for (size_t d = 0; d < in.ring.size(); ++d)
         carry_[(in.t + d) % ringDepth_] = in.ring[d];
-    return true;
 }
 
 } // namespace flexon

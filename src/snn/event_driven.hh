@@ -10,17 +10,20 @@
  * refractory countdown, or an arriving input. Because the linear
  * decay is closed-form (v -> max(0, v - k * vLeak)), skipped steps
  * are reconstructed exactly on wake-up; the engine is
- * *step-equivalent* to the dense Simulator, which the test suite
+ * *step-equivalent* to the dense engine, which the test suite
  * asserts spike-for-spike.
  *
- * The engine is a SimulationSession: it shares the dense engine's
- * orchestration (stimulus stream, spike recording, membrane probes,
- * printStats, run reports, reset, checkpoint/restore) and plugs in
- * sparse phase bodies — stimulus and pending deliveries fold into
- * per-neuron accumulators, and only the touched set is updated.
+ * The engine is a DeliveryEngine: the session (snn/session.hh) keeps
+ * the orchestration (stimulus stream, spike recording, membrane
+ * probes, printStats, run reports, reset, checkpoint/restore), and
+ * the engine plugs in sparse phase bodies — stimulus and pending
+ * deliveries fold into per-neuron accumulators, and only the touched
+ * set is updated.
  *
- * Restrictions: every population must be LID + CUB (+ optional AR) —
- * exactly the TrueNorth-style LLIF configuration.
+ * Restrictions (eventDrivenEligible): every population must be LID +
+ * CUB (+ optional AR) — exactly the TrueNorth-style LLIF
+ * configuration — on the reference backend's discrete path over
+ * materialized connectivity.
  */
 
 #ifndef FLEXON_SNN_EVENT_DRIVEN_HH
@@ -44,33 +47,46 @@
 namespace flexon {
 
 /**
- * True when `network` satisfies the event-driven engine's model
- * restriction: every population LID + CUB (+ optional AR). When
- * false and `why` is non-null, *why receives a human-readable
- * reason. The auto engine consults this before considering a
- * switch; the EventDrivenSimulator constructor fatal()s on it.
+ * True when the event-driven engine can run `network` under
+ * `options`, and so take part in a hand-off: the reference backend
+ * in discrete mode, materialized connectivity over stored rows, and
+ * every population LID + CUB (+ optional AR). When false and `why`
+ * is non-null, *why receives a human-readable reason. The one
+ * eligibility test: the session resolves SimulatorOptions::engine
+ * with it, and flexon_sim --plan=auto degrades to dense on it.
  */
 bool eventDrivenEligible(const Network &network,
+                         const SimulatorOptions &options,
                          std::string *why = nullptr);
 
 /**
- * The event-driven LLIF engine. Besides the session metrics it counts
- * "ev.updates" (neuron updates performed) and "ev.dense_updates"
- * (updates a dense engine would have performed) in the registry.
+ * The event-driven LLIF engine. It counts "ev.updates" (neuron
+ * updates performed) and "ev.dense_updates" (updates a dense engine
+ * would have performed) in the session registry.
  */
-class EventDrivenSimulator : public SimulationSession
+class EventEngine : public DeliveryEngine
 {
   public:
     /**
-     * @param network finalized; every population must be LID + CUB
-     *        (+AR) — fatal() otherwise
+     * @param network finalized and eventDrivenEligible()
+     * @param metrics session registry (must outlive the engine)
      */
-    EventDrivenSimulator(const Network &network,
-                         StimulusGenerator stimulus,
-                         const SessionOptions &options = {});
+    EventEngine(const Network &network, telemetry::Registry &metrics);
 
-    /** Membrane potential of a neuron *as of the current step*. */
-    double membrane(uint32_t neuron) const override;
+    const char *kind() const override { return "event-driven"; }
+    void injectStimulus(uint64_t t,
+                        std::span<const StimulusSpike> spikes) override;
+    void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) override;
+    void prepareDelivery() override;
+    void deliverSpikes(uint64_t t,
+                       std::span<const uint32_t> fired) override;
+    void reset() override;
+    void reportConfig(telemetry::ReportFields &config) const override;
+    void saveState(std::ostream &os) const override;
+    void loadState(std::istream &is, uint64_t now) override;
+
+    /** Membrane potential of a neuron as of step `now`. */
+    double membrane(uint32_t neuron, uint64_t now) const override;
 
     /** Test/CI hook: NaN-poison one neuron's stored state. */
     bool
@@ -82,21 +98,6 @@ class EventDrivenSimulator : public SimulationSession
         return true;
     }
 
-  protected:
-    const char *engineKind() const override { return "event-driven"; }
-    void engineInjectStimulus(
-        uint64_t t, std::span<const StimulusSpike> spikes) override;
-    void engineStepNeurons(uint64_t t,
-                           std::vector<uint8_t> &fired) override;
-    void enginePrepareDelivery() override;
-    void engineDeliverSpikes(
-        uint64_t t, std::span<const uint32_t> fired) override;
-    void engineReset() override;
-    void engineReportConfig(
-        telemetry::ReportFields &config) const override;
-    void engineSaveState(std::ostream &os) const override;
-    void engineLoadState(std::istream &is) override;
-
     /**
      * Health sweep: check the *stored* membrane values (catchUp's
      * closed-form max() would mask a NaN when reconstructing), and
@@ -105,8 +106,8 @@ class EventDrivenSimulator : public SimulationSession
      * stays 0 and the watermark detector does not apply.
      */
     void
-    engineHealthScan(uint64_t begin, uint64_t end,
-                     health::HealthScan &scan) const override
+    healthScan(uint64_t begin, uint64_t end,
+               health::HealthScan &scan) const override
     {
         for (uint64_t n = begin; n < end; ++n) {
             ++scan.checked;
@@ -125,9 +126,8 @@ class EventDrivenSimulator : public SimulationSession
         scan.ringCapacity = 0;
     }
 
-  public:
-    bool engineExportTransfer(EngineTransfer &out) const override;
-    bool engineImportTransfer(const EngineTransfer &in) override;
+    void exportTransfer(uint64_t now, EngineTransfer &out) const override;
+    void importTransfer(const EngineTransfer &in) override;
 
   private:
     struct NeuronState
@@ -144,12 +144,12 @@ class EventDrivenSimulator : public SimulationSession
     void updateNeuron(uint32_t neuron, double input, uint64_t now,
                       std::vector<uint8_t> &fired);
 
+    const Network &network_;
     /**
      * Packed delivery rows (one-shard materialized provider): a
      * fired neuron's bucket runs are appended to the pending ring
      * as-is, so delivery streams 8-byte records instead of gathering
-     * Synapse structs. Built after the base class, so the session
-     * registry is live for the provider's refresh counters.
+     * Synapse structs.
      */
     std::unique_ptr<ConnectivityProvider> rows_;
     RowScratch rowScratch_;

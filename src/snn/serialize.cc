@@ -125,6 +125,8 @@ loadNetwork(std::istream &is)
         is >> tag >> name >> count;
         if (tag != "pop" || !is)
             fatal("malformed population record %zu", i);
+        if (count == 0)
+            fatal("empty population record %zu", i);
         const NeuronParams params = readParams(is);
         net.addPopulation(unescapeName(name), params, count);
     }
@@ -199,7 +201,7 @@ writeCheckpointHeader(std::ostream &os, std::string_view engine)
 }
 
 CheckpointHeader
-readCheckpointHeaderInfo(std::istream &is)
+parseCheckpointHeader(std::istream &is)
 {
     std::string word;
     is >> word;
@@ -220,21 +222,6 @@ readCheckpointHeaderInfo(std::istream &is)
     if (!is)
         fatal("truncated checkpoint header");
     return header;
-}
-
-std::string
-readCheckpointHeader(std::istream &is)
-{
-    return readCheckpointHeaderInfo(is).engine;
-}
-
-std::string
-peekCheckpointFileEngine(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("cannot open checkpoint file '%s'", path.c_str());
-    return readCheckpointHeader(is);
 }
 
 } // namespace flexon

@@ -53,17 +53,7 @@ struct CheckpointHeader
  * unsupported version. Readers that accept more than one version
  * gate optional blocks (e.g. the v4 plasticity block) on `version`.
  */
-CheckpointHeader readCheckpointHeaderInfo(std::istream &is);
-
-/** Header read returning just the engine kind (legacy callers). */
-std::string readCheckpointHeader(std::istream &is);
-
-/**
- * Read just the engine kind from a checkpoint file's header without
- * consuming the body — the auto engine uses this to rebuild the
- * matching engine before restoring. fatal() on I/O or header errors.
- */
-std::string peekCheckpointFileEngine(const std::string &path);
+CheckpointHeader parseCheckpointHeader(std::istream &is);
 
 } // namespace flexon
 

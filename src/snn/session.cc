@@ -9,16 +9,62 @@
 
 #include "common/debug.hh"
 #include "common/logging.hh"
-#include "plan/planner.hh"
-#include "snn/connectivity.hh"
+#include "snn/event_driven.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
+#include "snn/simulator.hh"
 
 namespace flexon {
 
+namespace {
+
+plan::NetworkStats
+networkStats(const Network &network)
+{
+    return {network.numNeurons(), network.numSynapses()};
+}
+
+unsigned
+laneCount(size_t threads)
+{
+    return static_cast<unsigned>(std::max<size_t>(1, threads));
+}
+
+} // namespace
+
+SimulationSession::HealthMetrics::HealthMetrics(
+    telemetry::Registry &metrics)
+    : sweeps(metrics.counter("health.sweeps",
+                             "health detector sweeps executed")),
+      neuronsChecked(metrics.counter(
+          "health.neurons_checked",
+          "membrane values examined by health sweeps")),
+      nanEvents(metrics.counter(
+          "health.nan_events", "sweeps that saw non-finite values")),
+      saturationEvents(metrics.counter(
+          "health.saturation_events",
+          "sweeps that saw new fixed-point rail hits")),
+      saturationHits(metrics.counter(
+          "health.saturation_hits",
+          "fixed-point rail hits tallied by health sweeps")),
+      rateExplosions(metrics.counter(
+          "health.rate_explosions",
+          "sweeps with the EWMA rate above the explosion threshold")),
+      rateSilences(metrics.counter(
+          "health.rate_silences",
+          "sweeps with the EWMA rate below the silence threshold")),
+      ringHighWater(metrics.counter(
+          "health.ring_high_water",
+          "sweeps with ring occupancy at/above the watermark")),
+      ringPeakFraction(metrics.gauge(
+          "health.ring_peak_fraction",
+          "maximum delay-ring occupancy fraction seen"))
+{
+}
+
 SimulationSession::SimulationSession(const Network &network,
                                      StimulusGenerator stimulus,
-                                     const SessionOptions &options)
+                                     const SimulatorOptions &options)
     : network_(network), stimulus_(std::move(stimulus)),
       stimulusInitial_(stimulus_), options_(options),
       stimulusTimer_(metrics_.timer(
@@ -49,7 +95,10 @@ SimulationSession::SimulationSession(const Network &network,
           "modelled hardware neuron-phase seconds")),
       ewmaRateGauge_(metrics_.gauge(
           "sim.ewma_rate",
-          "EWMA firing rate (spikes per neuron per step)"))
+          "EWMA firing rate (spikes per neuron per step)")),
+      switchesCounter_(metrics_.counter(
+          "sim.engine_switches", "auto-engine delivery switches")),
+      health_(metrics_)
 {
     if (!network_.finalized())
         fatal("network must be finalized before simulation");
@@ -72,6 +121,40 @@ SimulationSession::SimulationSession(const Network &network,
     if (!options_.metricsOut.empty())
         exporter_ = std::make_unique<health::MetricsExporter>(
             options_.metricsOut, options_.label);
+
+    // Resolve the engine once. An explicit event request must be
+    // runnable; auto adapts only where the hand-off exists.
+    std::string why;
+    if (options_.engine != EngineKind::Dense &&
+        !eventDrivenEligible(network_, options_, &why)) {
+        if (options_.engine == EngineKind::Event)
+            fatal("engine=event: %s", why.c_str());
+        warn("engine=auto: pinned to the dense engine (%s)",
+             why.c_str());
+    } else {
+        adaptive_ = options_.engine == EngineKind::Auto;
+    }
+    // Plan from the active calibration, copied: a later
+    // setActiveCalibration() does not move this session's crossover.
+    const plan::EnginePlan plan =
+        planner_.plan(networkStats(network_), plan::kDefaultRatePrior,
+                      laneCount(options_.threads));
+    if (adaptive_)
+        crossoverRate_ = plan.crossoverRate;
+    // A fresh network is silent, so an auto session starts
+    // event-driven.
+    installEngine(options_.engine == EngineKind::Event || adaptive_);
+
+    planInfo_.strategy = adaptive_      ? "auto"
+                         : eventActive_ ? "event"
+                                        : "dense";
+    planInfo_.predictedStepSec = eventActive_
+                                     ? plan.predictedEventStepSec
+                                     : plan.predictedDenseStepSec;
+    planInfo_.crossoverRate = crossoverRate_;
+    planInfo_.calibrationVersion = plan.calibrationVersion;
+    if (adaptive_)
+        recordDecision(plan::kDefaultRatePrior, false);
 }
 
 SimulationSession::~SimulationSession()
@@ -96,10 +179,41 @@ SimulationSession::attachPlasticityRule(PlasticityRule *rule)
 }
 
 void
+SimulationSession::installEngine(bool event)
+{
+    if (event)
+        engine_ = std::make_unique<EventEngine>(network_, metrics_);
+    else
+        engine_ =
+            std::make_unique<DenseEngine>(network_, options_, metrics_);
+    eventActive_ = event;
+}
+
+NeuronBackend &
+SimulationSession::backend()
+{
+    flexon_assert(!eventActive_);
+    return static_cast<DenseEngine &>(*engine_).backend();
+}
+
+const SpikeRouter &
+SimulationSession::router() const
+{
+    flexon_assert(!eventActive_);
+    return static_cast<const DenseEngine &>(*engine_).router();
+}
+
+const std::vector<double> &
+SimulationSession::ringBuffer() const
+{
+    return router().ringBuffer();
+}
+
+void
 SimulationSession::phaseStimulus()
 {
     telemetry::ScopedTimer scope(stimulusTimer_, "sim.stimulus");
-    engineInjectStimulus(t_, stimulus_.generate(t_));
+    engine_->injectStimulus(t_, stimulus_.generate(t_));
 }
 
 void
@@ -107,9 +221,9 @@ SimulationSession::phaseNeuron()
 {
     {
         telemetry::ScopedTimer scope(neuronTimer_, "sim.neuron");
-        engineStepNeurons(t_, fired_);
+        engine_->stepNeurons(t_, fired_);
     }
-    modelNeuronSecGauge_.add(engineModelSecondsPerStep());
+    modelNeuronSecGauge_.add(engine_->modelSecondsPerStep());
 }
 
 void
@@ -119,7 +233,7 @@ SimulationSession::phaseSynapse()
 
     // Re-mirror any plasticity weight updates into the engine's
     // delivery structures (one counter compare when nothing changed).
-    enginePrepareDelivery();
+    engine_->prepareDelivery();
 
     // Serial bookkeeping sweep: spike counters, optional event
     // recording, and the ascending fired list delivery iterates.
@@ -136,8 +250,8 @@ SimulationSession::phaseSynapse()
     }
     spikesCounter_.add(firedList_.size());
 
-    // Rate estimator for the auto engine switch: pure function of
-    // the spike history, so it stays deterministic and restorable.
+    // Rate estimator for the auto engine: a pure function of the
+    // spike history, so it stays deterministic and restorable.
     if (numNeurons > 0) {
         const double inst = static_cast<double>(firedList_.size()) /
                             static_cast<double>(numNeurons);
@@ -147,7 +261,7 @@ SimulationSession::phaseSynapse()
 
     telemetry::ScopedTimer routeScope(routeTimer_,
                                       "sim.synapse.route");
-    engineDeliverSpikes(t_, firedList_);
+    engine_->deliverSpikes(t_, firedList_);
 }
 
 void
@@ -203,8 +317,56 @@ SimulationSession::stepOnce()
         health::heartbeat(t_);
     if (exporter_ && t_ % options_.metricsEvery == 0) {
         telemetry::ScopedTimer scope(exportTimer_, "sim.export");
-        exporter_->exportNow(metrics_, t_, engineKind());
+        exporter_->exportNow(metrics_, t_, engine_->kind());
     }
+    // Decisions fall on absolute window boundaries, so a restored
+    // run re-evaluates at the same steps as the original.
+    if (adaptive_ && t_ % plan::kDecisionWindow == 0)
+        decide();
+}
+
+void
+SimulationSession::switchEngine(bool toEvent)
+{
+    EngineTransfer transfer;
+    engine_->exportTransfer(t_, transfer);
+    installEngine(toEvent);
+    engine_->importTransfer(transfer);
+    switchesCounter_.add(1);
+}
+
+void
+SimulationSession::decide()
+{
+    const double rate = ewmaRate();
+    const double margin = 1.0 + plan::kSwitchHysteresis;
+    const bool toEvent = eventActive_
+                             ? !(rate > crossoverRate_ * margin)
+                             : rate * margin < crossoverRate_;
+    const bool switched = toEvent != eventActive_;
+    if (switched)
+        switchEngine(toEvent);
+    recordDecision(rate, switched);
+}
+
+void
+SimulationSession::recordDecision(double rate, bool switched)
+{
+    ++planDecisionsTotal_;
+    if (planDecisions_.size() < kPlanAuditCapacity) {
+        const plan::NetworkStats net = networkStats(network_);
+        PlanDecision d;
+        d.step = t_;
+        d.ewmaRate = rate;
+        d.predictedDenseSec = planner_.predictDenseStepSec(
+            net, rate, laneCount(options_.threads));
+        d.predictedEventSec = planner_.predictEventStepSec(net, rate);
+        d.chosen = eventActive_ ? "event" : "dense";
+        d.switched = switched;
+        planDecisions_.push_back(std::move(d));
+    }
+    if (telemetry::traceEnabled())
+        telemetry::traceInstant("plan.decision");
 }
 
 void
@@ -239,7 +401,7 @@ void
 SimulationSession::healthSweep()
 {
     const health::HealthOptions &ho = options_.health;
-    ++healthCounters_.sweeps;
+    health_.sweeps.add(1);
 
     // Engine state scan over a rotating window, so big populations
     // are covered incrementally at O(window) per sweep.
@@ -256,16 +418,16 @@ SimulationSession::healthSweep()
             end = std::min(begin + ho.maxScanNeurons, numNeurons);
             healthCursor_ = end < numNeurons ? end : 0;
         }
-        engineHealthScan(begin, end, scan);
-        healthCounters_.neuronsChecked += scan.checked;
+        engine_->healthScan(begin, end, scan);
+        health_.neuronsChecked.add(scan.checked);
     }
 
     if (ho.nan != health::Policy::Off && scan.nonFinite > 0) {
-        ++healthCounters_.nanEvents;
+        health_.nanEvents.add(1);
         std::ostringstream msg;
         msg << scan.nonFinite << " non-finite membrane value(s), "
             << "first at neuron " << scan.firstBad << ", step " << t_;
-        healthApply(ho.nan, "nan", healthCounters_.nanEvents,
+        healthApply(ho.nan, "nan", health_.nanEvents.value(),
                     msg.str());
     }
 
@@ -277,15 +439,15 @@ SimulationSession::healthSweep()
     lastFixSaturations_ = satNow;
     if (ho.saturation != health::Policy::Off &&
         (satDelta > 0 || scan.saturated > 0)) {
-        healthCounters_.saturationHits += satDelta + scan.saturated;
-        ++healthCounters_.saturationEvents;
+        health_.saturationHits.add(satDelta + scan.saturated);
+        health_.saturationEvents.add(1);
         std::ostringstream msg;
         msg << satDelta << " fixed-point saturation(s)";
         if (scan.saturated > 0)
             msg << " + " << scan.saturated << " railed membrane(s)";
         msg << " since last sweep, step " << t_;
         healthApply(ho.saturation, "saturation",
-                    healthCounters_.saturationEvents, msg.str());
+                    health_.saturationEvents.value(), msg.str());
     }
 
     // Rate anomalies engage after the warmup transient: the EWMA
@@ -293,21 +455,21 @@ SimulationSession::healthSweep()
     const double ewma = ewmaRate();
     if (ho.rate != health::Policy::Off && t_ >= ho.rateWarmupSteps) {
         if (ewma > ho.rateExplosion) {
-            ++healthCounters_.rateExplosions;
+            health_.rateExplosions.add(1);
             std::ostringstream msg;
             msg << "EWMA firing rate " << ewma
                 << " above explosion threshold " << ho.rateExplosion
                 << ", step " << t_;
             healthApply(ho.rate, "rate-explosion",
-                        healthCounters_.rateExplosions, msg.str());
+                        health_.rateExplosions.value(), msg.str());
         } else if (ewma < ho.rateSilence) {
-            ++healthCounters_.rateSilences;
+            health_.rateSilences.add(1);
             std::ostringstream msg;
             msg << "EWMA firing rate " << ewma
                 << " below silence threshold " << ho.rateSilence
                 << ", step " << t_;
             healthApply(ho.rate, "rate-silence",
-                        healthCounters_.rateSilences, msg.str());
+                        health_.rateSilences.value(), msg.str());
         }
     }
 
@@ -318,29 +480,33 @@ SimulationSession::healthSweep()
         const double fraction =
             std::min(1.0, static_cast<double>(scan.ringOccupancy) /
                               static_cast<double>(scan.ringCapacity));
-        if (fraction > healthCounters_.ringPeakFraction)
-            healthCounters_.ringPeakFraction = fraction;
+        if (fraction > health_.ringPeakFraction.value())
+            health_.ringPeakFraction.set(fraction);
         if (fraction >= ho.ringWatermark && scan.ringOccupancy > 0) {
-            ++healthCounters_.ringHighWater;
+            health_.ringHighWater.add(1);
             std::ostringstream msg;
             msg << "delay-ring occupancy " << scan.ringOccupancy
                 << "/" << scan.ringCapacity << " ("
                 << static_cast<int>(fraction * 100.0)
                 << "%) at/above watermark, step " << t_;
             healthApply(ho.ring, "ring-watermark",
-                        healthCounters_.ringHighWater, msg.str());
+                        health_.ringHighWater.value(), msg.str());
         }
     }
 }
 
-void
-SimulationSession::recordPlanDecision(const PlanDecision &decision)
+health::HealthCounters
+SimulationSession::healthCounters() const
 {
-    ++planDecisionsTotal_;
-    if (planDecisions_.size() < kPlanAuditCapacity)
-        planDecisions_.push_back(decision);
-    if (telemetry::traceEnabled())
-        telemetry::traceInstant("plan.decision");
+    return {.sweeps = health_.sweeps.value(),
+            .neuronsChecked = health_.neuronsChecked.value(),
+            .nanEvents = health_.nanEvents.value(),
+            .saturationEvents = health_.saturationEvents.value(),
+            .saturationHits = health_.saturationHits.value(),
+            .rateExplosions = health_.rateExplosions.value(),
+            .rateSilences = health_.rateSilences.value(),
+            .ringHighWater = health_.ringHighWater.value(),
+            .ringPeakFraction = health_.ringPeakFraction.value()};
 }
 
 void
@@ -456,12 +622,12 @@ SimulationSession::printStats(std::ostream &os) const
 }
 
 void
-SimulationSession::reset()
+SimulationSession::clearRun()
 {
     // Registry first: engines republish the gauges that describe
     // their structures (connectivity footprint) when they reset.
     metrics_.reset();
-    engineReset();
+    engine_->reset();
     std::fill(spikeCounts_.begin(), spikeCounts_.end(), 0);
     // Drop the previous run's fired flags too: lastFired() must
     // report "no step taken yet" after a reset, not stale spikes.
@@ -474,7 +640,6 @@ SimulationSession::reset()
     stimulus_ = stimulusInitial_;
     restored_ = false;
     restoredStep_ = 0;
-    healthCounters_ = health::HealthCounters{};
     healthCursor_ = 0;
     lastFixSaturations_ = health::fixSaturations();
     planDecisions_.clear();
@@ -482,45 +647,14 @@ SimulationSession::reset()
 }
 
 void
-SimulationSession::adoptSessionCore(const SimulationSession &other)
+SimulationSession::reset()
 {
-    if (&network_ != &other.network_)
-        fatal("adoptSessionCore requires the same network");
-    if (options_.probes != other.options_.probes ||
-        options_.recordSpikes != other.options_.recordSpikes ||
-        options_.stimulusSeed != other.options_.stimulusSeed)
-        fatal("adoptSessionCore requires identical session options");
-
-    reset();
-    t_ = other.t_;
-    fired_ = other.fired_;
-    firedList_ = other.firedList_;
-    spikeCounts_ = other.spikeCounts_;
-    spikeEvents_ = other.spikeEvents_;
-    probeTraces_ = other.probeTraces_;
-    stimulus_ = other.stimulus_;
-    ewmaRateGauge_.set(other.ewmaRate());
-    // Simulation-meaningful counters continue; wall-clock timers
-    // restart from zero, exactly as after a checkpoint restore.
-    stepsCounter_.add(other.stepsCounter_.value());
-    spikesCounter_.add(other.spikesCounter_.value());
-    synapseEventsCounter_.add(other.synapseEventsCounter_.value());
-    modelNeuronSecGauge_.add(other.modelNeuronSecGauge_.value());
-    checkpointSaves_ = other.checkpointSaves_;
-    restored_ = other.restored_;
-    restoredStep_ = other.restoredStep_;
-    checkpointEvery_ = other.checkpointEvery_;
-    planInfo_ = other.planInfo_;
-    // Health tallies and the plan audit describe the whole run, so
-    // an engine hand-off carries them into the new session. The
-    // saturation watermark re-anchors to the process counter's
-    // current value (reset() already did, but the source session may
-    // have consumed deltas since this session was constructed).
-    healthCounters_ = other.healthCounters_;
-    healthCursor_ = other.healthCursor_;
-    lastFixSaturations_ = other.lastFixSaturations_;
-    planDecisions_ = other.planDecisions_;
-    planDecisionsTotal_ = other.planDecisionsTotal_;
+    clearRun();
+    if (adaptive_) {
+        if (!eventActive_)
+            installEngine(true);
+        recordDecision(plan::kDefaultRatePrior, false);
+    }
 }
 
 bool
@@ -528,7 +662,7 @@ SimulationSession::writeRunReport(const std::string &path) const
 {
     telemetry::ReportContext context;
     auto &config = context.config;
-    engineReportConfig(config);
+    engine_->reportConfig(config);
     config.emplace_back(
         "threads",
         std::to_string(options_.threads == 0 ? 1 : options_.threads));
@@ -569,31 +703,25 @@ SimulationSession::writeRunReport(const std::string &path) const
         telemetry::jsonQuoted(health::specString(options_.health)));
     healthFields.emplace_back(
         "sample_every", std::to_string(options_.health.samplePeriod));
-    healthFields.emplace_back(
-        "sweeps", std::to_string(healthCounters_.sweeps));
-    healthFields.emplace_back(
-        "neurons_checked",
-        std::to_string(healthCounters_.neuronsChecked));
-    healthFields.emplace_back(
-        "nan_events", std::to_string(healthCounters_.nanEvents));
-    healthFields.emplace_back(
-        "saturation_events",
-        std::to_string(healthCounters_.saturationEvents));
-    healthFields.emplace_back(
-        "saturation_hits",
-        std::to_string(healthCounters_.saturationHits));
-    healthFields.emplace_back(
-        "rate_explosions",
-        std::to_string(healthCounters_.rateExplosions));
-    healthFields.emplace_back(
-        "rate_silences",
-        std::to_string(healthCounters_.rateSilences));
-    healthFields.emplace_back(
-        "ring_high_water",
-        std::to_string(healthCounters_.ringHighWater));
-    healthFields.emplace_back(
-        "ring_peak_fraction",
-        num(healthCounters_.ringPeakFraction));
+    const health::HealthCounters tallies = healthCounters();
+    healthFields.emplace_back("sweeps",
+                              std::to_string(tallies.sweeps));
+    healthFields.emplace_back("neurons_checked",
+                              std::to_string(tallies.neuronsChecked));
+    healthFields.emplace_back("nan_events",
+                              std::to_string(tallies.nanEvents));
+    healthFields.emplace_back("saturation_events",
+                              std::to_string(tallies.saturationEvents));
+    healthFields.emplace_back("saturation_hits",
+                              std::to_string(tallies.saturationHits));
+    healthFields.emplace_back("rate_explosions",
+                              std::to_string(tallies.rateExplosions));
+    healthFields.emplace_back("rate_silences",
+                              std::to_string(tallies.rateSilences));
+    healthFields.emplace_back("ring_high_water",
+                              std::to_string(tallies.ringHighWater));
+    healthFields.emplace_back("ring_peak_fraction",
+                              num(tallies.ringPeakFraction));
     healthFields.emplace_back(
         "watchdog_stalls", std::to_string(health::watchdogStalls()));
     context.sections.emplace_back("health",
@@ -628,25 +756,21 @@ SimulationSession::writeRunReport(const std::string &path) const
                                       std::move(audit));
     }
 
-    if (planInfo_.present) {
-        telemetry::ReportFields planFields;
-        planFields.emplace_back(
-            "strategy", telemetry::jsonQuoted(planInfo_.strategy));
-        planFields.emplace_back("planned",
-                                planInfo_.planned ? "true"
-                                                  : "false");
-        planFields.emplace_back(
-            "predicted_step_sec", num(planInfo_.predictedStepSec));
-        planFields.emplace_back("measured_step_sec",
-                                num(measuredStepSec()));
-        planFields.emplace_back("crossover_rate",
-                                num(planInfo_.crossoverRate));
-        planFields.emplace_back(
-            "calibration_version",
-            telemetry::jsonQuoted(planInfo_.calibrationVersion));
-        context.sections.emplace_back("plan",
-                                      std::move(planFields));
-    }
+    telemetry::ReportFields planFields;
+    planFields.emplace_back(
+        "strategy", telemetry::jsonQuoted(planInfo_.strategy));
+    planFields.emplace_back("planned",
+                            planInfo_.planned ? "true" : "false");
+    planFields.emplace_back("predicted_step_sec",
+                            num(planInfo_.predictedStepSec));
+    planFields.emplace_back("measured_step_sec",
+                            num(measuredStepSec()));
+    planFields.emplace_back("crossover_rate",
+                            num(planInfo_.crossoverRate));
+    planFields.emplace_back(
+        "calibration_version",
+        telemetry::jsonQuoted(planInfo_.calibrationVersion));
+    context.sections.emplace_back("plan", std::move(planFields));
 
     context.metrics = &metrics_;
     return telemetry::writeReportFile(path, context);
@@ -658,7 +782,7 @@ void
 SimulationSession::saveCheckpoint(std::ostream &os) const
 {
     // Arms the stream: 17 significant digits from here on.
-    writeCheckpointHeader(os, engineKind());
+    writeCheckpointHeader(os, engine_->kind());
 
     os << "session " << network_.numNeurons() << ' ' << t_ << '\n';
     // Only simulation-meaningful counters are captured; wall-clock
@@ -729,7 +853,7 @@ SimulationSession::saveCheckpoint(std::ostream &os) const
     }
 
     os << "engine\n";
-    engineSaveState(os);
+    engine_->saveState(os);
     os << "end\n";
 
     ++checkpointSaves_;
@@ -742,13 +866,19 @@ SimulationSession::loadCheckpoint(std::istream &is,
     // Restoring onto a used session must equal restoring onto a
     // fresh one: wipe everything first (also zeroes the registry the
     // counters below are re-seeded into).
-    reset();
+    clearRun();
 
-    const CheckpointHeader header = readCheckpointHeaderInfo(is);
-    if (header.engine != engineKind()) {
-        fatal("checkpoint was written by a '%s' engine, cannot "
-              "restore into '%s'",
-              header.engine.c_str(), engineKind());
+    // A pinned session restores only its own engine's snapshots; an
+    // auto session resumes on the engine that wrote the snapshot.
+    const CheckpointHeader header = parseCheckpointHeader(is);
+    if (header.engine != engine_->kind()) {
+        const bool event = header.engine == "event-driven";
+        if (!adaptive_ || (!event && header.engine != "dense")) {
+            fatal("checkpoint was written by a '%s' engine, cannot "
+                  "restore into '%s'",
+                  header.engine.c_str(), engine_->kind());
+        }
+        installEngine(event);
     }
 
     std::string tag;
@@ -893,7 +1023,7 @@ SimulationSession::loadCheckpoint(std::istream &is,
     is >> tag;
     if (tag != "engine" || !is)
         fatal("malformed checkpoint engine block");
-    engineLoadState(is);
+    engine_->loadState(is, t_);
 
     is >> tag;
     if (tag != "end" || !is)

@@ -4,14 +4,17 @@
  *
  * The paper's Section II-C three-phase loop (stimulus generation,
  * neuron computation, synapse calculation) is engine-independent:
- * only *how* each phase is evaluated differs between the dense
- * Simulator and the event-driven LLIF engine. SimulationSession owns
- * everything around the phases — stimulus stream, fired bookkeeping,
- * spike counters and event recording, membrane probes, per-phase
- * telemetry, printStats, run reports, reset — and delegates the
- * phase bodies to a small engine hook interface. Engines therefore
- * get probes, spike recording, reset and run reports for free, and
- * the orchestration exists exactly once.
+ * only *how* each phase is evaluated differs between the dense engine
+ * (snn/simulator.hh) and the event-driven LLIF engine
+ * (snn/event_driven.hh). SimulationSession owns everything around the
+ * phases — stimulus stream, fired bookkeeping, spike counters and
+ * event recording, membrane probes, per-phase telemetry, printStats,
+ * run reports, reset — and owns the DeliveryEngine that evaluates the
+ * phase bodies. One session lives for the whole run: the auto engine
+ * (SimulatorOptions::engine) switches by replacing only the engine
+ * inside it, handing the neuron state and the delay ring across
+ * bit-exactly, so attached plasticity rules, the metrics registry,
+ * the timers and the plan audit run on uninterrupted.
  *
  * On top of the shared core the session implements versioned,
  * bit-exact checkpoint/restore: a snapshot captures the step
@@ -44,15 +47,19 @@
 
 #include "common/health.hh"
 #include "common/telemetry.hh"
+#include "plan/planner.hh"
+#include "snn/backend.hh"
+#include "snn/connectivity.hh"
 #include "snn/network.hh"
 #include "snn/stimulus.hh"
 
 namespace flexon {
 
 class PlasticityRule;
+class SpikeRouter;
 
-/** Engine-independent options of a simulation session. */
-struct SessionOptions
+/** Options controlling a simulation run. */
+struct SimulatorOptions
 {
     uint64_t stimulusSeed = 1;
     /** Worker threads for the parallel phases. */
@@ -70,6 +77,23 @@ struct SessionOptions
     uint64_t metricsEvery = 256;
     /** Session label stamped on exported metrics. */
     std::string label = "flexon";
+    /**
+     * Delivery engine. Event and Auto need the event-driven engine's
+     * setup (eventDrivenEligible): an Event request on any other
+     * setup is fatal, and Auto pins the dense engine with a warning.
+     */
+    EngineKind engine = EngineKind::Dense;
+    BackendKind backend = BackendKind::Reference;
+    IntegrationMode mode = IntegrationMode::Discrete;
+    SolverKind solver = SolverKind::Euler;
+    /**
+     * Connectivity representation spikes are delivered from
+     * (snn/connectivity.hh). Materialized is the precompiled
+     * record array; compressed and procedural trade delivery-time
+     * decoding for 4-100x smaller memory footprints, bit-identical
+     * results.
+     */
+    ConnectivityKind connectivity = ConnectivityKind::Materialized;
 };
 
 /**
@@ -81,8 +105,8 @@ struct SessionOptions
  * names, or accessors such as SpikeRouter::denseClears()).
  *
  * Units: every `*Sec` field is host wall-clock seconds accumulated
- * since the timers last started (construction, reset, restore or
- * engine hand-off); counter fields are event counts since step 0.
+ * since the timers last started (construction, reset or restore);
+ * counter fields are event counts since step 0.
  */
 struct PhaseStats
 {
@@ -127,17 +151,13 @@ struct SpikeEvent
 
 /**
  * Descriptive execution-plan record for the run report's "plan"
- * section (report v4). Purely informational — the owner (AutoSession
- * or the CLI) made the decisions; this records what was chosen, what
- * the cost model predicted, and which calibration the prediction
- * came from, so predicted-vs-measured step cost is auditable from
- * the report alone.
+ * section: what engine was chosen, what the cost model predicted,
+ * and which calibration the prediction came from, so
+ * predicted-vs-measured step cost is auditable from the report alone.
  */
 struct PlanInfo
 {
-    /** False until setPlanInfo(): no "plan" section is emitted. */
-    bool present = false;
-    /** Effective strategy: "dense" / "event" / "auto". */
+    /** Effective engine: "dense" / "event" / "auto". */
     std::string strategy;
     /** True when the planner chose the strategy (--plan=auto). */
     bool planned = false;
@@ -151,8 +171,8 @@ struct PlanInfo
 
 /**
  * One recorded ExecutionPlanner decision: what the planner saw (step,
- * EWMA rate), what the cost model predicted per strategy, and what it
- * chose. AutoSession records one per decision window; the session
+ * EWMA rate), what the cost model predicted per engine, and what it
+ * chose. An auto session records one per decision window; the session
  * stores them for the report's "plan_audit" section and mirrors each
  * as a trace instant, making the adaptive switching explainable from
  * the artifacts alone.
@@ -177,10 +197,9 @@ struct PlanDecision
  * The bit-exact engine hand-off bundle: everything one delivery
  * engine must pass to another so the simulation continues spike for
  * spike as if the target engine had run from step 0. Produced by
- * engineExportTransfer() and consumed by engineImportTransfer() on a
- * session whose core was adopted via adoptSessionCore(). Ring values
- * are the accumulated doubles (not the float weights), so the
- * hand-off loses no precision.
+ * DeliveryEngine::exportTransfer() and consumed by importTransfer()
+ * on a freshly built engine. Ring values are the accumulated doubles
+ * (not the float weights), so the hand-off loses no precision.
  */
 struct EngineTransfer
 {
@@ -196,9 +215,110 @@ struct EngineTransfer
 };
 
 /**
- * The engine-independent simulation core. Derive an engine, implement
- * the engine* hooks, and the session supplies the per-step loop,
- * recording, statistics, reports, reset and checkpointing.
+ * A delivery engine: how the session's phase bodies are evaluated.
+ * The session calls these hooks from its per-step loop and owns
+ * everything around them. Two engines implement it: the dense engine
+ * (snn/simulator.hh) and the event-driven LLIF engine
+ * (snn/event_driven.hh). `now` is always the session's count of
+ * completed steps.
+ */
+class DeliveryEngine
+{
+  public:
+    DeliveryEngine() = default;
+    virtual ~DeliveryEngine() = default;
+    DeliveryEngine(const DeliveryEngine &) = delete;
+    DeliveryEngine &operator=(const DeliveryEngine &) = delete;
+
+    /** Engine kind tag written into checkpoints and reports. */
+    virtual const char *kind() const = 0;
+
+    /**
+     * Phase 1 body: fold this step's stimulus spikes (and any
+     * pending deliveries the engine defers) into the engine's input
+     * accumulation for step t. Targets are pre-validated.
+     */
+    virtual void injectStimulus(uint64_t t,
+                                std::span<const StimulusSpike> spikes) = 0;
+
+    /**
+     * Phase 2 body: evaluate the neurons of step t and set
+     * fired[n] = 1 for every spiking neuron. `fired` arrives sized
+     * to the network with the previous step's flags cleared; engines
+     * that evaluate every neuron may simply overwrite it.
+     */
+    virtual void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) = 0;
+
+    /**
+     * Start of phase 3, before the fired sweep: re-mirror plasticity
+     * weight updates into the engine's delivery structures. Runs
+     * inside the synapse-phase timer but outside the route timer.
+     */
+    virtual void prepareDelivery() = 0;
+
+    /**
+     * Phase 3 delivery body: propagate the (ascending) fired list
+     * into future steps' inputs. Runs inside the route timer.
+     */
+    virtual void deliverSpikes(uint64_t t,
+                               std::span<const uint32_t> fired) = 0;
+
+    /** Reset all engine-owned dynamic state (session reset()). */
+    virtual void reset() = 0;
+
+    /** Modelled hardware seconds of the step just evaluated. */
+    virtual double modelSecondsPerStep() const { return 0.0; }
+
+    /** Engine-specific run-report config fields ("backend", ...). */
+    virtual void reportConfig(telemetry::ReportFields &config) const = 0;
+
+    /** Checkpoint the engine's dynamic state (saveCheckpoint). */
+    virtual void saveState(std::ostream &os) const = 0;
+
+    /** Restore the engine's dynamic state (loadCheckpoint). */
+    virtual void loadState(std::istream &is, uint64_t now) = 0;
+
+    /**
+     * Health-sweep hook: examine neurons [begin, end) plus the
+     * engine's delivery structures and fill `scan`. Called at the
+     * sweep cadence only, so implementations may be O(window)
+     * without hurting the step loop.
+     */
+    virtual void healthScan(uint64_t begin, uint64_t end,
+                            health::HealthScan &scan) const = 0;
+
+    /** Membrane potential of one neuron as of step `now`, in
+     *  reference units. */
+    virtual double membrane(uint32_t neuron, uint64_t now) const = 0;
+
+    /**
+     * Overwrite one neuron's membrane with NaN (test/CI hook for the
+     * NaN detector). Returns false when the engine cannot poison
+     * state in place (fixed-point backends cannot represent NaN).
+     */
+    virtual bool debugPoisonMembrane(uint32_t neuron) = 0;
+
+    /**
+     * Hand-off: export the engine's dynamic state at step `now`.
+     * Only called on setups that eventDrivenEligible() accepts.
+     */
+    virtual void exportTransfer(uint64_t now, EngineTransfer &out) const = 0;
+
+    /** Seed a freshly built engine's state from a hand-off. */
+    virtual void importTransfer(const EngineTransfer &in) = 0;
+};
+
+/**
+ * The simulation session: the per-step loop, recording, statistics,
+ * reports, reset and checkpointing, around the delivery engine it
+ * owns. With SimulatorOptions::engine = Auto it also runs the
+ * rate-adaptive policy: on every plan::kDecisionWindow boundary it
+ * compares the EWMA firing rate with the planner's dense/event
+ * crossover (with plan::kSwitchHysteresis) and, when the other
+ * engine wins, replaces the engine. The EWMA derives only from the
+ * spike history, so decisions are deterministic and survive
+ * checkpoint/restore; spike trains, probe traces and pinned-engine
+ * checkpoints are identical whichever engine runs.
  */
 class SimulationSession
 {
@@ -210,8 +330,8 @@ class SimulationSession
      */
     SimulationSession(const Network &network,
                       StimulusGenerator stimulus,
-                      const SessionOptions &options);
-    virtual ~SimulationSession();
+                      const SimulatorOptions &options = {});
+    ~SimulationSession();
 
     SimulationSession(const SimulationSession &) = delete;
     SimulationSession &operator=(const SimulationSession &) = delete;
@@ -219,7 +339,8 @@ class SimulationSession
     /** Run `steps` time steps. */
     void run(uint64_t steps);
 
-    /** Run a single time step. */
+    /** Run a single time step (an auto session decides its engine
+     *  after every step that ends a decision window). */
     void stepOnce();
 
     /**
@@ -248,9 +369,9 @@ class SimulationSession
      * at the end of every stepOnce() (in attachment order) and
      * carries the rule's state in checkpoints (the v4 plasticity
      * block), so save/restore resumes learning bit-identically. The
-     * rule is borrowed, not owned — it must outlive the session — and
-     * typically references this session's backend or network, so
-     * attach only to the session those objects belong to.
+     * rule is borrowed, not owned — it must outlive the session.
+     * A rule that holds the dense backend (intrinsic excitability)
+     * needs a session pinned to the dense engine.
      * Restore-time contract: loadCheckpoint requires the same rules
      * (count, kinds, order) the checkpoint was saved with.
      */
@@ -288,18 +409,6 @@ class SimulationSession
     double ewmaRate() const { return ewmaRateGauge_.value(); }
 
     /**
-     * Copy the engine-independent core — step counter, spike
-     * counts/recordings, probe traces, fired state, stimulus stream
-     * position, rate estimator and the checkpointed counters — from
-     * `other` into this freshly built session. Both sessions must
-     * simulate the same network with the same options. Wall-clock
-     * phase timers restart from zero (the checkpoint contract). Used
-     * together with engineExportTransfer()/engineImportTransfer()
-     * to switch delivery engines mid-run.
-     */
-    void adoptSessionCore(const SimulationSession &other);
-
-    /**
      * Dump a gem5-style statistics block generated from the
      * registry: one `name value # desc` line per counter, gauge and
      * timer (seconds), then the derived ratios that are not metrics
@@ -310,7 +419,8 @@ class SimulationSession
     /**
      * Reset state, statistics and time to zero. Also zeroes every
      * metric in this session's telemetry registry, so two identical
-     * runs separated by reset() report identical counters.
+     * runs separated by reset() report identical counters. An auto
+     * session returns to the engine a fresh one starts on.
      */
     void reset();
 
@@ -320,11 +430,11 @@ class SimulationSession
 
     /**
      * Write a "flexon-run-report-v6" JSON document (config,
-     * checkpoint section, health section, plan section when
-     * setPlanInfo() was called, plan_audit section when decisions
-     * were recorded, this registry — the run's statistics — under
-     * "metrics", the process registry, pool lane accounting) to
-     * `path`. Returns false (after warn()) on I/O failure.
+     * checkpoint section, health section, plan section, plan_audit
+     * section when decisions were recorded, this registry — the
+     * run's statistics — under "metrics", the process registry, pool
+     * lane accounting) to `path`. Returns false (after warn()) on
+     * I/O failure.
      */
     bool writeRunReport(const std::string &path) const;
 
@@ -334,7 +444,44 @@ class SimulationSession
      * Membrane potential of one neuron as of the last completed
      * step, in reference units.
      */
-    virtual double membrane(uint32_t neuron) const = 0;
+    double membrane(uint32_t neuron) const
+    {
+        return engine_->membrane(neuron, t_);
+    }
+
+    // ---- Delivery engine -----------------------------------------
+
+    /** Engine kind stepping now ("dense" / "event-driven"). */
+    const char *activeEngine() const { return engine_->kind(); }
+
+    /** True while the event-driven engine is active. */
+    bool eventActive() const { return eventActive_; }
+
+    /** True when rate-adaptive switching is in effect. */
+    bool adaptive() const { return adaptive_; }
+
+    /**
+     * Firing rate (spikes/neuron/step) above which the dense engine
+     * is estimated cheaper (before hysteresis); 0 when not adaptive.
+     */
+    double crossoverRate() const { return crossoverRate_; }
+
+    /** Engine switches since the last reset or restore (the
+     *  sim.engine_switches counter). */
+    uint64_t switches() const { return switchesCounter_.value(); }
+
+    /** The dense engine's neuron backend (dense engine only). */
+    NeuronBackend &backend();
+
+    /**
+     * The dense engine's connectivity provider + delay ring
+     * (read-only; for tests, benchmarks and diagnostics; dense
+     * engine only).
+     */
+    const SpikeRouter &router() const;
+
+    /** The raw delay ring (equivalence tests; dense engine only). */
+    const std::vector<double> &ringBuffer() const;
 
     // ---- Checkpoint/restore ------------------------------------
 
@@ -348,10 +495,12 @@ class SimulationSession
 
     /**
      * Restore a snapshot previously written by saveCheckpoint() on a
-     * session with the same configuration (engine kind, network
-     * shape, probe set — validated, fatal() on mismatch). The
-     * session is fully reset first, so restoring onto a used session
-     * equals restoring onto a fresh one.
+     * session with the same configuration (network shape, probe set
+     * — validated, fatal() on mismatch). A pinned session requires a
+     * snapshot of its own engine kind; an auto session switches to
+     * the engine the snapshot was written by. The session is fully
+     * reset first, so restoring onto a used session equals restoring
+     * onto a fresh one.
      *
      * @param mutableNetwork the same Network this session simulates,
      *        passed non-const when the checkpoint carries mutated
@@ -391,32 +540,23 @@ class SimulationSession
     }
 
     /**
-     * Record the execution plan for the run report's "plan" section.
-     * Purely descriptive (like setCheckpointCadence): the owner made
-     * the decisions. Carried across adoptSessionCore so an engine
-     * hand-off keeps the plan provenance.
+     * The execution plan for the run report's "plan" section. The
+     * session records its own engine choice at construction; a
+     * caller that planned the run (flexon_sim --plan=auto) may
+     * overwrite the record.
      */
     void setPlanInfo(const PlanInfo &info) { planInfo_ = info; }
     const PlanInfo &planInfo() const { return planInfo_; }
 
     // ---- Health monitoring and plan audit ----------------------
 
-    /** Detector tallies accumulated so far (report "health"). */
-    const health::HealthCounters &healthCounters() const
-    {
-        return healthCounters_;
-    }
+    /** Detector tallies accumulated so far (the health.* registry
+     *  metrics; report "health"). */
+    health::HealthCounters healthCounters() const;
 
     /** True when the detectors actually run (session options AND the
      *  process-wide kill switch both allow it). */
     bool healthActive() const { return healthActive_; }
-
-    /**
-     * Append one planner decision to the audit trail (also emitted
-     * as a "plan.decision" trace instant). Bounded: after
-     * kPlanAuditCapacity decisions only the total keeps counting.
-     */
-    void recordPlanDecision(const PlanDecision &decision);
 
     /** Retained audit records (at most kPlanAuditCapacity). */
     const std::vector<PlanDecision> &planDecisions() const
@@ -438,117 +578,46 @@ class SimulationSession
      * poison state in place (e.g. fixed-point backends, which cannot
      * represent NaN at all).
      */
-    virtual bool debugPoisonMembrane(uint32_t neuron)
+    bool debugPoisonMembrane(uint32_t neuron)
     {
-        (void)neuron;
-        return false;
+        return engine_->debugPoisonMembrane(neuron);
     }
 
     /** Force the EWMA rate to 1.0 (rate-explosion detector hook). */
     void debugInjectRateExplosion() { ewmaRateGauge_.set(1.0); }
-
-  protected:
-    /** Engine kind tag written into checkpoints and reports. */
-    virtual const char *engineKind() const = 0;
-
-    /**
-     * Phase 1 body: fold this step's stimulus spikes (and any
-     * pending deliveries the engine defers) into the engine's input
-     * accumulation for step t. Targets are pre-validated.
-     */
-    virtual void
-    engineInjectStimulus(uint64_t t,
-                         std::span<const StimulusSpike> spikes) = 0;
-
-    /**
-     * Phase 2 body: evaluate the neurons of step t and set
-     * fired[n] = 1 for every spiking neuron. `fired` arrives sized
-     * to the network with the previous step's flags cleared; engines
-     * that evaluate every neuron may simply overwrite it.
-     */
-    virtual void engineStepNeurons(uint64_t t,
-                                   std::vector<uint8_t> &fired) = 0;
-
-    /**
-     * Start of phase 3, before the fired sweep: re-mirror plasticity
-     * weight updates into the engine's delivery structures. Runs
-     * inside the synapse-phase timer but outside the route timer.
-     */
-    virtual void enginePrepareDelivery() = 0;
-
-    /**
-     * Phase 3 delivery body: propagate the (ascending) fired list
-     * into future steps' inputs. Runs inside the route timer.
-     */
-    virtual void
-    engineDeliverSpikes(uint64_t t,
-                        std::span<const uint32_t> fired) = 0;
-
-    /** Reset all engine-owned dynamic state (session reset()). */
-    virtual void engineReset() = 0;
-
-    /** Modelled hardware seconds of the step just evaluated. */
-    virtual double engineModelSecondsPerStep() const { return 0.0; }
-
-    /** Engine-specific run-report config fields ("backend", ...). */
-    virtual void
-    engineReportConfig(telemetry::ReportFields &config) const = 0;
-
-    /** Checkpoint the engine's dynamic state (saveCheckpoint). */
-    virtual void engineSaveState(std::ostream &os) const = 0;
-
-    /** Restore the engine's dynamic state (loadCheckpoint). */
-    virtual void engineLoadState(std::istream &is) = 0;
-
-    /**
-     * Health-sweep hook: examine neurons [begin, end) plus the
-     * engine's delivery structures and fill `scan`. The default
-     * reports nothing (detectors simply see a clean engine). Called
-     * at the sweep cadence only, so implementations may be O(window)
-     * without hurting the step loop.
-     */
-    virtual void engineHealthScan(uint64_t begin, uint64_t end,
-                                  health::HealthScan &scan) const
-    {
-        (void)begin;
-        (void)end;
-        (void)scan;
-    }
-
-  public:
-    /**
-     * Export the engine's dynamic state as an EngineTransfer for a
-     * hand-off to another engine. Returns false when the engine does
-     * not support hand-offs (the default).
-     */
-    virtual bool engineExportTransfer(EngineTransfer &out) const
-    {
-        (void)out;
-        return false;
-    }
-
-    /**
-     * Seed the engine's dynamic state from an EngineTransfer; call
-     * only on a session that just adopted the matching core via
-     * adoptSessionCore(). Returns false when unsupported.
-     */
-    virtual bool engineImportTransfer(const EngineTransfer &in)
-    {
-        (void)in;
-        return false;
-    }
 
   private:
     void phaseStimulus();
     void phaseNeuron();
     void phaseSynapse();
 
+    /** Build the dense or the event-driven engine and make it the
+     *  live one (dropping the previous engine). */
+    void installEngine(bool event);
+
+    /** Replace the live engine, handing its state across. */
+    void switchEngine(bool toEvent);
+
+    /** Decision-window boundary: switch if the other engine wins,
+     *  then audit the decision. */
+    void decide();
+
+    /**
+     * Append one decision at the current step to the audit trail
+     * (also a "plan.decision" trace instant). Bounded: after
+     * kPlanAuditCapacity decisions only the total keeps counting.
+     */
+    void recordDecision(double rate, bool switched);
+
+    /** Zero the run state and the registry (reset(), restore). */
+    void clearRun();
+
     /**
      * Host seconds in every top-level phase timer ("phase.<name>";
      * nested intervals such as phase.synapse.route lie inside their
      * parent) over the steps they timed, i.e. the phase.neuron
-     * interval count: timers restart at a restore or hand-off, the
-     * step counter does not. 0 before the first timed step.
+     * interval count: timers restart at a restore, the step counter
+     * does not. 0 before the first timed step.
      */
     double measuredStepSec() const;
 
@@ -562,7 +631,7 @@ class SimulationSession
     const Network &network_;
     StimulusGenerator stimulus_;
     StimulusGenerator stimulusInitial_; ///< pristine copy for reset()
-    SessionOptions options_;
+    SimulatorOptions options_;
 
     uint64_t t_ = 0;
     std::vector<uint8_t> fired_;
@@ -572,7 +641,8 @@ class SimulationSession
 
     /**
      * Private metrics registry plus cached handles for the hot
-     * paths. Declared before the handles (initialization order).
+     * paths. Declared before the handles and the engine
+     * (initialization order; engines register their metrics here).
      */
     telemetry::Registry metrics_;
     telemetry::Timer &stimulusTimer_;
@@ -590,9 +660,35 @@ class SimulationSession
     telemetry::Gauge &modelNeuronSecGauge_;
     /** EWMA of the per-step firing rate (see ewmaRate()). */
     telemetry::Gauge &ewmaRateGauge_;
+    telemetry::Counter &switchesCounter_;
+
+    /** The detector tallies, as "health.*" registry metrics. */
+    struct HealthMetrics
+    {
+        explicit HealthMetrics(telemetry::Registry &metrics);
+        telemetry::Counter &sweeps;
+        telemetry::Counter &neuronsChecked;
+        telemetry::Counter &nanEvents;
+        telemetry::Counter &saturationEvents;
+        telemetry::Counter &saturationHits;
+        telemetry::Counter &rateExplosions;
+        telemetry::Counter &rateSilences;
+        telemetry::Counter &ringHighWater;
+        /** Maximum ring occupancy fraction seen. */
+        telemetry::Gauge &ringPeakFraction;
+    };
+    HealthMetrics health_;
 
     /** Fired neuron indices of the current step (capacity N). */
     std::vector<uint32_t> firedList_;
+
+    // Engine selection. adaptive_ is resolved once at construction;
+    // the planner and its crossover drive the auto policy.
+    bool adaptive_ = false;
+    bool eventActive_ = false;
+    double crossoverRate_ = 0.0;
+    plan::ExecutionPlanner planner_;
+    std::unique_ptr<DeliveryEngine> engine_;
 
     // Checkpoint bookkeeping (saveCheckpoint is logically const).
     mutable uint64_t checkpointSaves_ = 0;
@@ -606,7 +702,6 @@ class SimulationSession
     // Health monitoring (constructor caches the effective switch so
     // the per-step gate is one bool test).
     bool healthActive_ = false;
-    health::HealthCounters healthCounters_;
     /** Next rotating scan-window start. */
     uint64_t healthCursor_ = 0;
     /** fixSaturations() watermark for per-sweep deltas. */
@@ -615,13 +710,16 @@ class SimulationSession
     /** Live metrics exporter (null unless options.metricsOut). */
     std::unique_ptr<health::MetricsExporter> exporter_;
 
-    // Plan-decision audit trail (recordPlanDecision).
+    // Plan-decision audit trail (recordDecision).
     std::vector<PlanDecision> planDecisions_;
     uint64_t planDecisionsTotal_ = 0;
 
     /** Attached plasticity rules (borrowed), in onStep order. */
     std::vector<PlasticityRule *> plasticityRules_;
 };
+
+/** The session under the name callers construct it by. */
+using Simulator = SimulationSession;
 
 } // namespace flexon
 

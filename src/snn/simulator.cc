@@ -1,30 +1,29 @@
 #include "snn/simulator.hh"
 
-#include <utility>
-
 #include "common/logging.hh"
 
 namespace flexon {
 
-Simulator::Simulator(const Network &network, StimulusGenerator stimulus,
-                     const SimulatorOptions &options)
-    : SimulationSession(network, std::move(stimulus), options),
-      options_(options)
+DenseEngine::DenseEngine(const Network &network,
+                         const SimulatorOptions &options,
+                         telemetry::Registry &metrics)
+    : network_(network), backendKind_(options.backend),
+      connectivity_(options.connectivity),
+      backend_(makeBackend(options.backend, network, options.mode,
+                           options.solver, options.threads)),
+      router_(std::make_unique<SpikeRouter>(
+          network, options.threads == 0 ? 1 : options.threads,
+          &metrics, options.connectivity))
 {
-    backend_ = makeBackend(options_.backend, network, options_.mode,
-                           options_.solver, options_.threads);
-    router_ = std::make_unique<SpikeRouter>(
-        network, options_.threads == 0 ? 1 : options_.threads,
-        &metrics(), options_.connectivity);
 }
 
 void
-Simulator::engineInjectStimulus(uint64_t t,
-                                std::span<const StimulusSpike> spikes)
+DenseEngine::injectStimulus(uint64_t t,
+                            std::span<const StimulusSpike> spikes)
 {
     auto current = router_->slot(t);
     for (const StimulusSpike &s : spikes) {
-        flexon_assert(s.target < network().numNeurons());
+        flexon_assert(s.target < network_.numNeurons());
         flexon_assert(s.type < maxSynapseTypes);
         const uint32_t cell = s.target * maxSynapseTypes + s.type;
         current[cell] += s.weight;
@@ -33,20 +32,19 @@ Simulator::engineInjectStimulus(uint64_t t,
 }
 
 void
-Simulator::engineStepNeurons(uint64_t t, std::vector<uint8_t> &fired)
+DenseEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 {
     backend_->step(router_->slot(t), fired);
 }
 
 void
-Simulator::enginePrepareDelivery()
+DenseEngine::prepareDelivery()
 {
     router_->refreshWeights();
 }
 
 void
-Simulator::engineDeliverSpikes(uint64_t t,
-                               std::span<const uint32_t> fired)
+DenseEngine::deliverSpikes(uint64_t t, std::span<const uint32_t> fired)
 {
     // Clear the consumed slot (activity-proportionally) and stream
     // the fired rows' delivery records into the t + delay slots —
@@ -56,46 +54,45 @@ Simulator::engineDeliverSpikes(uint64_t t,
 }
 
 void
-Simulator::engineReset()
+DenseEngine::reset()
 {
     backend_->reset();
     router_->reset();
 }
 
 double
-Simulator::engineModelSecondsPerStep() const
+DenseEngine::modelSecondsPerStep() const
 {
     return backend_->modelSecondsPerStep();
 }
 
 void
-Simulator::engineReportConfig(telemetry::ReportFields &config) const
+DenseEngine::reportConfig(telemetry::ReportFields &config) const
 {
-    config.emplace_back(
-        "backend",
-        telemetry::jsonQuoted(backendName(options_.backend)));
+    config.emplace_back("backend",
+                        telemetry::jsonQuoted(backendName(backendKind_)));
     config.emplace_back("connectivity",
-                        telemetry::jsonQuoted(connectivityKindName(
-                            options_.connectivity)));
+                        telemetry::jsonQuoted(
+                            connectivityKindName(connectivity_)));
 }
 
 void
-Simulator::engineSaveState(std::ostream &os) const
+DenseEngine::saveState(std::ostream &os) const
 {
     backend_->saveState(os);
     router_->saveState(os);
 }
 
 void
-Simulator::engineLoadState(std::istream &is)
+DenseEngine::loadState(std::istream &is, uint64_t)
 {
     backend_->loadState(is);
     router_->loadState(is);
 }
 
 void
-Simulator::engineHealthScan(uint64_t begin, uint64_t end,
-                            health::HealthScan &scan) const
+DenseEngine::healthScan(uint64_t begin, uint64_t end,
+                        health::HealthScan &scan) const
 {
     backend_->healthProbe(static_cast<size_t>(begin),
                           static_cast<size_t>(end), scan);
@@ -107,24 +104,34 @@ Simulator::engineHealthScan(uint64_t begin, uint64_t end,
                         router_->slotSize();
 }
 
-bool
-Simulator::engineExportTransfer(EngineTransfer &out) const
+double
+DenseEngine::membrane(uint32_t neuron, uint64_t) const
 {
-    if (!backend_->exportLlifState(out.v, out.refractory))
-        return false;
-    out.t = currentStep();
-    router_->exportRing(out.t, out.ring);
-    return true;
+    return backend_->membrane(neuron);
 }
 
 bool
-Simulator::engineImportTransfer(const EngineTransfer &in)
+DenseEngine::debugPoisonMembrane(uint32_t neuron)
 {
-    flexon_assert(in.t == currentStep());
-    if (!backend_->importLlifState(in.v, in.refractory))
-        return false;
+    return backend_->debugPoisonMembrane(neuron);
+}
+
+void
+DenseEngine::exportTransfer(uint64_t now, EngineTransfer &out) const
+{
+    const bool exported =
+        backend_->exportLlifState(out.v, out.refractory);
+    flexon_assert(exported);
+    out.t = now;
+    router_->exportRing(out.t, out.ring);
+}
+
+void
+DenseEngine::importTransfer(const EngineTransfer &in)
+{
+    const bool imported = backend_->importLlifState(in.v, in.refractory);
+    flexon_assert(imported);
     router_->importRing(in.t, in.ring);
-    return true;
 }
 
 } // namespace flexon

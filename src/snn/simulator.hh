@@ -1,14 +1,13 @@
 /**
  * @file
- * The dense SNN simulation engine: evaluates the three per-step
- * phases of Section II-C — stimulus generation, neuron computation,
- * synapse calculation — and times each phase (the Figure 3
- * breakdown). Orchestration (stimulus stream, recording, stats,
- * reports, reset, checkpointing) lives in the shared
- * SimulationSession core; this class supplies the dense phase
- * bodies: a pluggable NeuronBackend evaluates every neuron each
- * step, and a SpikeRouter delivers spikes from the rows of a
- * connectivity provider.
+ * The dense delivery engine: evaluates the three per-step phases of
+ * Section II-C — stimulus generation, neuron computation, synapse
+ * calculation — for every neuron every step. Orchestration (stimulus
+ * stream, recording, stats, reports, reset, checkpointing) lives in
+ * the session (snn/session.hh), which owns this engine; the engine
+ * supplies the dense phase bodies: a pluggable NeuronBackend
+ * evaluates every neuron each step, and a SpikeRouter delivers spikes
+ * from the rows of a connectivity provider.
  *
  * Spike propagation uses a delay ring buffer: a fired neuron's
  * synaptic weights are accumulated into the input buffer of time step
@@ -31,95 +30,48 @@
 
 namespace flexon {
 
-/** Options controlling a simulation run: the session options plus
- *  the dense engine's backend and connectivity choices. */
-struct SimulatorOptions : SessionOptions
-{
-    BackendKind backend = BackendKind::Reference;
-    IntegrationMode mode = IntegrationMode::Discrete;
-    SolverKind solver = SolverKind::Euler;
-    /**
-     * Connectivity representation spikes are delivered from
-     * (snn/connectivity.hh). Materialized is the precompiled
-     * record array; compressed and procedural trade delivery-time
-     * decoding for 4-100x smaller memory footprints, bit-identical
-     * results.
-     */
-    ConnectivityKind connectivity = ConnectivityKind::Materialized;
-};
-
-/** The dense three-phase SNN simulation engine. */
-class Simulator : public SimulationSession
+/** The dense engine: NeuronBackend + SpikeRouter. */
+class DenseEngine : public DeliveryEngine
 {
   public:
-    /**
-     * @param network finalized network topology (kept by reference;
-     *        must outlive the simulator)
-     * @param stimulus stimulus sources (copied)
-     */
-    Simulator(const Network &network, StimulusGenerator stimulus,
-              const SimulatorOptions &options = {});
+    /** Builds the backend and the router (metrics registered in
+     *  `metrics`, which must outlive the engine). */
+    DenseEngine(const Network &network, const SimulatorOptions &options,
+                telemetry::Registry &metrics);
 
     NeuronBackend &backend() { return *backend_; }
-
-    /**
-     * Membrane potential of one neuron as of the last completed
-     * step, in reference units.
-     */
-    double membrane(uint32_t neuron) const override
-    {
-        return backend_->membrane(neuron);
-    }
-
-    /**
-     * The delivery engine: connectivity provider + delay ring
-     * (read-only; for tests, benchmarks and diagnostics).
-     */
     const SpikeRouter &router() const { return *router_; }
 
-    /** The raw delay ring (for equivalence tests). */
-    const std::vector<double> &ringBuffer() const
-    {
-        return router_->ringBuffer();
-    }
+    const char *kind() const override { return "dense"; }
+    void injectStimulus(uint64_t t,
+                        std::span<const StimulusSpike> spikes) override;
+    void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) override;
+    void prepareDelivery() override;
+    void deliverSpikes(uint64_t t,
+                       std::span<const uint32_t> fired) override;
+    void reset() override;
+    double modelSecondsPerStep() const override;
+    void reportConfig(telemetry::ReportFields &config) const override;
+    void saveState(std::ostream &os) const override;
+    void loadState(std::istream &is, uint64_t now) override;
+    void healthScan(uint64_t begin, uint64_t end,
+                    health::HealthScan &scan) const override;
+    double membrane(uint32_t neuron, uint64_t now) const override;
+    bool debugPoisonMembrane(uint32_t neuron) override;
 
-    /** Test/CI hook: NaN-poison one neuron (see NeuronBackend). */
-    bool debugPoisonMembrane(uint32_t neuron) override
-    {
-        return backend_->debugPoisonMembrane(neuron);
-    }
-
-  protected:
-    const char *engineKind() const override { return "dense"; }
-    void engineInjectStimulus(
-        uint64_t t, std::span<const StimulusSpike> spikes) override;
-    void engineStepNeurons(uint64_t t,
-                           std::vector<uint8_t> &fired) override;
-    void enginePrepareDelivery() override;
-    void engineDeliverSpikes(
-        uint64_t t, std::span<const uint32_t> fired) override;
-    void engineReset() override;
-    double engineModelSecondsPerStep() const override;
-    void engineReportConfig(
-        telemetry::ReportFields &config) const override;
-    void engineSaveState(std::ostream &os) const override;
-    void engineLoadState(std::istream &is) override;
-    void engineHealthScan(uint64_t begin, uint64_t end,
-                          health::HealthScan &scan) const override;
-
-  public:
     /**
-     * Engine hand-off (rate-adaptive switch): supported when the
-     * backend can express its neuron state as LLIF (v, refractory)
-     * arrays — the Reference backend in discrete mode. The ring is
-     * exchanged as accumulated per-cell doubles, so the receiving
-     * engine continues the exact addition sequence.
+     * Engine hand-off: the backend expresses its neuron state as LLIF
+     * (v, refractory) arrays — the Reference backend in discrete
+     * mode. The ring is exchanged as accumulated per-cell doubles, so
+     * the receiving engine continues the exact addition sequence.
      */
-    bool engineExportTransfer(EngineTransfer &out) const override;
-    bool engineImportTransfer(const EngineTransfer &in) override;
+    void exportTransfer(uint64_t now, EngineTransfer &out) const override;
+    void importTransfer(const EngineTransfer &in) override;
 
   private:
-    SimulatorOptions options_;
+    const Network &network_;
+    BackendKind backendKind_;
+    ConnectivityKind connectivity_;
     std::unique_ptr<NeuronBackend> backend_;
     /**
      * Spike delivery: connectivity provider, delay ring, and

@@ -21,7 +21,6 @@
 
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
-#include "snn/auto_engine.hh"
 #include "snn/connectivity.hh"
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
@@ -375,12 +374,10 @@ TEST(ConnectivityGuards, MisconfigurationsDieWithClearMessages)
                  "procedural");
     // The event engine has no non-materialized delivery path.
     BenchmarkInstance mat = vogelsAbbott(false);
-    SimulatorOptions compOpts;
-    compOpts.connectivity = ConnectivityKind::Compressed;
-    AutoEngineOptions eventOpts;
+    SimulatorOptions eventOpts;
+    eventOpts.connectivity = ConnectivityKind::Compressed;
     eventOpts.engine = EngineKind::Event;
-    EXPECT_DEATH(AutoSession(mat.network, mat.stimulus, compOpts,
-                             eventOpts),
+    EXPECT_DEATH(Simulator(mat.network, mat.stimulus, eventOpts),
                  "materialized");
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the event-driven LLIF engine: bit-exact equivalence with
- * the dense Simulator (membranes and spike trains), the update
- * savings on sparse activity, the LLIF-only restriction, and the
- * lazy catch-up semantics (decay and refractory).
+ * the dense engine (membranes and spike trains), the update savings
+ * on sparse activity, the eligibility restrictions, and the lazy
+ * catch-up semantics (decay and refractory).
  */
 
 #include <gtest/gtest.h>
@@ -38,21 +38,30 @@ llifNetwork(size_t neurons, double rate, uint64_t seed)
     return s;
 }
 
+/** Session options pinning the event-driven engine. */
+SimulatorOptions
+eventOptions()
+{
+    SimulatorOptions opts;
+    opts.engine = EngineKind::Event;
+    return opts;
+}
+
 uint64_t
-updates(EventDrivenSimulator &sim)
+updates(Simulator &sim)
 {
     return sim.metrics().counter("ev.updates").value();
 }
 
 uint64_t
-denseUpdates(EventDrivenSimulator &sim)
+denseUpdates(Simulator &sim)
 {
     return sim.metrics().counter("ev.dense_updates").value();
 }
 
 /** Fraction of dense updates the engine skipped. */
 double
-savings(EventDrivenSimulator &sim)
+savings(Simulator &sim)
 {
     return 1.0 - static_cast<double>(updates(sim)) /
                      static_cast<double>(denseUpdates(sim));
@@ -67,7 +76,7 @@ TEST(EventDriven, SpikesMatchDenseSimulator)
     Simulator dense(a.net, a.stim, opts);
     dense.run(3000);
 
-    EventDrivenSimulator sparse(b.net, b.stim);
+    Simulator sparse(b.net, b.stim, eventOptions());
     sparse.run(3000);
 
     EXPECT_EQ(sparse.stats().spikes, dense.stats().spikes);
@@ -84,7 +93,7 @@ TEST(EventDriven, MembranesMatchDenseAtEveryProbe)
 
     SimulatorOptions opts;
     Simulator dense(a.net, a.stim, opts);
-    EventDrivenSimulator sparse(b.net, b.stim);
+    Simulator sparse(b.net, b.stim, eventOptions());
 
     for (int chunk = 0; chunk < 20; ++chunk) {
         dense.run(100);
@@ -102,7 +111,7 @@ TEST(EventDriven, MembranesMatchDenseAtEveryProbe)
 TEST(EventDriven, SavesUpdatesOnSparseActivity)
 {
     LlifSetup s = llifNetwork(200, 0.002, 11);
-    EventDrivenSimulator sim(s.net, s.stim);
+    Simulator sim(s.net, s.stim, eventOptions());
     sim.run(5000);
     EXPECT_GT(sim.stats().spikes, 0u);
     // At 0.2 % input rate the engine should skip the vast majority
@@ -114,7 +123,7 @@ TEST(EventDriven, SavesUpdatesOnSparseActivity)
 TEST(EventDriven, DenseActivityApproachesDenseCost)
 {
     LlifSetup s = llifNetwork(50, 0.9, 13);
-    EventDrivenSimulator sim(s.net, s.stim);
+    Simulator sim(s.net, s.stim, eventOptions());
     sim.run(500);
     EXPECT_LT(savings(sim), 0.35);
 }
@@ -125,7 +134,7 @@ TEST(EventDriven, RejectsNonLlifPopulations)
     net.addPopulation("lif", defaultParams(ModelKind::LIF), 4);
     net.finalize();
     StimulusGenerator stim(1);
-    EXPECT_DEATH(EventDrivenSimulator(net, stim),
+    EXPECT_DEATH(Simulator(net, stim, eventOptions()),
                  "requires LLIF");
 
     Network net2;
@@ -135,17 +144,42 @@ TEST(EventDriven, RejectsNonLlifPopulations)
     rr.qR = -0.1;
     net2.addPopulation("llif_rr", rr, 4);
     net2.finalize();
-    EXPECT_DEATH(EventDrivenSimulator(net2, stim),
+    EXPECT_DEATH(Simulator(net2, stim, eventOptions()),
                  "does not support");
+}
+
+TEST(EventDriven, RequestOnIneligibleSetupDiesWithReason)
+{
+    // The event-driven engine computes in reference doubles over
+    // stored rows. An explicit request on any other setup must name
+    // what is wrong instead of silently running something else.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(20, 0.02, 3);
+
+    SimulatorOptions flexon = eventOptions();
+    flexon.backend = BackendKind::Flexon;
+    EXPECT_DEATH(Simulator(s.net, s.stim, flexon),
+                 "engine=event: .*flexon backend");
+
+    SimulatorOptions continuous = eventOptions();
+    continuous.mode = IntegrationMode::Continuous;
+    continuous.solver = SolverKind::RKF45;
+    EXPECT_DEATH(Simulator(s.net, s.stim, continuous),
+                 "engine=event: continuous integration");
+
+    SimulatorOptions compressed = eventOptions();
+    compressed.connectivity = ConnectivityKind::Compressed;
+    EXPECT_DEATH(Simulator(s.net, s.stim, compressed),
+                 "engine=event: .*compressed connectivity");
 }
 
 TEST(EventDriven, ResetThenRerunIsSpikeForSpikeIdentical)
 {
     LlifSetup s = llifNetwork(60, 0.02, 17);
-    SessionOptions opts;
+    SimulatorOptions opts = eventOptions();
     opts.recordSpikes = true;
     opts.probes = {0, 9};
-    EventDrivenSimulator sim(s.net, s.stim, opts);
+    Simulator sim(s.net, s.stim, opts);
 
     sim.run(800);
     const auto counts = sim.spikeCounts();
@@ -182,9 +216,9 @@ TEST(EventDriven, RecordedEventsMatchDenseSimulator)
     Simulator dense(a.net, a.stim, denseOpts);
     dense.run(1500);
 
-    SessionOptions evOpts;
+    SimulatorOptions evOpts = eventOptions();
     evOpts.recordSpikes = true;
-    EventDrivenSimulator sparse(b.net, b.stim, evOpts);
+    Simulator sparse(b.net, b.stim, evOpts);
     sparse.run(1500);
 
     ASSERT_GT(dense.spikeEvents().size(), 0u);
@@ -210,7 +244,7 @@ TEST(EventDriven, LazyRefractoryCountdownIsExact)
     StimulusGenerator stim(1);
     stim.addSource(StimulusSource::pattern(0, 1, 30, 1.5f, 0));
 
-    EventDrivenSimulator sim(net, stim);
+    Simulator sim(net, stim, eventOptions());
     sim.run(200); // pulses at 0, 30, 60, 90, 120, 150, 180
     // Pulse at t=0 fires; t=30 blocked (refractory until t=50);
     // t=60 fires; t=90 blocked; t=120 fires; t=150 blocked; t=180

@@ -154,6 +154,15 @@ TEST(Script, ErrorsCarryLineNumbers)
                  "delay range");
 }
 
+TEST(Script, EmptyPopulationIsAParseError)
+{
+    // Outside input must get a diagnostic and exit 1, not reach the
+    // network's count > 0 assertion (an abort).
+    EXPECT_EXIT(parseScriptString("population a model=LIF count=0\n"),
+                ::testing::ExitedWithCode(1),
+                "script line 1: empty population a");
+}
+
 TEST(Script, InvalidParametersRejectedAtParse)
 {
     EXPECT_DEATH(parseScriptString(

@@ -24,7 +24,7 @@
 #include "common/telemetry.hh"
 #include "features/model_table.hh"
 #include "nets/table1.hh"
-#include "snn/auto_engine.hh"
+#include "plan/planner.hh"
 #include "snn/simulator.hh"
 
 namespace flexon {
@@ -140,6 +140,9 @@ TEST(HealthDetector, NanPoisonIsDetectedInReferenceBackend)
     EXPECT_GT(sim.healthCounters().nanEvents, 0u);
     EXPECT_GT(sim.healthCounters().sweeps, 0u);
     EXPECT_GT(sim.healthCounters().neuronsChecked, 0u);
+    // The accessor is a view of the registry, the tallies' one store.
+    EXPECT_EQ(sim.metrics().counter("health.nan_events").value(),
+              sim.healthCounters().nanEvents);
 }
 
 TEST(HealthDetector, FixSaturationStormIsAttributed)
@@ -237,17 +240,14 @@ TEST(HealthReport, RunReportCarriesHealthSection)
     EXPECT_NE(text.find("\"watchdog_stalls\""), std::string::npos);
 }
 
-TEST(PlanAudit, AutoSessionRecordsDecisions)
+TEST(PlanAudit, AutoEngineRecordsDecisions)
 {
     LlifSetup s = llifNetwork(80, 0.02, 37);
     SimulatorOptions opts;
-    AutoEngineOptions autoOpts;
-    autoOpts.engine = EngineKind::Auto;
-    autoOpts.decisionWindow = 64;
-    AutoSession sim(s.net, s.stim, opts, autoOpts);
-    ASSERT_TRUE(sim.adaptive());
-    sim.run(256);
-    const SimulationSession &session = sim.session();
+    opts.engine = EngineKind::Auto;
+    Simulator session(s.net, s.stim, opts);
+    ASSERT_TRUE(session.adaptive());
+    session.run(3 * plan::kDecisionWindow);
     EXPECT_GE(session.planDecisionsTotal(), 4u); // step 0 + windows
     ASSERT_FALSE(session.planDecisions().empty());
     const PlanDecision &first = session.planDecisions().front();

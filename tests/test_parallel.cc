@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the parallel helpers and the threaded reference backend:
+ * Tests for the thread pool and the threaded reference backend:
  * chunk coverage, and the property that threading changes neither
  * spikes nor state (neurons are independent within a step).
  */
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/thread_pool.hh"
 #include "nets/table1.hh"
 #include "snn/simulator.hh"
@@ -21,10 +20,11 @@ namespace {
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {
     std::vector<std::atomic<int>> hits(1000);
-    parallelFor(hits.size(), 4, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i)
-            hits[i].fetch_add(1);
-    });
+    ThreadPool::global().parallelFor(
+        hits.size(), 4, [&](size_t, size_t begin, size_t end) {
+            for (size_t i = begin; i < end; ++i)
+                hits[i].fetch_add(1);
+        });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
@@ -32,27 +32,30 @@ TEST(ParallelFor, CoversRangeExactlyOnce)
 TEST(ParallelFor, SingleThreadRunsInline)
 {
     int calls = 0;
-    parallelFor(100, 1, [&](size_t begin, size_t end) {
-        ++calls;
-        EXPECT_EQ(begin, 0u);
-        EXPECT_EQ(end, 100u);
-    });
+    ThreadPool::global().parallelFor(
+        100, 1, [&](size_t, size_t begin, size_t end) {
+            ++calls;
+            EXPECT_EQ(begin, 0u);
+            EXPECT_EQ(end, 100u);
+        });
     EXPECT_EQ(calls, 1);
 }
 
 TEST(ParallelFor, TinyRangesStayInline)
 {
     int calls = 0;
-    parallelFor(3, 8, [&](size_t, size_t) { ++calls; });
+    ThreadPool::global().parallelFor(
+        3, 8, [&](size_t, size_t, size_t) { ++calls; });
     EXPECT_EQ(calls, 1);
 }
 
 TEST(ParallelFor, EmptyRange)
 {
     bool called_with_work = false;
-    parallelFor(0, 4, [&](size_t begin, size_t end) {
-        called_with_work = begin < end;
-    });
+    ThreadPool::global().parallelFor(
+        0, 4, [&](size_t, size_t begin, size_t end) {
+            called_with_work = begin < end;
+        });
     EXPECT_FALSE(called_with_work);
 }
 

@@ -3,9 +3,9 @@
  * Tests for the calibration layer and execution planner: builtin
  * defaults must reproduce the legacy hand-tuned behavior exactly,
  * calibration documents must survive a save/load round trip, the
- * planner's strategy choice must flip at the predicted crossover
+ * planner's engine choice must flip at the predicted crossover
  * under synthetic calibrations, and a planner-driven run must be
- * bit-identical to the corresponding fixed-strategy run — the
+ * bit-identical to the corresponding fixed-engine run — the
  * planner only ever changes *which* engine steps, never what an
  * engine computes.
  */
@@ -21,7 +21,6 @@
 #include "features/model_table.hh"
 #include "plan/calibration.hh"
 #include "plan/planner.hh"
-#include "snn/auto_engine.hh"
 #include "snn/simulator.hh"
 
 namespace flexon {
@@ -30,7 +29,6 @@ namespace {
 using plan::CalibrationData;
 using plan::ExecutionPlanner;
 using plan::NetworkStats;
-using plan::Strategy;
 
 /** A calibration with a synthetic event/dense cost ratio. */
 CalibrationData
@@ -45,7 +43,7 @@ syntheticCalibration(double eventFactor)
 
 TEST(Calibration, BuiltinReproducesLegacyCrossover)
 {
-    // The pre-PR 8 AutoSession switched at 1 / (K + 1); the builtin
+    // The hand-tuned auto engine switched at 1 / (K + 1); the builtin
     // calibration must land there exactly (kBuiltinEventCostFactor
     // keeps the dense and event unit costs equal, and the common
     // delivery terms cancel out of the crossover).
@@ -163,7 +161,7 @@ TEST(Calibration, ValidationGuardsCoefficientRanges)
 TEST(Planner, StrategyFlipsAtPredictedCrossover)
 {
     // Table-driven: synthetic event/dense cost ratios move the
-    // crossover, and the planned strategy must flip with it — event
+    // crossover, and the planned engine must flip with it — event
     // below the hysteresis dead band, adaptive inside it, dense
     // above (or everywhere the event engine is predicted slower).
     const NetworkStats net{1000, 50000}; // K = 50
@@ -171,29 +169,29 @@ TEST(Planner, StrategyFlipsAtPredictedCrossover)
     {
         double eventFactor;
         double rate;
-        Strategy expect;
+        EngineKind expect;
     };
     // Builtin factor 1: crossover 1/51 ~ 0.0196, dead band
     // (0.0163, 0.0235); factor 10: crossover ~ 0.00196; factor 0.1:
     // crossover ~ 0.196.
     const Case cases[] = {
-        {1.0, 0.001, Strategy::EventDriven},
-        {1.0, 0.019, Strategy::Adaptive},
-        {1.0, 0.1, Strategy::Dense},
-        {10.0, 0.0005, Strategy::EventDriven},
-        {10.0, 0.002, Strategy::Adaptive},
-        {10.0, 0.019, Strategy::Dense},
-        {0.1, 0.05, Strategy::EventDriven},
-        {0.1, 0.2, Strategy::Adaptive},
-        {0.1, 0.5, Strategy::Dense},
+        {1.0, 0.001, EngineKind::Event},
+        {1.0, 0.019, EngineKind::Auto},
+        {1.0, 0.1, EngineKind::Dense},
+        {10.0, 0.0005, EngineKind::Event},
+        {10.0, 0.002, EngineKind::Auto},
+        {10.0, 0.019, EngineKind::Dense},
+        {0.1, 0.05, EngineKind::Event},
+        {0.1, 0.2, EngineKind::Auto},
+        {0.1, 0.5, EngineKind::Dense},
     };
     for (const Case &c : cases) {
         const ExecutionPlanner planner(
             syntheticCalibration(c.eventFactor));
         const plan::EnginePlan p = planner.plan(net, c.rate, 1);
-        EXPECT_EQ(p.strategy, c.expect)
+        EXPECT_EQ(p.engine, c.expect)
             << "eventFactor=" << c.eventFactor << " rate=" << c.rate
-            << " planned " << plan::strategyName(p.strategy);
+            << " planned " << engineKindName(p.engine);
         // The prediction backing the choice must be the cheaper one.
         EXPECT_LE(p.predictedStepSec,
                   std::max(p.predictedDenseStepSec,
@@ -251,7 +249,7 @@ TEST(Planner, PlanIsDeterministic)
     const NetworkStats net{3900, 750000};
     const plan::EnginePlan pa = a.plan(net, 0.007, 4);
     const plan::EnginePlan pb = b.plan(net, 0.007, 4);
-    EXPECT_EQ(pa.strategy, pb.strategy);
+    EXPECT_EQ(pa.engine, pb.engine);
     EXPECT_EQ(pa.threads, pb.threads);
     EXPECT_EQ(pa.crossoverRate, pb.crossoverRate);
     EXPECT_EQ(pa.predictedStepSec, pb.predictedStepSec);
@@ -284,8 +282,8 @@ llifNetwork(size_t neurons, double rate, uint64_t seed)
 
 /**
  * The acceptance contract: running under the planner's choice (for
- * every strategy it can choose, at several thread counts) produces
- * the same spike train as the pinned engines — bit for bit.
+ * every engine it can choose, at several thread counts) produces
+ * the same spike train as the pinned dense engine — bit for bit.
  */
 TEST(PlanBitIdentity, PlannedStrategiesMatchPinnedEngines)
 {
@@ -293,6 +291,7 @@ TEST(PlanBitIdentity, PlannedStrategiesMatchPinnedEngines)
     for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
         SimulatorOptions opts;
         opts.recordSpikes = true;
+        opts.probes = {0, 3, 11};
         opts.threads = threads;
 
         LlifSetup a = llifNetwork(90, 0.05, 13);
@@ -304,18 +303,27 @@ TEST(PlanBitIdentity, PlannedStrategiesMatchPinnedEngines)
              {EngineKind::Dense, EngineKind::Event,
               EngineKind::Auto}) {
             LlifSetup b = llifNetwork(90, 0.05, 13);
-            AutoEngineOptions autoOpts;
-            autoOpts.engine = kind;
+            SimulatorOptions kindOpts = opts;
+            kindOpts.engine = kind;
             // The default planner (builtin calibration) drives the
             // Auto case; pinned kinds must ignore it entirely.
-            AutoSession sim(b.net, b.stim, opts, autoOpts);
+            Simulator sim(b.net, b.stim, kindOpts);
             sim.run(total);
-            EXPECT_EQ(sim.session().spikeCounts(),
-                      dense.spikeCounts())
-                << "threads=" << threads << " engine="
-                << static_cast<int>(kind);
-            EXPECT_EQ(sim.session().stats().spikes,
-                      dense.stats().spikes);
+            EXPECT_EQ(sim.spikeCounts(), dense.spikeCounts())
+                << "threads=" << threads
+                << " engine=" << engineKindName(kind);
+            EXPECT_EQ(sim.stats().spikes, dense.stats().spikes);
+            ASSERT_EQ(sim.spikeEvents().size(),
+                      dense.spikeEvents().size());
+            for (size_t i = 0; i < dense.spikeEvents().size(); ++i) {
+                EXPECT_EQ(sim.spikeEvents()[i].step,
+                          dense.spikeEvents()[i].step);
+                EXPECT_EQ(sim.spikeEvents()[i].neuron,
+                          dense.spikeEvents()[i].neuron);
+            }
+            for (size_t p = 0; p < opts.probes.size(); ++p)
+                EXPECT_EQ(sim.probeTrace(p), dense.probeTrace(p))
+                    << "probe " << p;
         }
     }
 }
@@ -328,11 +336,10 @@ TEST(PlanBitIdentity, PlanInfoReachesTheSession)
 {
     LlifSetup s = llifNetwork(60, 0.03, 5);
     SimulatorOptions opts;
-    AutoEngineOptions autoOpts;
-    autoOpts.engine = EngineKind::Auto;
-    AutoSession sim(s.net, s.stim, opts, autoOpts);
-    const PlanInfo &info = sim.session().planInfo();
-    EXPECT_TRUE(info.present);
+    opts.engine = EngineKind::Auto;
+    Simulator sim(s.net, s.stim, opts);
+    const PlanInfo &info = sim.planInfo();
+    EXPECT_EQ(info.strategy, "auto");
     EXPECT_EQ(info.calibrationVersion,
               plan::kBuiltinCalibrationVersion);
     EXPECT_FALSE(info.strategy.empty());

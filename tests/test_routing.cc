@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "features/model_table.hh"
-#include "snn/event_driven.hh"
 #include "snn/routing.hh"
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
@@ -569,10 +568,9 @@ TEST_P(SparseDelivery, DenseAndEventEnginesMatchOracle)
     opts.recordSpikes = true;
     Simulator dense(netDense, llifStim(n, 5), opts);
 
-    SessionOptions evOpts;
-    evOpts.threads = threads;
-    evOpts.recordSpikes = true;
-    EventDrivenSimulator event(netEvent, llifStim(n, 5), evOpts);
+    SimulatorOptions evOpts = opts;
+    evOpts.engine = EngineKind::Event;
+    Simulator event(netEvent, llifStim(n, 5), evOpts);
 
     for (uint64_t step = 0; step < 600; ++step) {
         oracle.stepOnce();

@@ -202,6 +202,24 @@ TEST(Serialize, RejectsTruncatedFile)
     EXPECT_DEATH(loadNetwork(truncated), "malformed");
 }
 
+TEST(Serialize, RejectsEmptyPopulationRecord)
+{
+    // A `pop NAME 0` record is bad input: a diagnostic and exit 1,
+    // not the network's count > 0 assertion (an abort).
+    Network net;
+    net.addPopulation("a", defaultParams(ModelKind::LIF), 4);
+    net.finalize();
+    std::stringstream buffer;
+    saveNetwork(buffer, net);
+    std::string text = buffer.str();
+    const size_t at = text.find("pop a 4 ");
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, 8, "pop a 0 ");
+    std::stringstream edited(text);
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "empty population record 0");
+}
+
 TEST(Serialize, RefusesUnfinalizedNetwork)
 {
     Network net;

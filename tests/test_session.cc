@@ -8,7 +8,9 @@
  * session, and running the remaining N - k steps. Exercised for
  * every dense backend at several thread counts, for the
  * event-driven engine, with STDP mutating weights mid-run, and for
- * restore-onto-a-used-session semantics.
+ * restore-onto-a-used-session semantics. The auto-engine suite checks
+ * that a switch inside the one session keeps everything around the
+ * engine running: spikes, plasticity, metrics and checkpoints.
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +23,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/health.hh"
 #include "features/model_table.hh"
 #include "nets/table1.hh"
-#include "snn/auto_engine.hh"
-#include "snn/event_driven.hh"
+#include "plan/calibration.hh"
+#include "snn/plasticity.hh"
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
 
@@ -215,10 +218,11 @@ llifNetwork(size_t neurons, double rate, uint64_t seed)
     return s;
 }
 
-SessionOptions
+SimulatorOptions
 evOptions()
 {
-    SessionOptions opts;
+    SimulatorOptions opts;
+    opts.engine = EngineKind::Event;
     opts.recordSpikes = true;
     opts.probes = {0, 3, 11};
     return opts;
@@ -227,21 +231,21 @@ evOptions()
 TEST(EventDrivenRestart, SplitRunMatchesFullRunBitForBit)
 {
     const uint64_t total = 1200, split = 500;
-    const SessionOptions opts = evOptions();
+    const SimulatorOptions opts = evOptions();
 
     LlifSetup a = llifNetwork(80, 0.02, 7);
-    EventDrivenSimulator full(a.net, a.stim, opts);
+    Simulator full(a.net, a.stim, opts);
     full.run(total);
 
     LlifSetup b = llifNetwork(80, 0.02, 7);
     std::stringstream snapshot;
     {
-        EventDrivenSimulator first(b.net, b.stim, opts);
+        Simulator first(b.net, b.stim, opts);
         first.run(split);
         first.saveCheckpoint(snapshot);
     }
 
-    EventDrivenSimulator second(b.net, b.stim, opts);
+    Simulator second(b.net, b.stim, opts);
     second.loadCheckpoint(snapshot);
     EXPECT_EQ(second.restoredStep(), split);
     second.run(total - split);
@@ -370,7 +374,7 @@ TEST(SessionCheckpoint, RejectsEngineKindMismatch)
     dense.saveCheckpoint(snapshot);
 
     LlifSetup b = llifNetwork(30, 0.02, 9);
-    EventDrivenSimulator sparse(b.net, b.stim);
+    Simulator sparse(b.net, b.stim, evOptions());
     EXPECT_DEATH(sparse.loadCheckpoint(snapshot),
                  "written by a 'dense' engine");
 }
@@ -468,7 +472,7 @@ TEST(EventDrivenCheckpoint, RejectsPendingCellsOutsideTheNetwork)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     LlifSetup s = llifNetwork(30, 0.02, 9);
-    EventDrivenSimulator sim(s.net, s.stim);
+    Simulator sim(s.net, s.stim, evOptions());
     const SavedLines saved = savedAfterRun(sim);
     const std::string cells =
         std::to_string(s.net.numNeurons() * maxSynapseTypes);
@@ -476,7 +480,7 @@ TEST(EventDrivenCheckpoint, RejectsPendingCellsOutsideTheNetwork)
         SCOPED_TRACE(block);
         SavedLines cp = saved;
         cp.line(block) = block + ("1 " + cells + " 0.5");
-        EventDrivenSimulator fresh(s.net, s.stim);
+        Simulator fresh(s.net, s.stim, evOptions());
         std::istringstream is(cp.text());
         EXPECT_DEATH(fresh.loadCheckpoint(is),
                      "event-driven cell " + cells + " is outside");
@@ -487,7 +491,7 @@ TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     LlifSetup s = llifNetwork(30, 0.02, 9);
-    EventDrivenSimulator sim(s.net, s.stim);
+    Simulator sim(s.net, s.stim, evOptions());
     SavedLines cp = savedAfterRun(sim);
     // `states` holds v, refractory, lastUpdate per neuron: move the
     // first neuron's lastUpdate one step past the restored step 40.
@@ -497,7 +501,7 @@ TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
     std::string rest;
     std::getline(states, rest);
     cp.line("states ") = tag + ' ' + v + ' ' + refractory + " 41" + rest;
-    EventDrivenSimulator fresh(s.net, s.stim);
+    Simulator fresh(s.net, s.stim, evOptions());
     std::istringstream is(cp.text());
     EXPECT_DEATH(fresh.loadCheckpoint(is),
                  "updated at step 41, after the restored step 40");
@@ -506,71 +510,79 @@ TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
 // ---- Rate-adaptive engine switch --------------------------------
 
 /**
- * Auto-engine options that force an early event -> dense switch: a
- * synthetic calibration pricing the event-driven unit at 200x the
- * dense update pushes the planned crossover rate below any sustained
- * activity, so the session (which starts event-driven on the silent
- * fresh network) must hand off to dense at an early decision
- * boundary.
+ * Installs, for its lifetime, a calibration pricing the event-driven
+ * unit at 200x the dense update, then restores the builtin one. That
+ * pushes the planned crossover rate below any sustained activity, so
+ * an auto session built meanwhile (which starts event-driven on the
+ * silent fresh network) hands off to dense at its first decision
+ * boundary, plan::kDecisionWindow.
  */
-const plan::ExecutionPlanner &
-expensiveEventPlanner()
+struct ForcedSwitchCalibration
 {
-    static const plan::ExecutionPlanner planner = [] {
+    ForcedSwitchCalibration()
+    {
         plan::CalibrationData cal = plan::builtinCalibration();
         cal.version = "test-forced-switch";
-        cal.model.eventNsPerUnit =
-            cal.model.denseNsPerNeuron * 200.0;
-        return plan::ExecutionPlanner(cal);
-    }();
-    return planner;
+        cal.model.eventNsPerUnit = cal.model.denseNsPerNeuron * 200.0;
+        plan::setActiveCalibration(cal);
+    }
+    ~ForcedSwitchCalibration()
+    {
+        plan::setActiveCalibration(plan::builtinCalibration());
+    }
+};
+
+/** Auto-engine options with spike recording and three probes. */
+SimulatorOptions
+autoOptions()
+{
+    SimulatorOptions opts;
+    opts.engine = EngineKind::Auto;
+    opts.recordSpikes = true;
+    opts.probes = {0, 3, 11};
+    return opts;
 }
 
-AutoEngineOptions
-forcedSwitchOptions()
-{
-    AutoEngineOptions a;
-    a.engine = EngineKind::Auto;
-    a.decisionWindow = 64;
-    a.planner = &expensiveEventPlanner();
-    return a;
-}
+/** Steps that take a forced-switch run past two decisions. */
+constexpr uint64_t kSwitchRunSteps = 640;
+static_assert(kSwitchRunSteps > 2 * plan::kDecisionWindow);
 
 TEST(AutoEngine, SwitchingRunMatchesPinnedEnginesBitForBit)
 {
-    const uint64_t total = 640;
-    SimulatorOptions opts;
-    opts.recordSpikes = true;
-    opts.probes = {0, 3, 11};
+    const ForcedSwitchCalibration forced;
+    const SimulatorOptions opts = autoOptions();
 
+    SimulatorOptions denseOpts = opts;
+    denseOpts.engine = EngineKind::Dense;
     LlifSetup a = llifNetwork(90, 0.05, 13);
-    Simulator dense(a.net, a.stim, opts);
-    dense.run(total);
+    Simulator dense(a.net, a.stim, denseOpts);
+    dense.run(kSwitchRunSteps);
     ASSERT_GT(dense.stats().spikes, 0u) << "network stayed silent";
 
     LlifSetup b = llifNetwork(90, 0.05, 13);
-    AutoSession autoSim(b.net, b.stim, opts, forcedSwitchOptions());
+    Simulator autoSim(b.net, b.stim, opts);
     ASSERT_TRUE(autoSim.adaptive());
-    autoSim.run(total);
+    autoSim.run(kSwitchRunSteps);
     EXPECT_GE(autoSim.switches(), 1u)
         << "forced crossover never triggered a switch";
     EXPECT_FALSE(autoSim.eventActive());
+    EXPECT_EQ(autoSim.metrics().counter("sim.engine_switches").value(),
+              autoSim.switches());
 
     expectIdentical(capture(dense, opts.probes.size()),
-                    capture(autoSim.session(), opts.probes.size()));
+                    capture(autoSim, opts.probes.size()));
 }
 
 TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
 {
-    const uint64_t total = 640, split = 320;
-    SimulatorOptions opts;
-    opts.recordSpikes = true;
-    opts.probes = {0, 3, 11};
+    const ForcedSwitchCalibration forced;
+    const uint64_t split = plan::kDecisionWindow + 64;
+    const SimulatorOptions opts = autoOptions();
 
     // Uninterrupted adaptive baseline.
     LlifSetup a = llifNetwork(90, 0.05, 13);
-    AutoSession full(a.net, a.stim, opts, forcedSwitchOptions());
-    full.run(total);
+    Simulator full(a.net, a.stim, opts);
+    full.run(kSwitchRunSteps);
     ASSERT_GE(full.switches(), 1u);
 
     // Same run split at a point past the switch; the snapshot is
@@ -579,8 +591,7 @@ TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
         ::testing::TempDir() + "auto-switch.fxc";
     LlifSetup b = llifNetwork(90, 0.05, 13);
     {
-        AutoSession first(b.net, b.stim, opts,
-                          forcedSwitchOptions());
+        Simulator first(b.net, b.stim, opts);
         first.run(split);
         ASSERT_GE(first.switches(), 1u)
             << "split point landed before the switch";
@@ -589,26 +600,26 @@ TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
     } // restore below must be self-contained
 
     // A fresh adaptive session starts on the event engine; the
-    // restore must rebuild the engine the checkpoint was written by
+    // restore must switch to the engine the checkpoint was written by
     // and then continue bit-exactly, including later decisions (the
     // EWMA estimator travels in the snapshot).
-    AutoSession second(b.net, b.stim, opts, forcedSwitchOptions());
+    Simulator second(b.net, b.stim, opts);
     EXPECT_TRUE(second.eventActive());
     second.loadCheckpointFile(path);
     EXPECT_FALSE(second.eventActive());
-    EXPECT_EQ(second.session().restoredStep(), split);
-    second.run(total - split);
+    EXPECT_EQ(second.restoredStep(), split);
+    second.run(kSwitchRunSteps - split);
 
-    expectIdentical(capture(full.session(), opts.probes.size()),
-                    capture(second.session(), opts.probes.size()));
+    expectIdentical(capture(full, opts.probes.size()),
+                    capture(second, opts.probes.size()));
 }
 
 TEST(AutoEngine, PinnedKindsNeverSwitch)
 {
-    LlifSetup a = llifNetwork(50, 0.05, 5);
-    AutoEngineOptions pin;
+    SimulatorOptions pin;
     pin.engine = EngineKind::Event;
-    AutoSession ev(a.net, a.stim, SimulatorOptions{}, pin);
+    LlifSetup a = llifNetwork(50, 0.05, 5);
+    Simulator ev(a.net, a.stim, pin);
     EXPECT_FALSE(ev.adaptive());
     EXPECT_TRUE(ev.eventActive());
     ev.run(300);
@@ -616,34 +627,148 @@ TEST(AutoEngine, PinnedKindsNeverSwitch)
 
     LlifSetup b = llifNetwork(50, 0.05, 5);
     pin.engine = EngineKind::Dense;
-    AutoSession dense(b.net, b.stim, SimulatorOptions{}, pin);
+    Simulator dense(b.net, b.stim, pin);
     EXPECT_FALSE(dense.adaptive());
     EXPECT_FALSE(dense.eventActive());
     dense.run(300);
     EXPECT_EQ(dense.switches(), 0u);
 
     // Identical spikes regardless of the pin.
-    EXPECT_EQ(ev.session().spikeCounts(),
-              dense.session().spikeCounts());
+    EXPECT_EQ(ev.spikeCounts(), dense.spikeCounts());
 }
 
 TEST(AutoEngine, AutoFallsBackToDenseWhenIneligible)
 {
-    // A non-LLIF network cannot run event-driven; Auto must pin
-    // dense instead of dying.
+    // A non-LLIF network cannot run event-driven, and neither can
+    // the flexon backend; Auto must pin dense instead of dying.
     Network net;
     net.addPopulation("lif", defaultParams(ModelKind::LIF), 40);
     net.finalize();
     StimulusGenerator stim(3);
     stim.addSource(StimulusSource::poisson(0, 40, 0.05, 0.8f, 0));
 
-    AutoSession sim(net, stim, SimulatorOptions{},
-                    AutoEngineOptions{});
+    SimulatorOptions opts;
+    opts.engine = EngineKind::Auto;
+    Simulator sim(net, stim, opts);
     EXPECT_FALSE(sim.adaptive());
     EXPECT_FALSE(sim.eventActive());
     sim.run(100);
     EXPECT_EQ(sim.switches(), 0u);
-    EXPECT_EQ(sim.session().currentStep(), 100u);
+    EXPECT_EQ(sim.currentStep(), 100u);
+
+    LlifSetup s = llifNetwork(40, 0.05, 3);
+    opts.backend = BackendKind::Flexon;
+    Simulator flexon(s.net, s.stim, opts);
+    EXPECT_FALSE(flexon.adaptive());
+    EXPECT_STREQ(flexon.activeEngine(), "dense");
+}
+
+/** Counts the steps it observes. */
+class CountingRule : public PlasticityRule
+{
+  public:
+    const char *kind() const override { return "count"; }
+    void onStep(const std::vector<uint8_t> &) override { ++steps; }
+    void saveState(std::ostream &os) const override
+    {
+        os << steps << '\n';
+    }
+    void loadState(std::istream &is) override { is >> steps; }
+
+    uint64_t steps = 0;
+};
+
+TEST(AutoEngine, AttachedRuleSeesEveryStepAcrossASwitch)
+{
+    const ForcedSwitchCalibration forced;
+    LlifSetup s = llifNetwork(90, 0.05, 13);
+    Simulator sim(s.net, s.stim, autoOptions());
+    CountingRule rule;
+    sim.attachPlasticityRule(&rule);
+    sim.run(kSwitchRunSteps);
+    ASSERT_GE(sim.switches(), 1u);
+    EXPECT_EQ(rule.steps, kSwitchRunSteps);
+}
+
+TEST(AutoEngine, CrashDumpAfterSwitchCarriesSessionMetrics)
+{
+    const ForcedSwitchCalibration forced;
+    LlifSetup s = llifNetwork(90, 0.05, 13);
+    Simulator sim(s.net, s.stim, autoOptions());
+    health::setCrashDumpRegistry(&sim.metrics());
+    sim.run(kSwitchRunSteps);
+    ASSERT_GE(sim.switches(), 1u);
+
+    const std::string path = ::testing::TempDir() + "switch-dump.json";
+    health::setCrashDumpPath(path);
+    ASSERT_TRUE(health::writeCrashDump("test"));
+    health::setCrashDumpPath("flexon-crash-dump.json");
+    health::clearCrashDumpRegistry(&sim.metrics());
+    std::ifstream is(path);
+    std::stringstream buffer;
+    buffer << is.rdbuf();
+    const std::string dump = buffer.str();
+    EXPECT_NE(dump.find("\"metrics\""), std::string::npos);
+    EXPECT_NE(dump.find("\"sim.engine_switches\""), std::string::npos);
+}
+
+TEST(AutoEngine, StdpAcrossSwitchMatchesPinnedDense)
+{
+    // Spikes and learned weights are the contract here. The event
+    // engine's closed-form decay may leave a resting membrane one
+    // ulp away from the dense engine's repeated subtraction, so
+    // membranes are not compared.
+    const ForcedSwitchCalibration forced;
+    SimulatorOptions opts;
+    opts.recordSpikes = true;
+    LlifSetup a = llifNetwork(60, 0.05, 21);
+    StdpEngine denseStdp(a.net, {});
+    Simulator dense(a.net, a.stim, opts);
+    dense.attachPlasticityRule(&denseStdp);
+    dense.run(kSwitchRunSteps);
+
+    opts.engine = EngineKind::Auto;
+    LlifSetup b = llifNetwork(60, 0.05, 21);
+    StdpEngine autoStdp(b.net, {});
+    Simulator autoSim(b.net, b.stim, opts);
+    autoSim.attachPlasticityRule(&autoStdp);
+    autoSim.run(kSwitchRunSteps);
+    ASSERT_GE(autoSim.switches(), 1u);
+
+    EXPECT_EQ(dense.spikeCounts(), autoSim.spikeCounts());
+    ASSERT_EQ(dense.spikeEvents().size(), autoSim.spikeEvents().size());
+    for (size_t i = 0; i < dense.spikeEvents().size(); ++i) {
+        EXPECT_EQ(dense.spikeEvents()[i].step,
+                  autoSim.spikeEvents()[i].step);
+        EXPECT_EQ(dense.spikeEvents()[i].neuron,
+                  autoSim.spikeEvents()[i].neuron);
+    }
+    ASSERT_GT(a.net.weightMutations(), 0u) << "STDP never fired";
+    for (uint64_t i = 0; i < a.net.numSynapses(); ++i) {
+        EXPECT_EQ(std::as_const(a.net).synapseAt(i).weight,
+                  std::as_const(b.net).synapseAt(i).weight)
+            << "synapse " << i;
+    }
+}
+
+TEST(AutoEngine, ResetReturnsToTheStartEngine)
+{
+    const ForcedSwitchCalibration forced;
+    const SimulatorOptions opts = autoOptions();
+    LlifSetup s = llifNetwork(90, 0.05, 13);
+    Simulator sim(s.net, s.stim, opts);
+    sim.run(kSwitchRunSteps);
+    ASSERT_FALSE(sim.eventActive());
+    const RunResult first = capture(sim, opts.probes.size());
+    const uint64_t decisions = sim.planDecisionsTotal();
+
+    sim.reset();
+    EXPECT_TRUE(sim.eventActive());
+    EXPECT_EQ(sim.switches(), 0u);
+    EXPECT_EQ(sim.planDecisionsTotal(), 1u); // the step-0 choice
+    sim.run(kSwitchRunSteps);
+    expectIdentical(first, capture(sim, opts.probes.size()));
+    EXPECT_EQ(sim.planDecisionsTotal(), decisions);
 }
 
 TEST(SessionCheckpoint, ReportCarriesCheckpointSection)

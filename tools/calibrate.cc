@@ -56,7 +56,6 @@
 #include "nets/table1.hh"
 #include "plan/calibration.hh"
 #include "plan/planner.hh"
-#include "snn/event_driven.hh"
 #include "snn/simulator.hh"
 
 using namespace flexon;
@@ -146,7 +145,9 @@ measureEvent(size_t neurons, double stimRate,
              const SweepConfig &cfg)
 {
     Microbench m = makeMicrobench(neurons, stimRate, cfg.seed);
-    EventDrivenSimulator sim(m.net, m.stim, SessionOptions{});
+    SimulatorOptions opts;
+    opts.engine = EngineKind::Event;
+    Simulator sim(m.net, m.stim, opts);
     sim.run(cfg.warmup + cfg.steps);
     const PhaseStats &st = sim.stats();
     const double steps = static_cast<double>(st.steps);

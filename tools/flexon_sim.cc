@@ -42,7 +42,6 @@
 #include "plan/planner.hh"
 #include "registry/model_file.hh"
 #include "registry/registry.hh"
-#include "snn/auto_engine.hh"
 #include "snn/event_driven.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
@@ -377,7 +376,7 @@ main(int argc, char **argv)
     Args args = parseArgs(argc, argv);
 
     // Install the measured calibration before anything consults the
-    // planner (AutoSession, hwmodel, the plan block below).
+    // planner (the session, hwmodel, the plan block below).
     if (!args.calibration.empty()) {
         plan::CalibrationData cal;
         std::string err;
@@ -549,7 +548,20 @@ main(int argc, char **argv)
         inform("saved network to %s", args.save.c_str());
     }
 
-    // --plan=auto: predict per-strategy step cost from the active
+    SimulatorOptions opts;
+    opts.engine = args.engine;
+    opts.backend = args.backend;
+    opts.mode = args.mode;
+    opts.solver = args.solver;
+    opts.threads = args.threads;
+    opts.recordSpikes = args.raster || !args.csv.empty();
+    opts.connectivity = args.connectivity;
+    opts.health = args.health;
+    opts.metricsOut = args.metricsOut;
+    opts.metricsEvery = args.metricsEvery;
+    opts.label = title;
+
+    // --plan=auto: predict per-engine step cost from the active
     // calibration and fill in whatever the user left unspecified
     // (engine, thread count). Deterministic — depends only on the
     // calibration and the network's neuron/synapse counts.
@@ -567,38 +579,18 @@ main(int argc, char **argv)
         planned = planner.plan(netStats, plan::kDefaultRatePrior,
                                maxThreads);
         if (!args.threadsSet)
-            args.threads = planned->threads;
-        if (!args.engineSet) {
-            // The event-driven strategies only exist for the
-            // reference backend's discrete LLIF path over a
-            // materialized table; elsewhere the dense engine is the
-            // only executor, so the plan degrades to it.
-            std::string why;
-            const bool eventCapable =
-                args.backend == BackendKind::Reference &&
-                args.mode == IntegrationMode::Discrete &&
-                args.connectivity == ConnectivityKind::Materialized &&
-                eventDrivenEligible(net, &why);
-            switch (planned->strategy) {
-            case plan::Strategy::Dense:
-                args.engine = EngineKind::Dense;
-                break;
-            case plan::Strategy::EventDriven:
-                args.engine = eventCapable ? EngineKind::Event
-                                           : EngineKind::Dense;
-                break;
-            case plan::Strategy::Adaptive:
-                args.engine = eventCapable ? EngineKind::Auto
-                                           : EngineKind::Dense;
-                break;
-            }
-        }
+            opts.threads = planned->threads;
+        // Where the event-driven engine cannot run, the dense engine
+        // is the only executor, so the plan degrades to it.
+        if (!args.engineSet)
+            opts.engine = eventDrivenEligible(net, opts)
+                              ? planned->engine
+                              : EngineKind::Dense;
     }
 
-    // Intrinsic-excitability plasticity attaches a rule to one live
-    // session's backend, so it needs the discrete reference backend
-    // and a pinned dense engine (adaptive switches and event-driven
-    // restores rebuild the session, dropping attached rules).
+    // Intrinsic-excitability plasticity attaches a rule to the dense
+    // backend, so it needs the discrete reference backend and a
+    // pinned dense engine (a switch would replace that backend).
     const bool wantIe = modelDesc != nullptr && modelDesc->ie.enabled;
     if (wantIe) {
         if (args.backend != BackendKind::Reference ||
@@ -608,43 +600,26 @@ main(int argc, char **argv)
                   "backend",
                   args.model.c_str());
         }
-        if (args.engine != EngineKind::Dense) {
+        if (opts.engine != EngineKind::Dense) {
             if (args.engineSet)
                 warn("--engine %s overridden: plasticity rules "
                      "require the pinned dense engine",
-                     engineKindName(args.engine));
-            args.engine = EngineKind::Dense;
+                     engineKindName(opts.engine));
+            opts.engine = EngineKind::Dense;
         }
     }
 
-    SimulatorOptions opts;
-    opts.backend = args.backend;
-    opts.mode = args.mode;
-    opts.solver = args.solver;
-    opts.threads = args.threads;
-    opts.recordSpikes = args.raster || !args.csv.empty();
-    opts.connectivity = args.connectivity;
-    opts.health = args.health;
-    opts.metricsOut = args.metricsOut;
-    opts.metricsEvery = args.metricsEvery;
-    opts.label = title;
-    AutoEngineOptions autoOpts;
-    autoOpts.engine = args.engine;
-    AutoSession sim(net, stim, opts, autoOpts);
-    sim.session().setCheckpointCadence(args.checkpointEvery);
+    Simulator sim(net, stim, opts);
+    sim.setCheckpointCadence(args.checkpointEvery);
 
     // Attach the IE rule before any restore: loadCheckpoint requires
     // the same rules (count, kinds, order) the snapshot was saved
-    // with. The engine is pinned dense above, so the session — and
-    // with it the attachment — survives restores.
+    // with.
     std::optional<IntrinsicExcitabilityRule> ieRule;
     if (wantIe) {
-        auto *dense = dynamic_cast<Simulator *>(&sim.session());
-        if (dense == nullptr)
-            fatal("internal: dense engine expected for plasticity");
-        ieRule.emplace(dense->backend(), net.numNeurons(),
+        ieRule.emplace(sim.backend(), net.numNeurons(),
                        modelDesc->ie);
-        sim.session().attachPlasticityRule(&*ieRule);
+        sim.attachPlasticityRule(&*ieRule);
         inform("intrinsic excitability: eta=%g target-rate=%g "
                "tau=%g offsets=[%g, %g]",
                modelDesc->ie.eta, modelDesc->ie.targetRate,
@@ -652,19 +627,17 @@ main(int argc, char **argv)
                modelDesc->ie.maxOffset);
     }
     if (planned) {
-        // Upgrade the AutoSession's descriptive record: this run's
-        // strategy was planner-chosen, and the prediction to audit
-        // against is the planned one.
-        PlanInfo info = sim.session().planInfo();
-        info.present = true;
+        // This run's engine was planner-chosen, and the prediction
+        // to audit against is the planned one.
+        PlanInfo info = sim.planInfo();
         info.planned = true;
         info.predictedStepSec = planned->predictedStepSec;
         info.calibrationVersion = planned->calibrationVersion;
-        sim.session().setPlanInfo(info);
+        sim.setPlanInfo(info);
         std::printf("plan: strategy=%s threads=%zu "
                     "predicted-step=%.3f us (dense %.3f us, event "
                     "%.3f us) calibration=%s\n",
-                    engineKindName(args.engine), args.threads,
+                    engineKindName(opts.engine), opts.threads,
                     planned->predictedStepSec * 1e6,
                     planned->predictedDenseStepSec * 1e6,
                     planned->predictedEventStepSec * 1e6,
@@ -674,17 +647,14 @@ main(int argc, char **argv)
         sim.loadCheckpointFile(args.restore, &net);
         inform("restored checkpoint %s at step %llu",
                args.restore.c_str(),
-               static_cast<unsigned long long>(
-                   sim.session().restoredStep()));
+               static_cast<unsigned long long>(sim.restoredStep()));
     }
 
     // Crash-dump plumbing: detector aborts and watchdog stalls dump
-    // the session registry and the flight recorder. The registered
-    // registry is cleared automatically if the engine is swapped
-    // (the dying session's destructor unregisters itself).
+    // the session registry and the flight recorder.
     if (!args.crashDump.empty())
         health::setCrashDumpPath(args.crashDump);
-    health::setCrashDumpRegistry(&sim.session().metrics());
+    health::setCrashDumpRegistry(&sim.metrics());
 
     std::optional<health::Watchdog> watchdog;
     if (args.watchdogTimeout > 0.0) {
@@ -712,11 +682,11 @@ main(int argc, char **argv)
         sim.run(inject.step);
         switch (inject.kind) {
         case Injection::Kind::Nan:
-            if (!sim.session().debugPoisonMembrane(0))
+            if (!sim.debugPoisonMembrane(0))
                 warn("health inject: backend cannot represent NaN");
             break;
         case Injection::Kind::Rate:
-            sim.session().debugInjectRateExplosion();
+            sim.debugInjectRateExplosion();
             break;
         case Injection::Kind::Stall: {
             const double sec =
@@ -739,16 +709,16 @@ main(int argc, char **argv)
         while (remaining > 0) {
             const uint64_t untilNext =
                 args.checkpointEvery -
-                (sim.session().currentStep() % args.checkpointEvery);
+                (sim.currentStep() % args.checkpointEvery);
             const uint64_t chunk =
                 std::min(remaining, untilNext);
             sim.run(chunk);
             remaining -= chunk;
-            if (sim.session().currentStep() % args.checkpointEvery ==
+            if (sim.currentStep() % args.checkpointEvery ==
                 0) {
                 const std::string path =
                     args.checkpointDir + "/checkpoint-" +
-                    std::to_string(sim.session().currentStep()) +
+                    std::to_string(sim.currentStep()) +
                     ".fxc";
                 if (sim.saveCheckpointFile(path))
                     inform("wrote checkpoint %s", path.c_str());
@@ -759,8 +729,7 @@ main(int argc, char **argv)
     if (watchdog)
         watchdog->stop();
 
-    SimulationSession &session = sim.session();
-    const PhaseStats &st = session.stats();
+    const PhaseStats &st = sim.stats();
     std::printf("%s: %zu neurons, %zu synapses, backend=%s, "
                 "engine=%s%s\n",
                 title.c_str(), net.numNeurons(), net.numSynapses(),
@@ -775,7 +744,7 @@ main(int argc, char **argv)
                 "synapse-events=%llu\n",
                 static_cast<unsigned long long>(st.steps),
                 static_cast<unsigned long long>(st.spikes),
-                session.meanRate(),
+                sim.meanRate(),
                 static_cast<unsigned long long>(st.synapseEvents));
     std::printf("wall time: stimulus %.2f ms, neuron %.2f ms, "
                 "synapse %.2f ms\n",
@@ -796,17 +765,17 @@ main(int argc, char **argv)
 
     if (args.stats) {
         std::ostringstream oss;
-        session.printStats(oss);
+        sim.printStats(oss);
         std::fputs(oss.str().c_str(), stdout);
     }
 
     if (args.raster) {
         std::printf("\n%s",
-                    renderRaster(session.spikeEvents(), net.numNeurons(),
+                    renderRaster(sim.spikeEvents(), net.numNeurons(),
                                  st.steps)
                         .c_str());
         const auto rate = populationRate(
-            session.spikeEvents(), net.numNeurons(), st.steps,
+            sim.spikeEvents(), net.numNeurons(), st.steps,
             std::max<uint64_t>(1, st.steps / 72));
         std::printf("rate    %s\n",
                     renderRateSparkline(rate).c_str());
@@ -815,11 +784,11 @@ main(int argc, char **argv)
         std::ofstream os(args.csv);
         if (!os)
             fatal("cannot open '%s'", args.csv.c_str());
-        writeSpikesCsv(os, session.spikeEvents());
+        writeSpikesCsv(os, sim.spikeEvents());
         inform("wrote %zu spike events to %s",
-               session.spikeEvents().size(), args.csv.c_str());
+               sim.spikeEvents().size(), args.csv.c_str());
     }
-    if (!args.report.empty() && session.writeRunReport(args.report))
+    if (!args.report.empty() && sim.writeRunReport(args.report))
         inform("wrote run report to %s", args.report.c_str());
     if (!args.trace.empty() &&
         telemetry::writeTraceFile(args.trace)) {
