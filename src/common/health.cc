@@ -187,7 +187,13 @@ specString(const HealthOptions &opts)
 void
 noteFixSaturation()
 {
-    gFixSaturations.fetch_add(1, std::memory_order_relaxed);
+    noteFixSaturations(1);
+}
+
+void
+noteFixSaturations(uint64_t n)
+{
+    gFixSaturations.fetch_add(n, std::memory_order_relaxed);
 }
 
 uint64_t

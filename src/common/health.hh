@@ -133,11 +133,13 @@ struct HealthCounters {
 /**
  * Process-wide Fix saturation tally. The kernels call
  * noteFixSaturation() on the rare rail-hit path only (a relaxed
- * atomic increment); sessions read the counter before/after sweeps
- * and attribute the delta. Process-wide rather than per-session
- * because the hot kernels cannot carry a session pointer.
+ * atomic increment), or noteFixSaturations(n) once for the n hits of
+ * a group of vector lanes; sessions read the counter before/after
+ * sweeps and attribute the delta. Process-wide rather than
+ * per-session because the hot kernels cannot carry a session pointer.
  */
 void noteFixSaturation();
+void noteFixSaturations(uint64_t n);
 uint64_t fixSaturations();
 
 /**

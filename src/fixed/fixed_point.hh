@@ -61,14 +61,17 @@ class FixedPoint
         return f;
     }
 
-    /** Convert from double, rounding to nearest, saturating. */
+    /**
+     * Convert from double, rounding to nearest, saturating. NaN maps
+     * to rawMin, the value x86 conversion hardware gives it.
+     */
     static FixedPoint
     fromDouble(double v)
     {
         const double scaled = v * static_cast<double>(rawOne);
         if (scaled >= static_cast<double>(rawMax))
             return fromRaw(rawMax);
-        if (scaled <= static_cast<double>(rawMin))
+        if (!(scaled > static_cast<double>(rawMin))) // also NaN
             return fromRaw(rawMin);
         const double rounded =
             scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;

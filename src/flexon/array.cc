@@ -153,9 +153,9 @@ FlexonArray::setNeuron(size_t idx, const FlexonState &state,
     soa.r[i] = state.r;
     soa.cnt[i] = state.cnt;
     soa.preResetV[i] = preResetV;
-    for (size_t t = 0; t < soa.synStride; ++t) {
-        soa.y[i * soa.synStride + t] = state.y[t];
-        soa.g[i * soa.synStride + t] = state.g[t];
+    for (size_t t = 0; t < soa.numTypes; ++t) {
+        soa.y[t * soa.count + i] = state.y[t];
+        soa.g[t * soa.count + i] = state.g[t];
     }
 }
 
@@ -192,6 +192,31 @@ readFixArray(std::istream &is, std::vector<Fix> &a)
     }
 }
 
+/** Write a type-major y/g array in neuron-major order. */
+void
+writeTypeArray(std::ostream &os, const PopulationSoA &soa,
+               const std::vector<Fix> &a)
+{
+    for (size_t i = 0; i < soa.count; ++i) {
+        for (size_t t = 0; t < soa.numTypes; ++t)
+            os << ' ' << a[t * soa.count + i].raw();
+    }
+}
+
+/** Read a neuron-major y/g array into type-major storage. */
+void
+readTypeArray(std::istream &is, const PopulationSoA &soa,
+              std::vector<Fix> &a)
+{
+    for (size_t i = 0; i < soa.count; ++i) {
+        for (size_t t = 0; t < soa.numTypes; ++t) {
+            int64_t raw = 0;
+            is >> raw;
+            a[t * soa.count + i] = Fix::fromRaw(raw);
+        }
+    }
+}
+
 } // namespace
 
 void
@@ -199,13 +224,13 @@ FlexonArray::saveState(std::ostream &os) const
 {
     os << "flexon-array " << state_.size() << ' ' << cycles_ << '\n';
     for (const PopulationSoA &soa : state_) {
-        os << "soa " << soa.count << ' ' << soa.synStride;
+        os << "soa " << soa.count << ' ' << soa.numTypes;
         writeFixArray(os, soa.v);
         writeFixArray(os, soa.w);
         writeFixArray(os, soa.r);
         writeFixArray(os, soa.preResetV);
-        writeFixArray(os, soa.y);
-        writeFixArray(os, soa.g);
+        writeTypeArray(os, soa, soa.y);
+        writeTypeArray(os, soa, soa.g);
         for (const uint32_t c : soa.cnt)
             os << ' ' << c;
         os << '\n';
@@ -226,17 +251,17 @@ FlexonArray::loadState(std::istream &is)
         size_t count = 0, stride = 0;
         is >> tag >> count >> stride;
         if (tag != "soa" || !is || count != soa.count ||
-            stride != soa.synStride) {
+            stride != soa.numTypes) {
             fatal("checkpoint population shape mismatch (expected "
                   "%zu x %zu)",
-                  soa.count, soa.synStride);
+                  soa.count, soa.numTypes);
         }
         readFixArray(is, soa.v);
         readFixArray(is, soa.w);
         readFixArray(is, soa.r);
         readFixArray(is, soa.preResetV);
-        readFixArray(is, soa.y);
-        readFixArray(is, soa.g);
+        readTypeArray(is, soa, soa.y);
+        readTypeArray(is, soa, soa.g);
         for (uint32_t &c : soa.cnt)
             is >> c;
     }

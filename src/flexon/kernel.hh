@@ -16,10 +16,16 @@
  * enables. A generic kernel (same source body, runtime feature
  * queries) covers feature combinations outside the dispatch table.
  *
+ * Each kernel also exists at the AVX2 and AVX-512 levels, which step
+ * 4 or 8 neurons per vector, one per lane (the host's counterpart of
+ * the Flexon array's lock-stepped datapaths); the widest level the
+ * CPU has is chosen once per population.
+ *
  * Bit-exactness contract: every kernel performs the exact Fix
  * operation order of FlexonNeuron::step (the Table V microcode
  * order), so specialized, generic, and scalar paths produce identical
- * spikes, membrane trajectories, and preResetV at any thread count.
+ * spikes, membrane trajectories, and preResetV at any thread count
+ * and at every level.
  * The double->Fix input scaling of the hardware backends is fused
  * into the kernel (the Table V convention: weights pre-scaled by
  * epsilon_m, CUB merging all synapse types into one signed input),
@@ -39,21 +45,22 @@ namespace flexon {
 /**
  * Structure-of-arrays dynamic state of one Flexon population.
  *
- * y and g are row-major [neuron][synapseType] with stride
- * `synStride` = the population's active synapse-type count (not
- * maxSynapseTypes), so a COBE population with one type streams 1/4 of
- * the AoS footprint.
+ * y and g are type-major [synapseType][neuron] over `numTypes` = the
+ * population's active synapse-type count (not maxSynapseTypes): type
+ * t of neuron i sits at t * count + i, so a COBE population with one
+ * type streams 1/4 of the AoS footprint and the vector kernels load
+ * one type of consecutive neurons contiguously.
  */
 struct PopulationSoA
 {
     size_t count = 0;
-    size_t synStride = 1;
+    size_t numTypes = 1;
     std::vector<Fix> v;
     std::vector<Fix> w;
     std::vector<Fix> r;
     std::vector<Fix> preResetV;
-    std::vector<Fix> y; ///< count * synStride, COBA only
-    std::vector<Fix> g; ///< count * synStride, COBE/COBA/CUB scratch
+    std::vector<Fix> y; ///< count * numTypes, COBA only
+    std::vector<Fix> g; ///< count * numTypes, COBE/COBA/CUB scratch
     std::vector<uint32_t> cnt;
 
     /** Size the arrays for `count` neurons at rest. */
@@ -81,19 +88,46 @@ struct KernelArgs
 using StepKernelFn = void (*)(const KernelArgs &args, size_t begin,
                               size_t end);
 
+/**
+ * The instruction-set levels every step kernel is compiled for. A
+ * vector level steps Lanes::width neurons at a time (4 for AVX2, 8
+ * for AVX-512), each lane in the scalar Fix operation order, and
+ * leaves the tail of a slice to the scalar body, so every level is
+ * bit-identical to the others.
+ */
+enum class KernelLevel : uint8_t { Scalar, Avx2, Avx512 };
+
+const char *kernelLevelName(KernelLevel level);
+
+/** True iff this CPU (and its OS) can run kernels of `level`. */
+bool cpuHasKernelLevel(KernelLevel level);
+
+/** The widest level this CPU runs: what selectStepKernel picks. */
+KernelLevel bestKernelLevel();
+
+/**
+ * Internal entry point for the equivalence tests: make later
+ * selectStepKernel calls pick `level` instead of bestKernelLevel().
+ * Returns false, and changes nothing, if the CPU lacks `level`.
+ * Populations keep the kernel they were built with.
+ */
+bool setKernelLevel(KernelLevel level);
+
 /** One population's step kernel. */
 struct SelectedKernel
 {
     StepKernelFn step;
     /** True iff a compile-time specialized instantiation was found. */
     bool specialized;
+    KernelLevel level;
 };
 
 /**
- * Pick the step kernel for a feature set: a compile-time specialized
- * instantiation when the mask is in the dispatch table (the Table III
- * model combinations and their single-feature building blocks), else
- * the generic runtime-dispatch kernel. Both are bit-identical.
+ * Pick the step kernel for a feature set, once per population: a
+ * compile-time specialized instantiation when the mask is in the
+ * dispatch table (the Table III model combinations and their
+ * single-feature building blocks), else the generic runtime-dispatch
+ * kernel, each at the best level the CPU has. All are bit-identical.
  */
 SelectedKernel selectStepKernel(FeatureSet features);
 

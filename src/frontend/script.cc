@@ -1,5 +1,6 @@
 #include "frontend/script.hh"
 
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -41,6 +42,7 @@ keyValues(const Line &line, size_t from)
     return out;
 }
 
+/** A finite number; nan and inf are rejected like any bad value. */
 double
 toDouble(const Line &line, const std::string &key,
          const std::string &value)
@@ -48,7 +50,7 @@ toDouble(const Line &line, const std::string &key,
     try {
         size_t used = 0;
         const double v = std::stod(value, &used);
-        if (used != value.size())
+        if (used != value.size() || !std::isfinite(v))
             throw std::invalid_argument(value);
         return v;
     } catch (const std::exception &) {
@@ -62,7 +64,9 @@ toUint(const Line &line, const std::string &key,
        const std::string &value)
 {
     const double v = toDouble(line, key, value);
-    if (v < 0.0 || v != static_cast<double>(static_cast<uint64_t>(v)))
+    // 2^64 and above would overflow the integer conversion below.
+    if (v < 0.0 || v >= 18446744073709551616.0 ||
+        v != static_cast<double>(static_cast<uint64_t>(v)))
         parseError(line.number, "expected a non-negative integer for ",
                    key + "=" + value);
     return static_cast<uint64_t>(v);

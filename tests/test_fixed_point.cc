@@ -93,6 +93,16 @@ TEST(FixedPoint, FromDoubleSaturates)
     EXPECT_EQ(Fix::fromDouble(-1e9).raw(), Fix::rawMin);
 }
 
+TEST(FixedPoint, FromDoubleNonFinite)
+{
+    // NaN is defined to take the lower rail (casting it to an integer
+    // would be undefined behaviour); infinities saturate.
+    EXPECT_EQ(Fix::fromDouble(std::nan("")).raw(), Fix::rawMin);
+    EXPECT_EQ(Fix::fromDouble(-std::nan("")).raw(), Fix::rawMin);
+    EXPECT_EQ(Fix::fromDouble(HUGE_VAL).raw(), Fix::rawMax);
+    EXPECT_EQ(Fix::fromDouble(-HUGE_VAL).raw(), Fix::rawMin);
+}
+
 TEST(FixedPoint, Comparisons)
 {
     const Fix a = Fix::fromDouble(0.5);

@@ -154,6 +154,29 @@ TEST(Script, ErrorsCarryLineNumbers)
                  "delay range");
 }
 
+TEST(Script, NonFiniteNumbersAreParseErrors)
+{
+    // A NaN weight would reach Fix::fromDouble on the fixed-point
+    // backends; every numeric field must be finite.
+    const char *base = "population exc model=DLIF count=10\n";
+    EXPECT_EXIT(parseScriptString(std::string(base) +
+                                  "stimulus poisson exc rate=0.05 "
+                                  "weight=nan\n"),
+                ::testing::ExitedWithCode(1),
+                "script line 2: bad numeric value for weight=nan");
+    EXPECT_EXIT(parseScriptString(std::string(base) +
+                                  "connect exc exc p=0.1 weight=-inf\n"),
+                ::testing::ExitedWithCode(1),
+                "bad numeric value for weight=-inf");
+    EXPECT_EXIT(parseScriptString(
+                    "population a model=LIF count=3 eps_m=inf\n"),
+                ::testing::ExitedWithCode(1),
+                "bad numeric value for eps_m=inf");
+    EXPECT_EXIT(parseScriptString("population a model=LIF count=1e300\n"),
+                ::testing::ExitedWithCode(1),
+                "expected a non-negative integer for count=1e300");
+}
+
 TEST(Script, EmptyPopulationIsAParseError)
 {
     // Outside input must get a diagnostic and exit 1, not reach the

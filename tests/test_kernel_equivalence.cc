@@ -4,7 +4,10 @@
  * (flexon/kernel.hh) must be bit-identical to stepping scalar
  * FlexonNeuron instances — for every one of the 12 features and every
  * Table III model (covering the Table I networks), at host thread
- * counts 1, 3, and 4 (uneven chunk boundaries included).
+ * counts 1, 3, and 4 (uneven chunk boundaries included), and at every
+ * kernel level the CPU has (scalar, AVX2, AVX-512), forced one at a
+ * time, over 1-4 synapse types and population sizes that leave every
+ * tail length of the 4- and 8-lane loops.
  *
  * The scalar side reproduces the pre-kernel pipeline exactly: inputs
  * are pre-scaled per neuron with FlexonConfig::scaleWeight (CUB
@@ -20,10 +23,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/health.hh"
 #include "common/random.hh"
 #include "features/model_table.hh"
 #include "flexon/array.hh"
@@ -40,13 +45,16 @@ namespace {
 constexpr size_t kNeuronsPerPop = 41; // not a multiple of any lane count
 constexpr size_t kSteps = 200;
 
-/** Valid parameters exercising every field a feature set can touch. */
+/**
+ * Valid parameters exercising every field a feature set can touch,
+ * with `types` synapse types (CUB merges its input into one).
+ */
 NeuronParams
-makeParams(FeatureSet features)
+makeParams(FeatureSet features, size_t types = 3)
 {
     NeuronParams p;
     p.features = features;
-    p.numSynapseTypes = features.has(Feature::CUB) ? 1 : 3;
+    p.numSynapseTypes = features.has(Feature::CUB) ? 1 : types;
     p.epsM = 0.05;
     p.vLeak = 0.015;
     for (size_t t = 0; t < maxSynapseTypes; ++t) {
@@ -135,16 +143,17 @@ foldedArrayText(const std::vector<FoldedFlexonNeuron> &neurons,
  * Run `kSteps` of one population through the scalar neurons, the
  * flexon array and the folded array, asserting bit-identical spikes /
  * v / preResetV throughout, and the folded array against its
- * microcode oracle.
+ * microcode oracle. Adds the number of spikes to `spikes`.
  */
 void
-expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
+expectKernelMatchesScalar(const NeuronParams &params, size_t threads,
+                          size_t n, size_t &spikes)
 {
     SCOPED_TRACE(testing::Message()
                  << "features=" << params.features.toString()
+                 << " types=" << params.numSynapseTypes << " n=" << n
                  << " threads=" << threads);
     const FlexonConfig config = FlexonConfig::fromParams(params);
-    const size_t n = kNeuronsPerPop;
 
     std::vector<FlexonNeuron> scalar(n, FlexonNeuron(config));
 
@@ -160,7 +169,6 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
     Rng rng(0x5eed + threads * 0); // same stimulus at every thread count
     std::vector<uint8_t> firedArray, firedFolded;
 
-    size_t spikes = 0;
     for (size_t step = 0; step < kSteps; ++step) {
         const std::vector<double> input = makeInput(rng, n);
 
@@ -193,10 +201,6 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
                 << "step " << step << " neuron " << i << " (array)";
         }
     }
-    // The stimulus must actually drive activity, or the comparison
-    // proves nothing.
-    EXPECT_GT(spikes, 0u);
-
     const uint64_t programLength = buildProgram(config).length();
     EXPECT_EQ(folded.controlSignals(), kSteps * n * programLength);
     std::ostringstream saved;
@@ -204,6 +208,19 @@ expectKernelMatchesScalar(const NeuronParams &params, size_t threads)
     EXPECT_EQ(saved.str(),
               foldedArrayText(oracle, kSteps * folded.cyclesPerStep(),
                               kSteps * n * programLength));
+}
+
+/**
+ * expectKernelMatchesScalar at the default size, where the stimulus
+ * must drive activity, or the comparison proves nothing.
+ */
+void
+expectActiveKernelMatchesScalar(const NeuronParams &params,
+                                size_t threads)
+{
+    size_t spikes = 0;
+    expectKernelMatchesScalar(params, threads, kNeuronsPerPop, spikes);
+    EXPECT_GT(spikes, 0u);
 }
 
 const std::array<size_t, 3> kThreadCounts = {1, 3, 4};
@@ -234,25 +251,37 @@ singleFeatureHost(Feature f)
     }
 }
 
-TEST(KernelEquivalence, EverySingleFeatureBitIdentical)
+void
+expectEverySingleFeatureBitIdentical()
 {
     for (size_t f = 0; f < numFeatures; ++f) {
         const Feature feature = static_cast<Feature>(f);
         const NeuronParams params =
             makeParams(singleFeatureHost(feature));
         for (size_t threads : kThreadCounts)
-            expectKernelMatchesScalar(params, threads);
+            expectActiveKernelMatchesScalar(params, threads);
     }
 }
 
-TEST(KernelEquivalence, EveryModelBitIdentical)
+void
+expectEveryModelBitIdentical()
 {
     for (ModelKind model : allModels()) {
         SCOPED_TRACE(modelName(model));
         const NeuronParams params = defaultParams(model);
         for (size_t threads : kThreadCounts)
-            expectKernelMatchesScalar(params, threads);
+            expectActiveKernelMatchesScalar(params, threads);
     }
+}
+
+TEST(KernelEquivalence, EverySingleFeatureBitIdentical)
+{
+    expectEverySingleFeatureBitIdentical();
+}
+
+TEST(KernelEquivalence, EveryModelBitIdentical)
+{
+    expectEveryModelBitIdentical();
 }
 
 TEST(KernelEquivalence, SingleFeatureHostsHitSpecializedKernels)
@@ -281,7 +310,8 @@ TEST(KernelEquivalence, ModelsHitSpecializedKernels)
     }
 }
 
-TEST(KernelEquivalence, GenericFallbackStillBitIdentical)
+void
+expectGenericFallbackStillBitIdentical()
 {
     // A valid combination deliberately absent from the dispatch
     // table: it must fall back to the generic kernel and remain
@@ -294,10 +324,16 @@ TEST(KernelEquivalence, GenericFallbackStillBitIdentical)
                         kNeuronsPerPop);
     EXPECT_FALSE(array.populationSpecialized(0));
     for (size_t threads : kThreadCounts)
-        expectKernelMatchesScalar(params, threads);
+        expectActiveKernelMatchesScalar(params, threads);
 }
 
-TEST(KernelEquivalence, MultiPopulationChunksRespectBoundaries)
+TEST(KernelEquivalence, GenericFallbackStillBitIdentical)
+{
+    expectGenericFallbackStillBitIdentical();
+}
+
+void
+expectMultiPopulationChunksRespectBoundaries()
 {
     // Three populations with deliberately uneven sizes so that
     // parallelFor chunk boundaries fall inside populations; the
@@ -354,6 +390,220 @@ TEST(KernelEquivalence, MultiPopulationChunksRespectBoundaries)
         }
     }
 }
+
+TEST(KernelEquivalence, MultiPopulationChunksRespectBoundaries)
+{
+    expectMultiPopulationChunksRespectBoundaries();
+}
+
+/**
+ * Runs each test at one kernel level, forced through setKernelLevel;
+ * a level the CPU lacks is skipped by name.
+ */
+class ForcedKernelLevel : public testing::TestWithParam<KernelLevel>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!setKernelLevel(GetParam())) {
+            GTEST_SKIP() << "this CPU has no "
+                         << kernelLevelName(GetParam()) << " kernels";
+        }
+        ASSERT_EQ(selectStepKernel(FeatureSet{Feature::EXD, Feature::CUB})
+                      .level,
+                  GetParam());
+    }
+
+    void TearDown() override { setKernelLevel(bestKernelLevel()); }
+};
+
+TEST_P(ForcedKernelLevel, EverySingleFeatureBitIdentical)
+{
+    expectEverySingleFeatureBitIdentical();
+}
+
+TEST_P(ForcedKernelLevel, EveryModelBitIdentical)
+{
+    expectEveryModelBitIdentical();
+}
+
+TEST_P(ForcedKernelLevel, GenericFallbackStillBitIdentical)
+{
+    expectGenericFallbackStillBitIdentical();
+}
+
+TEST_P(ForcedKernelLevel, MultiPopulationChunksRespectBoundaries)
+{
+    expectMultiPopulationChunksRespectBoundaries();
+}
+
+TEST_P(ForcedKernelLevel, SynapseTypeCountsAndTailsBitIdentical)
+{
+    // Sizes 1..9 leave every tail length of the 4- and 8-lane loops
+    // (and a population smaller than one vector); 41 adds full
+    // vectors before the tail. Conductance masks run 1-4 synapse
+    // types, which sets the y/g stride and the input columns read.
+    using enum Feature;
+    const std::array<size_t, 8> sizes = {1, 3, 4, 5, 7, 8, 9, 41};
+    const std::array<FeatureSet, 4> conductance = {
+        FeatureSet{EXD, COBE},
+        FeatureSet{EXD, COBA, AR},
+        FeatureSet{EXD, COBE, REV, AR},           // DLIF
+        FeatureSet{EXD, COBE, REV, QDI, ADT, AR}, // Izhikevich
+    };
+    // A one-neuron population may stay silent; each shape family as
+    // a whole must fire.
+    for (const FeatureSet &features : conductance) {
+        for (size_t types = 1; types <= maxSynapseTypes; ++types) {
+            size_t spikes = 0;
+            for (size_t n : sizes) {
+                for (size_t threads : kThreadCounts)
+                    expectKernelMatchesScalar(makeParams(features, types),
+                                              threads, n, spikes);
+            }
+            EXPECT_GT(spikes, 0u) << features.toString() << " " << types;
+        }
+    }
+    for (const FeatureSet &features :
+         {FeatureSet{LID, CUB, AR}, FeatureSet{EXD, CUB, RR}}) {
+        size_t spikes = 0;
+        for (size_t n : sizes) {
+            for (size_t threads : kThreadCounts)
+                expectKernelMatchesScalar(makeParams(features), threads,
+                                          n, spikes);
+        }
+        EXPECT_GT(spikes, 0u) << features.toString();
+    }
+}
+
+/**
+ * Input at and beyond every edge of the double->Fix conversion:
+ * overflow, infinities, NaN, signed zero, subnormals, and values on,
+ * next to and rounding onto the Q10.22 rails.
+ */
+const std::array<double, 20> kEdgeInputs = {
+    1e300,
+    -1e300,
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+    std::numeric_limits<double>::quiet_NaN(),
+    -0.0,
+    std::numeric_limits<double>::denorm_min(),
+    -std::numeric_limits<double>::denorm_min(),
+    1e-310,
+    static_cast<double>(Fix::rawMax) * Fix::epsilon(),
+    (static_cast<double>(Fix::rawMax) - 0.5) * Fix::epsilon(),
+    (static_cast<double>(Fix::rawMax) - 0.75) * Fix::epsilon(),
+    static_cast<double>(Fix::rawMin) * Fix::epsilon(),
+    (static_cast<double>(Fix::rawMin) + 0.5) * Fix::epsilon(),
+    (static_cast<double>(Fix::rawMin) + 0.75) * Fix::epsilon(),
+    600.0,
+    -600.0,
+    0.5 * Fix::epsilon(),
+    3.0,
+    -1.0,
+};
+
+/** True iff a raw value sits on a Q10.22 rail. */
+bool
+onRail(Fix x)
+{
+    return x.raw() == Fix::rawMax || x.raw() == Fix::rawMin;
+}
+
+TEST_P(ForcedKernelLevel, RailTapCountsExactly)
+{
+    // The saturation tap must count exactly the conversions the scalar
+    // datapath clips: one per live (unblocked, nonzero) slot whose
+    // conversion or scaled product sits on a rail. The expected count
+    // is derived here from Fix itself, neuron by neuron.
+    using enum Feature;
+    const std::array<NeuronParams, 2> cases = {
+        makeParams(FeatureSet{EXD, COBE, REV, AR}, 2),
+        makeParams(FeatureSet{LID, CUB, AR}),
+    };
+    const size_t n = 13; // vectors of 4 and 8 plus a tail at each width
+    for (const NeuronParams &params : cases) {
+        const FlexonConfig config = FlexonConfig::fromParams(params);
+        SCOPED_TRACE(config.features.toString());
+        const bool cub = config.features.has(CUB);
+        for (size_t threads : {size_t(1), size_t(4)}) {
+            FlexonArray array;
+            array.setHostThreads(threads);
+            array.addPopulation(config, n);
+            std::vector<FlexonNeuron> scalar(n, FlexonNeuron(config));
+            Rng rng(0xed6e);
+            std::vector<uint8_t> fired;
+            uint64_t blockedLive = 0, railed = 0;
+            for (size_t step = 0; step < 60; ++step) {
+                std::vector<double> input(n * maxSynapseTypes, 0.0);
+                for (double &slot : input) {
+                    if (rng.bernoulli(0.5))
+                        slot = kEdgeInputs[rng.uniformInt(
+                            kEdgeInputs.size())];
+                }
+                uint64_t expected = 0;
+                for (size_t i = 0; i < n; ++i) {
+                    const double *row = input.data() + i * maxSynapseTypes;
+                    const bool blocked = scalar[i].state().cnt > 0;
+                    std::vector<double> live;
+                    if (cub) {
+                        double sum = 0.0;
+                        for (size_t t = 0; t < maxSynapseTypes; ++t)
+                            sum += row[t];
+                        live.push_back(sum);
+                    } else {
+                        live.assign(row, row + config.numSynapseTypes);
+                    }
+                    for (const double d : live) {
+                        if (d == 0.0)
+                            continue;
+                        if (blocked) {
+                            ++blockedLive;
+                            continue;
+                        }
+                        const Fix w = Fix::fromDouble(d);
+                        if (onRail(w) || onRail(w * config.inputScale))
+                            ++expected;
+                    }
+                }
+                railed += expected;
+
+                const uint64_t before = health::fixSaturations();
+                array.step(std::span<const double>(input), fired);
+                ASSERT_EQ(health::fixSaturations() - before, expected)
+                    << "step " << step << " threads " << threads;
+                for (size_t i = 0; i < n; ++i) {
+                    const auto row = scaleRow(
+                        config, input.data() + i * maxSynapseTypes);
+                    const bool expect = scalar[i].step(
+                        std::span<const Fix>(row.data(), row.size()));
+                    ASSERT_EQ(fired[i] != 0, expect)
+                        << "step " << step << " neuron " << i;
+                    ASSERT_EQ(array.neuron(i).state().v.raw(),
+                              scalar[i].state().v.raw())
+                        << "step " << step << " neuron " << i;
+                    ASSERT_EQ(array.neuron(i).preResetV().raw(),
+                              scalar[i].preResetV().raw())
+                        << "step " << step << " neuron " << i;
+                }
+            }
+            // Both branches of the tap ran: clipped live slots, and
+            // railing input the refractory gate discarded.
+            EXPECT_GT(railed, 0u);
+            EXPECT_GT(blockedLive, 0u);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelLevels, ForcedKernelLevel,
+    testing::Values(KernelLevel::Scalar, KernelLevel::Avx2,
+                    KernelLevel::Avx512),
+    [](const testing::TestParamInfo<KernelLevel> &info) {
+        return std::string(kernelLevelName(info.param));
+    });
 
 TEST(KernelEquivalence, ReferenceBatchMatchesScalarReference)
 {
