@@ -39,10 +39,10 @@ quantizeWeights(Network &net, int bits)
         const uint64_t base = net.rowStart(n);
         const size_t count = net.outgoing(n).size();
         for (size_t i = 0; i < count; ++i) {
-            Synapse &s = net.synapseAt(base + i);
-            const double q =
-                std::round(s.weight / max_abs * levels);
-            s.weight = static_cast<float>(q / levels * max_abs);
+            const double q = std::round(
+                net.synapseAt(base + i).weight / max_abs * levels);
+            net.setSynapseWeight(base + i,
+                                 static_cast<float>(q / levels * max_abs));
         }
     }
 }

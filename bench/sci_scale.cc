@@ -168,7 +168,8 @@ childMain(double growth, const std::string &kindName, size_t threads)
         st.spikes, hash, peakRssBytes(),
         static_cast<uint64_t>(connBytes),
         connBytes / static_cast<double>(inst.network.numSynapses()),
-        sim.router().rowCacheHits(), sim.router().rowCacheMisses());
+        sim.connectivity().rowCacheHits(),
+        sim.connectivity().rowCacheMisses());
     return 0;
 }
 

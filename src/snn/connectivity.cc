@@ -1,7 +1,6 @@
 #include "snn/connectivity.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -105,7 +104,8 @@ synapseEventsCounter(telemetry::Registry &metrics)
 ConnectivityProvider::ConnectivityProvider(ConnectivityGeometry geo,
                                            const Network &network,
                                            telemetry::Registry *metrics)
-    : geo_(std::move(geo)), net_(network)
+    : geo_(std::move(geo)), net_(network),
+      weightsSeen_(network.weightMutations())
 {
     if (metrics != nullptr) {
         providerBytes_ = &metrics->gauge(
@@ -115,6 +115,12 @@ ConnectivityProvider::ConnectivityProvider(ConnectivityGeometry geo,
         totalBytes_ = &metrics->gauge(
             "snn.connectivity.bytes",
             "total connectivity footprint (provider + network)");
+        tailRefreshes_ = &metrics->counter(
+            "route.refresh_tail",
+            "weight refreshes replayed from the mutation-log tail");
+        fullRefreshes_ = &metrics->counter(
+            "route.refresh_full",
+            "weight refreshes that declared every weight stale");
     }
 }
 
@@ -127,6 +133,26 @@ ConnectivityProvider::publishFootprint()
     providerBytes_->set(static_cast<double>(own));
     totalBytes_->set(
         static_cast<double>(own + net_.connectivityBytes()));
+}
+
+void
+ConnectivityProvider::refreshWeights()
+{
+    const uint64_t total = net_.weightMutations();
+    if (total == weightsSeen_)
+        return;
+    if (total - weightsSeen_ <= Network::weightLogCapacity) {
+        replayWeights(weightsSeen_, total);
+        if (tailRefreshes_ != nullptr)
+            tailRefreshes_->add(1);
+    } else {
+        // Too far behind the log ring to know which weights moved.
+        mirrorAllWeights();
+        if (fullRefreshes_ != nullptr)
+            fullRefreshes_->add(1);
+    }
+    weightsSeen_ = total;
+    publishFootprint();
 }
 
 void
@@ -175,45 +201,90 @@ getVarint(const uint8_t *&p)
 }
 
 /**
- * Decode a raw synapse row into (runs, records) for one shard: a
- * counting sort by delay bucket that preserves row order within each
- * bucket — exactly the order the materialized table lays records out
- * in, so per-cell accumulation order matches.
+ * The one row sorter: a counting sort of one source row into delivery
+ * order. For each shard in [shardLo, shardHi) it appends that shard's
+ * ascending-bucket runs to `runs` (packed headers) and their records
+ * to `records`, keeping row order inside every run — the order the
+ * per-cell accumulation argument rests on (DESIGN.md §7).
+ * runEnd[i] / recEnd[i] receive the sizes of `runs` / `records` after
+ * shard shardLo + i. When `position` is non-null, position[k]
+ * receives the `records` index of row[k] (left alone for synapses
+ * outside the shard range). `counts` is the caller's scratch.
  */
+void
+sortRow(std::span<const Synapse> row, const ConnectivityGeometry &geo,
+        size_t shardLo, size_t shardHi, std::vector<uint32_t> &counts,
+        std::vector<uint32_t> &runs,
+        std::vector<DeliveryRecord> &records, uint32_t *runEnd,
+        uint32_t *recEnd, uint32_t *position)
+{
+    constexpr size_t outside = std::numeric_limits<size_t>::max();
+    const size_t buckets = geo.bucketDelay.size();
+    const size_t shards = shardHi - shardLo;
+    auto binOf = [&](const Synapse &syn) {
+        const size_t s = geo.shardOf[syn.target];
+        return s < shardLo || s >= shardHi
+                   ? outside
+                   : (s - shardLo) * buckets + geo.bucketOf[syn.delay];
+    };
+
+    counts.assign(shards * buckets, 0);
+    for (const Synapse &syn : row) {
+        const size_t bin = binOf(syn);
+        if (bin != outside)
+            ++counts[bin];
+    }
+    auto placed = static_cast<uint32_t>(records.size());
+    for (size_t s = 0, bin = 0; s < shards; ++s) {
+        for (size_t b = 0; b < buckets; ++b, ++bin) {
+            const uint32_t len = counts[bin];
+            if (len == 0)
+                continue;
+            flexon_assert(len < (uint32_t{1} << 24));
+            runs.push_back(packRunHeader(static_cast<uint32_t>(b), len));
+            counts[bin] = placed; // becomes the run's write cursor
+            placed += len;
+        }
+        runEnd[s] = static_cast<uint32_t>(runs.size());
+        recEnd[s] = placed;
+    }
+    records.resize(placed);
+    for (size_t k = 0; k < row.size(); ++k) {
+        const size_t bin = binOf(row[k]);
+        if (bin == outside)
+            continue;
+        const uint32_t pos = counts[bin]++;
+        records[pos] = {static_cast<uint32_t>(row[k].target *
+                                                  maxSynapseTypes +
+                                              row[k].type),
+                        row[k].weight};
+        if (position != nullptr)
+            position[k] = pos;
+    }
+}
+
+/** Sort a raw row's records for one shard into the lane's scratch. */
 RowView
 decodeRowForShard(std::span<const Synapse> row, size_t shard,
                   const ConnectivityGeometry &geo, RowScratch &scratch)
 {
-    const size_t buckets = geo.bucketDelay.size();
-    scratch.counts.assign(buckets, 0);
-    for (const Synapse &syn : row)
-        if (geo.shardOf[syn.target] == shard)
-            ++scratch.counts[geo.bucketOf[syn.delay]];
-
     scratch.runs.clear();
-    uint32_t total = 0;
-    for (size_t b = 0; b < buckets; ++b) {
-        const uint32_t len = scratch.counts[b];
-        if (len == 0)
-            continue;
-        flexon_assert(len < (uint32_t{1} << 24));
-        scratch.runs.push_back(
-            packRunHeader(static_cast<uint32_t>(b), len));
-        scratch.counts[b] = total; // becomes the run's write cursor
-        total += len;
-    }
-    scratch.records.resize(total);
-    for (const Synapse &syn : row) {
-        if (geo.shardOf[syn.target] != shard)
-            continue;
-        const size_t b = geo.bucketOf[syn.delay];
-        scratch.records[scratch.counts[b]++] = {
-            static_cast<uint32_t>(syn.target * maxSynapseTypes +
-                                  syn.type),
-            syn.weight};
-    }
+    scratch.records.clear();
+    uint32_t runEnd = 0, recEnd = 0;
+    sortRow(row, geo, shard, shard + 1, scratch.counts, scratch.runs,
+            scratch.records, &runEnd, &recEnd, nullptr);
     return {std::span<const uint32_t>(scratch.runs),
             scratch.records.data()};
+}
+
+/** OR the bucket of every run header in [begin, end) into a mask. */
+uint64_t
+runMask(const uint32_t *begin, const uint32_t *end)
+{
+    uint64_t mask = 0;
+    for (const uint32_t *h = begin; h != end; ++h)
+        mask |= uint64_t{1} << runHeaderBucket(*h);
+    return mask;
 }
 
 // ---- Materialized ---------------------------------------------------
@@ -225,11 +296,9 @@ decodeRowForShard(std::span<const Synapse> row, size_t shard,
  * fired row streams as one header line plus one record run per shard
  * and rowSpan() is a zero-copy view.
  *
- * Weights are copied into the records, so in-place plasticity updates
- * (Network::synapseAt) are re-mirrored from the network's
- * weight-mutation log by refreshWeights() — O(mutations), or one
- * full O(synapses) pass when more than Network::weightLogCapacity
- * mutations behind.
+ * Weights are copied into the records, so weight updates
+ * (Network::setSynapseWeight) are re-mirrored by refreshWeights()
+ * through recordOf_.
  */
 class MaterializedProvider final : public ConnectivityProvider
 {
@@ -240,14 +309,6 @@ class MaterializedProvider final : public ConnectivityProvider
               buildConnectivityGeometry(network, shardCount), network,
               metrics)
     {
-        if (metrics != nullptr) {
-            tailRefreshCounter_ = &metrics->counter(
-                "route.refresh_tail",
-                "weight refreshes replayed from the mutation-log tail");
-            fullRefreshCounter_ = &metrics->counter(
-                "route.refresh_full",
-                "weight refreshes via a full-table mirror");
-        }
         const uint64_t total = network.numSynapses();
         if (total >= std::numeric_limits<uint32_t>::max()) {
             fatal("materialized connectivity supports < 2^32 synapses "
@@ -256,63 +317,32 @@ class MaterializedProvider final : public ConnectivityProvider
         }
         const size_t n = network.numNeurons();
         const size_t sc = geo_.shardCount;
-        const size_t buckets = geo_.bucketDelay.size();
-        masksExact_ = buckets <= 64;
+        masksExact_ = geo_.bucketDelay.size() <= 64;
         if (masksExact_)
             mask_.assign(n * sc, 0);
-        records_.resize(total);
+        records_.reserve(total);
         recordOf_.resize(total);
         runPtr_.assign(n * sc + 1, 0);
         recPtr_.assign(n * sc + 1, 0);
 
-        // One counting sort per source row into (shard, bucket) runs;
-        // it is stable, so each run keeps row order (the
-        // order-preservation invariant).
-        std::vector<uint32_t> cursor(sc * buckets);
-        uint32_t placed = 0;
+        // Rows land one after another, so each (source, shard) begins
+        // where the previous one ended: the sorter writes the ends.
+        std::vector<uint32_t> counts;
         for (uint32_t src = 0; src < n; ++src) {
-            const std::span<const Synapse> row = network.outgoing(src);
-            std::fill(cursor.begin(), cursor.end(), 0);
-            for (const Synapse &syn : row)
-                ++cursor[geo_.shardOf[syn.target] * buckets +
-                         geo_.bucketOf[syn.delay]];
-            for (size_t s = 0; s < sc; ++s) {
-                const size_t at = src * sc + s;
-                runPtr_[at] = static_cast<uint32_t>(runs_.size());
-                recPtr_[at] = placed;
-                for (size_t b = 0; b < buckets; ++b) {
-                    uint32_t &slot = cursor[s * buckets + b];
-                    if (slot == 0)
-                        continue;
-                    flexon_assert(slot < (uint32_t{1} << 24));
-                    runs_.push_back(
-                        packRunHeader(static_cast<uint32_t>(b), slot));
-                    if (masksExact_)
-                        mask_[at] |= uint64_t{1} << b;
-                    const uint32_t len = slot;
-                    slot = placed; // becomes the run's write cursor
-                    placed += len;
-                }
-            }
-            const uint64_t base = network.rowStart(src);
-            for (size_t k = 0; k < row.size(); ++k) {
-                const Synapse &syn = row[k];
-                const uint32_t pos =
-                    cursor[geo_.shardOf[syn.target] * buckets +
-                           geo_.bucketOf[syn.delay]]++;
-                records_[pos] = {static_cast<uint32_t>(
-                                     syn.target * maxSynapseTypes +
-                                     syn.type),
-                                 syn.weight};
-                recordOf_[base + k] = pos;
-            }
+            const size_t at = static_cast<size_t>(src) * sc;
+            sortRow(network.outgoing(src), geo_, 0, sc, counts, runs_,
+                    records_, runPtr_.data() + at + 1,
+                    recPtr_.data() + at + 1,
+                    recordOf_.data() + network.rowStart(src));
+            if (masksExact_)
+                for (size_t s = 0; s < sc; ++s)
+                    mask_[at + s] =
+                        runMask(runs_.data() + runPtr_[at + s],
+                                runs_.data() + runPtr_[at + s + 1]);
         }
-        runPtr_[n * sc] = static_cast<uint32_t>(runs_.size());
-        recPtr_[n * sc] = placed;
         runs_.shrink_to_fit();
         if (masksExact_)
             maskData_ = mask_.data();
-        weightsSeen_ = network.weightMutations();
         publishFootprint();
     }
 
@@ -328,34 +358,6 @@ class MaterializedProvider final : public ConnectivityProvider
                 records_.data() + recPtr_[at]};
     }
 
-    void
-    refreshWeights() override
-    {
-        const uint64_t total = net_.weightMutations();
-        if (total == weightsSeen_)
-            return;
-        if (total - weightsSeen_ <= Network::weightLogCapacity) {
-            // Replay just the logged mutations (idempotent,
-            // duplicates and read-only accesses included).
-            for (uint64_t m = weightsSeen_; m < total; ++m) {
-                const uint64_t idx = net_.weightLogEntry(m);
-                records_[recordOf_[idx]].weight =
-                    net_.synapseAt(idx).weight;
-            }
-            if (tailRefreshCounter_ != nullptr)
-                tailRefreshCounter_->add(1);
-        } else {
-            // Too far behind the log ring: mirror every weight.
-            for (uint64_t idx = 0; idx < net_.numSynapses(); ++idx)
-                records_[recordOf_[idx]].weight =
-                    net_.synapseAt(idx).weight;
-            if (fullRefreshCounter_ != nullptr)
-                fullRefreshCounter_->add(1);
-        }
-        weightsSeen_ = total;
-        publishFootprint();
-    }
-
     size_t
     connectivityBytes() const override
     {
@@ -368,6 +370,22 @@ class MaterializedProvider final : public ConnectivityProvider
     }
 
   private:
+    void
+    replayWeights(uint64_t first, uint64_t end) override
+    {
+        for (uint64_t m = first; m < end; ++m) {
+            const uint64_t idx = net_.weightLogEntry(m);
+            records_[recordOf_[idx]].weight = net_.synapseAt(idx).weight;
+        }
+    }
+
+    void
+    mirrorAllWeights() override
+    {
+        for (uint64_t idx = 0; idx < net_.numSynapses(); ++idx)
+            records_[recordOf_[idx]].weight = net_.synapseAt(idx).weight;
+    }
+
     std::vector<DeliveryRecord> records_;
     std::vector<uint32_t> runs_;
     /** (src * shardCount + shard) -> runs_ / records_; +1 sentinel. */
@@ -376,10 +394,6 @@ class MaterializedProvider final : public ConnectivityProvider
     std::vector<uint64_t> mask_;
     /** Global synapse index -> records_ position (weight refresh). */
     std::vector<uint32_t> recordOf_;
-    /** Network::weightMutations() already mirrored. */
-    uint64_t weightsSeen_ = 0;
-    telemetry::Counter *tailRefreshCounter_ = nullptr;
-    telemetry::Counter *fullRefreshCounter_ = nullptr;
 };
 
 // ---- Compressed -----------------------------------------------------
@@ -395,8 +409,9 @@ class MaterializedProvider final : public ConnectivityProvider
  *   deltas   varint x (count - 1)     ascending, >= 0
  *   weights  f32 raw (1 when uniform, else count)
  *
- * Records are stable-sorted by (bucket, cell) before encoding so the
- * deltas are non-negative and small; same-cell records keep their
+ * The row sorter lays each shard's records out in ascending-bucket
+ * runs, row order kept; each run is then stable-sorted by cell so the
+ * deltas are non-negative and small. Same-cell records keep their
  * row-relative order, which is all per-cell accumulation order
  * needs, so results stay bit-identical to the materialized walks.
  * Weights stay lossless float32 — STDP and bit-identity rule out
@@ -404,13 +419,6 @@ class MaterializedProvider final : public ConnectivityProvider
  */
 class CompressedProvider final : public ConnectivityProvider
 {
-    struct Rec
-    {
-        uint8_t bucket;
-        uint32_t cell;
-        float weight;
-    };
-
   public:
     CompressedProvider(const Network &network, size_t shardCount,
                        telemetry::Registry *metrics)
@@ -427,36 +435,30 @@ class CompressedProvider final : public ConnectivityProvider
         patched_.assign(n, 0);
 
         std::vector<Synapse> rowScratch;
-        std::vector<std::vector<Rec>> byShard(sc);
+        std::vector<uint32_t> counts, runs, runEnd(sc), recEnd(sc);
+        std::vector<DeliveryRecord> records;
         for (uint32_t src = 0; src < n; ++src) {
-            for (std::vector<Rec> &v : byShard)
-                v.clear();
-            for (const Synapse &syn : net_.rowFor(src, rowScratch))
-                byShard[geo_.shardOf[syn.target]].push_back(
-                    {geo_.bucketOf[syn.delay],
-                     static_cast<uint32_t>(
-                         syn.target * maxSynapseTypes + syn.type),
-                     syn.weight});
+            runs.clear();
+            records.clear();
+            sortRow(net_.rowFor(src, rowScratch), geo_, 0, sc, counts,
+                    runs, records, runEnd.data(), recEnd.data(),
+                    nullptr);
+            DeliveryRecord *rec = records.data();
+            size_t run = 0;
             for (size_t s = 0; s < sc; ++s) {
-                std::vector<Rec> &v = byShard[s];
-                std::stable_sort(
-                    v.begin(), v.end(),
-                    [](const Rec &a, const Rec &b) {
-                        return a.bucket != b.bucket
-                                   ? a.bucket < b.bucket
-                                   : a.cell < b.cell;
-                    });
-                size_t i = 0;
-                while (i < v.size()) {
-                    size_t j = i;
-                    while (j < v.size() &&
-                           v[j].bucket == v[i].bucket)
-                        ++j;
-                    encodeRun(v, i, j);
+                for (; run < runEnd[s]; ++run) {
+                    const uint32_t len = runHeaderLength(runs[run]);
+                    const auto bucket =
+                        static_cast<uint8_t>(runHeaderBucket(runs[run]));
+                    std::stable_sort(rec, rec + len,
+                                     [](const DeliveryRecord &a,
+                                        const DeliveryRecord &b) {
+                                         return a.cell < b.cell;
+                                     });
+                    encodeRun(bucket, rec, len);
                     if (masksExact_)
-                        mask_[src * sc + s] |= uint64_t{1}
-                                               << v[i].bucket;
-                    i = j;
+                        mask_[src * sc + s] |= uint64_t{1} << bucket;
+                    rec += len;
                 }
                 rowOffset_[src * sc + s + 1] = blob_.size();
             }
@@ -464,7 +466,6 @@ class CompressedProvider final : public ConnectivityProvider
         blob_.shrink_to_fit();
         if (masksExact_)
             maskData_ = mask_.data();
-        weightsSeen_ = net_.weightMutations();
         publishFootprint();
     }
 
@@ -530,25 +531,6 @@ class CompressedProvider final : public ConnectivityProvider
                 scratch.records.data()};
     }
 
-    void
-    refreshWeights() override
-    {
-        // Blobs are immutable; rows whose weights mutated are
-        // remembered and served from the network instead.
-        const uint64_t total = net_.weightMutations();
-        if (total == weightsSeen_)
-            return;
-        if (total - weightsSeen_ <= Network::weightLogCapacity) {
-            for (uint64_t m = weightsSeen_; m < total; ++m)
-                patched_[net_.sourceOfSynapse(
-                    net_.weightLogEntry(m))] = 1;
-        } else {
-            allPatched_ = true;
-        }
-        weightsSeen_ = total;
-        publishFootprint();
-    }
-
     size_t
     connectivityBytes() const override
     {
@@ -560,26 +542,36 @@ class CompressedProvider final : public ConnectivityProvider
     }
 
   private:
+    // Blobs are immutable; rows whose weights changed are remembered
+    // and served from the network, which has the current weights.
     void
-    encodeRun(const std::vector<Rec> &v, size_t lo, size_t hi)
+    replayWeights(uint64_t first, uint64_t end) override
     {
-        const auto count = static_cast<uint32_t>(hi - lo);
-        flexon_assert(count < (uint32_t{1} << 24));
-        const uint8_t type =
-            static_cast<uint8_t>(v[lo].cell % maxSynapseTypes);
+        for (uint64_t m = first; m < end; ++m)
+            patched_[net_.sourceOfSynapse(net_.weightLogEntry(m))] = 1;
+    }
+
+    void mirrorAllWeights() override { allPatched_ = true; }
+
+    /** Append one run of `count` cell-ascending records. */
+    void
+    encodeRun(uint8_t bucket, const DeliveryRecord *rec, uint32_t count)
+    {
+        const auto type =
+            static_cast<uint8_t>(rec[0].cell % maxSynapseTypes);
         bool uniformType = true;
         bool uniformWeight = true;
         uint32_t weightBits0;
-        std::memcpy(&weightBits0, &v[lo].weight, sizeof weightBits0);
-        for (size_t k = lo + 1; k < hi; ++k) {
-            if (v[k].cell % maxSynapseTypes != type)
+        std::memcpy(&weightBits0, &rec[0].weight, sizeof weightBits0);
+        for (uint32_t k = 1; k < count; ++k) {
+            if (rec[k].cell % maxSynapseTypes != type)
                 uniformType = false;
             uint32_t bits;
-            std::memcpy(&bits, &v[k].weight, sizeof bits);
+            std::memcpy(&bits, &rec[k].weight, sizeof bits);
             if (bits != weightBits0)
                 uniformWeight = false;
         }
-        blob_.push_back(v[lo].bucket);
+        blob_.push_back(bucket);
         blob_.push_back(static_cast<uint8_t>(
             (uniformType ? 1 : 0) | (uniformWeight ? 2 : 0)));
         putVarint(blob_, count);
@@ -589,26 +581,26 @@ class CompressedProvider final : public ConnectivityProvider
             // are maxSynapseTypes times smaller than cell gaps —
             // usually a single varint byte at cortical densities.
             blob_.push_back(type);
-            uint32_t prev = v[lo].cell / maxSynapseTypes;
+            uint32_t prev = rec[0].cell / maxSynapseTypes;
             putVarint(blob_, prev);
-            for (size_t k = lo + 1; k < hi; ++k) {
-                const uint32_t target = v[k].cell / maxSynapseTypes;
+            for (uint32_t k = 1; k < count; ++k) {
+                const uint32_t target = rec[k].cell / maxSynapseTypes;
                 putVarint(blob_, target - prev);
                 prev = target;
             }
         } else {
-            uint32_t prev = v[lo].cell;
+            uint32_t prev = rec[0].cell;
             putVarint(blob_, prev);
-            for (size_t k = lo + 1; k < hi; ++k) {
-                putVarint(blob_, v[k].cell - prev);
-                prev = v[k].cell;
+            for (uint32_t k = 1; k < count; ++k) {
+                putVarint(blob_, rec[k].cell - prev);
+                prev = rec[k].cell;
             }
         }
-        const size_t weights = uniformWeight ? 1 : count;
-        for (size_t k = 0; k < weights; ++k) {
+        const uint32_t weights = uniformWeight ? 1 : count;
+        for (uint32_t k = 0; k < weights; ++k) {
             const size_t at = blob_.size();
             blob_.resize(at + sizeof(float));
-            std::memcpy(blob_.data() + at, &v[lo + k].weight,
+            std::memcpy(blob_.data() + at, &rec[k].weight,
                         sizeof(float));
         }
     }
@@ -620,14 +612,12 @@ class CompressedProvider final : public ConnectivityProvider
     std::vector<uint8_t> patched_;
     bool allPatched_ = false;
     std::vector<uint64_t> mask_;
-    uint64_t weightsSeen_ = 0;
 };
 
 // ---- Procedural -----------------------------------------------------
 
-/** Default hot-row cache budget (bytes); FLEXON_ROW_CACHE_BYTES
- *  overrides. */
-constexpr size_t kDefaultRowCacheBytes = size_t{16} << 20;
+/** Hot-row cache budget (bytes). */
+constexpr size_t kRowCacheBytes = size_t{16} << 20;
 
 class ProceduralProvider final : public ConnectivityProvider
 {
@@ -668,14 +658,6 @@ class ProceduralProvider final : public ConnectivityProvider
                 "procedural hot-row cache misses (rows decoded)");
         }
         buildMasks();
-        cacheCap_ = kDefaultRowCacheBytes;
-        if (const char *env = std::getenv("FLEXON_ROW_CACHE_BYTES")) {
-            char *rest = nullptr;
-            const unsigned long long v = std::strtoull(env, &rest, 10);
-            if (rest != env && *rest == '\0')
-                cacheCap_ = static_cast<size_t>(v);
-        }
-        weightsSeen_ = net_.weightMutations();
         publishFootprint();
     }
 
@@ -716,7 +698,7 @@ class ProceduralProvider final : public ConnectivityProvider
             cacheBytes_ += row.bytes();
             cache_.emplace(src, std::move(row));
         }
-        if (cacheBytes_ > cacheCap_)
+        if (cacheBytes_ > kRowCacheBytes)
             evict();
         if (hits_ != nullptr) {
             hits_->add(fired.size() - misses);
@@ -724,26 +706,6 @@ class ProceduralProvider final : public ConnectivityProvider
         }
         if (misses > 0)
             publishFootprint();
-    }
-
-    void
-    refreshWeights() override
-    {
-        // rowFor() always serves current weights (the overlay is the
-        // network's); only cached decodes can go stale.
-        const uint64_t total = net_.weightMutations();
-        if (total == weightsSeen_)
-            return;
-        if (total - weightsSeen_ <= Network::weightLogCapacity) {
-            for (uint64_t m = weightsSeen_; m < total; ++m)
-                dropCached(net_.sourceOfSynapse(
-                    net_.weightLogEntry(m)));
-        } else {
-            cache_.clear();
-            cacheBytes_ = 0;
-        }
-        weightsSeen_ = total;
-        publishFootprint();
     }
 
     size_t
@@ -759,11 +721,26 @@ class ProceduralProvider final : public ConnectivityProvider
         cache_.clear();
         cacheBytes_ = 0;
         tick_ = 0;
-        weightsSeen_ = net_.weightMutations();
         ConnectivityProvider::reset();
     }
 
   private:
+    // rowFor() always serves current weights (the overlay is the
+    // network's); only cached decodes can go stale.
+    void
+    replayWeights(uint64_t first, uint64_t end) override
+    {
+        for (uint64_t m = first; m < end; ++m)
+            dropCached(net_.sourceOfSynapse(net_.weightLogEntry(m)));
+    }
+
+    void
+    mirrorAllWeights() override
+    {
+        cache_.clear();
+        cacheBytes_ = 0;
+    }
+
     void
     buildMasks()
     {
@@ -811,59 +788,16 @@ class ProceduralProvider final : public ConnectivityProvider
     CachedRow
     decodeAllShards(uint32_t src)
     {
-        // All shards of a row decode together (one generation pass);
-        // the counting sort is (shard, bucket)-major, so each
-        // shard's slice carries ascending-bucket runs in row order.
-        CachedRow c;
-        const std::span<const Synapse> row =
-            net_.rowFor(src, rowScratch_);
+        // All shards of a row decode together (one generation pass),
+        // each shard's slice starting where the previous one ended.
         const size_t sc = geo_.shardCount;
-        const size_t buckets = geo_.bucketDelay.size();
-        counts_.assign(sc * buckets, 0);
-        for (const Synapse &syn : row)
-            ++counts_[geo_.shardOf[syn.target] * buckets +
-                      geo_.bucketOf[syn.delay]];
-
-        c.runBegin.resize(sc + 1);
-        c.recBegin.resize(sc + 1);
-        uint32_t runs = 0, recs = 0;
-        for (size_t s = 0; s < sc; ++s) {
-            c.runBegin[s] = runs;
-            c.recBegin[s] = recs;
-            for (size_t b = 0; b < buckets; ++b) {
-                const uint32_t len = counts_[s * buckets + b];
-                if (len == 0)
-                    continue;
-                flexon_assert(len < (uint32_t{1} << 24));
-                ++runs;
-                recs += len;
-            }
-        }
-        c.runBegin[sc] = runs;
-        c.recBegin[sc] = recs;
-        c.runs.resize(runs);
-        c.records.resize(recs);
-        uint32_t run = 0, rec = 0;
-        for (size_t s = 0; s < sc; ++s) {
-            for (size_t b = 0; b < buckets; ++b) {
-                const uint32_t len = counts_[s * buckets + b];
-                if (len == 0)
-                    continue;
-                c.runs[run++] =
-                    packRunHeader(static_cast<uint32_t>(b), len);
-                counts_[s * buckets + b] = rec; // write cursor
-                rec += len;
-            }
-        }
-        for (const Synapse &syn : row) {
-            const size_t at =
-                geo_.shardOf[syn.target] * buckets +
-                geo_.bucketOf[syn.delay];
-            c.records[counts_[at]++] = {
-                static_cast<uint32_t>(syn.target * maxSynapseTypes +
-                                      syn.type),
-                syn.weight};
-        }
+        CachedRow c;
+        c.runBegin.assign(sc + 1, 0);
+        c.recBegin.assign(sc + 1, 0);
+        sortRow(net_.rowFor(src, rowScratch_), geo_, 0, sc, counts_,
+                c.runs, c.records, c.runBegin.data() + 1,
+                c.recBegin.data() + 1, nullptr);
+        c.runs.shrink_to_fit();
         return c;
     }
 
@@ -879,7 +813,7 @@ class ProceduralProvider final : public ConnectivityProvider
                 evictScratch_.emplace_back(row.lastUse, src);
         std::sort(evictScratch_.begin(), evictScratch_.end());
         for (const auto &[use, src] : evictScratch_) {
-            if (cacheBytes_ <= cacheCap_)
+            if (cacheBytes_ <= kRowCacheBytes)
                 break;
             dropCached(src);
         }
@@ -896,10 +830,8 @@ class ProceduralProvider final : public ConnectivityProvider
     }
 
     std::unordered_map<uint32_t, CachedRow> cache_;
-    size_t cacheCap_ = kDefaultRowCacheBytes;
     size_t cacheBytes_ = 0;
     uint64_t tick_ = 0;
-    uint64_t weightsSeen_ = 0;
     std::vector<uint64_t> mask_;
     // prepareStep() scratch (serial use only).
     std::vector<Synapse> rowScratch_;

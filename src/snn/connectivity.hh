@@ -151,6 +151,10 @@ struct RowView
  * (they read the shared ConnectivityGeometry) so the router's hot
  * paths pay a virtual call only per fired row, not per record.
  *
+ * A session builds one provider for the whole run and both delivery
+ * engines deliver from it, so an engine switch hands over neuron and
+ * ring state only.
+ *
  * Threading contract: rowSpan() is const and safe to call from
  * concurrent lanes as long as each lane passes its own RowScratch;
  * prepareStep() and refreshWeights() are serial (between lane
@@ -201,8 +205,14 @@ class ConnectivityProvider
         (void)fired;
     }
 
-    /** Mirror weight mutations from the network's log. */
-    virtual void refreshWeights() = 0;
+    /**
+     * Mirror the weight mutations made since the last call: replay
+     * the network's mutation-log entries past this provider's
+     * watermark through replayWeights(), or, when more than
+     * Network::weightLogCapacity behind, declare every weight stale
+     * through mirrorAllWeights(). One compare when nothing changed.
+     */
+    void refreshWeights();
 
     /** Heap bytes owned by this provider (tables, blobs, caches). */
     virtual size_t connectivityBytes() const = 0;
@@ -218,8 +228,9 @@ class ConnectivityProvider
 
   protected:
     /**
-     * @param metrics registry the footprint gauges (and any
-     *        subclass counters) live in; nullptr = no telemetry
+     * @param metrics registry the footprint gauges, the refresh
+     *        counters and any subclass counters live in; nullptr =
+     *        no telemetry
      */
     ConnectivityProvider(ConnectivityGeometry geo,
                          const Network &network,
@@ -233,6 +244,13 @@ class ConnectivityProvider
      */
     void publishFootprint();
 
+    /** refreshWeights() hook: mirror the mutations logged as entries
+     *  [first, end) of the network's log (duplicates included). */
+    virtual void replayWeights(uint64_t first, uint64_t end) = 0;
+
+    /** refreshWeights() hook: any weight may have changed. */
+    virtual void mirrorAllWeights() = 0;
+
     ConnectivityGeometry geo_;
     const Network &net_;
     const uint64_t *maskData_ = nullptr; ///< set by the subclass
@@ -244,6 +262,10 @@ class ConnectivityProvider
   private:
     telemetry::Gauge *providerBytes_ = nullptr;
     telemetry::Gauge *totalBytes_ = nullptr;
+    telemetry::Counter *tailRefreshes_ = nullptr;
+    telemetry::Counter *fullRefreshes_ = nullptr;
+    /** Network::weightMutations() already mirrored. */
+    uint64_t weightsSeen_ = 0;
 };
 
 /**

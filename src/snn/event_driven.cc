@@ -30,24 +30,6 @@ eventDrivenEligible(const Network &network,
                    "event-driven engine cannot reproduce";
         return false;
     }
-    if (options.connectivity != ConnectivityKind::Materialized) {
-        if (why)
-            *why = "the event-driven engine delivers from materialized "
-                   "rows; " +
-                   std::string(connectivityKindName(
-                       options.connectivity)) +
-                   " connectivity has no event-driven delivery path";
-        return false;
-    }
-    if (network.procedural()) {
-        // The engine's deliveries walk stored rows through a
-        // materialized provider; a row-regenerating network has none.
-        if (why)
-            *why = "the engine requires stored synapse rows; this "
-                   "network is procedural (rows regenerate on "
-                   "demand)";
-        return false;
-    }
     for (size_t p = 0; p < network.numPopulations(); ++p) {
         const Population &pop = network.population(p);
         const FeatureSet &f = pop.params.features;
@@ -70,15 +52,24 @@ eventDrivenEligible(const Network &network,
                 return false;
             }
         }
+        if (pop.params.vLeak < 0.0) {
+            // A negative leak drives silent neurons upward, through
+            // threshold, between the steps the engine skips.
+            if (why)
+                *why = "population '" + pop.name +
+                       "' has a negative leak (v_leak < 0); the "
+                       "engine's closed-form catch-up decays toward "
+                       "rest only";
+            return false;
+        }
     }
     return true;
 }
 
 EventEngine::EventEngine(const Network &network,
+                         ConnectivityProvider &rows,
                          telemetry::Registry &metrics)
-    : network_(network),
-      rows_(makeConnectivityProvider(ConnectivityKind::Materialized,
-                                     network, 1, &metrics)),
+    : network_(network), rows_(rows),
       synapseEvents_(synapseEventsCounter(metrics)),
       updatesCounter_(metrics.counter(
           "ev.updates", "neuron updates actually performed")),
@@ -90,13 +81,19 @@ EventEngine::EventEngine(const Network &network,
     state_.resize(network.numNeurons());
     vLeak_.resize(network.numNeurons());
     arSteps_.resize(network.numNeurons());
+    synapseTypes_.resize(network.numNeurons());
     for (size_t p = 0; p < network.numPopulations(); ++p) {
         const Population &pop = network.population(p);
         const FeatureSet &f = pop.params.features;
+        // The dense kernel reads the population's own synapse types
+        // (at least one); deliveries of any other type are dropped.
+        const size_t types = std::clamp<size_t>(
+            pop.params.numSynapseTypes, 1, maxSynapseTypes);
         for (size_t i = 0; i < pop.count; ++i) {
             vLeak_[pop.base + i] = pop.params.vLeak;
             arSteps_[pop.base + i] =
                 f.has(Feature::AR) ? pop.params.arSteps : 0;
+            synapseTypes_[pop.base + i] = static_cast<uint8_t>(types);
         }
     }
 
@@ -200,15 +197,16 @@ EventEngine::injectStimulus(uint64_t t,
 void
 EventEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 {
-    // Per-type buckets summed in type order, exactly as the dense
-    // engine's synapse-calculation slot does — so the floating-point
-    // accumulation order (and hence every spike) matches bit for bit.
+    // Per-type buckets summed in type order over the population's
+    // types, exactly as the dense engine's synapse-calculation slot
+    // does — so the floating-point accumulation order (and hence
+    // every spike) matches bit for bit.
     for (const uint32_t neuron : touched_) {
+        std::array<double, maxSynapseTypes> &acc = acc_[neuron];
         double input = 0.0;
-        for (size_t type = 0; type < maxSynapseTypes; ++type) {
-            input += acc_[neuron][type];
-            acc_[neuron][type] = 0.0;
-        }
+        for (size_t type = 0; type < synapseTypes_[neuron]; ++type)
+            input += acc[type];
+        acc.fill(0.0);
         updateNeuron(neuron, input, t, fired);
         queued_[neuron] = 0;
     }
@@ -224,32 +222,28 @@ EventEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 }
 
 void
-EventEngine::prepareDelivery()
-{
-    // Pick up weight updates made between steps (cheap no-op compare
-    // when nothing changed).
-    rows_->refreshWeights();
-}
-
-void
 EventEngine::deliverSpikes(uint64_t t, std::span<const uint32_t> fired)
 {
     // Append the fired rows' packed delivery records per delay
-    // bucket, sources ascending — the same per-slot arrival order as
-    // the dense router's lanes (records keep row order within a
-    // bucket), half the bytes per pending event.
+    // bucket, sources ascending and each row shard by shard. A cell
+    // lives in one shard and runs keep row order, so every cell sees
+    // the dense router's per-slot arrival order at any shard count.
+    if (!fired.empty())
+        rows_.prepareStep(fired);
     uint64_t events = 0;
     for (const uint32_t neuron : fired) {
-        const RowView row = rows_->rowSpan(neuron, 0, rowScratch_);
-        const DeliveryRecord *rec = row.records;
-        for (const uint32_t header : row.runs) {
-            const uint32_t len = runHeaderLength(header);
-            auto &slot = ring_[(t + rows_->bucketDelay(
-                                        runHeaderBucket(header))) %
-                               ringDepth_];
-            slot.insert(slot.end(), rec, rec + len);
-            rec += len;
-            events += len;
+        for (size_t shard = 0; shard < rows_.shardCount(); ++shard) {
+            const RowView row = rows_.rowSpan(neuron, shard, rowScratch_);
+            const DeliveryRecord *rec = row.records;
+            for (const uint32_t header : row.runs) {
+                const uint32_t len = runHeaderLength(header);
+                auto &slot = ring_[(t + rows_.bucketDelay(
+                                            runHeaderBucket(header))) %
+                                   ringDepth_];
+                slot.insert(slot.end(), rec, rec + len);
+                rec += len;
+                events += len;
+            }
         }
     }
     synapseEvents_.add(events);
@@ -266,7 +260,6 @@ EventEngine::reset()
     acc_.assign(acc_.size(), std::array<double, maxSynapseTypes>{});
     std::fill(queued_.begin(), queued_.end(), 0);
     touched_.clear();
-    rows_->reset();
 }
 
 void
@@ -355,11 +348,21 @@ EventEngine::loadState(std::istream &is, uint64_t now)
                   static_cast<unsigned long long>(now));
     }
 
+    // Counts read from the file are bounded by what a run could have
+    // pended before they size an allocation: one record per synapse
+    // per slot, one carry value per cell.
+    const uint64_t maxPending =
+        network_.numSynapses() * static_cast<uint64_t>(ringDepth_);
     for (auto &slot : ring_) {
-        size_t count = 0;
+        uint64_t count = 0;
         is >> tag >> count;
         if (tag != "slot" || !is)
             fatal("malformed checkpoint event-driven slot block");
+        if (count > maxPending)
+            fatal("checkpoint event-driven slot holds %llu records, "
+                  "more than the %llu this network can pend",
+                  static_cast<unsigned long long>(count),
+                  static_cast<unsigned long long>(maxPending));
         slot.resize(count);
         for (DeliveryRecord &rec : slot) {
             is >> rec.cell >> rec.weight;
@@ -367,10 +370,14 @@ EventEngine::loadState(std::istream &is, uint64_t now)
         }
     }
     for (auto &carry : carry_) {
-        size_t count = 0;
+        uint64_t count = 0;
         is >> tag >> count;
         if (tag != "carry" || !is)
             fatal("malformed checkpoint event-driven carry block");
+        if (count > cells)
+            fatal("checkpoint event-driven carry holds %llu values, "
+                  "more than the %zu cells of this network",
+                  static_cast<unsigned long long>(count), cells);
         carry.resize(count);
         for (auto &[cell, value] : carry) {
             is >> cell >> value;

@@ -21,9 +21,10 @@
  * set is updated.
  *
  * Restrictions (eventDrivenEligible): every population must be LID +
- * CUB (+ optional AR) — exactly the TrueNorth-style LLIF
- * configuration — on the reference backend's discrete path over
- * materialized connectivity.
+ * CUB (+ optional AR) with a non-negative leak — exactly the
+ * TrueNorth-style LLIF configuration — on the reference backend's
+ * discrete path. Spikes are delivered from the session's connectivity
+ * provider, whichever kind and shard count it has.
  */
 
 #ifndef FLEXON_SNN_EVENT_DRIVEN_HH
@@ -33,7 +34,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,8 +49,8 @@ namespace flexon {
 /**
  * True when the event-driven engine can run `network` under
  * `options`, and so take part in a hand-off: the reference backend
- * in discrete mode, materialized connectivity over stored rows, and
- * every population LID + CUB (+ optional AR). When false and `why`
+ * in discrete mode, and every population LID + CUB (+ optional AR)
+ * with vLeak >= 0. When false and `why`
  * is non-null, *why receives a human-readable reason. The one
  * eligibility test: the session resolves SimulatorOptions::engine
  * with it, and flexon_sim --plan=auto degrades to dense on it.
@@ -69,15 +69,17 @@ class EventEngine : public DeliveryEngine
   public:
     /**
      * @param network finalized and eventDrivenEligible()
-     * @param metrics session registry (must outlive the engine)
+     * @param rows the session's connectivity provider
+     * @param metrics session registry
+     * All three must outlive the engine.
      */
-    EventEngine(const Network &network, telemetry::Registry &metrics);
+    EventEngine(const Network &network, ConnectivityProvider &rows,
+                telemetry::Registry &metrics);
 
     const char *kind() const override { return "event-driven"; }
     void injectStimulus(uint64_t t,
                         std::span<const StimulusSpike> spikes) override;
     void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) override;
-    void prepareDelivery() override;
     void deliverSpikes(uint64_t t,
                        std::span<const uint32_t> fired) override;
     void reset() override;
@@ -146,17 +148,19 @@ class EventEngine : public DeliveryEngine
 
     const Network &network_;
     /**
-     * Packed delivery rows (one-shard materialized provider): a
-     * fired neuron's bucket runs are appended to the pending ring
-     * as-is, so delivery streams 8-byte records instead of gathering
+     * Packed delivery rows (the session's provider): a fired
+     * neuron's bucket runs are appended to the pending ring as-is,
+     * so delivery streams 8-byte records instead of gathering
      * Synapse structs.
      */
-    std::unique_ptr<ConnectivityProvider> rows_;
+    ConnectivityProvider &rows_;
     RowScratch rowScratch_;
     std::vector<NeuronState> state_;
     /** Per-neuron cached parameters. */
     std::vector<double> vLeak_;
     std::vector<uint32_t> arSteps_;
+    /** Synapse types the neuron's population sums (>= 1). */
+    std::vector<uint8_t> synapseTypes_;
 
     /**
      * Pending inputs: ring of DeliveryRecords (cell = target *

@@ -412,20 +412,6 @@ Network::logWeightMutation(uint64_t index)
     ++weightMutations_;
 }
 
-Synapse &
-Network::synapseAt(uint64_t index)
-{
-    flexon_assert(finalized_);
-    if (procedural_)
-        fatal("synapseAt(): procedural networks store no synapse "
-              "rows; use setSynapseWeight()");
-    flexon_assert(index < synapses_.size());
-    // Conservatively assume the caller writes the weight (mutable
-    // access has no other legitimate use).
-    logWeightMutation(index);
-    return synapses_[index];
-}
-
 const Synapse &
 Network::synapseAt(uint64_t index) const
 {

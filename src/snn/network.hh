@@ -225,22 +225,17 @@ class Network
      */
     size_t connectivityBytes() const;
 
-    /**
-     * Mutable synapse access by global index, for plasticity engines
-     * (weights only should be modified; topology is immutable).
-     * Every call is recorded in the weight-mutation log so packed
-     * delivery tables (snn/routing.hh) can re-mirror the touched
-     * weights instead of rebuilding.
-     */
-    Synapse &synapseAt(uint64_t index);
+    /** Synapse by global index (materialized networks only). */
     const Synapse &synapseAt(uint64_t index) const;
 
     /**
-     * Set a synapse weight by global index in either storage mode,
-     * recording the mutation in the log. Materialized networks write
-     * the CSR entry in place; procedural networks record the value
-     * in the sparse weight-delta overlay that rowFor() applies on
-     * regeneration.
+     * Set a synapse weight by global index in either storage mode —
+     * the one weight mutator (topology is immutable). The mutation
+     * is recorded in the log, so connectivity providers
+     * (snn/connectivity.hh) re-mirror the touched weights instead of
+     * rebuilding. Materialized networks write the CSR entry in
+     * place; procedural networks record the value in the sparse
+     * weight-delta overlay that rowFor() applies on regeneration.
      */
     void setSynapseWeight(uint64_t index, float weight);
 
@@ -268,7 +263,7 @@ class Network
     static constexpr size_t weightLogCapacity = 4096;
 
     /**
-     * Monotone count of weight mutations (non-const synapseAt()
+     * Monotone count of weight mutations (setSynapseWeight()
      * calls). Consumers snapshot this and later replay the entries
      * in (seen, current] from the log ring; a consumer more than
      * weightLogCapacity mutations behind must refresh every weight.

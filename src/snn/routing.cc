@@ -26,6 +26,24 @@ touchKey(size_t bucket, uint32_t src)
 SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
                          telemetry::Registry *metrics,
                          ConnectivityKind kind)
+    : SpikeRouter(network,
+                  makeConnectivityProvider(kind, network, shardCount,
+                                           metrics),
+                  metrics)
+{
+}
+
+SpikeRouter::SpikeRouter(const Network &network,
+                         std::unique_ptr<ConnectivityProvider> provider,
+                         telemetry::Registry *metrics)
+    : SpikeRouter(network, *provider, metrics)
+{
+    ownConn_ = std::move(provider);
+}
+
+SpikeRouter::SpikeRouter(const Network &network,
+                         ConnectivityProvider &provider,
+                         telemetry::Registry *metrics)
     : ownMetrics_(metrics == nullptr
                       ? std::make_unique<telemetry::Registry>()
                       : nullptr),
@@ -45,9 +63,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
       bucketsVisited_(metrics_.counter(
           "snn.router.buckets_visited",
           "(source, shard, delay-bucket) runs streamed by delivery")),
-      conn_(makeConnectivityProvider(kind, network, shardCount,
-                                     &metrics_)),
-      shards_(conn_->shardCount()),
+      conn_(provider), shards_(conn_.shardCount()),
       ringDepth_(static_cast<size_t>(network.maxDelay()) + 1),
       slotSize_(network.numNeurons() * maxSynapseTypes)
 {
@@ -77,7 +93,7 @@ SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
     // cell range. The touch lists share the budget, so a saturated
     // list always implies a dense clear for its shard.
     shardClearBudget_.assign(shards, 1);
-    const auto &targetBegin = conn_->shardTargetBegin();
+    const auto &targetBegin = conn_.shardTargetBegin();
     touched_.reserve(ringDepth_ * shards);
     stimTouched_.reserve(ringDepth_ * shards);
     for (size_t s = 0; s < shards; ++s) {
@@ -113,7 +129,7 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
     double *const base = ring_.data() + slotIdx * slotSize_;
 
     if (dense) {
-        const auto &targetBegin = conn_->shardTargetBegin();
+        const auto &targetBegin = conn_.shardTargetBegin();
         const uint32_t cellLo = targetBegin[shard] * maxSynapseTypes;
         const uint32_t cellHi =
             targetBegin[shard + 1] * maxSynapseTypes;
@@ -130,7 +146,7 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
         RowScratch &scratch = scratch_[shard];
         for (const uint64_t key : touch(slotIdx, shard).keys()) {
             const auto bucket = static_cast<uint32_t>(key >> 32);
-            const RowView row = conn_->rowSpan(
+            const RowView row = conn_.rowSpan(
                 static_cast<uint32_t>(key), shard, scratch);
             const DeliveryRecord *rec = row.records;
             for (const uint32_t header : row.runs) {
@@ -151,20 +167,20 @@ SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
 void
 SpikeRouter::laneRoute(size_t shard, std::span<const uint32_t> fired)
 {
-    const bool exact = conn_->rowMasksExact();
+    const bool exact = conn_.rowMasksExact();
     uint64_t events = 0;
     uint64_t streams = 0;
     RowScratch &scratch = scratch_[shard];
     for (const uint32_t n : fired) {
-        if (exact && conn_->rowMask(n, shard) == 0)
+        if (exact && conn_.rowMask(n, shard) == 0)
             continue;
-        const RowView row = conn_->rowSpan(n, shard, scratch);
+        const RowView row = conn_.rowSpan(n, shard, scratch);
         const DeliveryRecord *rec = row.records;
         streams += row.runs.size();
         for (const uint32_t header : row.runs) {
             const size_t b = runHeaderBucket(header);
             const uint32_t len = runHeaderLength(header);
-            const uint8_t delay = conn_->bucketDelay(b);
+            const uint8_t delay = conn_.bucketDelay(b);
             double *const base = slotBase_[delay];
             TouchList &pending = touchBase_[delay][shard];
             // A saturated slot is already committed to a dense clear,
@@ -190,7 +206,7 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     // procedural provider decodes this step's fired rows into its
     // hot-row cache here, where mutation is single-threaded.
     if (!fired.empty())
-        conn_->prepareStep(fired);
+        conn_.prepareStep(fired);
 
     // Dense/sparse decision for the consumed slot, per shard:
     // tracked undo cost vs. the shard's crossover budget. Saturated
@@ -220,14 +236,14 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     // Route-activity masks: OR the fired sources' per-shard bucket
     // bitmaps. Without exact masks (> 64 delay buckets) any firing
     // marks every shard active.
-    const bool exact = conn_->rowMasksExact();
+    const bool exact = conn_.rowMasksExact();
     const bool haveRoute =
-        !fired.empty() && conn_->bucketCount() > 0;
+        !fired.empty() && conn_.bucketCount() > 0;
     std::fill(routeMask_.begin(), routeMask_.end(), 0);
     if (haveRoute) {
         if (exact) {
             for (const uint32_t n : fired) {
-                const uint64_t *const m = conn_->rowMaskRow(n);
+                const uint64_t *const m = conn_.rowMaskRow(n);
                 for (size_t s = 0; s < shards; ++s)
                     routeMask_[s] |= m[s];
             }
@@ -465,9 +481,9 @@ SpikeRouter::loadState(std::istream &is)
             }
             const uint64_t bucket = key >> 32;
             const auto src = static_cast<uint32_t>(key);
-            if (bucket >= conn_->bucketCount() || src >= neurons ||
-                (conn_->rowMasksExact() &&
-                 ((conn_->rowMask(src, shard) >> bucket) & 1) == 0)) {
+            if (bucket >= conn_.bucketCount() || src >= neurons ||
+                (conn_.rowMasksExact() &&
+                 ((conn_.rowMask(src, shard) >> bucket) & 1) == 0)) {
                 fatal("touch key %llu is outside shard %zu of the "
                       "routing geometry in checkpoint",
                       static_cast<unsigned long long>(key), shard);
@@ -488,7 +504,7 @@ SpikeRouter::loadState(std::istream &is)
         TouchLine line = readTouchLine(is, shardClearBudget_[shard]);
         for (const uint64_t cell : line.keys) {
             if (cell >= slotSize_ ||
-                conn_->shardOfCell(static_cast<uint32_t>(cell)) !=
+                conn_.shardOfCell(static_cast<uint32_t>(cell)) !=
                     shard) {
                 fatal("stimulus cell %llu is outside shard %zu of "
                       "the ring in checkpoint",
@@ -518,7 +534,8 @@ SpikeRouter::reset()
         list.clear();
     for (telemetry::Counter *c : counters())
         c->reset();
-    conn_->reset();
+    if (ownConn_)
+        ownConn_->reset();
 }
 
 } // namespace flexon

@@ -73,34 +73,34 @@ class SpikeRouter
 {
   public:
     /**
+     * A router delivering from a borrowed `provider` (a session's),
+     * over the provider's shards.
+     *
      * @param metrics registry the router's counters live in (must
      *        outlive the router); nullptr = a private registry. The
      *        delivery counters are always on; the deep per-step
      *        samples (touched cells, ring occupancy) only fire while
      *        telemetry::detailEnabled().
-     * @param kind connectivity representation spikes are delivered
-     *        from. Materialized rows are zero-copy views; compressed
-     *        and procedural rows decode into a per-shard scratch
-     *        (identical results, see the bit-identity notes above).
+     */
+    SpikeRouter(const Network &network, ConnectivityProvider &provider,
+                telemetry::Registry *metrics = nullptr);
+
+    /**
+     * A router that owns its provider, for callers without a session:
+     * one of `kind` over `shardCount` target shards, its metrics in
+     * `metrics` too; reset() resets it with the router.
      */
     SpikeRouter(const Network &network, size_t shardCount,
                 telemetry::Registry *metrics = nullptr,
                 ConnectivityKind kind = ConnectivityKind::Materialized);
 
     /** The connectivity source spikes are delivered from. */
-    const ConnectivityProvider &provider() const { return *conn_; }
+    const ConnectivityProvider &provider() const { return conn_; }
 
     /** Provider-owned connectivity bytes (tables/blobs/caches). */
     size_t connectivityBytes() const
     {
-        return conn_->connectivityBytes();
-    }
-
-    /** Hot-row cache telemetry (non-zero for procedural only). */
-    uint64_t rowCacheHits() const { return conn_->rowCacheHits(); }
-    uint64_t rowCacheMisses() const
-    {
-        return conn_->rowCacheMisses();
+        return conn_.connectivityBytes();
     }
 
     size_t ringDepth() const { return ringDepth_; }
@@ -128,7 +128,7 @@ class SpikeRouter
     void
     noteStimulus(uint64_t t, uint32_t cell)
     {
-        stimTouch(t % ringDepth_, conn_->shardOfCell(cell))
+        stimTouch(t % ringDepth_, conn_.shardOfCell(cell))
             .add(cell, 1);
     }
 
@@ -143,7 +143,7 @@ class SpikeRouter
     void routeStep(uint64_t t, std::span<const uint32_t> fired);
 
     /** Re-mirror plasticity weight updates (cheap when unchanged). */
-    void refreshWeights() { conn_->refreshWeights(); }
+    void refreshWeights() { conn_.refreshWeights(); }
 
     /**
      * Pending-write load across the whole delay ring: the summed
@@ -209,6 +209,11 @@ class SpikeRouter
     void loadState(std::istream &is);
 
   private:
+    /** The owning form: borrow `provider`, then keep it. */
+    SpikeRouter(const Network &network,
+                std::unique_ptr<ConnectivityProvider> provider,
+                telemetry::Registry *metrics);
+
     /**
      * Clear the consumed slot for lane `shard`: its contiguous cell
      * range densely, or only the tracked writes when sparse.
@@ -258,7 +263,9 @@ class SpikeRouter
     telemetry::Counter &shardsSkipped_;
     telemetry::Counter &bucketsVisited_;
 
-    std::unique_ptr<ConnectivityProvider> conn_;
+    /** Set only by the owning constructor. */
+    std::unique_ptr<ConnectivityProvider> ownConn_;
+    ConnectivityProvider &conn_;
     size_t shards_;
     /** One decode scratch per shard (lanes never share). */
     mutable std::vector<RowScratch> scratch_;

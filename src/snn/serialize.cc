@@ -1,5 +1,6 @@
 #include "snn/serialize.hh"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <istream>
@@ -14,6 +15,18 @@ namespace {
 
 constexpr const char *magic = "flexon-network";
 constexpr int version = 1;
+
+/** Read the number of a `vN` version field; false on anything else
+ *  (no exceptions, unlike std::stoi). */
+bool
+parseVersionField(const std::string &word, int &out)
+{
+    if (word.size() < 2 || word[0] != 'v')
+        return false;
+    const char *const last = word.data() + word.size();
+    const auto [end, ec] = std::from_chars(word.data() + 1, last, out);
+    return ec == std::errc() && end == last;
+}
 
 void
 writeParams(std::ostream &os, const NeuronParams &p)
@@ -107,9 +120,8 @@ loadNetwork(std::istream &is)
         fatal("not a flexon network file (bad magic '%s')",
               word.c_str());
     is >> word;
-    if (word.size() < 2 || word[0] != 'v')
+    if (!parseVersionField(word, file_version))
         fatal("malformed version field '%s'", word.c_str());
-    file_version = std::stoi(word.substr(1));
     if (file_version != version)
         fatal("unsupported network file version %d", file_version);
 
@@ -142,6 +154,16 @@ loadNetwork(std::istream &is)
         is >> src >> s.target >> s.weight >> delay >> type;
         if (!is)
             fatal("malformed synapse record %zu", i);
+        if (src >= net.numNeurons() || s.target >= net.numNeurons())
+            fatal("synapse record %zu: %u -> %u is outside the %zu "
+                  "neurons",
+                  i, src, s.target, net.numNeurons());
+        if (delay < 1 || delay > 255)
+            fatal("synapse record %zu: delay %d is outside [1, 255]", i,
+                  delay);
+        if (type < 0 || static_cast<size_t>(type) >= maxSynapseTypes)
+            fatal("synapse record %zu: type %d is outside [0, %zu)", i,
+                  type, maxSynapseTypes);
         s.delay = static_cast<uint8_t>(delay);
         s.type = static_cast<uint8_t>(type);
         net.addSynapse(src, s);
@@ -209,10 +231,9 @@ parseCheckpointHeader(std::istream &is)
         fatal("not a flexon checkpoint file (bad magic '%s')",
               word.c_str());
     is >> word;
-    if (word.size() < 2 || word[0] != 'v')
-        fatal("malformed checkpoint version field '%s'", word.c_str());
     CheckpointHeader header;
-    header.version = std::stoi(word.substr(1));
+    if (!parseVersionField(word, header.version))
+        fatal("malformed checkpoint version field '%s'", word.c_str());
     if (header.version < checkpointMinVersion ||
         header.version > checkpointVersion)
         fatal("unsupported checkpoint version %d (this build reads "

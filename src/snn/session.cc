@@ -122,6 +122,11 @@ SimulationSession::SimulationSession(const Network &network,
         exporter_ = std::make_unique<health::MetricsExporter>(
             options_.metricsOut, options_.label);
 
+    // One provider for the run, shared by whichever engine runs.
+    connectivity_ = makeConnectivityProvider(
+        options_.connectivity, network_, laneCount(options_.threads),
+        &metrics_);
+
     // Resolve the engine once. An explicit event request must be
     // runnable; auto adapts only where the hand-off exists.
     std::string why;
@@ -182,10 +187,11 @@ void
 SimulationSession::installEngine(bool event)
 {
     if (event)
-        engine_ = std::make_unique<EventEngine>(network_, metrics_);
+        engine_ = std::make_unique<EventEngine>(network_, *connectivity_,
+                                                metrics_);
     else
-        engine_ =
-            std::make_unique<DenseEngine>(network_, options_, metrics_);
+        engine_ = std::make_unique<DenseEngine>(
+            network_, options_, *connectivity_, metrics_);
     eventActive_ = event;
 }
 
@@ -231,9 +237,9 @@ SimulationSession::phaseSynapse()
 {
     telemetry::ScopedTimer scope(synapseTimer_, "sim.synapse");
 
-    // Re-mirror any plasticity weight updates into the engine's
-    // delivery structures (one counter compare when nothing changed).
-    engine_->prepareDelivery();
+    // Re-mirror any plasticity weight updates into the delivery
+    // rows (one counter compare when nothing changed).
+    connectivity_->refreshWeights();
 
     // Serial bookkeeping sweep: spike counters, optional event
     // recording, and the ascending fired list delivery iterates.
@@ -624,9 +630,10 @@ SimulationSession::printStats(std::ostream &os) const
 void
 SimulationSession::clearRun()
 {
-    // Registry first: engines republish the gauges that describe
-    // their structures (connectivity footprint) when they reset.
+    // Registry first: the provider republishes its footprint gauges
+    // when it resets.
     metrics_.reset();
+    connectivity_->reset();
     engine_->reset();
     std::fill(spikeCounts_.begin(), spikeCounts_.end(), 0);
     // Drop the previous run's fired flags too: lastFired() must
@@ -919,20 +926,34 @@ SimulationSession::loadCheckpoint(std::istream &is,
               "configured with %zu probes",
               numProbes, probeTraces_.size());
     }
+    // Counts read from the file are bounded by what t_ steps could
+    // have produced before they size an allocation.
     for (auto &trace : probeTraces_) {
-        size_t len = 0;
+        uint64_t len = 0;
         is >> tag >> len;
         if (tag != "trace" || !is)
             fatal("malformed checkpoint probe trace");
+        if (len > t_)
+            fatal("checkpoint probe trace has %llu samples after %llu "
+                  "steps",
+                  static_cast<unsigned long long>(len),
+                  static_cast<unsigned long long>(t_));
         trace.resize(len);
         for (double &v : trace)
             is >> v;
     }
 
-    size_t numEvents = 0;
+    uint64_t numEvents = 0;
     is >> tag >> numEvents;
     if (tag != "spike_events" || !is)
         fatal("malformed checkpoint spike_events block");
+    if (numEvents > 0 &&
+        (neurons == 0 || (numEvents - 1) / neurons >= t_))
+        fatal("checkpoint has %llu spike events, more than %llu steps "
+              "of %llu neurons can fire",
+              static_cast<unsigned long long>(numEvents),
+              static_cast<unsigned long long>(t_),
+              static_cast<unsigned long long>(neurons));
     spikeEvents_.resize(numEvents);
     for (SpikeEvent &e : spikeEvents_)
         is >> e.step >> e.neuron;
@@ -962,9 +983,9 @@ SimulationSession::loadCheckpoint(std::istream &is,
         for (uint64_t i = 0; i < numSynapses; ++i) {
             float w = 0.0f;
             is >> w;
-            // Through the logging mutator: delivery tables notice
-            // and re-mirror on their next refreshWeights().
-            mutableNetwork->synapseAt(i).weight = w;
+            // Through the logging mutator: the provider notices and
+            // re-mirrors on its next refreshWeights().
+            mutableNetwork->setSynapseWeight(i, w);
         }
     } else if (haveWeights == 2) {
         if (!network_.procedural())

@@ -9,12 +9,14 @@
  * (snn/event_driven.hh). SimulationSession owns everything around the
  * phases — stimulus stream, fired bookkeeping, spike counters and
  * event recording, membrane probes, per-phase telemetry, printStats,
- * run reports, reset — and owns the DeliveryEngine that evaluates the
- * phase bodies. One session lives for the whole run: the auto engine
+ * run reports, reset — and owns the run's one ConnectivityProvider
+ * and the DeliveryEngine that evaluates the phase bodies from it.
+ * One session lives for the whole run: the auto engine
  * (SimulatorOptions::engine) switches by replacing only the engine
  * inside it, handing the neuron state and the delay ring across
- * bit-exactly, so attached plasticity rules, the metrics registry,
- * the timers and the plan audit run on uninterrupted.
+ * bit-exactly, so the provider, attached plasticity rules, the
+ * metrics registry, the timers and the plan audit run on
+ * uninterrupted.
  *
  * On top of the shared core the session implements versioned,
  * bit-exact checkpoint/restore: a snapshot captures the step
@@ -217,10 +219,12 @@ struct EngineTransfer
 /**
  * A delivery engine: how the session's phase bodies are evaluated.
  * The session calls these hooks from its per-step loop and owns
- * everything around them. Two engines implement it: the dense engine
- * (snn/simulator.hh) and the event-driven LLIF engine
- * (snn/event_driven.hh). `now` is always the session's count of
- * completed steps.
+ * everything around them, the connectivity provider the engine
+ * delivers from included (it re-mirrors plasticity weight updates
+ * into it once per step, before the fired sweep). Two engines
+ * implement it: the dense engine (snn/simulator.hh) and the
+ * event-driven LLIF engine (snn/event_driven.hh). `now` is always the
+ * session's count of completed steps.
  */
 class DeliveryEngine
 {
@@ -248,13 +252,6 @@ class DeliveryEngine
      * that evaluate every neuron may simply overwrite it.
      */
     virtual void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) = 0;
-
-    /**
-     * Start of phase 3, before the fired sweep: re-mirror plasticity
-     * weight updates into the engine's delivery structures. Runs
-     * inside the synapse-phase timer but outside the route timer.
-     */
-    virtual void prepareDelivery() = 0;
 
     /**
      * Phase 3 delivery body: propagate the (ascending) fired list
@@ -460,6 +457,13 @@ class SimulationSession
     /** True when rate-adaptive switching is in effect. */
     bool adaptive() const { return adaptive_; }
 
+    /** The run's connectivity provider, built once at construction;
+     *  every engine the session installs delivers from it. */
+    const ConnectivityProvider &connectivity() const
+    {
+        return *connectivity_;
+    }
+
     /**
      * Firing rate (spikes/neuron/step) above which the dense engine
      * is estimated cheaper (before hysteresis); 0 when not adaptive.
@@ -506,8 +510,8 @@ class SimulationSession
      *        passed non-const when the checkpoint carries mutated
      *        weights (STDP runs); fatal() if the checkpoint has a
      *        weights block and this is null or a different network.
-     *        Weight writes go through Network::synapseAt(), so
-     *        routing tables re-mirror them automatically.
+     *        Weight writes go through Network::setSynapseWeight(),
+     *        so the provider re-mirrors them automatically.
      */
     void loadCheckpoint(std::istream &is,
                         Network *mutableNetwork = nullptr);
@@ -591,8 +595,9 @@ class SimulationSession
     void phaseNeuron();
     void phaseSynapse();
 
-    /** Build the dense or the event-driven engine and make it the
-     *  live one (dropping the previous engine). */
+    /** Build the dense or the event-driven engine over the
+     *  session's provider and make it the live one (dropping the
+     *  previous engine). */
     void installEngine(bool event);
 
     /** Replace the live engine, handing its state across. */
@@ -688,6 +693,8 @@ class SimulationSession
     bool eventActive_ = false;
     double crossoverRate_ = 0.0;
     plan::ExecutionPlanner planner_;
+    /** Declared before the engine, which borrows it. */
+    std::unique_ptr<ConnectivityProvider> connectivity_;
     std::unique_ptr<DeliveryEngine> engine_;
 
     // Checkpoint bookkeeping (saveCheckpoint is logically const).

@@ -6,14 +6,13 @@ namespace flexon {
 
 DenseEngine::DenseEngine(const Network &network,
                          const SimulatorOptions &options,
+                         ConnectivityProvider &connectivity,
                          telemetry::Registry &metrics)
     : network_(network), backendKind_(options.backend),
       connectivity_(options.connectivity),
       backend_(makeBackend(options.backend, network, options.mode,
                            options.solver, options.threads)),
-      router_(std::make_unique<SpikeRouter>(
-          network, options.threads == 0 ? 1 : options.threads,
-          &metrics, options.connectivity))
+      router_(network, connectivity, &metrics)
 {
 }
 
@@ -21,26 +20,20 @@ void
 DenseEngine::injectStimulus(uint64_t t,
                             std::span<const StimulusSpike> spikes)
 {
-    auto current = router_->slot(t);
+    auto current = router_.slot(t);
     for (const StimulusSpike &s : spikes) {
         flexon_assert(s.target < network_.numNeurons());
         flexon_assert(s.type < maxSynapseTypes);
         const uint32_t cell = s.target * maxSynapseTypes + s.type;
         current[cell] += s.weight;
-        router_->noteStimulus(t, cell);
+        router_.noteStimulus(t, cell);
     }
 }
 
 void
 DenseEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 {
-    backend_->step(router_->slot(t), fired);
-}
-
-void
-DenseEngine::prepareDelivery()
-{
-    router_->refreshWeights();
+    backend_->step(router_.slot(t), fired);
 }
 
 void
@@ -50,14 +43,14 @@ DenseEngine::deliverSpikes(uint64_t t, std::span<const uint32_t> fired)
     // the fired rows' delivery records into the t + delay slots —
     // bit-identical to the serial scan at any thread count (see
     // snn/routing.hh).
-    router_->routeStep(t, fired);
+    router_.routeStep(t, fired);
 }
 
 void
 DenseEngine::reset()
 {
     backend_->reset();
-    router_->reset();
+    router_.reset();
 }
 
 double
@@ -80,14 +73,14 @@ void
 DenseEngine::saveState(std::ostream &os) const
 {
     backend_->saveState(os);
-    router_->saveState(os);
+    router_.saveState(os);
 }
 
 void
 DenseEngine::loadState(std::istream &is, uint64_t)
 {
     backend_->loadState(is);
-    router_->loadState(is);
+    router_.loadState(is);
 }
 
 void
@@ -99,9 +92,9 @@ DenseEngine::healthScan(uint64_t begin, uint64_t end,
     // Ring watermark: pending writes against the ring's cell count.
     // Duplicate writes count twice, so the session clamps the
     // fraction at 1.
-    scan.ringOccupancy = router_->pendingWrites();
-    scan.ringCapacity = static_cast<uint64_t>(router_->ringDepth()) *
-                        router_->slotSize();
+    scan.ringOccupancy = router_.pendingWrites();
+    scan.ringCapacity = static_cast<uint64_t>(router_.ringDepth()) *
+                        router_.slotSize();
 }
 
 double
@@ -123,7 +116,7 @@ DenseEngine::exportTransfer(uint64_t now, EngineTransfer &out) const
         backend_->exportLlifState(out.v, out.refractory);
     flexon_assert(exported);
     out.t = now;
-    router_->exportRing(out.t, out.ring);
+    router_.exportRing(out.t, out.ring);
 }
 
 void
@@ -131,7 +124,7 @@ DenseEngine::importTransfer(const EngineTransfer &in)
 {
     const bool imported = backend_->importLlifState(in.v, in.refractory);
     flexon_assert(imported);
-    router_->importRing(in.t, in.ring);
+    router_.importRing(in.t, in.ring);
 }
 
 } // namespace flexon

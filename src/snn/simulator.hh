@@ -34,19 +34,20 @@ namespace flexon {
 class DenseEngine : public DeliveryEngine
 {
   public:
-    /** Builds the backend and the router (metrics registered in
-     *  `metrics`, which must outlive the engine). */
+    /** Builds the backend and a router over `connectivity`, the
+     *  session's provider. `network`, `connectivity` and `metrics`
+     *  (where the router's counters live) must outlive the engine. */
     DenseEngine(const Network &network, const SimulatorOptions &options,
+                ConnectivityProvider &connectivity,
                 telemetry::Registry &metrics);
 
     NeuronBackend &backend() { return *backend_; }
-    const SpikeRouter &router() const { return *router_; }
+    const SpikeRouter &router() const { return router_; }
 
     const char *kind() const override { return "dense"; }
     void injectStimulus(uint64_t t,
                         std::span<const StimulusSpike> spikes) override;
     void stepNeurons(uint64_t t, std::vector<uint8_t> &fired) override;
-    void prepareDelivery() override;
     void deliverSpikes(uint64_t t,
                        std::span<const uint32_t> fired) override;
     void reset() override;
@@ -74,12 +75,12 @@ class DenseEngine : public DeliveryEngine
     ConnectivityKind connectivity_;
     std::unique_ptr<NeuronBackend> backend_;
     /**
-     * Spike delivery: connectivity provider, delay ring, and
+     * Spike delivery from the session's provider: delay ring and
      * activity-proportional ring maintenance (snn/routing.hh).
      * Shard count == configured threads; results are bit-identical
      * to serial at any thread count.
      */
-    std::unique_ptr<SpikeRouter> router_;
+    SpikeRouter router_;
 };
 
 } // namespace flexon

@@ -56,8 +56,7 @@ StdpEngine::currentWeight(const PlasticRef &ref) const
         float w = 0.0f;
         return network_.overlayWeight(ref.index, w) ? w : ref.base;
     }
-    // Const access: a read must not pollute the mutation log.
-    return std::as_const(network_).synapseAt(ref.index).weight;
+    return network_.synapseAt(ref.index).weight;
 }
 
 void

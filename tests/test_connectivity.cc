@@ -3,9 +3,11 @@
  * The ConnectivityProvider contract: materialized, compressed, and
  * procedural synapse storage are three encodings of the same wiring,
  * so a simulation must produce bit-identical spike trains under any
- * of them, at any thread count — compression and regeneration only
- * change where the delivery records come from, never their values or
- * their per-cell accumulation order. Also covered: the memory side
+ * of them, at any thread count and under either delivery engine (both
+ * deliver from the session's one provider) — compression and
+ * regeneration only change where the delivery records come from,
+ * never their values or their per-cell accumulation order. Also
+ * covered: the memory side
  * of the bargain (compressed tables measurably smaller, procedural
  * smaller still), the STDP weight-delta overlay, and checkpoint
  * round-trips including the procedural `weights 2` form and
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "forced_switch.hh"
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
 #include "snn/connectivity.hh"
@@ -35,6 +38,7 @@ struct RunResult
     uint64_t spikes = 0;
     uint64_t synapseEvents = 0;
     uint64_t connectivityBytes = 0;
+    uint64_t switches = 0;
 };
 
 BenchmarkInstance
@@ -56,12 +60,14 @@ microcircuit(bool procedural)
 
 RunResult
 runWith(const Network &net, const StimulusGenerator &stim,
-        ConnectivityKind kind, size_t threads, uint64_t steps)
+        ConnectivityKind kind, size_t threads, uint64_t steps,
+        EngineKind engine = EngineKind::Dense)
 {
     SimulatorOptions opts;
     opts.threads = threads;
     opts.recordSpikes = true;
     opts.connectivity = kind;
+    opts.engine = engine;
     Simulator sim(net, stim, opts);
     sim.run(steps);
 
@@ -72,6 +78,7 @@ runWith(const Network &net, const StimulusGenerator &stim,
     result.synapseEvents = sim.stats().synapseEvents;
     result.connectivityBytes = static_cast<uint64_t>(
         sim.metrics().gauge("snn.connectivity.bytes").value());
+    result.switches = sim.switches();
     return result;
 }
 
@@ -156,6 +163,11 @@ TEST_P(ProviderEquivalence, VogelsAbbottBitIdenticalAtAnyThreadCount)
 
 TEST_P(ProviderEquivalence, MicrocircuitBitIdenticalAtAnyThreadCount)
 {
+    // The LLIF microcircuit runs on every engine: dense, event, and
+    // auto forced from event to dense at the first decision window.
+    // All deliver from the session's provider and must reproduce the
+    // dense materialized run.
+    const ForcedSwitchCalibration forced;
     const ConnectivityKind kind = GetParam();
     MicrocircuitInstance mat = microcircuit(false);
     const RunResult baseline = runWith(
@@ -165,10 +177,18 @@ TEST_P(ProviderEquivalence, MicrocircuitBitIdenticalAtAnyThreadCount)
 
     MicrocircuitInstance other =
         microcircuit(kind != ConnectivityKind::Materialized);
-    for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
-        expectIdentical(baseline, runWith(other.network,
-                                          other.stimulus, kind,
-                                          threads, 300));
+    for (const EngineKind engine :
+         {EngineKind::Dense, EngineKind::Event, EngineKind::Auto}) {
+        for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+            SCOPED_TRACE(std::string(engineKindName(engine)) + " t" +
+                         std::to_string(threads));
+            const RunResult run = runWith(other.network, other.stimulus,
+                                          kind, threads, 300, engine);
+            expectIdentical(baseline, run);
+            if (engine == EngineKind::Auto) {
+                EXPECT_EQ(run.switches, 1u);
+            }
+        }
     }
 }
 
@@ -372,13 +392,14 @@ TEST(ConnectivityGuards, MisconfigurationsDieWithClearMessages)
     // A procedural network cannot back a materialized router.
     EXPECT_DEATH(Simulator(proc.network, proc.stimulus, opts),
                  "procedural");
-    // The event engine has no non-materialized delivery path.
+    // The event engine delivers from any provider, but runs only
+    // LLIF populations; Vogels-Abbott is DLIF.
     BenchmarkInstance mat = vogelsAbbott(false);
     SimulatorOptions eventOpts;
     eventOpts.connectivity = ConnectivityKind::Compressed;
     eventOpts.engine = EngineKind::Event;
     EXPECT_DEATH(Simulator(mat.network, mat.stimulus, eventOpts),
-                 "materialized");
+                 "engine=event: the engine requires LLIF");
 }
 
 } // namespace

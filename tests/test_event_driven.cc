@@ -2,11 +2,14 @@
  * @file
  * Tests for the event-driven LLIF engine: bit-exact equivalence with
  * the dense engine (membranes and spike trains), the update savings
- * on sparse activity, the eligibility restrictions, and the lazy
- * catch-up semantics (decay and refractory).
+ * on sparse activity, the eligibility restrictions (and the inputs
+ * they must not exclude), and the lazy catch-up semantics (decay and
+ * refractory).
  */
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "features/model_table.hh"
 #include "snn/event_driven.hh"
@@ -167,10 +170,89 @@ TEST(EventDriven, RequestOnIneligibleSetupDiesWithReason)
     EXPECT_DEATH(Simulator(s.net, s.stim, continuous),
                  "engine=event: continuous integration");
 
+    // Connectivity is no longer a restriction: the engine delivers
+    // from the session's provider, compressed rows included.
+    SimulatorOptions dense;
+    dense.recordSpikes = true;
     SimulatorOptions compressed = eventOptions();
+    compressed.recordSpikes = true;
     compressed.connectivity = ConnectivityKind::Compressed;
-    EXPECT_DEATH(Simulator(s.net, s.stim, compressed),
-                 "engine=event: .*compressed connectivity");
+    compressed.threads = 3;
+    LlifSetup a = llifNetwork(100, 0.01, 5);
+    Simulator expected(a.net, a.stim, dense);
+    expected.run(1500);
+    LlifSetup b = llifNetwork(100, 0.01, 5);
+    Simulator event(b.net, b.stim, compressed);
+    event.run(1500);
+    ASSERT_GT(expected.stats().spikes, 0u);
+    EXPECT_EQ(event.stats().synapseEvents,
+              expected.stats().synapseEvents);
+    ASSERT_EQ(event.spikeEvents().size(), expected.spikeEvents().size());
+    for (size_t i = 0; i < expected.spikeEvents().size(); ++i) {
+        EXPECT_EQ(event.spikeEvents()[i].step,
+                  expected.spikeEvents()[i].step);
+        EXPECT_EQ(event.spikeEvents()[i].neuron,
+                  expected.spikeEvents()[i].neuron);
+    }
+}
+
+TEST(EventDriven, RejectsNegativeLeakNamingThePopulation)
+{
+    // With v_leak < 0 a silent neuron climbs between the steps the
+    // engine skips, and can cross threshold there; the closed-form
+    // catch-up only decays toward rest, so the setup is refused.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Network net;
+    NeuronParams p = defaultParams(ModelKind::LLIF);
+    p.vLeak = -0.01;
+    const size_t pop = net.addPopulation("a", p, 50);
+    Rng rng(3);
+    net.connectRandom(pop, pop, 0.05, 0.05, 1, 3, 0, rng);
+    net.finalize();
+    StimulusGenerator stim(3);
+    stim.addSource(StimulusSource::poisson(0, 50, 0.002, 0.05f, 0));
+
+    std::string why;
+    EXPECT_FALSE(eventDrivenEligible(net, SimulatorOptions{}, &why));
+    EXPECT_NE(why.find("population 'a'"), std::string::npos) << why;
+    EXPECT_DEATH(Simulator(net, stim, eventOptions()),
+                 "engine=event: population 'a' has a negative leak");
+}
+
+TEST(EventDriven, IgnoresSynapseTypesThePopulationLacks)
+{
+    // A one-type population receiving type-1 deliveries: the dense
+    // kernel sums only the population's own types, and so must the
+    // engine (summing all four, it fired 625 spikes on this network
+    // where the dense engine fires 389).
+    auto build = [] {
+        LlifSetup s;
+        NeuronParams p = defaultParams(ModelKind::LLIF);
+        p.numSynapseTypes = 1;
+        const size_t pop = s.net.addPopulation("a", p, 60);
+        Rng rng(3);
+        s.net.connectRandom(pop, pop, 0.1, 0.3, 1, 3, 1, rng);
+        s.net.finalize();
+        s.stim = StimulusGenerator(3);
+        s.stim.addSource(StimulusSource::poisson(0, 60, 0.05, 0.6f, 0));
+        return s;
+    };
+    LlifSetup a = build();
+    LlifSetup b = build();
+    SimulatorOptions opts;
+    opts.recordSpikes = true;
+    Simulator dense(a.net, a.stim, opts);
+    dense.run(400);
+    opts.engine = EngineKind::Event;
+    Simulator event(b.net, b.stim, opts);
+    event.run(400);
+
+    ASSERT_GT(dense.stats().spikes, 0u);
+    EXPECT_EQ(event.stats().spikes, dense.stats().spikes);
+    EXPECT_EQ(event.spikeCounts(), dense.spikeCounts());
+    for (uint32_t n = 0; n < 60; ++n)
+        EXPECT_NEAR(event.membrane(n), dense.membrane(n), 1e-12)
+            << "neuron " << n;
 }
 
 TEST(EventDriven, ResetThenRerunIsSpikeForSpikeIdentical)

@@ -6,7 +6,9 @@
  * with delays spanning the full ring depth, multiple synapse types
  * and populations, and on the degenerate shapes (more than 64 delay
  * buckets, zero synapses, a single neuron, every neuron firing on
- * every step) — plus the sparse/dense
+ * every step). Each shape runs on materialized and compressed rows,
+ * and in its LLIF form on the event-driven engine — plus the
+ * sparse/dense
  * ring-clear crossover, live STDP weight updates, and the router's
  * checkpoint: restart equivalence and rejection of corrupt state.
  *
@@ -105,19 +107,34 @@ expectRingBitIdentical(const std::vector<double> &oracle,
 }
 
 /**
+ * Neuron parameters of a shape's population: `kind`, or LLIF (without
+ * a refractory period, like LIF) for the event engine's form of the
+ * shape.
+ */
+NeuronParams
+shapeParams(ModelKind kind, bool llif)
+{
+    if (!llif)
+        return defaultParams(kind);
+    NeuronParams p = defaultParams(ModelKind::LLIF);
+    p.features.remove(Feature::AR);
+    return p;
+}
+
+/**
  * Three populations, synapse types 0..3, delays spanning the full
  * ring (1..maxDelay, including explicit maxDelay edges).
  */
 Network
-mixedNetwork(uint8_t maxDelay)
+mixedNetwork(uint8_t maxDelay, bool llif = false)
 {
     Network net;
-    const size_t a =
-        net.addPopulation("a", defaultParams(ModelKind::DLIF), 40);
+    const size_t a = net.addPopulation(
+        "a", shapeParams(ModelKind::DLIF, llif), 40);
     const size_t b =
-        net.addPopulation("b", defaultParams(ModelKind::LIF), 30);
-    const size_t c =
-        net.addPopulation("c", defaultParams(ModelKind::DLIF), 25);
+        net.addPopulation("b", shapeParams(ModelKind::LIF, llif), 30);
+    const size_t c = net.addPopulation(
+        "c", shapeParams(ModelKind::DLIF, llif), 25);
     Rng rng(77);
     net.connectRandom(a, b, 0.15, 0.08, 1, maxDelay, 0, rng);
     net.connectRandom(b, c, 0.15, 0.07, 1, maxDelay, 1, rng);
@@ -150,11 +167,11 @@ enum class NetShape {
 
 /** More than 64 distinct delays (1..100), so no bucket mask fits. */
 Network
-manyDelayNetwork()
+manyDelayNetwork(bool llif)
 {
     Network net;
     const size_t a =
-        net.addPopulation("a", defaultParams(ModelKind::DLIF), 60);
+        net.addPopulation("a", shapeParams(ModelKind::DLIF, llif), 60);
     Rng rng(19);
     net.connectRandom(a, a, 0.25, 0.06, 1, 100, 0, rng);
     net.connectRandom(a, a, 0.05, -0.04, 1, 100, 1, rng);
@@ -170,41 +187,43 @@ manyDelayNetwork()
  * every step, and the excitatory recurrence only adds to it.
  */
 Network
-allFiringNetwork()
+allFiringNetwork(bool llif)
 {
     Network net;
     const size_t a =
-        net.addPopulation("a", defaultParams(ModelKind::LIF), 40);
+        net.addPopulation("a", shapeParams(ModelKind::LIF, llif), 40);
     Rng rng(23);
     net.connectRandom(a, a, 0.2, 0.05, 1, 6, 0, rng);
     net.finalize();
     return net;
 }
 
+/** A shape's network; `llif` builds its LLIF form. */
 Network
-shapeNetwork(NetShape shape)
+shapeNetwork(NetShape shape, bool llif)
 {
     switch (shape) {
     case NetShape::Mixed:
-        return mixedNetwork(8);
+        return mixedNetwork(8, llif);
     case NetShape::ManyDelays:
-        return manyDelayNetwork();
+        return manyDelayNetwork(llif);
     case NetShape::NoSynapses: {
         Network net;
-        net.addPopulation("bare", defaultParams(ModelKind::DLIF), 95);
+        net.addPopulation("bare", shapeParams(ModelKind::DLIF, llif),
+                          95);
         net.finalize();
         return net;
     }
     case NetShape::OneNeuron: {
         Network net;
-        net.addPopulation("one", defaultParams(ModelKind::DLIF), 1);
+        net.addPopulation("one", shapeParams(ModelKind::DLIF, llif), 1);
         net.addSynapse(0, {0, 0.3f, 2, 0});
         net.addSynapse(0, {0, -0.1f, 5, 1});
         net.finalize();
         return net;
     }
     case NetShape::AllFiring:
-        return allFiringNetwork();
+        return allFiringNetwork(llif);
     }
     return {};
 }
@@ -223,11 +242,19 @@ shapeStimulus(NetShape shape, size_t neurons)
     return stim;
 }
 
+/** How an oracle case delivers. */
+enum class Delivery {
+    Dense,      ///< dense engine over materialized rows
+    Compressed, ///< dense engine over compressed rows
+    Event,      ///< event engine over materialized rows, LLIF shapes
+};
+
 /** One cell of the oracle matrix. */
 struct EquivalenceCase
 {
     NetShape shape;
     size_t threads;
+    Delivery delivery = Delivery::Dense;
 };
 
 /** Name prefix; the mixed shape keeps the bare t1/t3/t4 names. */
@@ -240,22 +267,34 @@ shapePrefix(NetShape shape)
     return prefix[static_cast<int>(shape)];
 }
 
+/** Name prefix; dense materialized cases keep the bare names. */
+const char *
+deliveryPrefix(Delivery delivery)
+{
+    static const char *const prefix[] = {"", "compressed_", "event_"};
+    return prefix[static_cast<int>(delivery)];
+}
+
 /** gtest's GetParam() printer: "1" for mixed/t1, "oneNeuron_3". */
 void
 PrintTo(const EquivalenceCase &c, std::ostream *os)
 {
-    *os << shapePrefix(c.shape) << c.threads;
+    *os << deliveryPrefix(c.delivery) << shapePrefix(c.shape)
+        << c.threads;
 }
 
 std::vector<EquivalenceCase>
 equivalenceCases()
 {
     std::vector<EquivalenceCase> cases;
-    for (const NetShape shape :
-         {NetShape::Mixed, NetShape::ManyDelays, NetShape::NoSynapses,
-          NetShape::OneNeuron, NetShape::AllFiring})
-        for (const size_t threads : {1, 3, 4})
-            cases.push_back({shape, threads});
+    for (const Delivery delivery :
+         {Delivery::Dense, Delivery::Compressed, Delivery::Event})
+        for (const NetShape shape :
+             {NetShape::Mixed, NetShape::ManyDelays,
+              NetShape::NoSynapses, NetShape::OneNeuron,
+              NetShape::AllFiring})
+            for (const size_t threads : {1, 3, 4})
+                cases.push_back({shape, threads, delivery});
     return cases;
 }
 
@@ -266,29 +305,36 @@ class RoutingEquivalence
 
 TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
 {
-    const auto [shape, threads] = GetParam();
-    Network net = shapeNetwork(shape);
+    const auto [shape, threads, delivery] = GetParam();
+    const bool event = delivery == Delivery::Event;
+    Network net = shapeNetwork(shape, event);
     const StimulusGenerator stim =
         shapeStimulus(shape, net.numNeurons());
 
     SimulatorOptions opts;
     opts.threads = threads;
     opts.recordSpikes = true;
+    if (delivery == Delivery::Compressed)
+        opts.connectivity = ConnectivityKind::Compressed;
+    if (event)
+        opts.engine = EngineKind::Event;
     Simulator sim(net, stim, opts);
     OracleSimulator oracle(net, stim);
     if (shape == NetShape::Mixed) {
         ASSERT_EQ(net.maxDelay(), 8); // delays span the full ring
     }
     if (shape == NetShape::ManyDelays) {
-        ASSERT_GT(sim.router().provider().bucketCount(), 64u);
-        ASSERT_FALSE(sim.router().provider().rowMasksExact());
+        ASSERT_GT(sim.connectivity().bucketCount(), 64u);
+        ASSERT_FALSE(sim.connectivity().rowMasksExact());
     }
 
     for (uint64_t step = 0; step < 400; ++step) {
         sim.stepOnce();
         oracle.stepOnce();
         ASSERT_EQ(oracle.fired_, sim.lastFired()) << "step " << step;
-        expectRingBitIdentical(oracle.ring_, sim.ringBuffer(), step);
+        // The event engine keeps pending records, not a ring.
+        if (!event)
+            expectRingBitIdentical(oracle.ring_, sim.ringBuffer(), step);
         if (shape == NetShape::AllFiring) {
             const std::vector<uint8_t> &fired = sim.lastFired();
             ASSERT_TRUE(std::all_of(fired.begin(), fired.end(),
@@ -314,7 +360,8 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
 std::string
 equivalenceName(const ::testing::TestParamInfo<EquivalenceCase> &info)
 {
-    return shapePrefix(info.param.shape) + std::string("t") +
+    return deliveryPrefix(info.param.delivery) +
+           std::string(shapePrefix(info.param.shape)) + "t" +
            std::to_string(info.param.threads);
 }
 
@@ -508,7 +555,7 @@ TEST(RoutingRefresh, FullRefreshAfterLogOverflow)
     // Rewrite every weight in one burst (log overflows), then keep
     // comparing against an oracle over the same mutated network.
     for (uint64_t i = 0; i < net.numSynapses(); ++i)
-        net.synapseAt(i).weight *= 0.5f;
+        net.setSynapseWeight(i, net.synapseAt(i).weight * 0.5f);
     for (uint64_t step = 50; step < 120; ++step) {
         sim.stepOnce();
         oracle.stepOnce();

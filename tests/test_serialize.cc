@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "nets/table1.hh"
 #include "snn/serialize.hh"
@@ -189,6 +190,75 @@ TEST(Serialize, RejectsWrongVersion)
 {
     std::stringstream buffer("flexon-network v999\npopulations 0\n");
     EXPECT_DEATH(loadNetwork(buffer), "version");
+}
+
+TEST(Serialize, RejectsNonNumericVersionWithoutAborting)
+{
+    std::stringstream buffer("flexon-network vX\npopulations 0\n");
+    EXPECT_EXIT(loadNetwork(buffer), ::testing::ExitedWithCode(1),
+                "malformed version field 'vX'");
+}
+
+/**
+ * A saved 50-neuron network with its first synapse record replaced by
+ * `record` ("src target weight delay type").
+ */
+std::string
+withFirstSynapse(const std::string &record)
+{
+    Network net;
+    const size_t a =
+        net.addPopulation("a", defaultParams(ModelKind::LIF), 50);
+    Rng rng(5);
+    net.connectRandom(a, a, 0.1, 0.3, 1, 3, 0, rng);
+    net.finalize();
+    std::stringstream buffer;
+    saveNetwork(buffer, net);
+    std::string text = buffer.str();
+    const size_t header = text.find("\nsynapses ");
+    const size_t first = text.find('\n', header + 1) + 1;
+    const size_t end = text.find('\n', first);
+    text.replace(first, end - first, record);
+    return text;
+}
+
+// Each bad record is a diagnostic naming it and exit 1: not the
+// network's assertions (an abort), and not a silent misread.
+
+TEST(Serialize, RejectsSynapseSourceOutsideTheNetwork)
+{
+    std::stringstream edited(withFirstSynapse("50 1 0.3 1 0"));
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "synapse record 0: 50 -> 1 is outside the 50 neurons");
+}
+
+TEST(Serialize, RejectsSynapseTargetOutsideTheNetwork)
+{
+    std::stringstream edited(withFirstSynapse("0 4000000000 0.3 1 0"));
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "synapse record 0: 0 -> 4000000000 is outside");
+}
+
+TEST(Serialize, RejectsSynapseDelayZero)
+{
+    std::stringstream edited(withFirstSynapse("0 1 0.3 0 0"));
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "synapse record 0: delay 0 is outside \\[1, 255\\]");
+}
+
+TEST(Serialize, RejectsSynapseDelayAbove255)
+{
+    // A uint8_t cast used to load this as delay 44.
+    std::stringstream edited(withFirstSynapse("0 1 0.3 300 0"));
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "synapse record 0: delay 300 is outside \\[1, 255\\]");
+}
+
+TEST(Serialize, RejectsSynapseTypeOutOfRange)
+{
+    std::stringstream edited(withFirstSynapse("0 1 0.3 1 4"));
+    EXPECT_EXIT(loadNetwork(edited), ::testing::ExitedWithCode(1),
+                "synapse record 0: type 4 is outside \\[0, 4\\)");
 }
 
 TEST(Serialize, RejectsTruncatedFile)

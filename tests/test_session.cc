@@ -25,8 +25,8 @@
 
 #include "common/health.hh"
 #include "features/model_table.hh"
+#include "forced_switch.hh"
 #include "nets/table1.hh"
-#include "plan/calibration.hh"
 #include "snn/plasticity.hh"
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
@@ -252,6 +252,39 @@ TEST(EventDrivenRestart, SplitRunMatchesFullRunBitForBit)
 
     // The update counters continue across the restore too (they
     // are part of the checkpoint).
+    expectIdentical(capture(full, opts.probes.size(), kEventCounters),
+                    capture(second, opts.probes.size(),
+                            kEventCounters));
+    EXPECT_GT(full.stats().spikes, 0u);
+}
+
+TEST(EventDrivenRestart, ShardedProviderSplitRunMatchesFullRun)
+{
+    // Over a 3-shard compressed provider the engine lists pending
+    // records shard by shard, so its checkpoint text differs from a
+    // 1-shard run's; what must hold is that a split run equals the
+    // full run.
+    const uint64_t total = 1200, split = 500;
+    SimulatorOptions opts = evOptions();
+    opts.threads = 3;
+    opts.connectivity = ConnectivityKind::Compressed;
+
+    LlifSetup a = llifNetwork(80, 0.02, 7);
+    Simulator full(a.net, a.stim, opts);
+    ASSERT_EQ(full.connectivity().shardCount(), 3u);
+    full.run(total);
+
+    LlifSetup b = llifNetwork(80, 0.02, 7);
+    std::stringstream snapshot;
+    {
+        Simulator first(b.net, b.stim, opts);
+        first.run(split);
+        first.saveCheckpoint(snapshot);
+    }
+    Simulator second(b.net, b.stim, opts);
+    second.loadCheckpoint(snapshot);
+    second.run(total - split);
+
     expectIdentical(capture(full, opts.probes.size(), kEventCounters),
                     capture(second, opts.probes.size(),
                             kEventCounters));
@@ -507,30 +540,77 @@ TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
                  "updated at step 41, after the restored step 40");
 }
 
-// ---- Rate-adaptive engine switch --------------------------------
-
-/**
- * Installs, for its lifetime, a calibration pricing the event-driven
- * unit at 200x the dense update, then restores the builtin one. That
- * pushes the planned crossover rate below any sustained activity, so
- * an auto session built meanwhile (which starts event-driven on the
- * silent fresh network) hands off to dense at its first decision
- * boundary, plan::kDecisionWindow.
- */
-struct ForcedSwitchCalibration
+/** Restore `text` into a fresh session over `s` with `opts`. */
+void
+restoreText(const LlifSetup &s, const SimulatorOptions &opts,
+            const std::string &text)
 {
-    ForcedSwitchCalibration()
-    {
-        plan::CalibrationData cal = plan::builtinCalibration();
-        cal.version = "test-forced-switch";
-        cal.model.eventNsPerUnit = cal.model.denseNsPerNeuron * 200.0;
-        plan::setActiveCalibration(cal);
-    }
-    ~ForcedSwitchCalibration()
-    {
-        plan::setActiveCalibration(plan::builtinCalibration());
-    }
-};
+    Simulator fresh(s.net, s.stim, opts);
+    std::istringstream is(text);
+    fresh.loadCheckpoint(is);
+}
+
+TEST(SessionCheckpoint, RejectsNonNumericVersionWithoutAborting)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
+    SavedLines cp = savedAfterRun(sim);
+    cp.line("flexon-checkpoint ") = "flexon-checkpoint vX dense";
+    EXPECT_EXIT(restoreText(s, SimulatorOptions{}, cp.text()),
+                ::testing::ExitedWithCode(1),
+                "malformed checkpoint version field 'vX'");
+}
+
+TEST(SessionCheckpoint, BoundsRecordedCountsByTheRestoredSteps)
+{
+    // Counts read from the file size allocations: each must fit what
+    // 40 steps of 30 neurons could have recorded, or the restore
+    // fails with a diagnostic instead of std::bad_alloc.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    SimulatorOptions opts = evOptions();
+    opts.engine = EngineKind::Dense;
+    Simulator sim(s.net, s.stim, opts);
+    const SavedLines saved = savedAfterRun(sim);
+
+    SavedLines events = saved;
+    events.line("spike_events ") = "spike_events 99999999999999";
+    EXPECT_EXIT(restoreText(s, opts, events.text()),
+                ::testing::ExitedWithCode(1),
+                "99999999999999 spike events, more than 40 steps of 30 "
+                "neurons can fire");
+
+    SavedLines trace = saved;
+    trace.line("trace ") = "trace 99999999999999";
+    EXPECT_EXIT(restoreText(s, opts, trace.text()),
+                ::testing::ExitedWithCode(1),
+                "probe trace has 99999999999999 samples after 40 steps");
+}
+
+TEST(EventDrivenCheckpoint, BoundsPendingCountsByTheNetwork)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    Simulator sim(s.net, s.stim, evOptions());
+    const SavedLines saved = savedAfterRun(sim);
+
+    SavedLines slot = saved;
+    slot.line("slot ") = "slot 99999999999999";
+    EXPECT_EXIT(restoreText(s, evOptions(), slot.text()),
+                ::testing::ExitedWithCode(1),
+                "slot holds 99999999999999 records, more than the "
+                "[0-9]+ this network can pend");
+
+    SavedLines carry = saved;
+    carry.line("carry ") = "carry 99999999999999";
+    EXPECT_EXIT(restoreText(s, evOptions(), carry.text()),
+                ::testing::ExitedWithCode(1),
+                "carry holds 99999999999999 values, more than the 120 "
+                "cells");
+}
+
+// ---- Rate-adaptive engine switch --------------------------------
 
 /** Auto-engine options with spike recording and three probes. */
 SimulatorOptions
@@ -749,6 +829,32 @@ TEST(AutoEngine, StdpAcrossSwitchMatchesPinnedDense)
                   std::as_const(b.net).synapseAt(i).weight)
             << "synapse " << i;
     }
+}
+
+TEST(AutoEngine, SwitchReusesTheSessionsProvider)
+{
+    // The session builds its connectivity provider once; the engines
+    // it installs borrow it, so a switch builds no provider.
+    const ForcedSwitchCalibration forced;
+    SimulatorOptions opts = autoOptions();
+    opts.threads = 3;
+    LlifSetup s = llifNetwork(90, 0.05, 13);
+    Simulator sim(s.net, s.stim, opts);
+    const ConnectivityProvider *const provider = &sim.connectivity();
+    ASSERT_TRUE(sim.eventActive());
+    sim.run(kSwitchRunSteps);
+    ASSERT_GE(sim.switches(), 1u);
+    ASSERT_FALSE(sim.eventActive());
+    EXPECT_EQ(&sim.connectivity(), provider);
+    EXPECT_EQ(&sim.router().provider(), provider);
+
+    // Back to the event engine (reset) and across the switch again.
+    sim.reset();
+    ASSERT_TRUE(sim.eventActive());
+    sim.run(kSwitchRunSteps);
+    ASSERT_FALSE(sim.eventActive());
+    EXPECT_EQ(&sim.connectivity(), provider);
+    EXPECT_EQ(&sim.router().provider(), provider);
 }
 
 TEST(AutoEngine, ResetReturnsToTheStartEngine)
