@@ -116,9 +116,10 @@ childMain(double growth, const std::string &kindName, size_t threads)
         return 2;
     }
     const uint64_t steps = stepsFor(growth);
-    BenchmarkInstance inst = buildBenchmarkSpec(
-        findBenchmark("Vogels-Abbott"), growth, wiringSeed,
-        kind != ConnectivityKind::Materialized);
+    BenchmarkInstance inst = buildBenchmark(
+        findBenchmark("Vogels-Abbott"), 1.0 / growth, wiringSeed,
+        kind == ConnectivityKind::Materialized ? Wiring::Spec
+                                               : Wiring::Procedural);
 
     SimulatorOptions opts;
     opts.threads = threads;

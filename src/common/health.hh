@@ -52,11 +52,26 @@ constexpr int kDetectorExitCode = 3;
 constexpr int kWatchdogExitCode = 4;
 
 /**
- * Per-session detector configuration. The defaults are the cheap
- * always-on profile: every detector in Report mode, one sweep every
- * 64 steps over a bounded window of neurons, so the steady-state
- * overhead stays within measurement noise (the bench gate holds it
- * under 2%).
+ * Neurons examined per sweep; the scan window rotates through the
+ * population so every neuron is eventually covered.
+ */
+constexpr uint64_t kMaxScanNeurons = 4096;
+
+/** EWMA rate above this fraction is an explosion. */
+constexpr double kRateExplosion = 0.5;
+
+/** EWMA rate below this (after warmup) is silence. */
+constexpr double kRateSilence = 1e-9;
+
+/** Ring occupancy fraction at/above which the watermark trips. */
+constexpr double kRingWatermark = 0.9;
+
+/**
+ * Per-session detector configuration: what --health sets. The
+ * defaults are the cheap always-on profile: every detector in Report
+ * mode, one sweep every 64 steps over at most kMaxScanNeurons
+ * neurons, so the steady-state overhead stays within measurement
+ * noise (the bench gate holds it under 2%).
  */
 struct HealthOptions {
     /** Master switch; false skips every check including heartbeats. */
@@ -71,20 +86,8 @@ struct HealthOptions {
     Policy ring = Policy::Report;
     /** Steps between detector sweeps (clamped to >= 1). */
     uint64_t samplePeriod = 64;
-    /**
-     * Neurons examined per sweep; the scan window rotates through the
-     * population so every neuron is eventually covered. 0 scans the
-     * whole population each sweep.
-     */
-    uint64_t maxScanNeurons = 4096;
-    /** EWMA rate above this fraction is an explosion. */
-    double rateExplosion = 0.5;
-    /** EWMA rate below this (after warmup) is silence. */
-    double rateSilence = 1e-9;
     /** Steps before the rate detectors engage (startup transient). */
     uint64_t rateWarmupSteps = 1024;
-    /** Ring occupancy fraction at/above which the watermark trips. */
-    double ringWatermark = 0.9;
 };
 
 /**

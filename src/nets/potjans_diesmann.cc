@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hh"
 #include "features/model_table.hh"
@@ -105,7 +106,7 @@ microcircuitInDegrees(double scale)
 }
 
 MicrocircuitInstance
-buildMicrocircuit(const MicrocircuitOptions &options)
+buildMicrocircuit(const MicrocircuitOptions &options, Wiring wiring)
 {
     flexon_assert(options.scale >= 1.0);
     flexon_assert(options.rateScale > 0.0);
@@ -119,27 +120,31 @@ buildMicrocircuit(const MicrocircuitOptions &options)
     const NeuronParams params =
         ModelRegistry::instance().find("LLIF")->params;
 
-    std::array<size_t, microcircuitPopulations> pops{};
+    // Population p of the network is population p of the model.
     for (size_t p = 0; p < microcircuitPopulations; ++p) {
         inst.popSizes[p] = std::max<size_t>(
             2, static_cast<size_t>(
                    std::llround(full[p] / options.scale)));
-        pops[p] = inst.network.addPopulation(names[p], params,
-                                             inst.popSizes[p]);
+        inst.network.addPopulation(names[p], params, inst.popSizes[p]);
     }
 
     // Per-target excitatory weight from the gain (normalized LLIF
-    // units: threshold 1, leak 0.002 per step) and the scaled
-    // excitatory in-degree; inhibitory weight is options.inhibition
-    // times that.
-    Rng rng(options.seed);
-    for (size_t t = 0; t < microcircuitPopulations; ++t) {
+    // units: threshold 1, leak 0.002 per step) and the excitatory
+    // in-degree of matrix k.
+    const auto excWeight = [&options](const auto &k, size_t t) {
         size_t excIn = 0;
         for (size_t s = 0; s < microcircuitPopulations; s += 2)
-            excIn += inst.inDegrees[t][s];
-        const double wExc = options.gain /
-                            static_cast<double>(
-                                std::max<size_t>(1, excIn));
+            excIn += k[t][s];
+        return options.gain /
+               static_cast<double>(std::max<size_t>(1, excIn));
+    };
+
+    // Recurrent weights use the scaled in-degree; inhibitory weight
+    // is options.inhibition times the excitatory one. Projections
+    // are listed target-major.
+    std::vector<PopProjection> projections;
+    for (size_t t = 0; t < microcircuitPopulations; ++t) {
+        const double wExc = excWeight(inst.inDegrees, t);
         const double wInh = options.inhibition * wExc;
         for (size_t s = 0; s < microcircuitPopulations; ++s) {
             const size_t fanin = inst.inDegrees[t][s];
@@ -151,14 +156,14 @@ buildMicrocircuit(const MicrocircuitOptions &options)
             double w = excSrc ? wExc : wInh;
             if (t == 0 && s == 2)
                 w *= 2.0;
-            inst.network.connectFixedFanin(
-                pops[s], pops[t], fanin, w,
-                excSrc ? excDelayMin : inhDelayMin,
-                excSrc ? excDelayMax : inhDelayMax,
-                excSrc ? 0 : 1, rng);
+            projections.push_back(
+                {s, t, 0.0, fanin, w,
+                 excSrc ? excDelayMin : inhDelayMin,
+                 excSrc ? excDelayMax : inhDelayMax,
+                 static_cast<uint8_t>(excSrc ? 0 : 1)});
         }
     }
-    inst.network.finalize();
+    wireNetwork(inst.network, projections, wiring, options.seed);
 
     // Layer-specific external drive: kExt independent 8 Hz sources
     // per neuron, folded into one Bernoulli kick per neuron per step
@@ -170,116 +175,12 @@ buildMicrocircuit(const MicrocircuitOptions &options)
     const auto fullK = microcircuitInDegrees(1.0);
     inst.stimulus = StimulusGenerator(options.seed ^ 0x9e3779b9ULL);
     for (size_t t = 0; t < microcircuitPopulations; ++t) {
-        size_t excIn = 0;
-        for (size_t s = 0; s < microcircuitPopulations; s += 2)
-            excIn += fullK[t][s];
-        const double wExc = options.gain /
-                            static_cast<double>(
-                                std::max<size_t>(1, excIn));
+        const double wExc = excWeight(fullK, t);
         const double mean = static_cast<double>(extInDegree[t]) *
                             extRatePerStep * options.rateScale;
         const double p = std::min(0.95, mean / kickFold);
         const double weight = options.extGain * wExc * mean / p;
-        const Population &pop =
-            inst.network.population(pops[t]);
-        inst.stimulus.addSource(StimulusSource::poisson(
-            static_cast<uint32_t>(pop.base),
-            static_cast<uint32_t>(pop.count), p,
-            static_cast<float>(weight), 0));
-    }
-    return inst;
-}
-
-MicrocircuitInstance
-buildMicrocircuitSpec(const MicrocircuitOptions &options,
-                      bool procedural)
-{
-    flexon_assert(options.scale >= 1.0);
-    flexon_assert(options.rateScale > 0.0);
-
-    MicrocircuitInstance inst;
-    inst.options = options;
-    inst.inDegrees = microcircuitInDegrees(options.scale);
-
-    const auto &names = microcircuitPopulationNames();
-    const auto &full = microcircuitFullSizes();
-    const NeuronParams params =
-        ModelRegistry::instance().find("LLIF")->params;
-
-    std::array<size_t, microcircuitPopulations> pops{};
-    for (size_t p = 0; p < microcircuitPopulations; ++p) {
-        inst.popSizes[p] = std::max<size_t>(
-            2, static_cast<size_t>(
-                   std::llround(full[p] / options.scale)));
-        pops[p] = inst.network.addPopulation(names[p], params,
-                                             inst.popSizes[p]);
-    }
-
-    // Same weight derivation as buildMicrocircuit; the fixed
-    // in-degree K_in(t <- s) turns into a per-source fixed fanout
-    // K_out(s -> t) = K_in * Nt / Ns, which preserves the expected
-    // synapse count of every projection.
-    ConnectivitySpec cs;
-    cs.seed = options.seed;
-    for (size_t t = 0; t < microcircuitPopulations; ++t) {
-        size_t excIn = 0;
-        for (size_t s = 0; s < microcircuitPopulations; s += 2)
-            excIn += inst.inDegrees[t][s];
-        const double wExc = options.gain /
-                            static_cast<double>(
-                                std::max<size_t>(1, excIn));
-        const double wInh = options.inhibition * wExc;
-        for (size_t s = 0; s < microcircuitPopulations; ++s) {
-            const size_t fanin = inst.inDegrees[t][s];
-            if (fanin == 0)
-                continue;
-            const bool excSrc = s % 2 == 0;
-            double w = excSrc ? wExc : wInh;
-            if (t == 0 && s == 2)
-                w *= 2.0;
-            const double ns =
-                static_cast<double>(inst.popSizes[s]);
-            const double nt =
-                static_cast<double>(inst.popSizes[t]);
-            const auto fanout = static_cast<uint32_t>(std::max<long long>(
-                1, std::llround(static_cast<double>(fanin) * nt / ns)));
-            const Population &srcPop =
-                inst.network.population(pops[s]);
-            const Population &dstPop =
-                inst.network.population(pops[t]);
-            Projection proj;
-            proj.rule = Projection::Rule::FixedFanout;
-            proj.srcBase = static_cast<uint32_t>(srcPop.base);
-            proj.srcCount = static_cast<uint32_t>(srcPop.count);
-            proj.dstBase = static_cast<uint32_t>(dstPop.base);
-            proj.dstCount = static_cast<uint32_t>(dstPop.count);
-            proj.fanout = fanout;
-            proj.weightMean = w;
-            proj.delayMin = excSrc ? excDelayMin : inhDelayMin;
-            proj.delayMax = excSrc ? excDelayMax : inhDelayMax;
-            proj.type = excSrc ? 0 : 1;
-            cs.projections.push_back(proj);
-        }
-    }
-    inst.network.buildFromSpec(cs, procedural);
-
-    // External drive identical to buildMicrocircuit (full-scale
-    // kick weights; see the notes there).
-    const auto fullK = microcircuitInDegrees(1.0);
-    inst.stimulus = StimulusGenerator(options.seed ^ 0x9e3779b9ULL);
-    for (size_t t = 0; t < microcircuitPopulations; ++t) {
-        size_t excIn = 0;
-        for (size_t s = 0; s < microcircuitPopulations; s += 2)
-            excIn += fullK[t][s];
-        const double wExc = options.gain /
-                            static_cast<double>(
-                                std::max<size_t>(1, excIn));
-        const double mean = static_cast<double>(extInDegree[t]) *
-                            extRatePerStep * options.rateScale;
-        const double p = std::min(0.95, mean / kickFold);
-        const double weight = options.extGain * wExc * mean / p;
-        const Population &pop =
-            inst.network.population(pops[t]);
+        const Population &pop = inst.network.population(t);
         inst.stimulus.addSource(StimulusSource::poisson(
             static_cast<uint32_t>(pop.base),
             static_cast<uint32_t>(pop.count), p,

@@ -37,6 +37,7 @@
 #include <cstdint>
 #include <string>
 
+#include "nets/wiring.hh"
 #include "snn/network.hh"
 #include "snn/stimulus.hh"
 
@@ -61,7 +62,7 @@ struct MicrocircuitOptions
     /** Wiring and stimulus seed (deterministic). */
     uint64_t seed = 1;
     /**
-     * Multiplies the external Poisson drive; 1.0 is the model's
+     * Multiplies the external Poisson drive (> 0); 1.0 is the model's
      * background regime (a few Hz), larger values push the network
      * into higher-rate regimes.
      */
@@ -107,29 +108,16 @@ std::array<std::array<size_t, microcircuitPopulations>,
            microcircuitPopulations>
 microcircuitInDegrees(double scale);
 
-/** Build a microcircuit instance. */
-MicrocircuitInstance
-buildMicrocircuit(const MicrocircuitOptions &options = {});
-
 /**
- * Build a microcircuit from a generative wiring spec
- * (Network::buildFromSpec) — the form the compressed and procedural
- * connectivity providers require.
- *
- * Structure (populations, in-degree matrix, weights, delays,
- * external drive) matches buildMicrocircuit, but the fixed
- * *in-degree* rule becomes a fixed *out-degree* projection per
- * (source, target) pair — K_out(s -> t) = K_in(t <- s) * Nt / Ns —
- * since procedural rows are generated source-major. Expected synapse
- * counts per projection are preserved; in-degrees become binomial
- * around the published values rather than exact.
- *
- * @param procedural when true, store no synapses — rows regenerate
- *        on demand (Network::rowFor)
+ * Build a microcircuit instance (options.scale >= 1, rateScale > 0).
+ * The staged wiring draws fixed in-degrees target-major from one
+ * stream; the spec wirings draw the fixed out-degree form of the
+ * same projections (nets/wiring.hh), so their in-degrees are
+ * binomial around the matrix.
  */
 MicrocircuitInstance
-buildMicrocircuitSpec(const MicrocircuitOptions &options,
-                      bool procedural);
+buildMicrocircuit(const MicrocircuitOptions &options = {},
+                  Wiring wiring = Wiring::Staged);
 
 } // namespace flexon
 

@@ -76,31 +76,26 @@ benchmarkParams(const BenchmarkSpec &spec)
     return params;
 }
 
-BenchmarkInstance
-buildBenchmark(const BenchmarkSpec &spec, double scale, uint64_t seed)
-{
-    flexon_assert(scale >= 1.0);
+namespace {
 
-    const auto neurons = std::max<size_t>(
-        10, static_cast<size_t>(std::llround(spec.neurons / scale)));
+/**
+ * The excitatory/inhibitory body of the Table I networks and the
+ * model demo: `neurons` cells (>= 2) split 80/20 into "<prefix>-exc"
+ * and "<prefix>-inh", four random projections at `probability` with
+ * gain-derived weights and delays 1..15, and a Poisson background.
+ * The returned instance carries `spec` and scale 1.
+ */
+BenchmarkInstance
+buildEiNetwork(const BenchmarkSpec &spec, const std::string &prefix,
+               const NeuronParams &params, size_t neurons,
+               double probability, uint64_t seed, Wiring wiring)
+{
     const size_t n_exc = (neurons * 4) / 5; // standard 80/20 split
     const size_t n_inh = neurons - n_exc;
 
-    // Preserve the published connection density: p such that the
-    // paper-scale network has spec.synapses connections.
-    const double density =
-        static_cast<double>(spec.synapses) /
-        (static_cast<double>(spec.neurons) *
-         static_cast<double>(spec.neurons));
-    const double probability = std::min(1.0, density);
-
-    const NeuronParams params = benchmarkParams(spec);
-
     Network net;
-    const size_t exc =
-        net.addPopulation(spec.name + "-exc", params, n_exc);
-    const size_t inh =
-        net.addPopulation(spec.name + "-inh", params, n_inh);
+    const size_t exc = net.addPopulation(prefix + "-exc", params, n_exc);
+    const size_t inh = net.addPopulation(prefix + "-inh", params, n_inh);
 
     // Derive per-synapse weights from the total gains and the scaled
     // fan-in, so the recurrent drive is scale-invariant.
@@ -119,89 +114,77 @@ buildBenchmark(const BenchmarkSpec &spec, double scale, uint64_t seed)
     const double w_inh = rev ? -spec.inhGain / fanin_inh
                              : spec.inhGain / fanin_inh;
 
-    Rng rng(seed);
-    // Excitatory projections feed synapse type 0; inhibitory type 1.
-    // Delays span 1..15 steps (up to 1.5 ms at the 0.1 ms step).
-    net.connectRandom(exc, exc, probability, w_exc, 1, 15, 0, rng);
-    net.connectRandom(exc, inh, probability, w_exc, 1, 15, 0, rng);
-    net.connectRandom(inh, exc, probability, w_inh, 1, 15, 1, rng);
-    net.connectRandom(inh, inh, probability, w_inh, 1, 15, 1, rng);
-    net.finalize();
+    // Excitatory projections feed synapse type 0; inhibitory type 1,
+    // or type 0 in single-type models. Delays span 1..15 steps (up
+    // to 1.5 ms at the 0.1 ms step).
+    const uint8_t inhType = params.numSynapseTypes >= 2 ? 1 : 0;
+    const PopProjection projections[] = {
+        {exc, exc, probability, 0, w_exc, 1, 15, 0},
+        {exc, inh, probability, 0, w_exc, 1, 15, 0},
+        {inh, exc, probability, 0, w_inh, 1, 15, inhType},
+        {inh, inh, probability, 0, w_inh, 1, 15, inhType},
+    };
+    wireNetwork(net, projections, wiring, seed);
 
     StimulusGenerator stim(seed ^ 0x5f5f5f5fULL);
     stim.addSource(StimulusSource::poisson(
         0, static_cast<uint32_t>(neurons), spec.stimulusRate,
         static_cast<float>(spec.stimulusWeight), 0));
 
-    return {std::move(net), std::move(stim), spec, scale};
+    return {std::move(net), std::move(stim), spec, 1.0};
 }
 
+} // namespace
+
 BenchmarkInstance
-buildBenchmarkSpec(const BenchmarkSpec &spec, double growth,
-                   uint64_t seed, bool procedural)
+buildBenchmark(const BenchmarkSpec &spec, double scale, uint64_t seed,
+               Wiring wiring)
 {
-    flexon_assert(growth > 0.0);
+    flexon_assert(wiring == Wiring::Staged ? scale >= 1.0 : scale > 0.0);
 
     const auto neurons = std::max<size_t>(
-        10,
-        static_cast<size_t>(std::llround(spec.neurons * growth)));
-    const size_t n_exc = (neurons * 4) / 5;
-    const size_t n_inh = neurons - n_exc;
+        10, static_cast<size_t>(std::llround(spec.neurons / scale)));
 
+    // Preserve the published connection density: p such that the
+    // paper-scale network has spec.synapses connections.
     const double density =
         static_cast<double>(spec.synapses) /
         (static_cast<double>(spec.neurons) *
          static_cast<double>(spec.neurons));
-    const double probability = std::min(1.0, density);
 
-    const NeuronParams params = benchmarkParams(spec);
+    BenchmarkInstance inst =
+        buildEiNetwork(spec, spec.name, benchmarkParams(spec), neurons,
+                       std::min(1.0, density), seed, wiring);
+    inst.scale = scale;
+    return inst;
+}
 
-    Network net;
-    net.addPopulation(spec.name + "-exc", params, n_exc);
-    net.addPopulation(spec.name + "-inh", params, n_inh);
+BenchmarkInstance
+buildModelDemo(const ModelDescriptor &desc, size_t neurons,
+               uint64_t seed)
+{
+    neurons = std::max<size_t>(10, neurons);
+    const double probability = 0.05;
 
-    // Weight derivation as in buildBenchmark: gains over the
-    // instance's fan-in, so the recurrent drive stays invariant
-    // under growth.
-    const double fanin_exc =
-        std::max(1.0, probability * static_cast<double>(n_exc));
-    const double fanin_inh =
-        std::max(1.0, probability * static_cast<double>(n_inh));
-    const double w_exc = spec.excGain / fanin_exc;
-    const bool rev = params.features.has(Feature::REV);
-    const double w_inh = rev ? -spec.inhGain / fanin_inh
-                             : spec.inhGain / fanin_inh;
+    // Synthesize a spec so the instance plugs into everything that
+    // consumes Table I benchmarks. The gains mirror the Vogels rows
+    // (sustained inhibition-stabilized activity).
+    BenchmarkSpec spec;
+    spec.name = "model:" + desc.name;
+    spec.neurons = neurons;
+    spec.synapses = static_cast<size_t>(
+        probability * static_cast<double>(neurons) *
+        static_cast<double>(neurons));
+    spec.model = desc.name;
+    spec.solver = SolverKind::Euler;
+    spec.gpuNative = false;
+    spec.excGain = 5.0;
+    spec.inhGain = -20.0;
+    spec.stimulusRate = 0.010;
+    spec.stimulusWeight = 2.0;
 
-    ConnectivitySpec cs;
-    cs.seed = seed;
-    const auto project = [&](size_t srcBase, size_t srcCount,
-                             size_t dstBase, size_t dstCount,
-                             double weight, uint8_t type) {
-        Projection p;
-        p.rule = Projection::Rule::Bernoulli;
-        p.srcBase = static_cast<uint32_t>(srcBase);
-        p.srcCount = static_cast<uint32_t>(srcCount);
-        p.dstBase = static_cast<uint32_t>(dstBase);
-        p.dstCount = static_cast<uint32_t>(dstCount);
-        p.probability = probability;
-        p.weightMean = weight;
-        p.delayMin = 1;
-        p.delayMax = 15;
-        p.type = type;
-        cs.projections.push_back(p);
-    };
-    project(0, n_exc, 0, n_exc, w_exc, 0);
-    project(0, n_exc, n_exc, n_inh, w_exc, 0);
-    project(n_exc, n_inh, 0, n_exc, w_inh, 1);
-    project(n_exc, n_inh, n_exc, n_inh, w_inh, 1);
-    net.buildFromSpec(cs, procedural);
-
-    StimulusGenerator stim(seed ^ 0x5f5f5f5fULL);
-    stim.addSource(StimulusSource::poisson(
-        0, static_cast<uint32_t>(neurons), spec.stimulusRate,
-        static_cast<float>(spec.stimulusWeight), 0));
-
-    return {std::move(net), std::move(stim), spec, 1.0 / growth};
+    return buildEiNetwork(spec, desc.name, desc.params, neurons,
+                          probability, seed, Wiring::Staged);
 }
 
 } // namespace flexon

@@ -9,7 +9,11 @@
  * A scale factor shrinks the network for laptop-sized runs (neuron
  * count divides by `scale`; connection probability is preserved, so
  * synapses shrink by roughly scale^2). scale = 1 reproduces the
- * paper-size networks.
+ * paper-size networks; the spec wirings (nets/wiring.hh) also grow
+ * past them with scale < 1.
+ *
+ * The model demo (buildModelDemo) wraps any registered neuron model
+ * in the same excitatory/inhibitory body.
  */
 
 #ifndef FLEXON_NETS_TABLE1_HH
@@ -19,6 +23,7 @@
 #include <vector>
 
 #include "features/model_table.hh"
+#include "nets/wiring.hh"
 #include "snn/network.hh"
 #include "snn/stimulus.hh"
 #include "solvers/solver.hh"
@@ -80,34 +85,33 @@ struct BenchmarkInstance
 };
 
 /**
- * Build a scaled instance of a benchmark.
+ * Build a scaled instance of a benchmark: the published density,
+ * parameters (benchmarkParams) and gains over
+ * max(10, round(neurons / scale)) neurons.
  *
- * @param scale divide neuron count by this factor (>= 1)
+ * @param scale divide the neuron count by this factor: >= 1 for
+ *        Wiring::Staged, which draws every neuron pair, and > 0 for
+ *        the spec wirings, which also grow past the paper's size
  * @param seed wiring and stimulus seed (deterministic)
  */
 BenchmarkInstance buildBenchmark(const BenchmarkSpec &spec,
-                                 double scale, uint64_t seed);
+                                 double scale, uint64_t seed,
+                                 Wiring wiring = Wiring::Staged);
+
+struct ModelDescriptor;
 
 /**
- * Build a benchmark instance from a generative wiring spec
- * (Network::buildFromSpec) — the form the compressed and procedural
- * connectivity providers require, and the only way to instantiate
- * networks far beyond the materialized memory budget.
- *
- * Same structure as buildBenchmark (80/20 E/I split, published
- * density, gain-derived weights, delays 1..15), but parameterized by
- * a *growth* factor that multiplies the published neuron count
- * (growth = 1 / scale; synapses grow with roughly growth^2), and
- * wired as four Bernoulli projections drawn by the spec's
- * counter-based RNG rather than a shared sequential stream.
- *
- * @param growth multiply the published neuron count (> 0)
- * @param procedural when true, store no synapses at all — rows are
- *        regenerated on demand (Network::rowFor)
+ * Build a demo instance for a registered model — builtin or loaded
+ * from a --model-file — so it can be simulated end to end without
+ * writing a generator (`flexon_sim --model NAME`): the Table I body,
+ * staged, over max(10, neurons) cells with 5% random connectivity,
+ * the Vogels rows' gains and a suprathreshold Poisson background.
+ * Its synthesized spec is named "model:<name>", so the whole
+ * benchmark tool chain (sessions, probes, checkpoints) applies
+ * unchanged.
  */
-BenchmarkInstance buildBenchmarkSpec(const BenchmarkSpec &spec,
-                                     double growth, uint64_t seed,
-                                     bool procedural);
+BenchmarkInstance buildModelDemo(const ModelDescriptor &desc,
+                                 size_t neurons, uint64_t seed);
 
 } // namespace flexon
 

@@ -419,9 +419,9 @@ SimulationSession::healthSweep()
     if (wantScan && numNeurons > 0) {
         uint64_t begin = 0;
         uint64_t end = numNeurons;
-        if (ho.maxScanNeurons > 0 && numNeurons > ho.maxScanNeurons) {
+        if (numNeurons > health::kMaxScanNeurons) {
             begin = healthCursor_;
-            end = std::min(begin + ho.maxScanNeurons, numNeurons);
+            end = std::min(begin + health::kMaxScanNeurons, numNeurons);
             healthCursor_ = end < numNeurons ? end : 0;
         }
         engine_->healthScan(begin, end, scan);
@@ -460,19 +460,19 @@ SimulationSession::healthSweep()
     // needs history before "explosion" or "silence" means anything.
     const double ewma = ewmaRate();
     if (ho.rate != health::Policy::Off && t_ >= ho.rateWarmupSteps) {
-        if (ewma > ho.rateExplosion) {
+        if (ewma > health::kRateExplosion) {
             health_.rateExplosions.add(1);
             std::ostringstream msg;
             msg << "EWMA firing rate " << ewma
-                << " above explosion threshold " << ho.rateExplosion
+                << " above explosion threshold " << health::kRateExplosion
                 << ", step " << t_;
             healthApply(ho.rate, "rate-explosion",
                         health_.rateExplosions.value(), msg.str());
-        } else if (ewma < ho.rateSilence) {
+        } else if (ewma < health::kRateSilence) {
             health_.rateSilences.add(1);
             std::ostringstream msg;
             msg << "EWMA firing rate " << ewma
-                << " below silence threshold " << ho.rateSilence
+                << " below silence threshold " << health::kRateSilence
                 << ", step " << t_;
             healthApply(ho.rate, "rate-silence",
                         health_.rateSilences.value(), msg.str());
@@ -488,7 +488,8 @@ SimulationSession::healthSweep()
                               static_cast<double>(scan.ringCapacity));
         if (fraction > health_.ringPeakFraction.value())
             health_.ringPeakFraction.set(fraction);
-        if (fraction >= ho.ringWatermark && scan.ringOccupancy > 0) {
+        if (fraction >= health::kRingWatermark &&
+            scan.ringOccupancy > 0) {
             health_.ringHighWater.add(1);
             std::ostringstream msg;
             msg << "delay-ring occupancy " << scan.ringOccupancy

@@ -44,8 +44,9 @@ struct RunResult
 BenchmarkInstance
 vogelsAbbott(bool procedural)
 {
-    return buildBenchmarkSpec(findBenchmark("Vogels-Abbott"), 0.1, 7,
-                              procedural);
+    return buildBenchmark(findBenchmark("Vogels-Abbott"), 10.0, 7,
+                          procedural ? Wiring::Procedural
+                                     : Wiring::Spec);
 }
 
 MicrocircuitInstance
@@ -55,7 +56,8 @@ microcircuit(bool procedural)
     mc.scale = 60.0;
     mc.seed = 3;
     mc.rateScale = 5.0; // push the tiny instance into activity
-    return buildMicrocircuitSpec(mc, procedural);
+    return buildMicrocircuit(mc, procedural ? Wiring::Procedural
+                                            : Wiring::Spec);
 }
 
 RunResult
@@ -209,12 +211,10 @@ TEST(ConnectivityMemory, CompressedAtLeastTwiceSmaller)
     // second, bucket-major copy of every record also counted; with
     // that copy deleted the measured ratio here is ~2.5x (383,864 vs
     // 151,581 bytes), so the bound is now 2x.
-    BenchmarkInstance mat =
-        buildBenchmarkSpec(findBenchmark("Vogels-Abbott"), 0.2, 7,
-                           false);
-    BenchmarkInstance comp =
-        buildBenchmarkSpec(findBenchmark("Vogels-Abbott"), 0.2, 7,
-                           true);
+    BenchmarkInstance mat = buildBenchmark(
+        findBenchmark("Vogels-Abbott"), 5.0, 7, Wiring::Spec);
+    BenchmarkInstance comp = buildBenchmark(
+        findBenchmark("Vogels-Abbott"), 5.0, 7, Wiring::Procedural);
     const RunResult m = runWith(mat.network, mat.stimulus,
                                 ConnectivityKind::Materialized, 2,
                                 50);

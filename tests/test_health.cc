@@ -184,15 +184,34 @@ TEST(HealthDetector, RateExplosionAndSilenceTrip)
 
 TEST(HealthDetector, RingWatermarkTracksOccupancy)
 {
-    LlifSetup s = llifNetwork(60, 0.1, 19);
     SimulatorOptions opts;
     opts.health.samplePeriod = 1;
-    opts.health.ringWatermark = 1e-9; // any pending write trips it
-    Simulator sim(s.net, s.stim, opts);
-    sim.run(64);
-    EXPECT_GT(sim.healthCounters().ringHighWater, 0u);
-    EXPECT_GT(sim.healthCounters().ringPeakFraction, 0.0);
-    EXPECT_LE(sim.healthCounters().ringPeakFraction, 1.0);
+
+    // A sparse network keeps the ring well below the watermark.
+    LlifSetup s = llifNetwork(60, 0.1, 19);
+    Simulator sparse(s.net, s.stim, opts);
+    sparse.run(64);
+    EXPECT_EQ(sparse.healthCounters().ringHighWater, 0u);
+    EXPECT_GT(sparse.healthCounters().ringPeakFraction, 0.0);
+    EXPECT_LT(sparse.healthCounters().ringPeakFraction,
+              health::kRingWatermark);
+
+    // Duplicate writes count each time: one source whose row holds
+    // ten synapses onto every neuron, all one step out, overfills
+    // the two-slot ring with a single spike.
+    LlifSetup d;
+    d.net.addPopulation("llif", defaultParams(ModelKind::LLIF), 20);
+    for (int copy = 0; copy < 10; ++copy)
+        for (uint32_t n = 0; n < 20; ++n)
+            d.net.addSynapse(0, {n, 0.1f, 1, 0});
+    d.net.finalize();
+    d.stim.addSource(StimulusSource::poisson(0, 1, 0.5, 2.0f, 0));
+    Simulator crowded(d.net, d.stim, opts);
+    crowded.run(64);
+    EXPECT_GT(crowded.healthCounters().ringHighWater, 0u);
+    EXPECT_GE(crowded.healthCounters().ringPeakFraction,
+              health::kRingWatermark);
+    EXPECT_LE(crowded.healthCounters().ringPeakFraction, 1.0);
 }
 
 TEST(HealthDetector, DisabledOptionsRunNoSweeps)

@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <map>
 
+#include "features/model_table.hh"
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
+#include "registry/registry.hh"
 #include "snn/simulator.hh"
 
 namespace flexon {
@@ -285,6 +289,169 @@ TEST(Microcircuit, FewHertzRegimeAndRateKnob)
     hotSim.run(2000);
     EXPECT_GT(hotSim.meanRate(), 3.0 * background);
     EXPECT_LT(hotSim.meanRate(), 0.05);
+}
+
+// ---- Golden fingerprints ----------------------------------------
+
+/**
+ * FNV-1a over everything a builder produces: the storage form, each
+ * population's name, count and parameters, every row through rowFor
+ * (target, weight bits, delay, type) and the first 200 steps of the
+ * stimulus. Any change to a builder's streams, expressions or sizes
+ * moves it, so the constants below pin the generated networks (and
+ * with them spike trains, benchmark digests and checkpoints).
+ */
+uint64_t
+fingerprint(const Network &net, StimulusGenerator &stim)
+{
+    uint64_t hash = 1469598103934665603ULL;
+    const auto mix = [&hash](uint64_t v) {
+        for (int b = 0; b < 8; ++b) {
+            hash ^= (v >> (b * 8)) & 0xff;
+            hash *= 1099511628211ULL;
+        }
+    };
+    const auto mixReal = [&mix](double v) {
+        mix(std::bit_cast<uint64_t>(v));
+    };
+    mix(net.hasSpec());
+    mix(net.procedural());
+    for (size_t p = 0; p < net.numPopulations(); ++p) {
+        const Population &pop = net.population(p);
+        mix(pop.name.size());
+        for (const char c : pop.name)
+            mix(static_cast<uint8_t>(c));
+        mix(pop.count);
+        const NeuronParams &np = pop.params;
+        mix(np.features.raw());
+        mix(np.numSynapseTypes);
+        mix(np.arSteps);
+        for (const double v :
+             {np.epsM, np.vLeak, np.deltaT, np.vCrit, np.vFiring,
+              np.epsW, np.a, np.vW, np.b, np.epsR, np.vRR, np.vAR,
+              np.qR})
+            mixReal(v);
+        for (const SynapseTypeParams &syn : np.syn) {
+            mixReal(syn.epsG);
+            mixReal(syn.vG);
+        }
+    }
+    std::vector<Synapse> scratch;
+    for (uint32_t src = 0; src < net.numNeurons(); ++src) {
+        const std::span<const Synapse> row = net.rowFor(src, scratch);
+        mix(row.size());
+        for (const Synapse &syn : row) {
+            mix(syn.target);
+            mix(std::bit_cast<uint32_t>(syn.weight));
+            mix(syn.delay);
+            mix(syn.type);
+        }
+    }
+    for (uint64_t t = 0; t < 200; ++t) {
+        const std::vector<StimulusSpike> &spikes = stim.generate(t);
+        mix(spikes.size());
+        for (const StimulusSpike &s : spikes) {
+            mix(s.target);
+            mix(std::bit_cast<uint32_t>(s.weight));
+            mix(s.type);
+        }
+    }
+    return hash;
+}
+
+constexpr std::array<Wiring, 3> allWirings = {
+    Wiring::Staged, Wiring::Spec, Wiring::Procedural};
+
+TEST(BuilderFingerprint, Table1EveryWiring)
+{
+    // {staged, spec, procedural} at scale 40, seed 5.
+    const std::map<std::string, std::array<uint64_t, 3>> golden = {
+        {"Brette", {0x81f7827170d246f0ULL, 0x8099d5a486250067ULL,
+                    0x3768a1db3b99488eULL}},
+        {"Brunel", {0xbad1b9ddaea4f2b1ULL, 0xc9d21d155ddca317ULL,
+                    0xc2808dce6d84caf6ULL}},
+        {"Destexhe-LTS", {0x859233f21f1b2f44ULL, 0x2f8c2ccd9f8f62a1ULL,
+                          0xbb25a86d3f2ab66cULL}},
+        {"Destexhe-UpDown",
+         {0x1176444d2251dccbULL, 0x2d67e5697621e09aULL,
+          0xe1c66339463e34d3ULL}},
+        {"Izhikevich", {0x5596c1ebf21abf3eULL, 0x2ffe80e0fbdff24fULL,
+                        0x82b3fb02d7ace046ULL}},
+        {"Muller", {0xb4e224bf873136acULL, 0xa335057b9b398cf1ULL,
+                    0x7c66a9805361393cULL}},
+        {"Nowotny", {0x4a81ebbaaeeb4b13ULL, 0x29e4712d3179734fULL,
+                     0xd726561be65f0df6ULL}},
+        {"Potjans-Diesmann",
+         {0xb89ef43246ce2222ULL, 0x607396fb80214b97ULL,
+          0x0e972f31933d4276ULL}},
+        {"Vogels", {0x6aab52d8a7fd9dfeULL, 0x2f0ba2ce1673a54eULL,
+                    0x3807d7ec620ad1bfULL}},
+        {"Vogels-Abbott", {0x59e8238a7cb65995ULL, 0x18958cc44d01ec22ULL,
+                           0x4a40ce3b8e62e6d7ULL}},
+    };
+    ASSERT_EQ(golden.size(), table1Benchmarks().size());
+    for (const BenchmarkSpec &spec : table1Benchmarks()) {
+        for (size_t w = 0; w < allWirings.size(); ++w) {
+            BenchmarkInstance inst =
+                buildBenchmark(spec, 40.0, 5, allWirings[w]);
+            EXPECT_EQ(fingerprint(inst.network, inst.stimulus),
+                      golden.at(spec.name)[w])
+                << spec.name << " wiring " << w;
+        }
+    }
+}
+
+TEST(BuilderFingerprint, ModelDemoEveryBuiltinModel)
+{
+    // 80 neurons, seed 5.
+    const std::map<std::string, uint64_t> golden = {
+        {"LIF", 0x5072f8f96954194fULL},
+        {"LLIF", 0x93dba9f2026d5fb7ULL},
+        {"SLIF", 0xe22015b240db9b57ULL},
+        {"DSRM0", 0xadba4a07c2f86827ULL},
+        {"DLIF", 0xffd739965f455c07ULL},
+        {"QIF", 0x8d3e30c751eac733ULL},
+        {"EIF", 0x4775a30c81700c03ULL},
+        {"Izhikevich", 0x7950fe7102e7257fULL},
+        {"AdEx", 0x6f730b035d29db8fULL},
+        {"AdEx_COBA", 0x82311e07431f6177ULL},
+        {"IF_psc_alpha", 0x0c09fc00895829abULL},
+        {"IF_cond_exp_gsfa_grr", 0x50197171676f6287ULL},
+    };
+    ASSERT_EQ(golden.size(), allModels().size());
+    for (const ModelKind kind : allModels()) {
+        const ModelDescriptor *desc =
+            ModelRegistry::instance().find(modelName(kind));
+        ASSERT_NE(desc, nullptr);
+        BenchmarkInstance inst = buildModelDemo(*desc, 80, 5);
+        EXPECT_EQ(fingerprint(inst.network, inst.stimulus),
+                  golden.at(desc->name))
+            << desc->name;
+    }
+}
+
+TEST(BuilderFingerprint, MicrocircuitEveryWiringAndDrive)
+{
+    // {staged, spec, procedural} at scale 40, seed 5, x1 and x8.
+    const std::map<double, std::array<uint64_t, 3>> golden = {
+        {1.0, {0xd02472b2ffbb99a6ULL, 0x8dcc087790e90e98ULL,
+               0x968d908095bdf48dULL}},
+        {8.0, {0x6d89caaea186936aULL, 0x878650d0eb34383cULL,
+               0x22093514d6f5ca6dULL}},
+    };
+    for (const auto &[rateScale, expected] : golden) {
+        MicrocircuitOptions opts;
+        opts.scale = 40.0;
+        opts.seed = 5;
+        opts.rateScale = rateScale;
+        for (size_t w = 0; w < allWirings.size(); ++w) {
+            MicrocircuitInstance inst =
+                buildMicrocircuit(opts, allWirings[w]);
+            EXPECT_EQ(fingerprint(inst.network, inst.stimulus),
+                      expected[w])
+                << "x" << rateScale << " wiring " << w;
+        }
+    }
 }
 
 } // namespace

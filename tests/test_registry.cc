@@ -17,7 +17,7 @@
 
 #include "common/telemetry.hh"
 #include "features/model_table.hh"
-#include "nets/model_demo.hh"
+#include "nets/table1.hh"
 #include "registry/model_file.hh"
 #include "registry/registry.hh"
 #include "snn/plasticity.hh"

@@ -351,10 +351,11 @@ runSweep(const SweepConfig &cfg)
             ConnectivityKind::Compressed,
             ConnectivityKind::Procedural};
         for (const ConnectivityKind kind : providers) {
-            BenchmarkInstance inst = buildBenchmarkSpec(
-                findBenchmark("Vogels-Abbott"), 1.0 / 40.0,
-                cfg.seed,
-                kind != ConnectivityKind::Materialized);
+            BenchmarkInstance inst = buildBenchmark(
+                findBenchmark("Vogels-Abbott"), 40.0, cfg.seed,
+                kind == ConnectivityKind::Materialized
+                    ? Wiring::Spec
+                    : Wiring::Procedural);
             SimulatorOptions opts;
             opts.connectivity = kind;
             Simulator sim(inst.network, inst.stimulus, opts);

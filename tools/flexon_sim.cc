@@ -35,7 +35,6 @@
 #include "common/health.hh"
 #include "common/logging.hh"
 #include "frontend/script.hh"
-#include "nets/model_demo.hh"
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
 #include "plan/calibration.hh"
@@ -65,8 +64,8 @@ struct Args
     EngineKind engine = EngineKind::Dense;
     ConnectivityKind connectivity = ConnectivityKind::Materialized;
     /** True once --connectivity was given; any explicit kind (even
-     *  materialized) routes benchmarks through the spec builders so
-     *  all three providers describe identical wiring. */
+     *  materialized) builds benchmarks in a spec wiring so all three
+     *  providers describe identical wiring. */
     bool connectivitySet = false;
     uint64_t steps = 1000;
     uint64_t seed = 1;
@@ -110,20 +109,26 @@ usage()
         "  [--model-file FILE]  register extra neuron models from a\n"
         "                    flexon-models-v1 file "
         "(registry/model_file.hh)\n"
-        "  [--scale S] [--steps N] [--seed N] [--threads N]\n"
+        "  [--scale S]       divide the network size by S (> 0). The\n"
+        "                    microcircuit, and Table I without\n"
+        "                    --connectivity, need S >= 1; Table I\n"
+        "                    with --connectivity grows when S < 1\n"
+        "  [--steps N] [--seed N] [--threads N]\n"
         "  [--backend reference|flexon|folded]\n"
         "  [--engine dense|event|auto]  delivery engine "
         "(auto = rate-adaptive)\n"
         "  [--connectivity materialized|compressed|procedural]\n"
-        "                    synapse-table representation; any\n"
-        "                    explicit choice builds benchmarks from\n"
-        "                    their generative spec\n"
+        "                    synapse-table representation. With\n"
+        "                    --benchmark any value, materialized\n"
+        "                    too, builds the spec wiring: another\n"
+        "                    draw than no flag. Elsewhere only\n"
+        "                    materialized, the same as no flag\n"
         "  [--calibration FILE]  install a measured calibration.json "
         "(tools/calibrate)\n"
         "  [--plan auto|fixed]  auto = the execution planner picks\n"
         "                    engine and thread count from the "
         "calibrated cost model\n"
-        "  [--rate-scale R]  external-drive multiplier "
+        "  [--rate-scale R]  external-drive multiplier, > 0 "
         "(microcircuit)\n"
         "  [--solver euler|rkf45]  (reference backend only)\n"
         "  [--raster] [--stats] [--csv FILE] [--save FILE]\n"
@@ -199,6 +204,7 @@ Args
 parseArgs(int argc, char **argv)
 {
     Args args;
+    const char *scaleText = nullptr;
     auto need_value = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage();
@@ -221,15 +227,15 @@ parseArgs(int argc, char **argv)
         } else if (flag == "--csv") {
             args.csv = need_value(i);
         } else if (flag == "--scale") {
-            const char *v = need_value(i);
-            args.scale = parseReal(flag, v);
+            scaleText = need_value(i);
+            args.scale = parseReal(flag, scaleText);
             if (!(args.scale > 0.0))
-                badValue(flag, v, "a positive number");
+                badValue(flag, scaleText, "a positive number");
         } else if (flag == "--rate-scale") {
             const char *v = need_value(i);
             args.rateScale = parseReal(flag, v);
-            if (args.rateScale < 0.0)
-                badValue(flag, v, "a non-negative number");
+            if (!(args.rateScale > 0.0))
+                badValue(flag, v, "a positive number");
         } else if (flag == "--engine") {
             const char *v = need_value(i);
             if (!parseEngineKind(v, args.engine))
@@ -324,6 +330,15 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
+    // Only the spec-built Table I networks grow past the paper's
+    // size: the staged generator draws every neuron pair, and the
+    // microcircuit's in-degrees are published at full scale.
+    if (args.scale < 1.0 && args.benchmark == "microcircuit")
+        badValue("--scale", scaleText, "a number >= 1 for microcircuit");
+    if (args.scale < 1.0 && !args.benchmark.empty() &&
+        !args.connectivitySet)
+        badValue("--scale", scaleText,
+                 "a number >= 1 without --connectivity");
     return args;
 }
 
@@ -486,8 +501,16 @@ main(int argc, char **argv)
               "scripted networks carry no generative spec",
               connectivityKindName(args.connectivity));
     }
-    const bool proceduralNet =
-        args.connectivity != ConnectivityKind::Materialized;
+    // Without --connectivity the benchmarks keep their staged
+    // generators. Any explicit kind, materialized included, builds
+    // them from their generative spec, so all three providers
+    // describe identical wiring; compressed and procedural keep only
+    // the spec.
+    const Wiring wiring =
+        !args.connectivitySet ? Wiring::Staged
+        : args.connectivity == ConnectivityKind::Materialized
+            ? Wiring::Spec
+            : Wiring::Procedural;
 
     Network net;
     StimulusGenerator stim(args.seed);
@@ -497,24 +520,14 @@ main(int argc, char **argv)
         mc.scale = args.scale;
         mc.seed = args.seed;
         mc.rateScale = args.rateScale;
-        MicrocircuitInstance inst =
-            args.connectivitySet
-                ? buildMicrocircuitSpec(mc, proceduralNet)
-                : buildMicrocircuit(mc);
+        MicrocircuitInstance inst = buildMicrocircuit(mc, wiring);
         net = std::move(inst.network);
         stim = std::move(inst.stimulus);
         title = "microcircuit";
     } else if (!args.benchmark.empty()) {
-        // --scale is a shrink divisor; the spec builder takes a
-        // growth factor, so the same flag value means the same size
-        // either way.
-        BenchmarkInstance inst =
-            args.connectivitySet
-                ? buildBenchmarkSpec(findBenchmark(args.benchmark),
-                                     1.0 / args.scale, args.seed,
-                                     proceduralNet)
-                : buildBenchmark(findBenchmark(args.benchmark),
-                                 args.scale, args.seed);
+        BenchmarkInstance inst = buildBenchmark(
+            findBenchmark(args.benchmark), args.scale, args.seed,
+            wiring);
         net = std::move(inst.network);
         stim = std::move(inst.stimulus);
         title = args.benchmark;
