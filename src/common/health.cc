@@ -1,5 +1,6 @@
 #include "common/health.hh"
 
+#include <atomic>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -127,8 +128,6 @@ parseHealthSpec(const std::string &spec, HealthOptions &out,
                 opts.saturation = policy;
             } else if (det == "rate") {
                 opts.rate = policy;
-            } else if (det == "ring") {
-                opts.ring = policy;
             } else {
                 if (err != nullptr)
                     *err = token;
@@ -158,14 +157,12 @@ parseHealthSpec(const std::string &spec, HealthOptions &out,
                     *err = token;
                 return false;
             }
-            opts.nan = opts.saturation = opts.rate = opts.ring =
-                policy;
+            opts.nan = opts.saturation = opts.rate = policy;
         }
     }
     opts.enabled = opts.nan != Policy::Off ||
                    opts.saturation != Policy::Off ||
-                   opts.rate != Policy::Off ||
-                   opts.ring != Policy::Off;
+                   opts.rate != Policy::Off;
     out = opts;
     return true;
 }
@@ -179,7 +176,6 @@ specString(const HealthOptions &opts)
     os << "nan:" << policyName(opts.nan)
        << ",sat:" << policyName(opts.saturation)
        << ",rate:" << policyName(opts.rate)
-       << ",ring:" << policyName(opts.ring)
        << ",sample=" << opts.samplePeriod;
     return os.str();
 }
@@ -296,7 +292,6 @@ Watchdog::watch()
             lastChange = now;
         } else if (std::chrono::duration<double>(now - lastChange)
                        .count() >= timeoutSec_) {
-            stalls_.fetch_add(1, std::memory_order_relaxed);
             gStalls.fetch_add(1, std::memory_order_relaxed);
             const uint64_t step =
                 gHeartbeatStep.load(std::memory_order_relaxed);

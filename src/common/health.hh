@@ -19,7 +19,6 @@
 #ifndef FLEXON_COMMON_HEALTH_HH
 #define FLEXON_COMMON_HEALTH_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -35,8 +34,8 @@ namespace health {
 
 /**
  * What a detector does when it trips. Report silently tallies into
- * the run report's health section; Warn additionally logs (rate-
- * limited); Abort writes a crash dump and exits with
+ * the session's health.* registry counters; Warn additionally logs
+ * (rate-limited); Abort writes a crash dump and exits with
  * kDetectorExitCode. Off disables the detector entirely (it is not
  * even evaluated).
  */
@@ -63,9 +62,6 @@ constexpr double kRateExplosion = 0.5;
 /** EWMA rate below this (after warmup) is silence. */
 constexpr double kRateSilence = 1e-9;
 
-/** Ring occupancy fraction at/above which the watermark trips. */
-constexpr double kRingWatermark = 0.9;
-
 /**
  * Per-session detector configuration: what --health sets. The
  * defaults are the cheap always-on profile: every detector in Report
@@ -80,10 +76,8 @@ struct HealthOptions {
     Policy nan = Policy::Report;
     /** Fix-point rail hits in the flexon/folded input scaling. */
     Policy saturation = Policy::Report;
-    /** EWMA firing-rate explosion/silence vs the thresholds below. */
+    /** EWMA firing-rate explosion/silence vs the thresholds above. */
     Policy rate = Policy::Report;
-    /** Delay-ring occupancy watermark (dense engine). */
-    Policy ring = Policy::Report;
     /** Steps between detector sweeps (clamped to >= 1). */
     uint64_t samplePeriod = 64;
     /** Steps before the rate detectors engage (startup transient). */
@@ -93,7 +87,7 @@ struct HealthOptions {
 /**
  * Parse a --health specification. Accepted forms:
  *   "off" | "warn" | "report" | "abort"     apply to all detectors
- *   comma list of DET:POLICY pairs          nan|sat|rate|ring
+ *   comma list of DET:POLICY pairs          nan|sat|rate
  *   plus numeric keys                       sample=N, warmup=N
  * e.g. "nan:abort,rate:warn,sample=16". On failure returns false and
  * stores the offending token in *err (PR 7 strict-parse convention:
@@ -107,20 +101,19 @@ std::string specString(const HealthOptions &opts);
 
 /**
  * One engine state scan: the session asks the engine to examine
- * neurons [begin, end) plus its delivery structures, and the engine
- * fills in what it found. ringCapacity 0 means "unbounded" (the
- * event engine's heap-backed ring) and disables the watermark.
+ * neurons [begin, end), and the engine fills in what it found.
  */
 struct HealthScan {
-    uint64_t checked = 0;       ///< neurons actually examined
-    uint64_t nonFinite = 0;     ///< NaN/Inf membrane values found
-    uint64_t saturated = 0;     ///< membranes pinned at a Fix rail
-    int64_t firstBad = -1;      ///< index of first bad neuron, or -1
-    uint64_t ringOccupancy = 0; ///< pending delivery writes
-    uint64_t ringCapacity = 0;  ///< ring cell capacity (0 = unbounded)
+    uint64_t checked = 0;   ///< neurons actually examined
+    uint64_t nonFinite = 0; ///< NaN/Inf membrane values found
+    uint64_t saturated = 0; ///< membranes pinned at a Fix rail
+    int64_t firstBad = -1;  ///< index of first bad neuron, or -1
 };
 
-/** Session-lifetime detector tallies (reported in the v5 report). */
+/**
+ * Session-lifetime detector tallies: a typed view of the session's
+ * health.* registry counters, which are their one store.
+ */
 struct HealthCounters {
     uint64_t sweeps = 0;           ///< detector sweeps executed
     uint64_t neuronsChecked = 0;   ///< membrane values examined
@@ -129,8 +122,6 @@ struct HealthCounters {
     uint64_t saturationHits = 0;   ///< individual rail hits tallied
     uint64_t rateExplosions = 0;   ///< sweeps with EWMA above threshold
     uint64_t rateSilences = 0;     ///< sweeps with EWMA below threshold
-    uint64_t ringHighWater = 0;    ///< sweeps at/above the watermark
-    double ringPeakFraction = 0.0; ///< max ring occupancy fraction seen
 };
 
 /**
@@ -182,7 +173,6 @@ class Watchdog {
 
     void start();
     void stop();
-    uint64_t stalls() const { return stalls_.load(); }
 
   private:
     void watch();
@@ -190,7 +180,6 @@ class Watchdog {
     double timeoutSec_;
     Policy policy_;
     std::thread thread_;
-    std::atomic<uint64_t> stalls_{0};
     bool running_ = false;
     bool stopRequested_ = false;
     std::mutex mutex_;

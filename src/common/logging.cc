@@ -1,119 +1,9 @@
 #include "common/logging.hh"
 
-#include <atomic>
 #include <cstdarg>
-#include <fstream>
-#include <mutex>
 #include <vector>
 
 namespace flexon {
-namespace {
-
-std::atomic<LogLevel> gMinLevel{LogLevel::Info};
-
-/**
- * JSONL sink state. A plain mutex (not the telemetry stateMutex):
- * logging sits below telemetry in the layering and must stay usable
- * from anywhere, including telemetry itself.
- */
-std::mutex &
-sinkMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-struct JsonlSink {
-    std::ofstream stream;
-    uint64_t lines = 0;
-};
-
-JsonlSink &
-jsonlSink()
-{
-    static JsonlSink sink;
-    return sink;
-}
-
-/** Minimal JSON string escape (logging cannot depend on telemetry). */
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c) & 0xff);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Info: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Fatal: return "fatal";
-      case LogLevel::Panic: return "panic";
-    }
-    return "unknown";
-}
-
-void
-setLogMinLevel(LogLevel level)
-{
-    gMinLevel.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logMinLevel()
-{
-    return gMinLevel.load(std::memory_order_relaxed);
-}
-
-bool
-setLogJsonlPath(const std::string &path)
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    JsonlSink &sink = jsonlSink();
-    if (sink.stream.is_open())
-        sink.stream.close();
-    sink.lines = 0;
-    if (path.empty())
-        return true;
-    sink.stream.open(path, std::ios::out | std::ios::trunc);
-    if (!sink.stream.is_open()) {
-        std::fprintf(stderr, "warn: cannot open log sink '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
-uint64_t
-logJsonlLines()
-{
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    return jsonlSink().lines;
-}
-
 namespace detail {
 
 std::string
@@ -133,9 +23,6 @@ vformat(const char *fmt, va_list ap)
 void
 emit(LogLevel level, const std::string &msg, const char *component)
 {
-    // Fatal/Panic always emit; Info/Warn honor the level filter.
-    if (level < logMinLevel() && level < LogLevel::Fatal)
-        return;
     const char *prefix = "";
     switch (level) {
       case LogLevel::Info: prefix = "info: "; break;
@@ -148,19 +35,6 @@ emit(LogLevel level, const std::string &msg, const char *component)
                      msg.c_str());
     else
         std::fprintf(stderr, "%s%s\n", prefix, msg.c_str());
-
-    std::lock_guard<std::mutex> lock(sinkMutex());
-    JsonlSink &sink = jsonlSink();
-    if (!sink.stream.is_open())
-        return;
-    sink.stream << "{\"seq\":" << sink.lines << ",\"level\":\""
-                << logLevelName(level) << "\"";
-    if (component != nullptr && component[0] != '\0')
-        sink.stream << ",\"component\":\"" << escapeJson(component)
-                    << "\"";
-    sink.stream << ",\"msg\":\"" << escapeJson(msg) << "\"}\n";
-    sink.stream.flush();
-    ++sink.lines;
 }
 
 void

@@ -7,19 +7,16 @@
  * regardless of user input. inform()/warn() report status without
  * terminating.
  *
- * Structured sinks (PR 9): messages can carry a component tag
- * (logTagged), the minimum emitted severity is configurable
- * (setLogMinLevel), and an optional JSONL sink mirrors every emitted
- * line as one machine-parseable JSON object — the form the health
- * detectors use so their firings can be grepped and post-processed
- * without scraping stderr prose.
+ * Every message goes to stderr; logTagged() adds a component prefix
+ * ("warn: [health] ..."). Counts belong in the session's metrics
+ * registry and spans in the flight recorder (common/telemetry.hh),
+ * not in log lines.
  */
 
 #ifndef FLEXON_COMMON_LOGGING_HH
 #define FLEXON_COMMON_LOGGING_HH
 
 #include <cstdarg>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -30,31 +27,10 @@ namespace flexon {
 /** Severity of a log message. */
 enum class LogLevel { Info, Warn, Fatal, Panic };
 
-/** Human-readable name of a severity ("info", "warn", ...). */
-const char *logLevelName(LogLevel level);
-
-/**
- * Drop messages below this severity (Fatal/Panic always emit). The
- * filter applies to the stderr sink and the JSONL sink alike.
- */
-void setLogMinLevel(LogLevel level);
-LogLevel logMinLevel();
-
-/**
- * Mirror every emitted message into `path` as JSON Lines, one object
- * per message: {"seq":N,"level":"warn","component":"health",
- * "msg":"..."}. An empty path closes the sink. Returns false (and
- * warns) when the file cannot be opened.
- */
-bool setLogJsonlPath(const std::string &path);
-
-/** Number of lines written to the JSONL sink since it was opened. */
-uint64_t logJsonlLines();
-
 /**
  * Tagged variant of inform()/warn(): the component name lands in the
- * stderr prefix ("warn: [health] ...") and in the JSONL record.
- * Fatal/Panic severities terminate exactly like fatal()/panic().
+ * stderr prefix ("warn: [health] ..."). Fatal/Panic severities
+ * terminate exactly like fatal()/panic().
  */
 void logTagged(LogLevel level, const char *component, const char *fmt,
                ...) __attribute__((format(printf, 3, 4)));
@@ -65,8 +41,8 @@ namespace detail {
 std::string vformat(const char *fmt, va_list ap);
 
 /**
- * Emit a formatted message with a severity prefix to stderr and the
- * JSONL sink. `component` may be nullptr (untagged message).
+ * Emit a formatted message with a severity prefix to stderr.
+ * `component` may be nullptr (untagged message).
  */
 void emit(LogLevel level, const std::string &msg,
           const char *component = nullptr);

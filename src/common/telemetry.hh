@@ -465,7 +465,7 @@ struct ReportContext
 };
 
 /**
- * Write a schema "flexon-run-report-v6" JSON document: build +
+ * Write a schema "flexon-run-report-v7" JSON document: build +
  * telemetry metadata, the caller's config and extra sections, the
  * caller's registry under "metrics" (the run's statistics), the
  * process registry under "global_metrics", and the shared

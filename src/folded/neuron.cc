@@ -1,6 +1,5 @@
 #include "folded/neuron.hh"
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "fixed/fast_exp.hh"
 
@@ -126,8 +125,6 @@ FoldedFlexonNeuron::step(std::span<const Fix> input,
     // --- Pipeline stage 2: firing check and post-fire updates.
     preResetV_ = v_acc;
     const bool fired = v_acc > c.consts.threshold;
-    FLEXON_DPRINTF(Folded, "v'=%f fired=%d", v_acc.toDouble(),
-                   fired ? 1 : 0);
     if (fired) {
         v_acc = Fix::zero();
         if (f.has(Feature::ADT) || f.has(Feature::SBT) ||

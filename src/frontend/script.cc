@@ -1,6 +1,7 @@
 #include "frontend/script.hh"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -72,6 +73,30 @@ toUint(const Line &line, const std::string &key,
     return static_cast<uint64_t>(v);
 }
 
+/** toUint, refused above `max` before the caller narrows it. */
+uint64_t
+toUintAtMost(const Line &line, const std::string &key,
+             const std::string &value, uint64_t max)
+{
+    const uint64_t v = toUint(line, key, value);
+    if (v > max)
+        parseError(line.number, "value out of range for ",
+                   key + "=" + value + " (at most " +
+                       std::to_string(max) + ")");
+    return v;
+}
+
+/** The optional type= of a connection or stimulus (default 0). */
+uint8_t
+toSynapseType(const Line &line,
+              const std::map<std::string, std::string> &kv)
+{
+    if (!kv.count("type"))
+        return 0;
+    return static_cast<uint8_t>(toUintAtMost(line, "type", kv.at("type"),
+                                             maxSynapseTypes - 1));
+}
+
 /** Parse "lo:hi" (or a single value) into a delay range. */
 std::pair<uint8_t, uint8_t>
 toDelayRange(const Line &line, const std::string &value)
@@ -117,8 +142,8 @@ applyOverride(const Line &line, NeuronParams &params,
     } else if (key == "b") {
         params.b = num();
     } else if (key == "ar_steps") {
-        params.arSteps =
-            static_cast<uint32_t>(toUint(line, key, value));
+        params.arSteps = static_cast<uint32_t>(
+            toUintAtMost(line, key, value, UINT32_MAX));
     } else if (key == "eps_r") {
         params.epsR = num();
     } else if (key == "v_rr") {
@@ -238,14 +263,7 @@ parseScript(std::istream &is)
             auto [dlo, dhi] = kv.count("delay")
                                   ? toDelayRange(line, kv.at("delay"))
                                   : std::pair<uint8_t, uint8_t>{1, 1};
-            const uint8_t type =
-                kv.count("type")
-                    ? static_cast<uint8_t>(
-                          toUint(line, "type", kv.at("type")))
-                    : 0;
-            if (type >= maxSynapseTypes)
-                parseError(line.number, "type out of range: ",
-                           kv.at("type"));
+            const uint8_t type = toSynapseType(line, kv);
             if (directive == "connect") {
                 if (!kv.count("p"))
                     parseError(line.number, "connect needs p=", "");
@@ -259,10 +277,12 @@ parseScript(std::istream &is)
             } else {
                 if (!kv.count("k"))
                     parseError(line.number, "fanout needs k=", "");
-                net.connectFixedFanout(
-                    src, dst,
-                    static_cast<size_t>(toUint(line, "k", kv.at("k"))),
-                    weight, dlo, dhi, type, rng);
+                // Targets are distinct, so at most the whole target
+                // population.
+                const uint64_t k = toUintAtMost(
+                    line, "k", kv.at("k"), net.population(dst).count);
+                net.connectFixedFanout(src, dst, static_cast<size_t>(k),
+                                       weight, dlo, dhi, type, rng);
             }
         } else if (directive == "stimulus") {
             if (line.tokens.size() < 3)
@@ -280,39 +300,50 @@ parseScript(std::istream &is)
                 parseError(line.number, "missing weight=", "");
             const float weight = static_cast<float>(
                 toDouble(line, "weight", kv.at("weight")));
-            const uint8_t type =
-                kv.count("type")
-                    ? static_cast<uint8_t>(
-                          toUint(line, "type", kv.at("type")))
-                    : 0;
+            const uint8_t type = toSynapseType(line, kv);
             if (kind == "poisson") {
                 if (!kv.count("rate"))
                     parseError(line.number, "poisson needs rate=", "");
+                const double rate =
+                    toDouble(line, "rate", kv.at("rate"));
+                if (rate < 0.0 || rate > 1.0)
+                    parseError(line.number, "rate out of [0,1]: ",
+                               kv.at("rate"));
                 script.stimulus.addSource(StimulusSource::poisson(
                     static_cast<uint32_t>(pop.base),
-                    static_cast<uint32_t>(pop.count),
-                    toDouble(line, "rate", kv.at("rate")), weight,
+                    static_cast<uint32_t>(pop.count), rate, weight,
                     type));
             } else if (kind == "pattern") {
                 if (!kv.count("period"))
                     parseError(line.number, "pattern needs period=",
                                "");
+                const uint64_t period = toUintAtMost(
+                    line, "period", kv.at("period"), UINT32_MAX);
+                if (period == 0)
+                    parseError(line.number, "period must be >= 1: ",
+                               kv.at("period"));
                 script.stimulus.addSource(StimulusSource::pattern(
                     static_cast<uint32_t>(pop.base),
                     static_cast<uint32_t>(pop.count),
-                    static_cast<uint32_t>(
-                        toUint(line, "period", kv.at("period"))),
-                    weight, type));
+                    static_cast<uint32_t>(period), weight, type));
             } else if (kind == "ou") {
                 if (!kv.count("sigma") || !kv.count("tau"))
                     parseError(line.number,
                                "ou needs sigma= and tau=", "");
+                const double sigma =
+                    toDouble(line, "sigma", kv.at("sigma"));
+                const double tau = toDouble(line, "tau", kv.at("tau"));
+                if (sigma < 0.0)
+                    parseError(line.number, "sigma must be >= 0: ",
+                               kv.at("sigma"));
+                if (tau < 1.0)
+                    parseError(line.number, "tau must be >= 1: ",
+                               kv.at("tau"));
                 // `weight` doubles as the OU mean.
                 script.stimulus.addSource(StimulusSource::ou(
                     static_cast<uint32_t>(pop.base),
-                    static_cast<uint32_t>(pop.count), weight,
-                    toDouble(line, "sigma", kv.at("sigma")),
-                    toDouble(line, "tau", kv.at("tau")), type));
+                    static_cast<uint32_t>(pop.count), weight, sigma,
+                    tau, type));
             } else {
                 parseError(line.number, "unknown stimulus kind ",
                            kind);

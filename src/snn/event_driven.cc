@@ -58,8 +58,7 @@ eventDrivenEligible(const Network &network,
             if (why)
                 *why = "population '" + pop.name +
                        "' has a negative leak (v_leak < 0); the "
-                       "engine's closed-form catch-up decays toward "
-                       "rest only";
+                       "engine's catch-up decays toward rest only";
             return false;
         }
     }
@@ -106,24 +105,41 @@ EventEngine::EventEngine(const Network &network,
     touched_.reserve(network.numNeurons());
 }
 
+EventEngine::NeuronState
+EventEngine::silentUntil(uint32_t neuron, uint64_t now) const
+{
+    NeuronState s = state_[neuron];
+    const uint64_t elapsed = now - std::min(now, s.lastUpdate);
+    // The dense kernel computes max(0, v - vLeak) once per silent
+    // step; one batched max(0, v - k * vLeak) rounds differently, so
+    // the steps are replayed. A silent v never rises, so the replay
+    // stops once v rests (or under a leak too small to move it): at
+    // most the subtractions the dense kernel made, and never more
+    // than v / vLeak + 1. Only the subtraction is on the loop's
+    // dependency chain; the floor is a branch out of it.
+    const double leak = vLeak_[neuron];
+    for (uint64_t k = 0; k < elapsed; ++k) {
+        const double next = s.v - leak;
+        if (!(next > 0.0)) { // max(0, next), a NaN included
+            s.v = 0.0;
+            break;
+        }
+        if (next == s.v)
+            break;
+        s.v = next;
+    }
+    s.refractory = elapsed >= s.refractory
+                       ? 0
+                       : s.refractory - static_cast<uint32_t>(elapsed);
+    s.lastUpdate = std::max(now, s.lastUpdate);
+    return s;
+}
+
 void
 EventEngine::catchUp(uint32_t neuron, uint64_t now)
 {
-    NeuronState &s = state_[neuron];
-    flexon_assert(now >= s.lastUpdate);
-    const uint64_t elapsed = now - s.lastUpdate;
-    if (elapsed == 0)
-        return;
-    // Closed-form silent evolution: linear decay floored at rest
-    // (the per-step clamp commutes with batching for a monotone
-    // decay) and refractory countdown.
-    s.v = std::max(0.0, s.v - vLeak_[neuron] *
-                            static_cast<double>(elapsed));
-    s.refractory = elapsed >= s.refractory
-                       ? 0
-                       : s.refractory -
-                             static_cast<uint32_t>(elapsed);
-    s.lastUpdate = now;
+    flexon_assert(now >= state_[neuron].lastUpdate);
+    state_[neuron] = silentUntil(neuron, now);
 }
 
 void
@@ -213,9 +229,9 @@ EventEngine::stepNeurons(uint64_t t, std::vector<uint8_t> &fired)
 
     // Refractory neurons must tick even without input (their
     // countdown is part of the dense semantics, and a spike is
-    // impossible for them, so the closed-form catch-up in the next
-    // touch is exact). Nothing to do here: catchUp handles both the
-    // decay and the countdown lazily.
+    // impossible for them, so the catch-up in the next touch is
+    // exact). Nothing to do here: catchUp handles both the decay and
+    // the countdown lazily.
 
     updatesCounter_.add(touched_.size());
     denseUpdatesCounter_.add(network_.numNeurons());
@@ -273,10 +289,7 @@ double
 EventEngine::membrane(uint32_t neuron, uint64_t now) const
 {
     flexon_assert(neuron < network_.numNeurons());
-    const NeuronState &s = state_[neuron];
-    const uint64_t elapsed = now - std::min(now, s.lastUpdate);
-    return std::max(0.0, s.v - vLeak_[neuron] *
-                             static_cast<double>(elapsed));
+    return silentUntil(neuron, now).v;
 }
 
 void
@@ -394,23 +407,14 @@ EventEngine::exportTransfer(uint64_t now, EngineTransfer &out) const
     out.t = now;
 
     // Materialize every neuron's state at step `now` without
-    // mutating: the same closed-form evolution catchUp applies.
+    // mutating: the same silent steps catchUp replays.
     const size_t n = state_.size();
     out.v.resize(n);
     out.refractory.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-        const NeuronState &s = state_[i];
-        const uint64_t elapsed = now - std::min(now, s.lastUpdate);
-        out.v[i] =
-            elapsed == 0
-                ? s.v
-                : std::max(0.0, s.v -
-                                    vLeak_[i] *
-                                        static_cast<double>(elapsed));
-        out.refractory[i] =
-            elapsed >= s.refractory
-                ? 0
-                : s.refractory - static_cast<uint32_t>(elapsed);
+    for (uint32_t i = 0; i < n; ++i) {
+        const NeuronState s = silentUntil(i, now);
+        out.v[i] = s.v;
+        out.refractory[i] = s.refractory;
     }
 
     // Fold each pending slot (carry first, then records, both in

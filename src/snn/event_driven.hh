@@ -7,11 +7,11 @@
  * A silent LLIF neuron reaches the resting floor after finitely many
  * steps and then stays there *exactly*, so the engine only touches
  * neurons in its active set: those with non-zero state, a pending
- * refractory countdown, or an arriving input. Because the linear
- * decay is closed-form (v -> max(0, v - k * vLeak)), skipped steps
- * are reconstructed exactly on wake-up; the engine is
- * *step-equivalent* to the dense engine, which the test suite
- * asserts spike-for-spike.
+ * refractory countdown, or an arriving input. A skipped neuron is
+ * silent, so on wake-up the engine replays the dense kernel's
+ * per-step max(0, v - vLeak) until v rests; membranes and spikes are
+ * bit-identical to the dense engine's, which the test suite asserts
+ * at every step.
  *
  * The engine is a DeliveryEngine: the session (snn/session.hh) keeps
  * the orchestration (stimulus stream, spike recording, membrane
@@ -101,11 +101,8 @@ class EventEngine : public DeliveryEngine
     }
 
     /**
-     * Health sweep: check the *stored* membrane values (catchUp's
-     * closed-form max() would mask a NaN when reconstructing), and
-     * report the pending-event backlog as ring occupancy. The
-     * backlog is unbounded (vectors, not a fixed slot), so capacity
-     * stays 0 and the watermark detector does not apply.
+     * Health sweep: check the *stored* membrane values (a catch-up's
+     * max() would mask a NaN when reconstructing).
      */
     void
     healthScan(uint64_t begin, uint64_t end,
@@ -119,13 +116,6 @@ class EventEngine : public DeliveryEngine
                     scan.firstBad = static_cast<int64_t>(n);
             }
         }
-        uint64_t pending = 0;
-        for (const auto &slot : ring_)
-            pending += slot.size();
-        for (const auto &slot : carry_)
-            pending += slot.size();
-        scan.ringOccupancy = pending;
-        scan.ringCapacity = 0;
     }
 
     void exportTransfer(uint64_t now, EngineTransfer &out) const override;
@@ -139,7 +129,10 @@ class EventEngine : public DeliveryEngine
         uint64_t lastUpdate = 0; ///< step the state was valid at
     };
 
-    /** Bring a neuron's state up to `now` via closed-form decay. */
+    /** A neuron's state after silent steps up to `now`. */
+    NeuronState silentUntil(uint32_t neuron, uint64_t now) const;
+
+    /** Bring a neuron's stored state up to `now` (silentUntil). */
     void catchUp(uint32_t neuron, uint64_t now);
 
     /** Evaluate one neuron that has input this step. */

@@ -103,9 +103,6 @@ class SpikeRouter
         return conn_.connectivityBytes();
     }
 
-    size_t ringDepth() const { return ringDepth_; }
-    size_t slotSize() const { return slotSize_; }
-
     /** The weight buffer consumed by step t's neuron phase. */
     std::span<double> slot(uint64_t t);
     std::span<const double> slot(uint64_t t) const;
@@ -144,25 +141,6 @@ class SpikeRouter
 
     /** Re-mirror plasticity weight updates (cheap when unchanged). */
     void refreshWeights() { conn_.refreshWeights(); }
-
-    /**
-     * Pending-write load across the whole delay ring: the summed
-     * undo cost of every routed and stimulus touch list. Duplicate
-     * writes to one cell count each time, so the value can exceed
-     * the cell count of the ring — callers comparing it against
-     * ringDepth() * slotSize() should clamp. Health sweeps use it as
-     * the delay-ring occupancy watermark signal.
-     */
-    uint64_t
-    pendingWrites() const
-    {
-        uint64_t total = 0;
-        for (const TouchList &list : touched_)
-            total += list.cost();
-        for (const TouchList &list : stimTouched_)
-            total += list.cost();
-        return total;
-    }
 
     // Registry counters since construction / reset().
     uint64_t events() const { return events_.value(); }

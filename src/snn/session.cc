@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "snn/event_driven.hh"
 #include "snn/plasticity.hh"
@@ -52,13 +51,7 @@ SimulationSession::HealthMetrics::HealthMetrics(
           "sweeps with the EWMA rate above the explosion threshold")),
       rateSilences(metrics.counter(
           "health.rate_silences",
-          "sweeps with the EWMA rate below the silence threshold")),
-      ringHighWater(metrics.counter(
-          "health.ring_high_water",
-          "sweeps with ring occupancy at/above the watermark")),
-      ringPeakFraction(metrics.gauge(
-          "health.ring_peak_fraction",
-          "maximum delay-ring occupancy fraction seen"))
+          "sweeps with the EWMA rate below the silence threshold"))
 {
 }
 
@@ -297,10 +290,6 @@ SimulationSession::stepOnce()
         for (PlasticityRule *rule : plasticityRules_)
             rule->onStep(fired_);
     }
-    FLEXON_DPRINTF(Simulator, "step %llu: %llu spikes so far",
-                   static_cast<unsigned long long>(t_),
-                   static_cast<unsigned long long>(
-                       spikesCounter_.value()));
     ++t_;
     stepsCounter_.add(1);
     // Probes sample after the step counter advances so membrane()
@@ -414,8 +403,7 @@ SimulationSession::healthSweep()
     health::HealthScan scan;
     const uint64_t numNeurons = network_.numNeurons();
     const bool wantScan = ho.nan != health::Policy::Off ||
-                          ho.saturation != health::Policy::Off ||
-                          ho.ring != health::Policy::Off;
+                          ho.saturation != health::Policy::Off;
     if (wantScan && numNeurons > 0) {
         uint64_t begin = 0;
         uint64_t end = numNeurons;
@@ -478,28 +466,6 @@ SimulationSession::healthSweep()
                         health_.rateSilences.value(), msg.str());
         }
     }
-
-    // Ring watermark: only meaningful for bounded rings (capacity 0
-    // = heap-backed, can't overflow). pendingWrites counts duplicate
-    // cell writes separately, so clamp the fraction at 1.
-    if (ho.ring != health::Policy::Off && scan.ringCapacity > 0) {
-        const double fraction =
-            std::min(1.0, static_cast<double>(scan.ringOccupancy) /
-                              static_cast<double>(scan.ringCapacity));
-        if (fraction > health_.ringPeakFraction.value())
-            health_.ringPeakFraction.set(fraction);
-        if (fraction >= health::kRingWatermark &&
-            scan.ringOccupancy > 0) {
-            health_.ringHighWater.add(1);
-            std::ostringstream msg;
-            msg << "delay-ring occupancy " << scan.ringOccupancy
-                << "/" << scan.ringCapacity << " ("
-                << static_cast<int>(fraction * 100.0)
-                << "%) at/above watermark, step " << t_;
-            healthApply(ho.ring, "ring-watermark",
-                        health_.ringHighWater.value(), msg.str());
-        }
-    }
 }
 
 health::HealthCounters
@@ -511,9 +477,7 @@ SimulationSession::healthCounters() const
             .saturationEvents = health_.saturationEvents.value(),
             .saturationHits = health_.saturationHits.value(),
             .rateExplosions = health_.rateExplosions.value(),
-            .rateSilences = health_.rateSilences.value(),
-            .ringHighWater = health_.ringHighWater.value(),
-            .ringPeakFraction = health_.ringPeakFraction.value()};
+            .rateSilences = health_.rateSilences.value()};
 }
 
 void
@@ -701,8 +665,9 @@ SimulationSession::writeRunReport(const std::string &path) const
     context.sections.emplace_back("checkpoint",
                                   std::move(checkpoint));
 
-    // Health section (always present since v5): what the detectors were
-    // configured to do and what they saw.
+    // Health section: what the detectors were configured to do. What
+    // they saw is the health.* counters under "metrics"; the watchdog
+    // count is process-wide, not a session metric.
     telemetry::ReportFields healthFields;
     healthFields.emplace_back("enabled",
                               healthActive_ ? "true" : "false");
@@ -711,25 +676,6 @@ SimulationSession::writeRunReport(const std::string &path) const
         telemetry::jsonQuoted(health::specString(options_.health)));
     healthFields.emplace_back(
         "sample_every", std::to_string(options_.health.samplePeriod));
-    const health::HealthCounters tallies = healthCounters();
-    healthFields.emplace_back("sweeps",
-                              std::to_string(tallies.sweeps));
-    healthFields.emplace_back("neurons_checked",
-                              std::to_string(tallies.neuronsChecked));
-    healthFields.emplace_back("nan_events",
-                              std::to_string(tallies.nanEvents));
-    healthFields.emplace_back("saturation_events",
-                              std::to_string(tallies.saturationEvents));
-    healthFields.emplace_back("saturation_hits",
-                              std::to_string(tallies.saturationHits));
-    healthFields.emplace_back("rate_explosions",
-                              std::to_string(tallies.rateExplosions));
-    healthFields.emplace_back("rate_silences",
-                              std::to_string(tallies.rateSilences));
-    healthFields.emplace_back("ring_high_water",
-                              std::to_string(tallies.ringHighWater));
-    healthFields.emplace_back("ring_peak_fraction",
-                              num(tallies.ringPeakFraction));
     healthFields.emplace_back(
         "watchdog_stalls", std::to_string(health::watchdogStalls()));
     context.sections.emplace_back("health",

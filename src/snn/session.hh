@@ -276,10 +276,9 @@ class DeliveryEngine
     virtual void loadState(std::istream &is, uint64_t now) = 0;
 
     /**
-     * Health-sweep hook: examine neurons [begin, end) plus the
-     * engine's delivery structures and fill `scan`. Called at the
-     * sweep cadence only, so implementations may be O(window)
-     * without hurting the step loop.
+     * Health-sweep hook: examine neurons [begin, end) and fill
+     * `scan`. Called at the sweep cadence only, so implementations
+     * may be O(window) without hurting the step loop.
      */
     virtual void healthScan(uint64_t begin, uint64_t end,
                             health::HealthScan &scan) const = 0;
@@ -426,7 +425,7 @@ class SimulationSession
     const telemetry::Registry &metrics() const { return metrics_; }
 
     /**
-     * Write a "flexon-run-report-v6" JSON document (config,
+     * Write a "flexon-run-report-v7" JSON document (config,
      * checkpoint section, health section, plan section, plan_audit
      * section when decisions were recorded, this registry — the
      * run's statistics — under "metrics", the process registry, pool
@@ -554,8 +553,8 @@ class SimulationSession
 
     // ---- Health monitoring and plan audit ----------------------
 
-    /** Detector tallies accumulated so far (the health.* registry
-     *  metrics; report "health"). */
+    /** Detector tallies accumulated so far: a view of the health.*
+     *  registry counters (the report's metrics section). */
     health::HealthCounters healthCounters() const;
 
     /** True when the detectors actually run (session options AND the
@@ -678,9 +677,6 @@ class SimulationSession
         telemetry::Counter &saturationHits;
         telemetry::Counter &rateExplosions;
         telemetry::Counter &rateSilences;
-        telemetry::Counter &ringHighWater;
-        /** Maximum ring occupancy fraction seen. */
-        telemetry::Gauge &ringPeakFraction;
     };
     HealthMetrics health_;
 

@@ -89,12 +89,6 @@ DenseEngine::healthScan(uint64_t begin, uint64_t end,
 {
     backend_->healthProbe(static_cast<size_t>(begin),
                           static_cast<size_t>(end), scan);
-    // Ring watermark: pending writes against the ring's cell count.
-    // Duplicate writes count twice, so the session clamps the
-    // fraction at 1.
-    scan.ringOccupancy = router_.pendingWrites();
-    scan.ringCapacity = static_cast<uint64_t>(router_.ringDepth()) *
-                        router_.slotSize();
 }
 
 double

@@ -9,8 +9,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
-#include "common/debug.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
@@ -274,31 +274,6 @@ TEST(Table, Formatters)
     EXPECT_EQ(Table::ratio(122.456, 1), "122.5x");
 }
 
-TEST(Debug, FlagsToggleAtRuntime)
-{
-    EXPECT_FALSE(debug::enabled("UnitTestFlag"));
-    debug::enable("UnitTestFlag");
-    EXPECT_TRUE(debug::enabled("UnitTestFlag"));
-    debug::disable("UnitTestFlag");
-    EXPECT_FALSE(debug::enabled("UnitTestFlag"));
-}
-
-TEST(Debug, AllEnablesEverything)
-{
-    debug::enable("All");
-    EXPECT_TRUE(debug::enabled("AnythingAtAll"));
-    debug::disable("All");
-    EXPECT_FALSE(debug::enabled("AnythingAtAll"));
-}
-
-TEST(Debug, MacroCompilesAndIsSilentWhenDisabled)
-{
-    // Must not print (nothing asserts output; this is a smoke and
-    // compile check for the macro form).
-    FLEXON_DPRINTF(UnitTestFlag, "value %d", 42);
-    SUCCEED();
-}
-
 TEST(Logging, FatalExitsWithUserErrorStatus)
 {
     // fatal() = user error: exit(1), message prefixed "fatal:".
@@ -320,9 +295,16 @@ TEST(Logging, AssertMacroReportsLocation)
 
 TEST(Logging, InformAndWarnDoNotTerminate)
 {
+    ::testing::internal::CaptureStderr();
     inform("informational %d", 1);
     warn("suspicious but survivable");
-    SUCCEED();
+    logTagged(LogLevel::Warn, "health", "tagged %d", 7);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("info: informational 1\n"), std::string::npos);
+    EXPECT_NE(err.find("warn: suspicious but survivable\n"),
+              std::string::npos);
+    // logTagged puts its component in the stderr prefix.
+    EXPECT_NE(err.find("warn: [health] tagged 7\n"), std::string::npos);
 }
 
 } // namespace

@@ -98,15 +98,14 @@ TEST(EventDriven, MembranesMatchDenseAtEveryProbe)
     Simulator dense(a.net, a.stim, opts);
     Simulator sparse(b.net, b.stim, eventOptions());
 
-    for (int chunk = 0; chunk < 20; ++chunk) {
-        dense.run(100);
-        sparse.run(100);
+    // The catch-up replays the dense kernel's per-step subtraction,
+    // so every membrane is bit-identical after every step.
+    for (int step = 0; step < 2000; ++step) {
+        dense.run(1);
+        sparse.run(1);
         for (uint32_t n = 0; n < 40; ++n) {
-            // Batched closed-form decay vs k repeated subtractions:
-            // equal to within ~1 ulp per silent interval.
-            ASSERT_NEAR(sparse.membrane(n),
-                        dense.backend().membrane(n), 1e-12)
-                << "chunk " << chunk << " neuron " << n;
+            ASSERT_EQ(sparse.membrane(n), dense.backend().membrane(n))
+                << "step " << step << " neuron " << n;
         }
     }
 }
@@ -199,8 +198,8 @@ TEST(EventDriven, RequestOnIneligibleSetupDiesWithReason)
 TEST(EventDriven, RejectsNegativeLeakNamingThePopulation)
 {
     // With v_leak < 0 a silent neuron climbs between the steps the
-    // engine skips, and can cross threshold there; the closed-form
-    // catch-up only decays toward rest, so the setup is refused.
+    // engine skips, and can cross threshold there; the catch-up only
+    // decays toward rest, so the setup is refused.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Network net;
     NeuronParams p = defaultParams(ModelKind::LLIF);
@@ -251,7 +250,7 @@ TEST(EventDriven, IgnoresSynapseTypesThePopulationLacks)
     EXPECT_EQ(event.stats().spikes, dense.stats().spikes);
     EXPECT_EQ(event.spikeCounts(), dense.spikeCounts());
     for (uint32_t n = 0; n < 60; ++n)
-        EXPECT_NEAR(event.membrane(n), dense.membrane(n), 1e-12)
+        EXPECT_EQ(event.membrane(n), dense.membrane(n))
             << "neuron " << n;
 }
 

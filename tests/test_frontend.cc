@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "frontend/script.hh"
 #include "snn/simulator.hh"
 
@@ -152,6 +155,35 @@ TEST(Script, ErrorsCarryLineNumbers)
                      "population a model=LIF count=3\n"
                      "connect a a p=0.5 weight=1 delay=0:300\n"),
                  "delay range");
+
+    // Values outside what the stimulus, wiring and delivery code
+    // accept are refused before they are narrowed or reach an
+    // assertion (exit 1, not an abort or a silent wrap).
+    const std::string pop = "population e model=LLIF count=10\n";
+    const std::pair<const char *, const char *> bad[] = {
+        {"stimulus poisson e rate=1.5 weight=0.5",
+         "line 2: rate out of"},
+        {"stimulus poisson e rate=-0.1 weight=0.5",
+         "line 2: rate out of"},
+        {"stimulus pattern e period=0 weight=0.5",
+         "line 2: period must be >= 1"},
+        {"stimulus pattern e period=4294967297 weight=0.5",
+         "line 2: value out of range for period=4294967297"},
+        {"stimulus ou e weight=0.5 sigma=0.1 tau=0.5",
+         "line 2: tau must be >= 1"},
+        {"stimulus ou e weight=0.5 sigma=-1 tau=10",
+         "line 2: sigma must be >= 0"},
+        {"fanout e e k=20 weight=0.5 delay=1:2",
+         "line 2: value out of range for k=20"},
+        {"stimulus poisson e rate=0.1 weight=0.5 type=9",
+         "line 2: value out of range for type=9"},
+        {"connect e e p=0.5 weight=0.5 type=256",
+         "line 2: value out of range for type=256"},
+    };
+    for (const auto &[line, message] : bad)
+        EXPECT_EXIT(parseScriptString(pop + line + "\n"),
+                    ::testing::ExitedWithCode(1), message)
+            << line;
 }
 
 TEST(Script, NonFiniteNumbersAreParseErrors)

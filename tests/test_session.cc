@@ -629,8 +629,15 @@ static_assert(kSwitchRunSteps > 2 * plan::kDecisionWindow);
 
 TEST(AutoEngine, SwitchingRunMatchesPinnedEnginesBitForBit)
 {
+    // Every neuron is probed after every step: a silent neuron's
+    // catch-up on the event engine, and the membranes it hands to
+    // dense at the switch, must equal the dense kernel's per-step
+    // leak to the bit.
     const ForcedSwitchCalibration forced;
-    const SimulatorOptions opts = autoOptions();
+    SimulatorOptions opts = autoOptions();
+    opts.probes.clear();
+    for (uint32_t n = 0; n < 90; ++n)
+        opts.probes.push_back(n);
 
     SimulatorOptions denseOpts = opts;
     denseOpts.engine = EngineKind::Dense;
@@ -794,10 +801,8 @@ TEST(AutoEngine, CrashDumpAfterSwitchCarriesSessionMetrics)
 
 TEST(AutoEngine, StdpAcrossSwitchMatchesPinnedDense)
 {
-    // Spikes and learned weights are the contract here. The event
-    // engine's closed-form decay may leave a resting membrane one
-    // ulp away from the dense engine's repeated subtraction, so
-    // membranes are not compared.
+    // Spikes, learned weights and membranes all match: the event
+    // engine replays the dense kernel's per-step leak.
     const ForcedSwitchCalibration forced;
     SimulatorOptions opts;
     opts.recordSpikes = true;
@@ -829,6 +834,9 @@ TEST(AutoEngine, StdpAcrossSwitchMatchesPinnedDense)
                   std::as_const(b.net).synapseAt(i).weight)
             << "synapse " << i;
     }
+    for (uint32_t n = 0; n < a.net.numNeurons(); ++n)
+        EXPECT_EQ(dense.membrane(n), autoSim.membrane(n))
+            << "neuron " << n;
 }
 
 TEST(AutoEngine, SwitchReusesTheSessionsProvider)

@@ -338,7 +338,7 @@ TEST(TelemetrySimulator, RunReportIsWellFormed)
     const std::string json = oss.str();
     std::remove(path.c_str());
 
-    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v6\""),
+    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v7\""),
               std::string::npos);
     for (const char *section :
          {"\"build\"", "\"telemetry\"", "\"config\"", "\"pool\"",

@@ -34,8 +34,8 @@ fail() {
 "$TRACE_SUMMARY" trace.json --report run.json > /dev/null \
     || fail "trace_summary cross-check rejected a good pair"
 
-grep -q '"flexon-run-report-v6"' run.json \
-    || fail "report is not schema v6"
+grep -q '"flexon-run-report-v7"' run.json \
+    || fail "report is not schema v7"
 grep -q '"health"' run.json || fail "report lacks a health section"
 
 # --- A restored run: save at step 200, restore, run 100 more. --------
@@ -58,13 +58,14 @@ grep -q '^flexon_export_step{session="Vogels-Abbott",engine=' \
 test -s metrics.prom.jsonl || fail "metrics JSONL history is empty"
 
 # --- Corrupted artifacts must fail non-zero. ------------------------
-sed 's/"flexon-run-report-v6"/"flexon-run-report-v99"/' run.json \
+sed 's/"flexon-run-report-v7"/"flexon-run-report-v99"/' run.json \
     > bad_schema.json
 if "$CHECK_REPORT" bad_schema.json > /dev/null 2>&1; then
     fail "check_report accepted an unknown schema version"
 fi
 
-sed 's/"sweeps": [0-9]*/"sweeps": 999999/' run.json > bad_health.json
+sed 's/"health\.sweeps": [0-9]*/"health.sweeps": 999999/' run.json \
+    > bad_health.json
 if "$CHECK_REPORT" bad_health.json > /dev/null 2>&1; then
     fail "check_report accepted an impossible sweep count"
 fi
@@ -126,8 +127,8 @@ grep -q '"ph"' stall_dump.json \
     || fail "watchdog dump's flight-recorder trace is empty"
 
 # --- Strict CLI parsing still rejects trailing garbage (exit 2). ----
-for bad in "--health nan:maybe" "--metrics-every 12x" \
-    "--watchdog-timeout fast"; do
+for bad in "--health nan:maybe" "--health ring:warn" \
+    "--metrics-every 12x" "--watchdog-timeout fast"; do
     set +e
     # shellcheck disable=SC2086
     "$SIM" --benchmark Vogels-Abbott --scale 20 --steps 1 $bad \

@@ -138,7 +138,7 @@ usage()
         "(implies --telemetry)\n"
         "  [--health SPEC]   invariant detectors: off|warn|report|"
         "abort,\n"
-        "                    or nan|sat|rate|ring:POLICY pairs plus\n"
+        "                    or nan|sat|rate:POLICY pairs plus\n"
         "                    sample=N / warmup=N "
         "(default report,sample=64)\n"
         "  [--metrics-out FILE]  live Prometheus snapshot (plus "
@@ -295,7 +295,7 @@ parseArgs(int argc, char **argv)
             std::string bad;
             if (!health::parseHealthSpec(v, args.health, &bad))
                 badValue(flag, bad.c_str(),
-                         "off|warn|report|abort, nan|sat|rate|ring:"
+                         "off|warn|report|abort, nan|sat|rate:"
                          "POLICY pairs, sample=N, warmup=N");
         } else if (flag == "--metrics-out") {
             args.metricsOut = need_value(i);
