@@ -85,8 +85,12 @@ main()
 
     const std::vector<int> widths = {6, 8, 10, 12, 16, 22};
     std::vector<std::string> header = {"Model"};
-    for (int w : widths)
-        header.push_back("f" + std::to_string(w) + " err%");
+    for (int w : widths) {
+        std::string name = "f";
+        name += std::to_string(w);
+        name += " err%";
+        header.push_back(name);
+    }
     Table table(header);
 
     for (ModelKind kind :

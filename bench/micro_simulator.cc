@@ -198,8 +198,11 @@ BM_SynapsePhase(benchmark::State &state)
     uint64_t t = 0;
     router.routeStep(t++, fired); // events-per-step probe + warm-up
     const uint64_t perStep = router.events();
-    state.SetLabel("r" + std::to_string(ratePct) + "/t" +
-                   std::to_string(threads));
+    std::string label = "r";
+    label += std::to_string(ratePct);
+    label += "/t";
+    label += std::to_string(threads);
+    state.SetLabel(label);
     for (auto _ : state)
         router.routeStep(t++, fired);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -36,7 +36,8 @@ renderRaster(const std::vector<SpikeEvent> &events, size_t num_neurons,
 
     std::string out;
     for (size_t r = 0; r < rows; ++r) {
-        std::string label = "n" + std::to_string(r * stride);
+        std::string label = "n";
+        label += std::to_string(r * stride);
         label.resize(8, ' ');
         out += label;
         for (size_t c = 0; c < options.columns; ++c) {

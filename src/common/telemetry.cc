@@ -77,14 +77,14 @@ threadTraceBuffer()
 }
 
 void
-appendTraceEvent(const char *name, char ph)
+appendTraceEvent(const char *name, char ph, uint64_t atNanos)
 {
     TraceBuffer &buffer = threadTraceBuffer();
     if (buffer.events.size() >= buffer.capacity) {
         ++buffer.dropped;
         return;
     }
-    buffer.events.push_back({name, nowNanos(), buffer.tid, ph});
+    buffer.events.push_back({name, atNanos, buffer.tid, ph});
 }
 
 } // namespace
@@ -445,21 +445,21 @@ Registry::writeJson(std::ostream &os, int indent) const
 // ---------------------------------------------------------------
 
 void
-traceBegin(const char *name)
+traceBegin(const char *name, uint64_t atNanos)
 {
-    appendTraceEvent(name, 'B');
+    appendTraceEvent(name, 'B', atNanos);
 }
 
 void
-traceEnd(const char *name)
+traceEnd(const char *name, uint64_t atNanos)
 {
-    appendTraceEvent(name, 'E');
+    appendTraceEvent(name, 'E', atNanos);
 }
 
 void
 traceInstant(const char *name)
 {
-    appendTraceEvent(name, 'i');
+    appendTraceEvent(name, 'i', nowNanos());
 }
 
 size_t
@@ -574,7 +574,10 @@ jsonEscape(std::string_view s)
 std::string
 jsonQuoted(std::string_view s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 std::string
@@ -612,7 +615,9 @@ writeFields(std::ostream &os, const ReportFields &fields,
            << ": " << value;
         first = false;
     }
-    os << (first ? "" : "\n" + indentOf(indent - 2)) << "}";
+    if (!first)
+        os << '\n' << indentOf(indent - 2);
+    os << "}";
 }
 
 ReportFields
@@ -675,9 +680,10 @@ poolFields()
     std::string busy = "[";
     std::string chunks = "[";
     for (size_t i = 0; i < snap.laneBusyNs.size(); ++i) {
-        busy += (i ? ", " : "") + std::to_string(snap.laneBusyNs[i]);
-        chunks +=
-            (i ? ", " : "") + std::to_string(snap.laneChunks[i]);
+        busy += i ? ", " : "";
+        busy += std::to_string(snap.laneBusyNs[i]);
+        chunks += i ? ", " : "";
+        chunks += std::to_string(snap.laneChunks[i]);
     }
     fields.emplace_back("lane_busy_ns", busy + "]");
     fields.emplace_back("lane_chunks", chunks + "]");

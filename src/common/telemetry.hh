@@ -341,14 +341,15 @@ class Registry
 // ---------------------------------------------------------------
 
 /**
- * Append a B (begin) span event named `name` for this thread.
- * `name` must outlive the recorder (string literals / registry-owned
- * strings). No-op unless tracing is enabled.
+ * Append a B (begin) span event named `name` for this thread, stamped
+ * `atNanos` (a nowNanos() reading; now by default). `name` must
+ * outlive the recorder (string literals / registry-owned strings).
+ * No-op unless tracing is enabled.
  */
-void traceBegin(const char *name);
+void traceBegin(const char *name, uint64_t atNanos = nowNanos());
 
 /** Append the matching E (end) event. Call iff traceBegin() ran. */
-void traceEnd(const char *name);
+void traceEnd(const char *name, uint64_t atNanos = nowNanos());
 
 /**
  * Append a thread-scoped instant event (ph "i"): a point-in-time
@@ -381,8 +382,10 @@ class TraceScope
 
 /**
  * RAII scope that accumulates into a Timer and (optionally) emits a
- * flight-recorder span of the same extent. The timer is always fed;
- * the span only when tracing is on at entry.
+ * flight-recorder span of the same extent: the span is stamped with
+ * the timer's own two clock readings, so the two measure one
+ * interval even if the thread is preempted between them. The timer
+ * is always fed; the span only when tracing is on at entry.
  */
 class ScopedTimer
 {
@@ -393,13 +396,14 @@ class ScopedTimer
           start_(nowNanos())
     {
         if (span_)
-            traceBegin(span_);
+            traceBegin(span_, start_);
     }
     ~ScopedTimer()
     {
-        timer_->addNanos(nowNanos() - start_);
+        const uint64_t end = nowNanos();
+        timer_->addNanos(end - start_);
         if (span_)
-            traceEnd(span_);
+            traceEnd(span_, end);
     }
     ScopedTimer(const ScopedTimer &) = delete;
 

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "features/kernel_level.hh"
 #include "flexon/config.hh"
 
 namespace flexon {
@@ -88,39 +89,8 @@ struct KernelArgs
 using StepKernelFn = void (*)(const KernelArgs &args, size_t begin,
                               size_t end);
 
-/**
- * The instruction-set levels every step kernel is compiled for. A
- * vector level steps Lanes::width neurons at a time (4 for AVX2, 8
- * for AVX-512), each lane in the scalar Fix operation order, and
- * leaves the tail of a slice to the scalar body, so every level is
- * bit-identical to the others.
- */
-enum class KernelLevel : uint8_t { Scalar, Avx2, Avx512 };
-
-const char *kernelLevelName(KernelLevel level);
-
-/** True iff this CPU (and its OS) can run kernels of `level`. */
-bool cpuHasKernelLevel(KernelLevel level);
-
-/** The widest level this CPU runs: what selectStepKernel picks. */
-KernelLevel bestKernelLevel();
-
-/**
- * Internal entry point for the equivalence tests: make later
- * selectStepKernel calls pick `level` instead of bestKernelLevel().
- * Returns false, and changes nothing, if the CPU lacks `level`.
- * Populations keep the kernel they were built with.
- */
-bool setKernelLevel(KernelLevel level);
-
 /** One population's step kernel. */
-struct SelectedKernel
-{
-    StepKernelFn step;
-    /** True iff a compile-time specialized instantiation was found. */
-    bool specialized;
-    KernelLevel level;
-};
+using SelectedKernel = KernelChoice<StepKernelFn>;
 
 /**
  * Pick the step kernel for a feature set, once per population: a

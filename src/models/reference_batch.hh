@@ -5,14 +5,20 @@
  * The reference backend used to keep one ReferenceNeuron per network
  * neuron, each dragging a private NeuronParams copy (hundreds of
  * bytes) through the cache on every step. A ReferenceBatch stores the
- * parameter set once per population, hoists the feature decisions out
- * of the inner loop, and streams the state variables v/y/g/w/r/cnt as
- * contiguous arrays — the same per-population SoA treatment the
- * Flexon batch kernels apply (flexon/kernel.hh).
+ * parameter set once per population and streams the state variables
+ * v/y/g/w/r/cnt as contiguous arrays (y and g type-major) — the same
+ * per-population SoA treatment the Flexon batch kernels apply
+ * (flexon/kernel.hh). Its step kernel is picked once, by feature mask
+ * and KernelLevel, through the lookup both kernel families share
+ * (features/kernel_level.hh): a compile-time specialization for the
+ * masks of the shared table, a runtime-query body for any other, each
+ * at the scalar, AVX2 or AVX-512 level.
  *
- * Bit-exactness contract: step() performs the exact double-precision
- * operation order of ReferenceNeuron::step (Equations 3-8), so the
- * batch path is bit-identical to the scalar golden model.
+ * Bit-exactness contract: every kernel performs the exact
+ * double-precision operation order of ReferenceNeuron::step
+ * (Equations 3-8), lane by lane at the vector levels, so the batch
+ * path is bit-identical to the scalar golden model at every level and
+ * thread count.
  */
 
 #ifndef FLEXON_MODELS_REFERENCE_BATCH_HH
@@ -23,9 +29,17 @@
 #include <span>
 #include <vector>
 
+#include "features/kernel_level.hh"
 #include "features/params.hh"
 
 namespace flexon {
+
+/** One kernel call's arrays and parameters (reference_batch.cc). */
+struct ReferenceStepArgs;
+
+/** Steps batch-local neurons [begin, end). */
+using ReferenceStepFn = void (*)(const ReferenceStepArgs &args,
+                                 size_t begin, size_t end);
 
 /** A population of discrete reference neurons in SoA form. */
 class ReferenceBatch
@@ -47,6 +61,9 @@ class ReferenceBatch
      */
     void step(const double *input, uint8_t *fired, size_t begin,
               size_t end);
+
+    /** The level of the kernel this batch was built with. */
+    KernelLevel kernelLevel() const { return kernel_.level; }
 
     double membrane(size_t idx) const { return v_[idx]; }
     double preResetV(size_t idx) const { return preResetV_[idx]; }
@@ -93,33 +110,26 @@ class ReferenceBatch
 
     /**
      * Checkpoint the batch's dynamic state (v/w/r/preResetV/y/g/cnt
-     * arrays). Text, exact round trip; the stream must carry 17
-     * significant digits (snn/serialize.hh checkpoint framing).
+     * arrays, y and g neuron-major). Text, exact round trip; the
+     * stream must carry 17 significant digits (snn/serialize.hh
+     * checkpoint framing), and non-finite values round-trip too.
      * loadState fatal()s when the recorded shape does not match.
      */
     void saveState(std::ostream &os) const;
     void loadState(std::istream &is);
 
   private:
-    /**
-     * The neuron loop, compiled once without the per-neuron threshold
-     * lookup (the common path, byte-for-byte the pre-IE loop) and
-     * once with it (populations under intrinsic excitability).
-     */
-    template <bool kThresholdOffsets>
-    void stepImpl(const double *input, uint8_t *fired, size_t begin,
-                  size_t end);
-
     NeuronParams params_;
     size_t count_;
     size_t stride_; ///< params_.numSynapseTypes
+    KernelChoice<ReferenceStepFn> kernel_;
 
     std::vector<double> v_;
     std::vector<double> w_;
     std::vector<double> r_;
     std::vector<double> preResetV_;
-    std::vector<double> y_; ///< count * stride
-    std::vector<double> g_; ///< count * stride
+    std::vector<double> y_; ///< [type][neuron], stride * count
+    std::vector<double> g_; ///< [type][neuron], stride * count
     std::vector<uint32_t> cnt_;
     /** Per-neuron threshold offsets; empty until the first write. */
     std::vector<double> thrOffset_;

@@ -93,6 +93,8 @@ writeCalibrationJson(std::ostream &os, const CalibrationData &cal)
        << cal.model.ringClearNsPerCell << ",\n";
     os << "    \"step_overhead_ns\": " << cal.model.stepOverheadNs
        << ",\n";
+    os << "    \"serial_ns_per_neuron\": "
+       << cal.model.serialNsPerNeuron << ",\n";
     os << "    \"dispatch_ns_per_lane\": "
        << cal.model.dispatchNsPerLane << ",\n";
     os << "    \"parallel_efficiency\": "
@@ -149,6 +151,9 @@ validateCalibration(const CalibrationData &cal, double maxResidual,
                           "positive number (got " +
                           std::to_string(c.value) + ")");
     }
+    if (!std::isfinite(m.serialNsPerNeuron) || m.serialNsPerNeuron < 0.0)
+        return reject("serial_ns_per_neuron must be a non-negative "
+                      "number");
     if (!std::isfinite(m.parallelEfficiency) ||
         m.parallelEfficiency <= 0.0 || m.parallelEfficiency > 1.0)
         return reject("parallel_efficiency must be in (0, 1]");
@@ -218,6 +223,8 @@ loadCalibrationFile(const std::string &path, CalibrationData &out,
                     slot = &m.ringClearNsPerCell;
                 else if (field == "step_overhead_ns")
                     slot = &m.stepOverheadNs;
+                else if (field == "serial_ns_per_neuron")
+                    slot = &m.serialNsPerNeuron;
                 else if (field == "dispatch_ns_per_lane")
                     slot = &m.dispatchNsPerLane;
                 else if (field == "parallel_efficiency")

@@ -95,6 +95,13 @@ struct CostModel
     /** Fixed per-step orchestration cost (phase setup, serial). */
     double stepOverheadNs = 400.0;
     /**
+     * Serial per-neuron work outside the neuron phase (the stimulus
+     * draw and the fired sweep), per neuron per step. Both engines
+     * pay it, so it cancels in the crossover. Builtin 0: the hand
+     * anchors fold it into stepOverheadNs.
+     */
+    double serialNsPerNeuron = 0.0;
+    /**
      * Added per-step cost per engaged worker lane (pool dispatch +
      * barrier). This is what makes the planner keep small
      * populations serial.

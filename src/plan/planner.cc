@@ -74,8 +74,8 @@ ExecutionPlanner::predictDenseStepSec(const NetworkStats &net,
     const double synapsePhase =
         rate * n * net.meanFanOut() *
         (m.deliveryNsPerRecord / eff + m.ringClearNsPerCell);
-    return (m.stepOverheadNs + dispatch + neuronPhase +
-            synapsePhase) *
+    return (m.stepOverheadNs + n * m.serialNsPerNeuron + dispatch +
+            neuronPhase + synapsePhase) *
            kNsToSec;
 }
 
@@ -89,7 +89,9 @@ ExecutionPlanner::predictEventStepSec(const NetworkStats &net,
     const double perSpike =
         (k + 1.0) * m.eventNsPerUnit +
         k * (m.deliveryNsPerRecord + m.ringClearNsPerCell);
-    return (m.stepOverheadNs + rate * n * perSpike) * kNsToSec;
+    return (m.stepOverheadNs + n * m.serialNsPerNeuron +
+            rate * n * perSpike) *
+           kNsToSec;
 }
 
 double

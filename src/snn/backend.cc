@@ -9,6 +9,7 @@
 
 #include "common/health.hh"
 #include "common/logging.hh"
+#include "common/text_number.hh"
 #include "common/thread_pool.hh"
 #include "flexon/array.hh"
 #include "folded/array.hh"
@@ -171,12 +172,14 @@ class ReferenceBackend : public NeuronBackend
             batch.loadState(is);
         for (OdeNeuron &neuron : continuous_) {
             NeuronState s;
-            is >> s.v;
+            readDouble(is, s.v);
             for (double &y : s.y)
-                is >> y;
+                readDouble(is, y);
             for (double &g : s.g)
-                is >> g;
-            is >> s.w >> s.r >> s.cnt;
+                readDouble(is, g);
+            readDouble(is, s.w);
+            readDouble(is, s.r);
+            is >> s.cnt;
             neuron.setState(s);
         }
         if (!is)

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/text_number.hh"
 #include "common/thread_pool.hh"
 
 namespace flexon {
@@ -338,19 +339,21 @@ readRingRle(std::istream &is, std::vector<double> &values)
     size_t i = 0;
     std::string token;
     while (i < values.size() && is >> token) {
-        // A token is one value or a `zN` run of +0.0. strtod/strtoull
-        // throw nothing (and, unlike std::stod, keep subnormals); a
-        // token they do not consume whole is corrupt.
+        // A token is one value or a `zN` run of +0.0. strtoull throws
+        // nothing; a token not consumed whole is corrupt.
         const bool zeros = token[0] == 'z';
         const char *const text = token.c_str() + (zeros ? 1 : 0);
         char *end = nullptr;
         size_t run = 1;
         double value = 0.0;
-        if (zeros)
+        bool ok = true;
+        if (zeros) {
             run = std::strtoull(text, &end, 10);
-        else
-            value = std::strtod(text, &end);
-        if (end == text || *end != '\0')
+            ok = end != text && *end == '\0';
+        } else {
+            ok = parseDouble(text, value);
+        }
+        if (!ok)
             fatal("malformed ring section in checkpoint");
         if (run == 0 || run > values.size() - i)
             fatal("corrupt ring run length in checkpoint");

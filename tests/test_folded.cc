@@ -308,7 +308,8 @@ TEST(FoldedArrayCheckpoint, RoundTripsAndRejectsAbsentSynapseTypes)
     size_t pos = text.find('\n') + 1;
     for (size_t field = 0; field <= config.numSynapseTypes; ++field)
         pos = text.find(' ', pos) + 1;
-    text.replace(pos, text.find(' ', pos) - pos, "1");
+    text.erase(pos, text.find(' ', pos) - pos);
+    text.insert(pos, 1, '1');
     std::istringstream bad(text);
     EXPECT_EXIT(restored.loadState(bad), ::testing::ExitedWithCode(1),
                 "synapse type");

@@ -18,11 +18,18 @@
  * The folded array steps on the same kernels, so each case also runs
  * a FoldedFlexonArray against one FoldedFlexonNeuron per neuron: the
  * microcode the array's timing model counts but does not execute.
+ *
+ * The double kernel (ReferenceBatch) carries the same contract against
+ * ReferenceNeuron, the scalar golden model, at every forced level: the
+ * full state of every neuron is compared by bits after every step.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <cmath>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -30,6 +37,7 @@
 
 #include "common/health.hh"
 #include "common/random.hh"
+#include "common/telemetry.hh"
 #include "features/model_table.hh"
 #include "flexon/array.hh"
 #include "flexon/config.hh"
@@ -38,6 +46,8 @@
 #include "folded/neuron.hh"
 #include "models/reference_batch.hh"
 #include "models/reference_neuron.hh"
+#include "snn/backend.hh"
+#include "snn/network.hh"
 
 namespace flexon {
 namespace {
@@ -594,6 +604,318 @@ TEST_P(ForcedKernelLevel, RailTapCountsExactly)
             EXPECT_GT(railed, 0u);
             EXPECT_GT(blockedLive, 0u);
         }
+    }
+}
+
+/** Bit equality of two doubles, counting any two NaNs as equal. */
+bool
+sameDouble(double a, double b)
+{
+    return (std::isnan(a) && std::isnan(b)) ||
+           std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+/** Every field of two reference neurons' states, by sameDouble. */
+testing::AssertionResult
+sameState(const NeuronState &got, double gotPreResetV,
+          const NeuronState &want, double wantPreResetV)
+{
+    const auto differ = [](const char *field, double a, double b) {
+        return testing::AssertionFailure()
+               << field << ": " << std::setprecision(17) << a << " vs "
+               << b;
+    };
+    if (!sameDouble(got.v, want.v))
+        return differ("v", got.v, want.v);
+    if (!sameDouble(gotPreResetV, wantPreResetV))
+        return differ("preResetV", gotPreResetV, wantPreResetV);
+    if (!sameDouble(got.w, want.w))
+        return differ("w", got.w, want.w);
+    if (!sameDouble(got.r, want.r))
+        return differ("r", got.r, want.r);
+    for (size_t t = 0; t < maxSynapseTypes; ++t) {
+        if (!sameDouble(got.y[t], want.y[t]))
+            return differ("y", got.y[t], want.y[t]);
+        if (!sameDouble(got.g[t], want.g[t]))
+            return differ("g", got.g[t], want.g[t]);
+    }
+    if (got.cnt != want.cnt)
+        return testing::AssertionFailure()
+               << "cnt: " << got.cnt << " vs " << want.cnt;
+    return testing::AssertionSuccess();
+}
+
+/** makeParams, with `types` synapse types on CUB masks too. */
+NeuronParams
+makeReferenceParams(FeatureSet features, size_t types)
+{
+    NeuronParams p = makeParams(features, types);
+    p.numSynapseTypes = types;
+    EXPECT_EQ(p.validate(), "");
+    return p;
+}
+
+/**
+ * One step's reference-unit input: makeInput's drive, or with `edge`
+ * a kEdgeInputs value in half the slots.
+ */
+std::vector<double>
+makeReferenceInput(Rng &rng, size_t n, bool edge)
+{
+    if (!edge)
+        return makeInput(rng, n);
+    std::vector<double> input(n * maxSynapseTypes, 0.0);
+    for (double &slot : input) {
+        if (rng.bernoulli(0.5))
+            slot = kEdgeInputs[rng.uniformInt(kEdgeInputs.size())];
+    }
+    return input;
+}
+
+/**
+ * Run `kSteps` of `n` neurons through a ReferenceBatch built at the
+ * forced level, one built at the scalar level, and one ReferenceNeuron
+ * per neuron. With `offsets`, every third neuron gets a threshold
+ * offset, which the golden model has no field for, so those neurons
+ * are compared against the scalar batch only. After every step,
+ * spikes and the full state must match by bits. Adds the number of
+ * spikes to `spikes`.
+ */
+void
+expectReferenceBatchMatches(const NeuronParams &params, size_t n,
+                            bool edge, bool offsets, size_t &spikes)
+{
+    SCOPED_TRACE(testing::Message()
+                 << "features=" << params.features.toString()
+                 << " types=" << params.numSynapseTypes << " n=" << n
+                 << " edge=" << edge << " offsets=" << offsets);
+    ReferenceBatch batch(params, n);
+    const KernelLevel level = batch.kernelLevel();
+    ASSERT_EQ(level, activeKernelLevel());
+    setKernelLevel(KernelLevel::Scalar);
+    ReferenceBatch scalarBatch(params, n);
+    setKernelLevel(level);
+    std::vector<ReferenceNeuron> golden(n, ReferenceNeuron(params));
+    const auto hasOffset = [&](size_t i) { return offsets && i % 3 == 0; };
+    for (size_t i = 0; i < n; ++i) {
+        if (hasOffset(i)) {
+            const double offset = 0.05 * static_cast<double>(i % 7) - 0.15;
+            batch.setThresholdOffset(i, offset);
+            scalarBatch.setThresholdOffset(i, offset);
+        }
+    }
+
+    Rng rng(0x5eed);
+    std::vector<uint8_t> fired(n), firedScalar(n);
+    for (size_t step = 0; step < kSteps; ++step) {
+        const std::vector<double> input = makeReferenceInput(rng, n, edge);
+        batch.step(input.data(), fired.data(), 0, n);
+        scalarBatch.step(input.data(), firedScalar.data(), 0, n);
+        for (size_t i = 0; i < n; ++i) {
+            spikes += fired[i];
+            ASSERT_EQ(fired[i], firedScalar[i])
+                << "step " << step << " neuron " << i;
+            ASSERT_TRUE(sameState(batch.state(i), batch.preResetV(i),
+                                  scalarBatch.state(i),
+                                  scalarBatch.preResetV(i)))
+                << "step " << step << " neuron " << i << " (scalar batch)";
+            if (hasOffset(i))
+                continue;
+            const bool expect = golden[i].step(std::span<const double>(
+                input.data() + i * maxSynapseTypes,
+                params.numSynapseTypes));
+            ASSERT_EQ(fired[i] != 0, expect)
+                << "step " << step << " neuron " << i;
+            ASSERT_TRUE(sameState(batch.state(i), batch.preResetV(i),
+                                  golden[i].state(),
+                                  golden[i].preResetV()))
+                << "step " << step << " neuron " << i << " (golden)";
+        }
+    }
+}
+
+TEST_P(ForcedKernelLevel, ReferenceBatchEveryFeatureAndModel)
+{
+    for (size_t f = 0; f < numFeatures; ++f) {
+        const Feature feature = static_cast<Feature>(f);
+        size_t spikes = 0;
+        expectReferenceBatchMatches(makeParams(singleFeatureHost(feature)),
+                                    kNeuronsPerPop, false, false, spikes);
+        EXPECT_GT(spikes, 0u) << featureName(feature);
+    }
+    for (ModelKind model : allModels()) {
+        size_t spikes = 0;
+        expectReferenceBatchMatches(defaultParams(model), kNeuronsPerPop,
+                                    false, false, spikes);
+        EXPECT_GT(spikes, 0u) << modelName(model);
+    }
+}
+
+TEST_P(ForcedKernelLevel, ReferenceBatchSynapseTypeCountsAndTails)
+{
+    // As for the Q10.22 kernels: sizes leave every tail length of the
+    // 4- and 8-lane loops, and 1-4 synapse types set the y/g stride
+    // and the input columns read. The off-table mask runs the
+    // runtime-query body.
+    using enum Feature;
+    const std::array<size_t, 8> sizes = {1, 3, 4, 5, 7, 8, 9, 41};
+    const std::array<FeatureSet, 7> masks = {
+        FeatureSet{LID, CUB, AR},                 // LLIF
+        FeatureSet{EXD, COBE},
+        FeatureSet{EXD, COBA, AR},
+        FeatureSet{EXD, COBE, REV, AR},           // DLIF
+        FeatureSet{EXD, COBE, REV, QDI, ADT, AR}, // Izhikevich
+        FeatureSet{EXD, COBE, REV, AR, RR},
+        FeatureSet{EXD, CUB, QDI, ADT, AR},       // not in the table
+    };
+    for (const FeatureSet &features : masks) {
+        for (size_t types = 1; types <= maxSynapseTypes; ++types) {
+            size_t spikes = 0;
+            for (size_t n : sizes) {
+                expectReferenceBatchMatches(
+                    makeReferenceParams(features, types), n, false, false,
+                    spikes);
+            }
+            EXPECT_GT(spikes, 0u) << features.toString() << " " << types;
+        }
+    }
+}
+
+TEST_P(ForcedKernelLevel, ReferenceBatchThresholdOffsetsAndEdgeInputs)
+{
+    // Overflowing, infinite, NaN, signed-zero and subnormal inputs, on
+    // every model, with and without threshold offsets; and offsets on
+    // finite drive. LLIF with offsets is the LIFL_IE model.
+    for (ModelKind model : allModels()) {
+        const NeuronParams params = defaultParams(model);
+        size_t spikes = 0;
+        expectReferenceBatchMatches(params, kNeuronsPerPop, false, true,
+                                    spikes);
+        EXPECT_GT(spikes, 0u) << modelName(model);
+        for (bool offsets : {false, true}) {
+            size_t edgeSpikes = 0;
+            expectReferenceBatchMatches(params, kNeuronsPerPop, true,
+                                        offsets, edgeSpikes);
+        }
+    }
+}
+
+TEST_P(ForcedKernelLevel, ReferenceGenericKernelCountsFallbackSteps)
+{
+    telemetry::Counter &fallback =
+        telemetry::Registry::global().counter(
+            "kernel_fallback_steps",
+            "neuron steps taken by the generic fallback kernel");
+    using enum Feature;
+    const size_t n = 13;
+    std::vector<double> input(n * maxSynapseTypes, 0.0);
+    std::vector<uint8_t> fired(n);
+    ReferenceBatch table(makeParams(FeatureSet{LID, CUB, AR}), n);
+    uint64_t before = fallback.value();
+    table.step(input.data(), fired.data(), 0, n);
+    EXPECT_EQ(fallback.value(), before);
+    ReferenceBatch generic(makeParams(FeatureSet{EXD, CUB, QDI, ADT, AR}), n);
+    before = fallback.value();
+    generic.step(input.data(), fired.data(), 0, n);
+    EXPECT_EQ(fallback.value() - before, n);
+}
+
+/**
+ * The `backend reference discrete` checkpoint text the golden neurons
+ * imply for `net`: one `batch` line per population, y and g
+ * neuron-major.
+ */
+std::string
+referenceBackendText(const Network &net,
+                     const std::vector<ReferenceNeuron> &golden)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << "backend reference discrete "
+       << golden.size() << '\n';
+    size_t base = 0;
+    for (size_t p = 0; p < net.numPopulations(); ++p) {
+        const Population &pop = net.population(p);
+        const size_t types = pop.params.numSynapseTypes;
+        const auto neurons = std::span(golden).subspan(base, pop.count);
+        os << "batch " << pop.count << ' ' << types;
+        for (const ReferenceNeuron &n : neurons)
+            os << ' ' << n.state().v;
+        for (const ReferenceNeuron &n : neurons)
+            os << ' ' << n.state().w;
+        for (const ReferenceNeuron &n : neurons)
+            os << ' ' << n.state().r;
+        for (const ReferenceNeuron &n : neurons)
+            os << ' ' << n.preResetV();
+        for (const ReferenceNeuron &n : neurons) {
+            for (size_t t = 0; t < types; ++t)
+                os << ' ' << n.state().y[t];
+        }
+        for (const ReferenceNeuron &n : neurons) {
+            for (size_t t = 0; t < types; ++t)
+                os << ' ' << n.state().g[t];
+        }
+        for (const ReferenceNeuron &n : neurons)
+            os << ' ' << n.state().cnt;
+        os << '\n';
+        base += pop.count;
+    }
+    return os.str();
+}
+
+TEST_P(ForcedKernelLevel, ReferenceBackendThreadsBitIdentical)
+{
+    // Uneven populations, so the pool's chunk boundaries fall inside
+    // populations and every tail length occurs; one mask is off the
+    // table. The whole state is compared through the checkpoint text,
+    // which at 17 digits differs for any two finite doubles.
+    struct Pop
+    {
+        NeuronParams params;
+        size_t count;
+    };
+    using enum Feature;
+    const std::array<Pop, 4> pops = {
+        Pop{makeReferenceParams(FeatureSet{LID, CUB, AR}, 2), 13},
+        Pop{defaultParams(ModelKind::AdEx), 21},
+        Pop{makeReferenceParams(FeatureSet{EXD, CUB, QDI, ADT, AR}, 3), 10},
+        Pop{defaultParams(ModelKind::IFPscAlpha), 9},
+    };
+    Network net;
+    std::vector<ReferenceNeuron> prototype;
+    for (const Pop &pop : pops) {
+        net.addPopulation("pop", pop.params, pop.count);
+        prototype.insert(prototype.end(), pop.count,
+                         ReferenceNeuron(pop.params));
+    }
+    net.finalize();
+    const size_t n = prototype.size();
+
+    for (size_t threads : kThreadCounts) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        const auto backend = makeReferenceBackend(
+            net, IntegrationMode::Discrete, SolverKind::Euler, threads);
+        std::vector<ReferenceNeuron> golden = prototype;
+        Rng rng(0xabcd);
+        std::vector<uint8_t> fired;
+        size_t spikes = 0;
+        for (size_t step = 0; step < kSteps; ++step) {
+            const std::vector<double> input = makeInput(rng, n);
+            backend->step(input, fired);
+            for (size_t i = 0; i < n; ++i) {
+                const bool expect = golden[i].step(std::span<const double>(
+                    input.data() + i * maxSynapseTypes,
+                    golden[i].params().numSynapseTypes));
+                spikes += expect;
+                ASSERT_EQ(fired[i] != 0, expect)
+                    << "step " << step << " neuron " << i;
+            }
+            std::ostringstream saved;
+            saved << std::setprecision(17);
+            backend->saveState(saved);
+            ASSERT_EQ(saved.str(), referenceBackendText(net, golden))
+                << "step " << step;
+        }
+        EXPECT_GT(spikes, 0u);
     }
 }
 

@@ -69,6 +69,7 @@ TEST(Calibration, JsonRoundTripPreservesEverything)
     cal.model.deliveryNsPerRecord = 0.75;
     cal.model.ringClearNsPerCell = 0.125;
     cal.model.stepOverheadNs = 321.5;
+    cal.model.serialNsPerNeuron = 6.5;
     cal.model.dispatchNsPerLane = 987.0;
     cal.model.parallelEfficiency = 0.625;
     cal.maxResidual = 0.0625;
@@ -95,6 +96,8 @@ TEST(Calibration, JsonRoundTripPreservesEverything)
     EXPECT_EQ(loaded.model.ringClearNsPerCell,
               cal.model.ringClearNsPerCell);
     EXPECT_EQ(loaded.model.stepOverheadNs, cal.model.stepOverheadNs);
+    EXPECT_EQ(loaded.model.serialNsPerNeuron,
+              cal.model.serialNsPerNeuron);
     EXPECT_EQ(loaded.model.dispatchNsPerLane,
               cal.model.dispatchNsPerLane);
     EXPECT_EQ(loaded.model.parallelEfficiency,
@@ -218,6 +221,28 @@ TEST(Planner, PredictionsScaleWithRateAndThreads)
               planner.predictDenseStepSec(big, 0.02, 1));
     EXPECT_LT(planner.predictDenseStepSec(tiny, 0.02, 1),
               planner.predictDenseStepSec(tiny, 0.02, 2));
+}
+
+TEST(Planner, SerialPerNeuronCostAddsToBothEnginesUnthreaded)
+{
+    // The serial per-neuron term (stimulus draw, fired sweep) is paid
+    // by both engines and by no worker lane: it adds n x serial to
+    // each prediction at any thread count and leaves the crossover.
+    CalibrationData cal = plan::builtinCalibration();
+    const ExecutionPlanner without(cal);
+    cal.model.serialNsPerNeuron = 6.5;
+    const ExecutionPlanner with(cal);
+    const NetworkStats net{10000, 1000000};
+    const double added = 10000 * 6.5e-9;
+    for (unsigned threads : {1u, 4u}) {
+        EXPECT_NEAR(with.predictDenseStepSec(net, 0.02, threads) -
+                        without.predictDenseStepSec(net, 0.02, threads),
+                    added, 1e-15);
+    }
+    EXPECT_NEAR(with.predictEventStepSec(net, 0.02) -
+                    without.predictEventStepSec(net, 0.02),
+                added, 1e-15);
+    EXPECT_EQ(with.crossoverRate(net), without.crossoverRate(net));
 }
 
 TEST(Planner, ThreadChoiceWeighsDispatchAgainstWork)

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iomanip>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -154,6 +157,43 @@ TEST(Population, ResetRestoresRestingState)
         EXPECT_GT(backend->membrane(0), 0.0);
         backend->reset();
         EXPECT_DOUBLE_EQ(backend->membrane(0), 0.0);
+    }
+}
+
+TEST(Population, NonFiniteStateCheckpointRestores)
+{
+    // The NaN detector's default Report policy lets a run with a
+    // non-finite membrane go on and write checkpoints; they must
+    // restore, by bits. Inputs of +/-inf put inf and -inf in the
+    // state, and the poisoned membrane a NaN.
+    const Network net = lifPopulation(6);
+    for (const IntegrationMode mode : kIntegrationModes) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        const auto backend = makeReferenceBackend(net, mode);
+        std::vector<double> input(6 * maxSynapseTypes, 0.3);
+        input[0] = std::numeric_limits<double>::infinity();
+        input[maxSynapseTypes] = -std::numeric_limits<double>::infinity();
+        std::vector<uint8_t> fired;
+        backend->step(input, fired);
+        ASSERT_TRUE(backend->debugPoisonMembrane(2));
+        std::ostringstream saved;
+        saved << std::setprecision(17);
+        backend->saveState(saved);
+        EXPECT_NE(saved.str().find("nan"), std::string::npos);
+        EXPECT_NE(saved.str().find("-inf"), std::string::npos);
+
+        const auto restored = makeReferenceBackend(net, mode);
+        std::istringstream is(saved.str());
+        restored->loadState(is);
+        for (size_t i = 0; i < 6; ++i) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(restored->membrane(i)),
+                      std::bit_cast<uint64_t>(backend->membrane(i)))
+                << "neuron " << i;
+        }
+        std::ostringstream resaved;
+        resaved << std::setprecision(17);
+        restored->saveState(resaved);
+        EXPECT_EQ(resaved.str(), saved.str());
     }
 }
 

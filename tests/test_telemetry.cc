@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -200,6 +203,43 @@ TEST(TelemetryTrace, SpansPairAndSerialize)
 
     telemetry::clearTrace();
     EXPECT_EQ(telemetry::traceEventCount(), 0u);
+}
+
+TEST(TelemetryTrace, ScopedTimerSpanIsItsTimerInterval)
+{
+    // The span carries the timer's own clock readings, so the two
+    // cover one interval exactly, however the thread is scheduled
+    // (trace_summary --report cross-checks them).
+    TelemetryOffGuard guard;
+    TelemetryConfig config;
+    config.trace = true;
+    telemetry::configure(config);
+    telemetry::clearTrace();
+
+    Registry reg;
+    telemetry::Timer &t = reg.timer("t");
+    {
+        telemetry::ScopedTimer timed(t, "timed");
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    std::ostringstream oss;
+    telemetry::writeTraceJson(oss);
+    const std::string json = oss.str();
+    // ts is in microseconds with 12 significant digits: whole
+    // nanoseconds for the first ~1000 s of the process.
+    const auto nanosOf = [&](const char *ph) -> int64_t {
+        const std::string key =
+            std::string("\"name\": \"timed\", \"ph\": \"") + ph +
+            "\", \"ts\": ";
+        const size_t at = json.find(key);
+        EXPECT_NE(at, std::string::npos) << ph;
+        if (at == std::string::npos)
+            return 0;
+        return std::llround(
+            std::strtod(json.c_str() + at + key.size(), nullptr) * 1e3);
+    };
+    EXPECT_EQ(nanosOf("E") - nanosOf("B"),
+              static_cast<int64_t>(t.nanos()));
 }
 
 TEST(TelemetryTrace, CapacityDropsAreCounted)

@@ -17,8 +17,17 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 cd "$WORK"
 
+# Each check writes its output to a *.out file and each run to a *.log
+# file in the work directory, which the EXIT trap removes; a failure
+# prints them all first, so the failing check can be read from the
+# test's own output.
 fail() {
     echo "tools_selftest: FAIL: $1" >&2
+    for f in *.out *.log; do
+        [ -f "$f" ] || continue
+        echo "--- $f" >&2
+        cat "$f" >&2
+    done
     exit 1
 }
 
@@ -28,10 +37,11 @@ fail() {
     --metrics-out metrics.prom --metrics-every 64 \
     > sim.log 2>&1 || fail "baseline run exited $?"
 
-"$CHECK_REPORT" run.json || fail "check_report rejected a good report"
-"$TRACE_SUMMARY" trace.json > /dev/null \
+"$CHECK_REPORT" run.json > check_report.out 2>&1 \
+    || fail "check_report rejected a good report"
+"$TRACE_SUMMARY" trace.json > trace_summary.out 2>&1 \
     || fail "trace_summary rejected a good trace"
-"$TRACE_SUMMARY" trace.json --report run.json > /dev/null \
+"$TRACE_SUMMARY" trace.json --report run.json > cross_check.out 2>&1 \
     || fail "trace_summary cross-check rejected a good pair"
 
 grep -q '"flexon-run-report-v7"' run.json \
@@ -47,7 +57,7 @@ grep -q '"health"' run.json || fail "report lacks a health section"
 "$SIM" --benchmark Vogels-Abbott --scale 1 --restore checkpoint-200.fxc \
     --steps 100 --report restored.json > restored.log 2>&1 \
     || fail "restored run exited $?"
-"$CHECK_REPORT" restored.json \
+"$CHECK_REPORT" restored.json > check_restored.out 2>&1 \
     || fail "check_report rejected the restored run's report"
 
 # --- Prometheus snapshot shape. -------------------------------------

@@ -198,8 +198,9 @@ contentVersion(const plan::CostModel &m, uint64_t gridPoints)
     const double values[] = {
         m.denseNsPerNeuron,   m.eventNsPerUnit,
         m.deliveryNsPerRecord, m.ringClearNsPerCell,
-        m.stepOverheadNs,      m.dispatchNsPerLane,
-        m.parallelEfficiency,  static_cast<double>(gridPoints),
+        m.stepOverheadNs,      m.serialNsPerNeuron,
+        m.dispatchNsPerLane,   m.parallelEfficiency,
+        static_cast<double>(gridPoints),
     };
     uint64_t h = 1469598103934665603ull;
     for (const double v : values) {
@@ -263,18 +264,23 @@ runSweep(const SweepConfig &cfg)
             combinedRouteNs - model.deliveryNsPerRecord;
     }
 
-    // stepOverheadNs: the per-point step cost the fitted phases do
-    // not explain, taken as a median. A median leftover is robust
-    // against the occasional descheduled run on a shared host, where
-    // an OLS intercept extrapolated from a handful of sizes is not.
+    // serialNsPerNeuron + stepOverheadNs: the per-point step cost
+    // the fitted phases do not explain still grows with N (stimulus
+    // draws, the fired sweep), so take its Theil-Sen slope over N,
+    // then the overhead as the median leftover beyond it. A median
+    // leftover is robust against the occasional descheduled run on a
+    // shared host, where an OLS intercept extrapolated from a handful
+    // of sizes is not.
     {
-        std::vector<double> ys;
-        for (const GridPoint &g : dense1)
-            ys.push_back(
-                g.stepNs -
-                static_cast<double>(g.neurons) *
-                    model.denseNsPerNeuron -
-                g.recordsPerStep * combinedRouteNs);
+        std::vector<double> xs, ys;
+        for (const GridPoint &g : dense1) {
+            xs.push_back(static_cast<double>(g.neurons));
+            ys.push_back(g.stepNs - xs.back() * model.denseNsPerNeuron -
+                         g.recordsPerStep * combinedRouteNs);
+        }
+        model.serialNsPerNeuron = std::max(theilSenSlope(xs, ys), 0.0);
+        for (size_t i = 0; i < ys.size(); ++i)
+            ys[i] -= xs[i] * model.serialNsPerNeuron;
         model.stepOverheadNs = std::max(medianOf(ys), 1.0);
     }
 
@@ -510,6 +516,8 @@ main(int argc, char **argv)
                 m.ringClearNsPerCell);
     std::printf("  step       %8.1f ns overhead\n",
                 m.stepOverheadNs);
+    std::printf("  serial     %8.3f ns/neuron\n",
+                m.serialNsPerNeuron);
     std::printf("  dispatch   %8.1f ns/lane\n",
                 m.dispatchNsPerLane);
     std::printf("  parallel   %8.3f efficiency\n",
