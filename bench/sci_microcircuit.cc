@@ -8,13 +8,12 @@
  *   BM_MicrocircuitSynapsePhase  synapse phase in isolation, real
  *       recorded spike activity replayed through the router, at a
  *       background (~7 Hz) and a driven (~10x) regime.
- *   BM_MicrocircuitStep  full-step cost of the dense engine, the
- *       event-driven engine and the rate-adaptive auto engine on
- *       the same scenario.
+ *   BM_MicrocircuitStep  full-step cost of the session on the same
+ *       scenario at both regimes.
  *
- * All engines produce bit-identical spike trains (enforced in
- * tests/test_routing.cc and tests/test_session.cc); these benchmarks
- * only measure the schedules.
+ * Delivery is bit-identical to a naive serial oracle at any thread
+ * count (tests/test_routing.cc); these benchmarks only measure the
+ * schedule.
  */
 
 #include <benchmark/benchmark.h>
@@ -118,28 +117,19 @@ BM_MicrocircuitSynapsePhase(benchmark::State &state)
 }
 
 /**
- * Full-step cost per engine. Args: engine (0 = dense, 1 =
- * event-driven, 2 = auto), rate-scale multiplier. The dense rows keep
- * their "sparse" label (the delivery schedule they measure), so the
- * planner gate's static rows are "sparse" and "event".
+ * Full-step cost. Arg: rate-scale multiplier. The rows keep their
+ * "sparse" label, the delivery schedule they measure.
  */
 void
 BM_MicrocircuitStep(benchmark::State &state)
 {
-    const int64_t engine = state.range(0);
-    const auto rateScale = static_cast<double>(state.range(1));
+    const auto rateScale = static_cast<double>(state.range(0));
     MicrocircuitInstance inst = benchInstance(rateScale);
 
-    SimulatorOptions opts;
-    opts.engine = engine == 1   ? EngineKind::Event
-                  : engine == 2 ? EngineKind::Auto
-                                : EngineKind::Dense;
-    Simulator sim(inst.network, inst.stimulus, opts);
+    Simulator sim(inst.network, inst.stimulus);
     sim.run(warmupSteps);
 
-    static const char *const names[] = {"sparse", "event", "auto"};
-    state.SetLabel(std::string(names[engine]) + "/x" +
-                   std::to_string(state.range(1)));
+    state.SetLabel("sparse/x" + std::to_string(state.range(0)));
     for (auto _ : state)
         sim.run(1);
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -157,12 +147,8 @@ BENCHMARK(flexon::BM_MicrocircuitSynapsePhase)
     ->Args({8, 4})
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK(flexon::BM_MicrocircuitStep)
-    ->Args({0, 1})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({0, 8})
-    ->Args({1, 8})
-    ->Args({2, 8})
+    ->Arg(1)
+    ->Arg(8)
     ->Unit(benchmark::kMicrosecond);
 
 #ifndef FLEXON_BENCH_BUILD_TYPE
@@ -172,8 +158,8 @@ BENCHMARK(flexon::BM_MicrocircuitStep)
 int
 main(int argc, char **argv)
 {
-    // Install before any benchmark builds a session: the auto rows'
-    // engine choices come from the active calibration.
+    // Install before any benchmark builds a session; the record
+    // names the calibration it ran under.
     const std::string calibration =
         flexon::plan::installCalibrationFromEnv();
     // FLEXON_HEALTH=0 disables the sampled invariant detectors: the

@@ -468,13 +468,11 @@ MetricsExporter::MetricsExporter(std::string path, std::string label)
 
 bool
 MetricsExporter::exportNow(const telemetry::Registry &registry,
-                           uint64_t step, const std::string &engine)
+                           uint64_t step)
 {
     const telemetry::MetricsSnapshot snap = registry.snapshot();
-    const std::string labels = "{session=\"" +
-                               promLabelValue(label_) +
-                               "\",engine=\"" +
-                               promLabelValue(engine) + "\"}";
+    const std::string labels =
+        "{session=\"" + promLabelValue(label_) + "\"}";
 
     // Write-to-temp + rename: a scraper polling path_ never reads a
     // torn snapshot.
@@ -543,8 +541,7 @@ MetricsExporter::exportNow(const telemetry::Registry &registry,
     std::ofstream jl(jsonlPath_, std::ios::out | std::ios::app);
     if (jl) {
         jl << "{\"step\":" << step << ",\"session\":"
-           << telemetry::jsonQuoted(label_) << ",\"engine\":"
-           << telemetry::jsonQuoted(engine) << ",\"counters\":{";
+           << telemetry::jsonQuoted(label_) << ",\"counters\":{";
         bool first = true;
         for (const auto &[name, value] : snap.counters) {
             jl << (first ? "" : ",") << telemetry::jsonQuoted(name)

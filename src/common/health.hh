@@ -4,8 +4,8 @@
  * watchdog with crash dumps, and a live Prometheus/JSONL metrics
  * exporter (PR 9).
  *
- * The detectors themselves run inside SimulationSession (the engines
- * expose a HealthScan hook); this header holds the shared vocabulary
+ * The detectors themselves run inside SimulationSession (the neuron
+ * backends expose a HealthScan hook); this header holds the shared vocabulary
  * (policies, options, counters), the process-wide pieces (the Fix
  * saturation tally fed from the kernels, the watchdog heartbeat, the
  * crash-dump writer, signal handlers), and the exporter.
@@ -100,8 +100,8 @@ bool parseHealthSpec(const std::string &spec, HealthOptions &out,
 std::string specString(const HealthOptions &opts);
 
 /**
- * One engine state scan: the session asks the engine to examine
- * neurons [begin, end), and the engine fills in what it found.
+ * One backend state scan: the session asks the backend to examine
+ * neurons [begin, end), and the backend fills in what it found.
  */
 struct HealthScan {
     uint64_t checked = 0;   ///< neurons actually examined
@@ -231,8 +231,7 @@ class MetricsExporter {
     MetricsExporter(std::string path, std::string label);
 
     /** Export a snapshot; returns false on I/O failure (warned once). */
-    bool exportNow(const telemetry::Registry &registry, uint64_t step,
-                   const std::string &engine);
+    bool exportNow(const telemetry::Registry &registry, uint64_t step);
 
     uint64_t snapshots() const { return snapshots_; }
     const std::string &path() const { return path_; }

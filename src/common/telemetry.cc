@@ -696,7 +696,7 @@ void
 writeReportJson(std::ostream &os, const ReportContext &context)
 {
     os << "{\n";
-    os << "  \"schema\": \"flexon-run-report-v7\",\n";
+    os << "  \"schema\": \"flexon-run-report-v8\",\n";
     os << "  \"build\": ";
     writeFields(os, buildFields(), 4);
     os << ",\n  \"telemetry\": ";

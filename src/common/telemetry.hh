@@ -462,14 +462,14 @@ struct ReportContext
 {
     /** Extra "config" fields (backend, threads, network, ...). */
     ReportFields config;
-    /** Extra engine-specific sections, emitted verbatim. */
+    /** Extra caller-specific sections, emitted verbatim. */
     std::vector<std::pair<std::string, ReportFields>> sections;
-    /** The owning engine's registry (omitted when null). */
+    /** The owning session's registry (omitted when null). */
     const Registry *metrics = nullptr;
 };
 
 /**
- * Write a schema "flexon-run-report-v7" JSON document: build +
+ * Write a schema "flexon-run-report-v8" JSON document: build +
  * telemetry metadata, the caller's config and extra sections, the
  * caller's registry under "metrics" (the run's statistics), the
  * process registry under "global_metrics", and the shared

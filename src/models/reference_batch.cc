@@ -280,17 +280,6 @@ ReferenceBatch::state(size_t idx) const
 }
 
 void
-ReferenceBatch::setLlifState(std::span<const double> v,
-                             std::span<const uint32_t> cnt)
-{
-    if (v.size() != count_ || cnt.size() != count_)
-        fatal("LLIF state size mismatch (batch has %zu neurons)",
-              count_);
-    std::copy(v.begin(), v.end(), v_.begin());
-    std::copy(cnt.begin(), cnt.end(), cnt_.begin());
-}
-
-void
 ReferenceBatch::setThresholdOffset(size_t idx, double offset)
 {
     flexon_assert(idx < count_);

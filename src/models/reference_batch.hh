@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <vector>
 
 #include "features/kernel_level.hh"
@@ -68,22 +67,8 @@ class ReferenceBatch
     double membrane(size_t idx) const { return v_[idx]; }
     double preResetV(size_t idx) const { return preResetV_[idx]; }
 
-    /**
-     * LLIF hand-off views: for a {LID, CUB, AR} parameter set the
-     * (v, cnt) pair is the batch's complete forward state — y/g are
-     * rewritten from the input every step and w/r/preResetV are
-     * unused — so these arrays alone move a population between
-     * delivery engines bit-exactly.
-     */
-    std::span<const double> membraneArray() const { return v_; }
-    std::span<const uint32_t> refractoryArray() const
-    {
-        return cnt_;
-    }
-
-    /** Seed (v, cnt) on a freshly reset batch (sizes must match). */
-    void setLlifState(std::span<const double> v,
-                      std::span<const uint32_t> cnt);
+    /** Overwrite one neuron's membrane (the NaN-detector test hook). */
+    void setMembrane(size_t idx, double v) { v_[idx] = v; }
 
     /** Materialized AoS state of one neuron (probes and tests). */
     NeuronState state(size_t idx) const;

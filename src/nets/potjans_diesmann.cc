@@ -61,7 +61,7 @@ constexpr double extRatePerStep = 8.0 * 1.0e-4;
  * probability is mean/kickFold (capped) and the kick weight absorbs
  * the rest, preserving the mean drive while keeping the drive
  * fluctuation-driven — and the per-step stimulus touch set sparse,
- * which is what the event-driven engine's economics rely on.
+ * which keeps the router's sparse slot clears cheap.
  */
 constexpr double kickFold = 16.0;
 

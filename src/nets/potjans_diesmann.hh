@@ -16,9 +16,7 @@
  * (nets/table1.hh), this generator reproduces the population
  * *structure* — the anisotropic in-degree matrix is exactly what
  * makes spike delivery activity-sparse and shard-skippable — and
- * uses the LLIF neuron ({LID, CUB, AR}) so the dense, event-driven
- * and rate-adaptive engines can all run it bit-identically. It is
- * the driving scenario for the sparse-delivery work: at the model's
+ * uses the LLIF neuron ({LID, CUB, AR}). It is the driving scenario for the sparse-delivery work: at the model's
  * few-Hz rates most (target-shard x delay-bucket) streams are empty
  * on any given step.
  *

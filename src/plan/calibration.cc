@@ -19,8 +19,6 @@ builtinCalibration()
         CalibrationData cal;
         cal.version = kBuiltinCalibrationVersion;
         cal.host = "hand-anchored defaults";
-        cal.model.eventNsPerUnit =
-            cal.model.denseNsPerNeuron * kBuiltinEventCostFactor;
         return cal;
     }();
     return builtin;
@@ -85,8 +83,6 @@ writeCalibrationJson(std::ostream &os, const CalibrationData &cal)
     os << "  \"model\": {\n";
     os << "    \"dense_ns_per_neuron\": " << cal.model.denseNsPerNeuron
        << ",\n";
-    os << "    \"event_ns_per_unit\": " << cal.model.eventNsPerUnit
-       << ",\n";
     os << "    \"delivery_ns_per_record\": "
        << cal.model.deliveryNsPerRecord << ",\n";
     os << "    \"ring_clear_ns_per_cell\": "
@@ -139,7 +135,6 @@ validateCalibration(const CalibrationData &cal, double maxResidual,
     };
     const Named coefficients[] = {
         {"dense_ns_per_neuron", m.denseNsPerNeuron},
-        {"event_ns_per_unit", m.eventNsPerUnit},
         {"delivery_ns_per_record", m.deliveryNsPerRecord},
         {"ring_clear_ns_per_cell", m.ringClearNsPerCell},
         {"step_overhead_ns", m.stepOverheadNs},
@@ -215,8 +210,6 @@ loadCalibrationFile(const std::string &path, CalibrationData &out,
                 CostModel &m = cal.model;
                 if (field == "dense_ns_per_neuron")
                     slot = &m.denseNsPerNeuron;
-                else if (field == "event_ns_per_unit")
-                    slot = &m.eventNsPerUnit;
                 else if (field == "delivery_ns_per_record")
                     slot = &m.deliveryNsPerRecord;
                 else if (field == "ring_clear_ns_per_cell")
@@ -229,6 +222,9 @@ loadCalibrationFile(const std::string &path, CalibrationData &out,
                     slot = &m.dispatchNsPerLane;
                 else if (field == "parallel_efficiency")
                     slot = &m.parallelEfficiency;
+                // Unknown fields are skipped, such as the
+                // event_ns_per_unit of files from builds that had an
+                // event-driven engine.
                 if (slot == nullptr)
                     return json.skipValue();
                 return json.parseNumber(*slot);

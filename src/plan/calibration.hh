@@ -2,9 +2,8 @@
  * @file
  * Calibrated per-operation cost data for the execution planner.
  *
- * Every adaptive decision the simulator makes — dense vs
- * event-driven delivery, worker-lane count, the Figure 13 CPU
- * baseline — ultimately rests on per-operation cost constants:
+ * The planner's step-cost prediction and worker-lane choice, and the
+ * Figure 13 CPU baseline, rest on per-operation cost constants:
  * nanoseconds per neuron update, per delivery record, per ring-cell
  * clear, per pool dispatch. Hand-anchored constants are only honest
  * on the machine they were tuned on; this module holds the measured
@@ -19,16 +18,13 @@
  * strings and string->number maps — so no third-party dependency is
  * needed) and exposes it process-wide via activeCalibration().
  * When no calibration file has been installed, builtinCalibration()
- * supplies hand-anchored defaults chosen to reproduce the pre-PR 8
- * behavior exactly (the tuned auto-engine crossover and the paper's
- * Figure 13 anchoring), so an uncalibrated run is never worse than
- * before.
+ * supplies hand-anchored defaults (see the CostModel fields).
  *
  * Planner decisions derived from a CalibrationData are pure
- * functions of (this data, network stats, the session's EWMA rate),
- * so runs stay reproducible and bit-identical per strategy: the
- * calibration changes *when* the engine switches, never *what* any
- * engine computes.
+ * functions of (this data, network stats, rate), so runs stay
+ * reproducible: the calibration changes how many worker lanes a
+ * planned run uses and what its report predicts, never what a step
+ * computes.
  */
 
 #ifndef FLEXON_PLAN_CALIBRATION_HH
@@ -51,21 +47,6 @@ inline constexpr const char *kCalibrationSchema =
 inline constexpr const char *kBuiltinCalibrationVersion = "builtin";
 
 /**
- * Modelled cost of touching one event-driven fan-out unit (record
- * append + accumulator fold + sparse update) relative to one dense
- * neuron update — the builtin eventNsPerUnit / denseNsPerNeuron
- * ratio. The default is tuned so the predicted crossover (with the
- * switch-out hysteresis margin) sits just below the measured
- * dense/event tie on the microcircuit scenario's driven regime
- * (bench/sci_microcircuit.cc, ~6.5e-3 fired fraction per step at
- * K ~ 194): full-step times there tie near 5.5e-3, where the sparse
- * delivery path's probe-free streaming has already eaten most of the
- * event-driven engine's low-rate advantage. A measured calibration
- * replaces this ratio with the two fitted slopes.
- */
-inline constexpr double kBuiltinEventCostFactor = 1.0;
-
-/**
  * Fitted per-operation costs, all in nanoseconds on the calibrated
  * host. The builtin defaults are the hand anchors described on each
  * field; tools/calibrate overwrites every one of them with a
@@ -75,19 +56,17 @@ struct CostModel
 {
     /**
      * Serial reference LLIF neuron update (phase 2), per neuron per
-     * step. Also anchors the Figure 13 CPU baseline: the modelled
-     * NEST/Xeon per-neuron cost is this value times a per-benchmark
-     * complexity factor (hwmodel/baselines.cc). The builtin 4.0
-     * reproduces the paper-anchored 12 ns Brunel figure through the
-     * 3x host-to-NEST factor.
+     * step. It feeds three things: the thread choice (planThreads),
+     * the plan's predicted step cost, and the Figure 13 CPU baseline,
+     * where the modelled NEST/Xeon per-neuron cost is this value
+     * times a per-benchmark complexity factor (hwmodel/baselines.cc).
+     * The builtin 4.0 is that baseline's anchor: it reproduces the
+     * paper's 12 ns Brunel figure through the 3x host-to-NEST
+     * factor. The vectorized reference kernel measures below it
+     * (tools/calibrate), so an uncalibrated plan overstates the
+     * neuron phase; a measured calibration replaces it.
      */
     double denseNsPerNeuron = 4.0;
-    /**
-     * Event-driven cost per touched fan-out unit (one active neuron
-     * contributes K + 1 units: its own update plus K deliveries).
-     * Builtin: denseNsPerNeuron x kBuiltinEventCostFactor.
-     */
-    double eventNsPerUnit = 4.0;
     /** One routed delivery record (ring accumulate), phase 3. */
     double deliveryNsPerRecord = 1.0;
     /** One ring cell zeroed by the slot-clear sweep. */
@@ -96,9 +75,9 @@ struct CostModel
     double stepOverheadNs = 400.0;
     /**
      * Serial per-neuron work outside the neuron phase (the stimulus
-     * draw and the fired sweep), per neuron per step. Both engines
-     * pay it, so it cancels in the crossover. Builtin 0: the hand
-     * anchors fold it into stepOverheadNs.
+     * draw and the fired sweep), per neuron per step, paid by no
+     * worker lane. Builtin 0: the hand anchors fold it into
+     * stepOverheadNs.
      */
     double serialNsPerNeuron = 0.0;
     /**

@@ -1,38 +1,8 @@
 #include "plan/planner.hh"
 
 #include <algorithm>
-#include <cmath>
 
 namespace flexon {
-
-const char *
-engineKindName(EngineKind kind)
-{
-    switch (kind) {
-    case EngineKind::Dense:
-        return "dense";
-    case EngineKind::Event:
-        return "event";
-    case EngineKind::Auto:
-        return "auto";
-    }
-    return "?";
-}
-
-bool
-parseEngineKind(const std::string &text, EngineKind &out)
-{
-    if (text == "dense")
-        out = EngineKind::Dense;
-    else if (text == "event")
-        out = EngineKind::Event;
-    else if (text == "auto")
-        out = EngineKind::Auto;
-    else
-        return false;
-    return true;
-}
-
 namespace plan {
 
 namespace {
@@ -79,40 +49,6 @@ ExecutionPlanner::predictDenseStepSec(const NetworkStats &net,
            kNsToSec;
 }
 
-double
-ExecutionPlanner::predictEventStepSec(const NetworkStats &net,
-                                      double rate) const
-{
-    const CostModel &m = cal_.model;
-    const double n = static_cast<double>(net.neurons);
-    const double k = net.meanFanOut();
-    const double perSpike =
-        (k + 1.0) * m.eventNsPerUnit +
-        k * (m.deliveryNsPerRecord + m.ringClearNsPerCell);
-    return (m.stepOverheadNs + n * m.serialNsPerNeuron +
-            rate * n * perSpike) *
-           kNsToSec;
-}
-
-double
-ExecutionPlanner::crossoverRate(const NetworkStats &net) const
-{
-    // Solve dense(r, 1) = event(r) for r. With
-    //   dense(r, 1) = A + B r,  A = overhead + N * denseNs,
-    //                           B = N K (deliveryNs + ringClearNs)
-    //   event(r)    = C + D r,  C = overhead,
-    //                           D = N ((K+1) eventNs
-    //                                  + K (deliveryNs + ringClearNs))
-    // the common-mode delivery terms cancel:
-    //   r* = (A - C) / (D - B) = denseNs / ((K + 1) * eventNs).
-    const double k = net.meanFanOut();
-    const double denom = (k + 1.0) * cal_.model.eventNsPerUnit;
-    if (denom <= 0.0)
-        return 0.0;
-    const double r = cal_.model.denseNsPerNeuron / denom;
-    return std::clamp(r, 0.0, 1.0);
-}
-
 unsigned
 ExecutionPlanner::planThreads(const NetworkStats &net, double rate,
                               unsigned maxThreads) const
@@ -138,30 +74,8 @@ ExecutionPlanner::plan(const NetworkStats &net, double rate,
 {
     EnginePlan p;
     p.calibrationVersion = cal_.version;
-    p.crossoverRate = crossoverRate(net);
     p.threads = planThreads(net, rate, maxThreads);
-    p.predictedDenseStepSec =
-        predictDenseStepSec(net, rate, p.threads);
-    p.predictedEventStepSec = predictEventStepSec(net, rate);
-
-    // A rate inside the hysteresis dead band around the crossover is
-    // expected to wander across it; the adaptive engine is the right
-    // choice there. Outside the band one engine dominates, and
-    // pinning it avoids the auto layer's decision bookkeeping.
-    const double margin = 1.0 + kSwitchHysteresis;
-    const double r = std::max(rate, 0.0);
-    if (p.crossoverRate > 0.0 && r < p.crossoverRate * margin &&
-        r * margin > p.crossoverRate) {
-        p.engine = EngineKind::Auto;
-        p.predictedStepSec = std::min(p.predictedDenseStepSec,
-                                      p.predictedEventStepSec);
-    } else if (p.predictedEventStepSec < p.predictedDenseStepSec) {
-        p.engine = EngineKind::Event;
-        p.predictedStepSec = p.predictedEventStepSec;
-    } else {
-        p.engine = EngineKind::Dense;
-        p.predictedStepSec = p.predictedDenseStepSec;
-    }
+    p.predictedStepSec = predictDenseStepSec(net, rate, p.threads);
     return p;
 }
 

@@ -187,44 +187,6 @@ class ReferenceBackend : public NeuronBackend
     }
 
     bool
-    exportLlifState(std::vector<double> &v,
-                    std::vector<uint32_t> &refractory) const override
-    {
-        if (mode_ != IntegrationMode::Discrete)
-            return false;
-        v.clear();
-        refractory.clear();
-        v.reserve(numNeurons_);
-        refractory.reserve(numNeurons_);
-        for (const ReferenceBatch &batch : batches_) {
-            const auto vs = batch.membraneArray();
-            const auto cnts = batch.refractoryArray();
-            v.insert(v.end(), vs.begin(), vs.end());
-            refractory.insert(refractory.end(), cnts.begin(),
-                              cnts.end());
-        }
-        return true;
-    }
-
-    bool
-    importLlifState(std::span<const double> v,
-                    std::span<const uint32_t> refractory) override
-    {
-        if (mode_ != IntegrationMode::Discrete ||
-            v.size() != numNeurons_ ||
-            refractory.size() != numNeurons_)
-            return false;
-        for (size_t b = 0; b < batches_.size(); ++b) {
-            const size_t base = bases_[b];
-            const size_t count = batches_[b].size();
-            batches_[b].setLlifState(
-                v.subspan(base, count),
-                refractory.subspan(base, count));
-        }
-        return true;
-    }
-
-    bool
     setThresholdOffset(size_t neuron, double offset) override
     {
         if (mode_ != IntegrationMode::Discrete ||
@@ -276,13 +238,8 @@ class ReferenceBackend : public NeuronBackend
             const size_t base = bases_[b];
             if (neuron >= base + batches_[b].size())
                 continue;
-            const auto vs = batches_[b].membraneArray();
-            const auto cnts = batches_[b].refractoryArray();
-            std::vector<double> v(vs.begin(), vs.end());
-            std::vector<uint32_t> cnt(cnts.begin(), cnts.end());
-            v[neuron - base] =
-                std::numeric_limits<double>::quiet_NaN();
-            batches_[b].setLlifState(v, cnt);
+            batches_[b].setMembrane(
+                neuron - base, std::numeric_limits<double>::quiet_NaN());
             return true;
         }
         return false;

@@ -89,34 +89,6 @@ class NeuronBackend
     virtual void loadState(std::istream &is) = 0;
 
     /**
-     * LLIF engine hand-off: export/import the complete forward state
-     * of an all-LLIF network as flat per-neuron (membrane,
-     * refractory-countdown) arrays. For {LID, CUB, AR} populations
-     * this pair *is* the whole state that influences future steps
-     * (current-based inputs carry no conductance history), which is
-     * what lets the dense and event-driven engines exchange state
-     * bit-exactly. Returns false when the backend (or its
-     * configuration) does not support the hand-off (the default);
-     * import requires a freshly reset backend.
-     */
-    virtual bool
-    exportLlifState(std::vector<double> &v,
-                    std::vector<uint32_t> &refractory) const
-    {
-        (void)v;
-        (void)refractory;
-        return false;
-    }
-    virtual bool
-    importLlifState(std::span<const double> v,
-                    std::span<const uint32_t> refractory)
-    {
-        (void)v;
-        (void)refractory;
-        return false;
-    }
-
-    /**
      * Intrinsic-excitability hook: offset one neuron's firing
      * threshold (the spike check compares against
      * params.threshold() + offset). Returns false when the backend

@@ -151,9 +151,8 @@ struct RowView
  * (they read the shared ConnectivityGeometry) so the router's hot
  * paths pay a virtual call only per fired row, not per record.
  *
- * A session builds one provider for the whole run and both delivery
- * engines deliver from it, so an engine switch hands over neuron and
- * ring state only.
+ * A session builds one provider for the whole run, and its router
+ * delivers from it.
  *
  * Threading contract: rowSpan() is const and safe to call from
  * concurrent lanes as long as each lane passes its own RowScratch;
@@ -270,8 +269,8 @@ class ConnectivityProvider
 
 /**
  * The synapse-event counter (weight deliveries into future steps'
- * inputs) of `metrics`: one name and description for every delivery
- * engine, the dense router and the event engine alike.
+ * inputs) of `metrics`: one name and description for the router that
+ * writes it and the session that reads it.
  */
 telemetry::Counter &synapseEventsCounter(telemetry::Registry &metrics);
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/text_number.hh"
 #include "snn/backend.hh"
 
 namespace flexon {
@@ -84,9 +85,9 @@ IntrinsicExcitabilityRule::loadState(std::istream &is)
               rates_.size());
     }
     for (double &r : rates_)
-        is >> r;
+        readDouble(is, r);
     for (double &o : offsets_)
-        is >> o;
+        readDouble(is, o);
     if (!is)
         fatal("truncated IE state in checkpoint");
     // The offsets live in the backend, which restored to whatever the

@@ -407,35 +407,6 @@ readTouchLine(std::istream &is, uint64_t budget)
 } // namespace
 
 void
-SpikeRouter::exportRing(uint64_t t, RingTransfer &out) const
-{
-    out.assign(ringDepth_, {});
-    for (size_t d = 0; d < ringDepth_; ++d) {
-        const std::span<const double> s = slot(t + d);
-        for (size_t c = 0; c < s.size(); ++c) {
-            if (s[c] != 0.0)
-                out[d].emplace_back(static_cast<uint32_t>(c), s[c]);
-        }
-    }
-}
-
-void
-SpikeRouter::importRing(uint64_t t, const RingTransfer &slots)
-{
-    if (slots.size() > ringDepth_)
-        fatal("ring transfer depth %zu exceeds ring depth %zu",
-              slots.size(), ringDepth_);
-    for (size_t d = 0; d < slots.size(); ++d) {
-        double *const base =
-            ring_.data() + ((t + d) % ringDepth_) * slotSize_;
-        for (const auto &[cell, value] : slots[d]) {
-            base[cell] = value;
-            noteStimulus(t + d, cell);
-        }
-    }
-}
-
-void
 SpikeRouter::saveState(std::ostream &os) const
 {
     os << "router " << ringDepth_ << ' ' << slotSize_ << ' '

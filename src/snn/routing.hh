@@ -48,7 +48,6 @@
 #include <iosfwd>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -58,10 +57,6 @@
 #include "snn/network.hh"
 
 namespace flexon {
-
-/** Sparse ring contents: per delay offset, ascending (cell, value). */
-using RingTransfer =
-    std::vector<std::vector<std::pair<uint32_t, double>>>;
 
 /**
  * The delay ring plus its delivery engine: ring slots are cleared
@@ -155,17 +150,6 @@ class SpikeRouter
 
     /** Zero the ring, the touch tracking and the counters. */
     void reset();
-
-    /**
-     * Engine hand-off support: export the live ring as sparse
-     * (cell, value) lists per delay offset from step t, or seed a
-     * freshly reset ring from such lists (cells are touch-tracked so
-     * later sparse clears stay correct). Values move verbatim —
-     * the accumulated doubles, not the float weights — so a switch
-     * between delivery engines stays bit-exact.
-     */
-    void exportRing(uint64_t t, RingTransfer &out) const;
-    void importRing(uint64_t t, const RingTransfer &slots);
 
     /**
      * Checkpoint the router's dynamic state: the delay ring (runs of

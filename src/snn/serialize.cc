@@ -211,18 +211,21 @@ constexpr const char *checkpointMagic = "flexon-checkpoint";
 // current state untouched.
 constexpr int checkpointVersion = 4;
 constexpr int checkpointMinVersion = 2;
+// The header's engine token. Older builds also had an event-driven
+// engine, whose snapshots carry `event-driven` and cannot be read.
+constexpr const char *checkpointEngine = "dense";
 
 } // namespace
 
 void
-writeCheckpointHeader(std::ostream &os, std::string_view engine)
+writeCheckpointHeader(std::ostream &os)
 {
     os << checkpointMagic << " v" << checkpointVersion << ' '
-       << engine << '\n';
+       << checkpointEngine << '\n';
     os << std::setprecision(17);
 }
 
-CheckpointHeader
+int
 parseCheckpointHeader(std::istream &is)
 {
     std::string word;
@@ -231,18 +234,21 @@ parseCheckpointHeader(std::istream &is)
         fatal("not a flexon checkpoint file (bad magic '%s')",
               word.c_str());
     is >> word;
-    CheckpointHeader header;
-    if (!parseVersionField(word, header.version))
+    int version = 0;
+    if (!parseVersionField(word, version))
         fatal("malformed checkpoint version field '%s'", word.c_str());
-    if (header.version < checkpointMinVersion ||
-        header.version > checkpointVersion)
+    if (version < checkpointMinVersion || version > checkpointVersion)
         fatal("unsupported checkpoint version %d (this build reads "
               "v%d..v%d)",
-              header.version, checkpointMinVersion, checkpointVersion);
-    is >> header.engine;
+              version, checkpointMinVersion, checkpointVersion);
+    is >> word;
     if (!is)
         fatal("truncated checkpoint header");
-    return header;
+    if (word != checkpointEngine)
+        fatal("checkpoint was written by a '%s' engine, cannot "
+              "restore into '%s'",
+              word.c_str(), checkpointEngine);
+    return version;
 }
 
 } // namespace flexon

@@ -12,7 +12,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "snn/network.hh"
 
@@ -32,28 +31,26 @@ void saveNetworkFile(const std::string &path, const Network &network);
 Network loadNetworkFile(const std::string &path);
 
 /**
- * Checkpoint file framing ("flexon-checkpoint v4"): the versioned
- * header of a SimulationSession snapshot. The header writer arms the
+ * Checkpoint file framing ("flexon-checkpoint v4 dense"): the
+ * versioned header of a SimulationSession snapshot. The trailing
+ * token names the engine that wrote the snapshot; the dense engine is
+ * the only one, so it is always `dense`. The header writer arms the
  * stream for exact round trips — 17 significant digits, the precision
  * at which every finite double (and, a fortiori, float) survives a
  * text round trip bit for bit — so the per-subsystem saveState()
  * blocks that follow can stream values with plain operator<<.
  */
-void writeCheckpointHeader(std::ostream &os, std::string_view engine);
-
-/** Parsed checkpoint header: format version plus engine kind. */
-struct CheckpointHeader
-{
-    int version = 0;
-    std::string engine;
-};
+void writeCheckpointHeader(std::ostream &os);
 
 /**
- * Read and validate a checkpoint header. fatal() on bad magic or an
- * unsupported version. Readers that accept more than one version
- * gate optional blocks (e.g. the v4 plasticity block) on `version`.
+ * Read and validate a checkpoint header and return its format
+ * version. fatal() on bad magic, an unsupported version, or an engine
+ * token other than `dense` (an `event-driven` snapshot from an older
+ * build is rejected by name). Readers that accept more than one
+ * version gate optional blocks (e.g. the v4 plasticity block) on the
+ * returned version.
  */
-CheckpointHeader parseCheckpointHeader(std::istream &is);
+int parseCheckpointHeader(std::istream &is);
 
 } // namespace flexon
 

@@ -4,23 +4,26 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "common/logging.hh"
-#include "snn/event_driven.hh"
+#include "common/text_number.hh"
+#include "plan/planner.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
-#include "snn/simulator.hh"
 
 namespace flexon {
 
 namespace {
 
-plan::NetworkStats
-networkStats(const Network &network)
+const Network &
+finalizedNetwork(const Network &network)
 {
-    return {network.numNeurons(), network.numSynapses()};
+    if (!network.finalized())
+        fatal("network must be finalized before simulation");
+    return network;
 }
 
 unsigned
@@ -58,8 +61,9 @@ SimulationSession::HealthMetrics::HealthMetrics(
 SimulationSession::SimulationSession(const Network &network,
                                      StimulusGenerator stimulus,
                                      const SimulatorOptions &options)
-    : network_(network), stimulus_(std::move(stimulus)),
-      stimulusInitial_(stimulus_), options_(options),
+    : network_(finalizedNetwork(network)),
+      stimulus_(std::move(stimulus)), stimulusInitial_(stimulus_),
+      options_(options),
       stimulusTimer_(metrics_.timer(
           "phase.stimulus", "host seconds in stimulus generation")),
       neuronTimer_(metrics_.timer(
@@ -89,12 +93,14 @@ SimulationSession::SimulationSession(const Network &network,
       ewmaRateGauge_(metrics_.gauge(
           "sim.ewma_rate",
           "EWMA firing rate (spikes per neuron per step)")),
-      switchesCounter_(metrics_.counter(
-          "sim.engine_switches", "auto-engine delivery switches")),
-      health_(metrics_)
+      health_(metrics_),
+      connectivity_(makeConnectivityProvider(
+          options.connectivity, network_, laneCount(options.threads),
+          &metrics_)),
+      backend_(makeBackend(options.backend, network_, options.mode,
+                           options.solver, options.threads)),
+      router_(network_, *connectivity_, &metrics_)
 {
-    if (!network_.finalized())
-        fatal("network must be finalized before simulation");
     spikeCounts_.assign(network_.numNeurons(), 0);
     for (uint32_t probe : options_.probes)
         flexon_assert(probe < network_.numNeurons());
@@ -115,44 +121,13 @@ SimulationSession::SimulationSession(const Network &network,
         exporter_ = std::make_unique<health::MetricsExporter>(
             options_.metricsOut, options_.label);
 
-    // One provider for the run, shared by whichever engine runs.
-    connectivity_ = makeConnectivityProvider(
-        options_.connectivity, network_, laneCount(options_.threads),
-        &metrics_);
-
-    // Resolve the engine once. An explicit event request must be
-    // runnable; auto adapts only where the hand-off exists.
-    std::string why;
-    if (options_.engine != EngineKind::Dense &&
-        !eventDrivenEligible(network_, options_, &why)) {
-        if (options_.engine == EngineKind::Event)
-            fatal("engine=event: %s", why.c_str());
-        warn("engine=auto: pinned to the dense engine (%s)",
-             why.c_str());
-    } else {
-        adaptive_ = options_.engine == EngineKind::Auto;
-    }
-    // Plan from the active calibration, copied: a later
-    // setActiveCalibration() does not move this session's crossover.
-    const plan::EnginePlan plan =
-        planner_.plan(networkStats(network_), plan::kDefaultRatePrior,
-                      laneCount(options_.threads));
-    if (adaptive_)
-        crossoverRate_ = plan.crossoverRate;
-    // A fresh network is silent, so an auto session starts
-    // event-driven.
-    installEngine(options_.engine == EngineKind::Event || adaptive_);
-
-    planInfo_.strategy = adaptive_      ? "auto"
-                         : eventActive_ ? "event"
-                                        : "dense";
-    planInfo_.predictedStepSec = eventActive_
-                                     ? plan.predictedEventStepSec
-                                     : plan.predictedDenseStepSec;
-    planInfo_.crossoverRate = crossoverRate_;
-    planInfo_.calibrationVersion = plan.calibrationVersion;
-    if (adaptive_)
-        recordDecision(plan::kDefaultRatePrior, false);
+    // Predict from the active calibration at the builtin rate prior:
+    // a later setActiveCalibration() does not move this record.
+    const plan::ExecutionPlanner planner;
+    planInfo_.predictedStepSec = planner.predictDenseStepSec(
+        {network_.numNeurons(), network_.numSynapses()},
+        plan::kDefaultRatePrior, laneCount(options_.threads));
+    planInfo_.calibrationVersion = planner.calibration().version;
 }
 
 SimulationSession::~SimulationSession()
@@ -177,42 +152,19 @@ SimulationSession::attachPlasticityRule(PlasticityRule *rule)
 }
 
 void
-SimulationSession::installEngine(bool event)
-{
-    if (event)
-        engine_ = std::make_unique<EventEngine>(network_, *connectivity_,
-                                                metrics_);
-    else
-        engine_ = std::make_unique<DenseEngine>(
-            network_, options_, *connectivity_, metrics_);
-    eventActive_ = event;
-}
-
-NeuronBackend &
-SimulationSession::backend()
-{
-    flexon_assert(!eventActive_);
-    return static_cast<DenseEngine &>(*engine_).backend();
-}
-
-const SpikeRouter &
-SimulationSession::router() const
-{
-    flexon_assert(!eventActive_);
-    return static_cast<const DenseEngine &>(*engine_).router();
-}
-
-const std::vector<double> &
-SimulationSession::ringBuffer() const
-{
-    return router().ringBuffer();
-}
-
-void
 SimulationSession::phaseStimulus()
 {
     telemetry::ScopedTimer scope(stimulusTimer_, "sim.stimulus");
-    engine_->injectStimulus(t_, stimulus_.generate(t_));
+    // Accumulate into step t's ring slot; the router notes each cell
+    // so the sparse clear can undo it.
+    const std::span<double> current = router_.slot(t_);
+    for (const StimulusSpike &s : stimulus_.generate(t_)) {
+        flexon_assert(s.target < network_.numNeurons());
+        flexon_assert(s.type < maxSynapseTypes);
+        const uint32_t cell = s.target * maxSynapseTypes + s.type;
+        current[cell] += s.weight;
+        router_.noteStimulus(t_, cell);
+    }
 }
 
 void
@@ -220,9 +172,9 @@ SimulationSession::phaseNeuron()
 {
     {
         telemetry::ScopedTimer scope(neuronTimer_, "sim.neuron");
-        engine_->stepNeurons(t_, fired_);
+        backend_->step(router_.slot(t_), fired_);
     }
-    modelNeuronSecGauge_.add(engine_->modelSecondsPerStep());
+    modelNeuronSecGauge_.add(backend_->modelSecondsPerStep());
 }
 
 void
@@ -249,8 +201,8 @@ SimulationSession::phaseSynapse()
     }
     spikesCounter_.add(firedList_.size());
 
-    // Rate estimator for the auto engine: a pure function of the
-    // spike history, so it stays deterministic and restorable.
+    // Rate estimator for the health detectors: a pure function of
+    // the spike history, so it stays deterministic and restorable.
     if (numNeurons > 0) {
         const double inst = static_cast<double>(firedList_.size()) /
                             static_cast<double>(numNeurons);
@@ -258,26 +210,20 @@ SimulationSession::phaseSynapse()
         ewmaRateGauge_.set(ewma + (inst - ewma) * plan::kEwmaAlpha);
     }
 
+    // Clear the consumed slot (activity-proportionally) and stream
+    // the fired rows' delivery records into the t + delay slots —
+    // bit-identical to the serial scan at any thread count (see
+    // snn/routing.hh).
     telemetry::ScopedTimer routeScope(routeTimer_,
                                       "sim.synapse.route");
-    engine_->deliverSpikes(t_, firedList_);
+    router_.routeStep(t_, firedList_);
 }
 
 void
 SimulationSession::stepOnce()
 {
     telemetry::TraceScope step("sim.step");
-
-    // Clear the previous step's fired flags before the engine runs:
-    // only the neurons in firedList_ are set, so undoing those beats
-    // an O(N) fill (sparse engines skip silent neurons entirely).
-    if (fired_.size() != network_.numNeurons()) {
-        fired_.assign(network_.numNeurons(), 0);
-    } else {
-        for (uint32_t n : firedList_)
-            fired_[n] = 0;
-    }
-
+    // The backend writes every neuron's fired flag each step.
     phaseStimulus();
     phaseNeuron();
     phaseSynapse();
@@ -292,10 +238,6 @@ SimulationSession::stepOnce()
     }
     ++t_;
     stepsCounter_.add(1);
-    // Probes sample after the step counter advances so membrane()
-    // implementations that reconstruct state from elapsed steps (the
-    // event-driven engine) see t_ = completed steps, exactly as an
-    // external caller between steps would.
     if (!options_.probes.empty()) {
         telemetry::ScopedTimer scope(probeTimer_, "sim.probe");
         for (size_t i = 0; i < options_.probes.size(); ++i)
@@ -312,56 +254,8 @@ SimulationSession::stepOnce()
         health::heartbeat(t_);
     if (exporter_ && t_ % options_.metricsEvery == 0) {
         telemetry::ScopedTimer scope(exportTimer_, "sim.export");
-        exporter_->exportNow(metrics_, t_, engine_->kind());
+        exporter_->exportNow(metrics_, t_);
     }
-    // Decisions fall on absolute window boundaries, so a restored
-    // run re-evaluates at the same steps as the original.
-    if (adaptive_ && t_ % plan::kDecisionWindow == 0)
-        decide();
-}
-
-void
-SimulationSession::switchEngine(bool toEvent)
-{
-    EngineTransfer transfer;
-    engine_->exportTransfer(t_, transfer);
-    installEngine(toEvent);
-    engine_->importTransfer(transfer);
-    switchesCounter_.add(1);
-}
-
-void
-SimulationSession::decide()
-{
-    const double rate = ewmaRate();
-    const double margin = 1.0 + plan::kSwitchHysteresis;
-    const bool toEvent = eventActive_
-                             ? !(rate > crossoverRate_ * margin)
-                             : rate * margin < crossoverRate_;
-    const bool switched = toEvent != eventActive_;
-    if (switched)
-        switchEngine(toEvent);
-    recordDecision(rate, switched);
-}
-
-void
-SimulationSession::recordDecision(double rate, bool switched)
-{
-    ++planDecisionsTotal_;
-    if (planDecisions_.size() < kPlanAuditCapacity) {
-        const plan::NetworkStats net = networkStats(network_);
-        PlanDecision d;
-        d.step = t_;
-        d.ewmaRate = rate;
-        d.predictedDenseSec = planner_.predictDenseStepSec(
-            net, rate, laneCount(options_.threads));
-        d.predictedEventSec = planner_.predictEventStepSec(net, rate);
-        d.chosen = eventActive_ ? "event" : "dense";
-        d.switched = switched;
-        planDecisions_.push_back(std::move(d));
-    }
-    if (telemetry::traceEnabled())
-        telemetry::traceInstant("plan.decision");
 }
 
 void
@@ -398,7 +292,7 @@ SimulationSession::healthSweep()
     const health::HealthOptions &ho = options_.health;
     health_.sweeps.add(1);
 
-    // Engine state scan over a rotating window, so big populations
+    // Backend state scan over a rotating window, so big populations
     // are covered incrementally at O(window) per sweep.
     health::HealthScan scan;
     const uint64_t numNeurons = network_.numNeurons();
@@ -412,7 +306,8 @@ SimulationSession::healthSweep()
             end = std::min(begin + health::kMaxScanNeurons, numNeurons);
             healthCursor_ = end < numNeurons ? end : 0;
         }
-        engine_->healthScan(begin, end, scan);
+        backend_->healthProbe(static_cast<size_t>(begin),
+                              static_cast<size_t>(end), scan);
         health_.neuronsChecked.add(scan.checked);
     }
 
@@ -593,13 +488,14 @@ SimulationSession::printStats(std::ostream &os) const
 }
 
 void
-SimulationSession::clearRun()
+SimulationSession::reset()
 {
     // Registry first: the provider republishes its footprint gauges
     // when it resets.
     metrics_.reset();
     connectivity_->reset();
-    engine_->reset();
+    backend_->reset();
+    router_.reset();
     std::fill(spikeCounts_.begin(), spikeCounts_.end(), 0);
     // Drop the previous run's fired flags too: lastFired() must
     // report "no step taken yet" after a reset, not stale spikes.
@@ -614,19 +510,6 @@ SimulationSession::clearRun()
     restoredStep_ = 0;
     healthCursor_ = 0;
     lastFixSaturations_ = health::fixSaturations();
-    planDecisions_.clear();
-    planDecisionsTotal_ = 0;
-}
-
-void
-SimulationSession::reset()
-{
-    clearRun();
-    if (adaptive_) {
-        if (!eventActive_)
-            installEngine(true);
-        recordDecision(plan::kDefaultRatePrior, false);
-    }
 }
 
 bool
@@ -634,7 +517,11 @@ SimulationSession::writeRunReport(const std::string &path) const
 {
     telemetry::ReportContext context;
     auto &config = context.config;
-    engine_->reportConfig(config);
+    config.emplace_back(
+        "backend", telemetry::jsonQuoted(backendName(options_.backend)));
+    config.emplace_back("connectivity",
+                        telemetry::jsonQuoted(connectivityKindName(
+                            options_.connectivity)));
     config.emplace_back(
         "threads",
         std::to_string(options_.threads == 0 ? 1 : options_.threads));
@@ -681,46 +568,13 @@ SimulationSession::writeRunReport(const std::string &path) const
     context.sections.emplace_back("health",
                                   std::move(healthFields));
 
-    // Plan-decision audit trail (only when anyone recorded one).
-    if (planDecisionsTotal_ > 0) {
-        telemetry::ReportFields audit;
-        audit.emplace_back("recorded",
-                           std::to_string(planDecisions_.size()));
-        audit.emplace_back(
-            "dropped", std::to_string(planDecisionsTotal_ -
-                                      planDecisions_.size()));
-        std::string decisions = "[";
-        for (size_t i = 0; i < planDecisions_.size(); ++i) {
-            const PlanDecision &d = planDecisions_[i];
-            if (i > 0)
-                decisions += ", ";
-            decisions += "{\"step\": " + std::to_string(d.step) +
-                         ", \"ewma_rate\": " + num(d.ewmaRate) +
-                         ", \"predicted_dense_sec\": " +
-                         num(d.predictedDenseSec) +
-                         ", \"predicted_event_sec\": " +
-                         num(d.predictedEventSec) + ", \"chosen\": " +
-                         telemetry::jsonQuoted(d.chosen) +
-                         ", \"switched\": " +
-                         (d.switched ? "true" : "false") + "}";
-        }
-        decisions += "]";
-        audit.emplace_back("decisions", std::move(decisions));
-        context.sections.emplace_back("plan_audit",
-                                      std::move(audit));
-    }
-
     telemetry::ReportFields planFields;
-    planFields.emplace_back(
-        "strategy", telemetry::jsonQuoted(planInfo_.strategy));
     planFields.emplace_back("planned",
                             planInfo_.planned ? "true" : "false");
     planFields.emplace_back("predicted_step_sec",
                             num(planInfo_.predictedStepSec));
     planFields.emplace_back("measured_step_sec",
                             num(measuredStepSec()));
-    planFields.emplace_back("crossover_rate",
-                            num(planInfo_.crossoverRate));
     planFields.emplace_back(
         "calibration_version",
         telemetry::jsonQuoted(planInfo_.calibrationVersion));
@@ -736,12 +590,12 @@ void
 SimulationSession::saveCheckpoint(std::ostream &os) const
 {
     // Arms the stream: 17 significant digits from here on.
-    writeCheckpointHeader(os, engine_->kind());
+    writeCheckpointHeader(os);
 
     os << "session " << network_.numNeurons() << ' ' << t_ << '\n';
     // Only simulation-meaningful counters are captured; wall-clock
     // phase timers are host-specific and restart from zero. The EWMA
-    // rate rides along so engine-selection decisions continue
+    // rate rides along so the rate detectors continue
     // deterministically after a restore.
     os << "counters " << stepsCounter_.value() << ' '
        << spikesCounter_.value() << ' '
@@ -807,7 +661,8 @@ SimulationSession::saveCheckpoint(std::ostream &os) const
     }
 
     os << "engine\n";
-    engine_->saveState(os);
+    backend_->saveState(os);
+    router_.saveState(os);
     os << "end\n";
 
     ++checkpointSaves_;
@@ -820,20 +675,9 @@ SimulationSession::loadCheckpoint(std::istream &is,
     // Restoring onto a used session must equal restoring onto a
     // fresh one: wipe everything first (also zeroes the registry the
     // counters below are re-seeded into).
-    clearRun();
+    reset();
 
-    // A pinned session restores only its own engine's snapshots; an
-    // auto session resumes on the engine that wrote the snapshot.
-    const CheckpointHeader header = parseCheckpointHeader(is);
-    if (header.engine != engine_->kind()) {
-        const bool event = header.engine == "event-driven";
-        if (!adaptive_ || (!event && header.engine != "dense")) {
-            fatal("checkpoint was written by a '%s' engine, cannot "
-                  "restore into '%s'",
-                  header.engine.c_str(), engine_->kind());
-        }
-        installEngine(event);
-    }
+    const int version = parseCheckpointHeader(is);
 
     std::string tag;
     uint64_t neurons = 0;
@@ -887,7 +731,7 @@ SimulationSession::loadCheckpoint(std::istream &is,
                   static_cast<unsigned long long>(t_));
         trace.resize(len);
         for (double &v : trace)
-            is >> v;
+            readDouble(is, v);
     }
 
     uint64_t numEvents = 0;
@@ -966,7 +810,7 @@ SimulationSession::loadCheckpoint(std::istream &is,
     // Plasticity block (v4+). Older snapshots have none: any rules
     // attached to this session keep their current state, matching
     // the historical external convention.
-    if (header.version >= 4) {
+    if (version >= 4) {
         size_t numRules = 0;
         is >> tag >> numRules;
         if (tag != "plasticity" || !is)
@@ -991,7 +835,8 @@ SimulationSession::loadCheckpoint(std::istream &is,
     is >> tag;
     if (tag != "engine" || !is)
         fatal("malformed checkpoint engine block");
-    engine_->loadState(is, t_);
+    backend_->loadState(is);
+    router_.loadState(is);
 
     is >> tag;
     if (tag != "end" || !is)

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/text_number.hh"
 
 namespace flexon {
 
@@ -161,9 +162,9 @@ StdpEngine::loadState(std::istream &is)
               "neurons)",
               preTrace_.size());
     for (double &x : preTrace_)
-        is >> x;
+        readDouble(is, x);
     for (double &x : postTrace_)
-        is >> x;
+        readDouble(is, x);
     if (!is)
         fatal("truncated STDP state in checkpoint");
 }

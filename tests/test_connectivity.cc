@@ -3,9 +3,8 @@
  * The ConnectivityProvider contract: materialized, compressed, and
  * procedural synapse storage are three encodings of the same wiring,
  * so a simulation must produce bit-identical spike trains under any
- * of them, at any thread count and under either delivery engine (both
- * deliver from the session's one provider) — compression and
- * regeneration only change where the delivery records come from,
+ * of them, at any thread count — compression and regeneration only
+ * change where the delivery records come from,
  * never their values or their per-cell accumulation order. Also
  * covered: the memory side
  * of the bargain (compressed tables measurably smaller, procedural
@@ -21,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "forced_switch.hh"
 #include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
 #include "snn/connectivity.hh"
@@ -38,7 +36,6 @@ struct RunResult
     uint64_t spikes = 0;
     uint64_t synapseEvents = 0;
     uint64_t connectivityBytes = 0;
-    uint64_t switches = 0;
 };
 
 BenchmarkInstance
@@ -62,14 +59,12 @@ microcircuit(bool procedural)
 
 RunResult
 runWith(const Network &net, const StimulusGenerator &stim,
-        ConnectivityKind kind, size_t threads, uint64_t steps,
-        EngineKind engine = EngineKind::Dense)
+        ConnectivityKind kind, size_t threads, uint64_t steps)
 {
     SimulatorOptions opts;
     opts.threads = threads;
     opts.recordSpikes = true;
     opts.connectivity = kind;
-    opts.engine = engine;
     Simulator sim(net, stim, opts);
     sim.run(steps);
 
@@ -80,7 +75,6 @@ runWith(const Network &net, const StimulusGenerator &stim,
     result.synapseEvents = sim.stats().synapseEvents;
     result.connectivityBytes = static_cast<uint64_t>(
         sim.metrics().gauge("snn.connectivity.bytes").value());
-    result.switches = sim.switches();
     return result;
 }
 
@@ -165,11 +159,8 @@ TEST_P(ProviderEquivalence, VogelsAbbottBitIdenticalAtAnyThreadCount)
 
 TEST_P(ProviderEquivalence, MicrocircuitBitIdenticalAtAnyThreadCount)
 {
-    // The LLIF microcircuit runs on every engine: dense, event, and
-    // auto forced from event to dense at the first decision window.
-    // All deliver from the session's provider and must reproduce the
-    // dense materialized run.
-    const ForcedSwitchCalibration forced;
+    // The LLIF microcircuit over every provider must reproduce the
+    // materialized serial run.
     const ConnectivityKind kind = GetParam();
     MicrocircuitInstance mat = microcircuit(false);
     const RunResult baseline = runWith(
@@ -179,18 +170,10 @@ TEST_P(ProviderEquivalence, MicrocircuitBitIdenticalAtAnyThreadCount)
 
     MicrocircuitInstance other =
         microcircuit(kind != ConnectivityKind::Materialized);
-    for (const EngineKind engine :
-         {EngineKind::Dense, EngineKind::Event, EngineKind::Auto}) {
-        for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
-            SCOPED_TRACE(std::string(engineKindName(engine)) + " t" +
-                         std::to_string(threads));
-            const RunResult run = runWith(other.network, other.stimulus,
-                                          kind, threads, 300, engine);
-            expectIdentical(baseline, run);
-            if (engine == EngineKind::Auto) {
-                EXPECT_EQ(run.switches, 1u);
-            }
-        }
+    for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
+        SCOPED_TRACE("t" + std::to_string(threads));
+        expectIdentical(baseline, runWith(other.network, other.stimulus,
+                                          kind, threads, 300));
     }
 }
 
@@ -392,14 +375,6 @@ TEST(ConnectivityGuards, MisconfigurationsDieWithClearMessages)
     // A procedural network cannot back a materialized router.
     EXPECT_DEATH(Simulator(proc.network, proc.stimulus, opts),
                  "procedural");
-    // The event engine delivers from any provider, but runs only
-    // LLIF populations; Vogels-Abbott is DLIF.
-    BenchmarkInstance mat = vogelsAbbott(false);
-    SimulatorOptions eventOpts;
-    eventOpts.connectivity = ConnectivityKind::Compressed;
-    eventOpts.engine = EngineKind::Event;
-    EXPECT_DEATH(Simulator(mat.network, mat.stimulus, eventOpts),
-                 "engine=event: the engine requires LLIF");
 }
 
 } // namespace

@@ -3,8 +3,8 @@
  * Tests for the runtime health-monitoring layer: the --health spec
  * parser, the invariant detectors (NaN, Fix saturation, rate
  * explosion/silence) driven through real sessions with injected
- * faults, the stalled-step watchdog and its crash dump, the live
- * metrics exporter and the plan-decision audit trail.
+ * faults, the stalled-step watchdog and its crash dump, and the live
+ * metrics exporter.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "common/telemetry.hh"
 #include "features/model_table.hh"
 #include "nets/table1.hh"
-#include "plan/planner.hh"
 #include "snn/simulator.hh"
 
 namespace flexon {
@@ -218,7 +217,7 @@ TEST(HealthReport, RunReportCarriesHealthSection)
     ASSERT_TRUE(sim.writeRunReport(path));
     const std::string text = slurp(path);
     std::remove(path.c_str());
-    EXPECT_NE(text.find("\"flexon-run-report-v7\""),
+    EXPECT_NE(text.find("\"flexon-run-report-v8\""),
               std::string::npos);
     const size_t at = text.find("\"health\": {");
     ASSERT_NE(at, std::string::npos);
@@ -233,30 +232,6 @@ TEST(HealthReport, RunReportCarriesHealthSection)
     // under "metrics": 32 steps at one sweep per 4 steps.
     EXPECT_EQ(section.find("sweeps"), std::string::npos);
     EXPECT_NE(text.find("\"health.sweeps\": 8"), std::string::npos);
-}
-
-TEST(PlanAudit, AutoEngineRecordsDecisions)
-{
-    LlifSetup s = llifNetwork(80, 0.02, 37);
-    SimulatorOptions opts;
-    opts.engine = EngineKind::Auto;
-    Simulator session(s.net, s.stim, opts);
-    ASSERT_TRUE(session.adaptive());
-    session.run(3 * plan::kDecisionWindow);
-    EXPECT_GE(session.planDecisionsTotal(), 4u); // step 0 + windows
-    ASSERT_FALSE(session.planDecisions().empty());
-    const PlanDecision &first = session.planDecisions().front();
-    EXPECT_EQ(first.step, 0u);
-    EXPECT_GT(first.predictedDenseSec, 0.0);
-    EXPECT_GT(first.predictedEventSec, 0.0);
-    EXPECT_TRUE(first.chosen == "dense" || first.chosen == "event");
-
-    const std::string path = "plan_audit_test.json";
-    ASSERT_TRUE(session.writeRunReport(path));
-    const std::string text = slurp(path);
-    std::remove(path.c_str());
-    EXPECT_NE(text.find("\"plan_audit\""), std::string::npos);
-    EXPECT_NE(text.find("\"decisions\""), std::string::npos);
 }
 
 TEST(Watchdog, WarnPolicyCountsStallsAndDumps)
@@ -301,8 +276,8 @@ TEST(MetricsExporter, WritesPrometheusAndJsonl)
 
     const std::string path = "metrics_export_test.prom";
     health::MetricsExporter exporter(path, "unit-test");
-    ASSERT_TRUE(exporter.exportNow(registry, 128, "dense"));
-    ASSERT_TRUE(exporter.exportNow(registry, 256, "dense"));
+    ASSERT_TRUE(exporter.exportNow(registry, 128));
+    ASSERT_TRUE(exporter.exportNow(registry, 256));
     EXPECT_EQ(exporter.snapshots(), 2u);
 
     const std::string prom = slurp(path);
@@ -310,8 +285,7 @@ TEST(MetricsExporter, WritesPrometheusAndJsonl)
     EXPECT_NE(prom.find("# TYPE flexon_test_events_total counter"),
               std::string::npos);
     EXPECT_NE(
-        prom.find("flexon_test_events_total{session=\"unit-test\","
-                  "engine=\"dense\"} 42"),
+        prom.find("flexon_test_events_total{session=\"unit-test\"} 42"),
         std::string::npos);
     EXPECT_NE(prom.find("flexon_test_depth{"), std::string::npos);
     EXPECT_NE(prom.find("flexon_export_step{"), std::string::npos);
@@ -322,6 +296,7 @@ TEST(MetricsExporter, WritesPrometheusAndJsonl)
     EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 2);
     EXPECT_NE(jsonl.find("\"step\":128"), std::string::npos);
     EXPECT_NE(jsonl.find("\"step\":256"), std::string::npos);
+    EXPECT_EQ(jsonl.find("\"engine\""), std::string::npos);
 }
 
 TEST(MetricsExporter, SessionExportsAtCadence)

@@ -1,22 +1,18 @@
 /**
  * @file
- * Tests for the calibration layer and execution planner: builtin
- * defaults must reproduce the legacy hand-tuned behavior exactly,
- * calibration documents must survive a save/load round trip, the
- * planner's engine choice must flip at the predicted crossover
- * under synthetic calibrations, and a planner-driven run must be
- * bit-identical to the corresponding fixed-engine run — the
- * planner only ever changes *which* engine steps, never what an
- * engine computes.
+ * Tests for the calibration layer and execution planner: calibration
+ * documents must survive a save/load round trip (and documents from
+ * older builds must still load), the step-cost prediction must scale
+ * with rate, threads and the serial per-neuron term, the thread
+ * choice must weigh dispatch against work, and the plan must reach
+ * the session's report record.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "features/model_table.hh"
 #include "plan/calibration.hh"
@@ -30,42 +26,12 @@ using plan::CalibrationData;
 using plan::ExecutionPlanner;
 using plan::NetworkStats;
 
-/** A calibration with a synthetic event/dense cost ratio. */
-CalibrationData
-syntheticCalibration(double eventFactor)
-{
-    CalibrationData cal = plan::builtinCalibration();
-    cal.version = "test-synthetic";
-    cal.model.eventNsPerUnit =
-        cal.model.denseNsPerNeuron * eventFactor;
-    return cal;
-}
-
-TEST(Calibration, BuiltinReproducesLegacyCrossover)
-{
-    // The hand-tuned auto engine switched at 1 / (K + 1); the builtin
-    // calibration must land there exactly (kBuiltinEventCostFactor
-    // keeps the dense and event unit costs equal, and the common
-    // delivery terms cancel out of the crossover).
-    const ExecutionPlanner planner(plan::builtinCalibration());
-    const NetworkStats net{1000, 50000}; // K = 50
-    EXPECT_DOUBLE_EQ(planner.crossoverRate(net), 1.0 / 51.0);
-
-    const NetworkStats dense{100, 9900}; // K = 99
-    EXPECT_DOUBLE_EQ(planner.crossoverRate(dense), 1.0 / 100.0);
-
-    // An empty network has no crossover to speak of.
-    const NetworkStats empty{0, 0};
-    EXPECT_GE(planner.crossoverRate(empty), 0.0);
-}
-
 TEST(Calibration, JsonRoundTripPreservesEverything)
 {
     CalibrationData cal;
     cal.version = "cal-00DEADBEEF";
     cal.host = "test host \"quoted\"";
     cal.model.denseNsPerNeuron = 3.25;
-    cal.model.eventNsPerUnit = 5.5;
     cal.model.deliveryNsPerRecord = 0.75;
     cal.model.ringClearNsPerCell = 0.125;
     cal.model.stepOverheadNs = 321.5;
@@ -90,7 +56,6 @@ TEST(Calibration, JsonRoundTripPreservesEverything)
     EXPECT_EQ(loaded.host, cal.host);
     EXPECT_EQ(loaded.model.denseNsPerNeuron,
               cal.model.denseNsPerNeuron);
-    EXPECT_EQ(loaded.model.eventNsPerUnit, cal.model.eventNsPerUnit);
     EXPECT_EQ(loaded.model.deliveryNsPerRecord,
               cal.model.deliveryNsPerRecord);
     EXPECT_EQ(loaded.model.ringClearNsPerCell,
@@ -132,6 +97,32 @@ TEST(Calibration, LoaderRejectsBadDocuments)
     EXPECT_FALSE(plan::loadCalibrationFile(
         ::testing::TempDir() + "/no_such_cal.json", out, &error));
     EXPECT_FALSE(error.empty());
+
+    // A document from a build with an event-driven engine carries
+    // event_ns_per_unit; the field is skipped and the rest loads.
+    const std::string older =
+        ::testing::TempDir() + "/older_cal.json";
+    std::ofstream(older)
+        << "{\"schema\": \"flexon-calibration-v1\","
+           " \"version\": \"cal-older\", \"host\": \"cores=4\","
+           " \"model\": {\"dense_ns_per_neuron\": 2.5,"
+           " \"event_ns_per_unit\": 7.5,"
+           " \"delivery_ns_per_record\": 1.5,"
+           " \"ring_clear_ns_per_cell\": 0.375,"
+           " \"step_overhead_ns\": 900,"
+           " \"serial_ns_per_neuron\": 3.25,"
+           " \"dispatch_ns_per_lane\": 1200,"
+           " \"parallel_efficiency\": 0.5},"
+           " \"fit\": {\"max_residual\": 0.5, \"grid_points\": 30},"
+           " \"mask_ns_per_neuron\": {}, \"provider_delivery_ns\": {}}";
+    CalibrationData loaded;
+    ASSERT_TRUE(plan::loadCalibrationFile(older, loaded, &error))
+        << error;
+    EXPECT_EQ(loaded.version, "cal-older");
+    EXPECT_EQ(loaded.model.denseNsPerNeuron, 2.5);
+    EXPECT_EQ(loaded.model.stepOverheadNs, 900.0);
+    EXPECT_EQ(loaded.model.parallelEfficiency, 0.5);
+    EXPECT_TRUE(plan::validateCalibration(loaded, 2.0, &error)) << error;
 }
 
 TEST(Calibration, ValidationGuardsCoefficientRanges)
@@ -161,59 +152,15 @@ TEST(Calibration, ValidationGuardsCoefficientRanges)
     EXPECT_TRUE(plan::validateCalibration(cal, 4.0));
 }
 
-TEST(Planner, StrategyFlipsAtPredictedCrossover)
-{
-    // Table-driven: synthetic event/dense cost ratios move the
-    // crossover, and the planned engine must flip with it — event
-    // below the hysteresis dead band, adaptive inside it, dense
-    // above (or everywhere the event engine is predicted slower).
-    const NetworkStats net{1000, 50000}; // K = 50
-    struct Case
-    {
-        double eventFactor;
-        double rate;
-        EngineKind expect;
-    };
-    // Builtin factor 1: crossover 1/51 ~ 0.0196, dead band
-    // (0.0163, 0.0235); factor 10: crossover ~ 0.00196; factor 0.1:
-    // crossover ~ 0.196.
-    const Case cases[] = {
-        {1.0, 0.001, EngineKind::Event},
-        {1.0, 0.019, EngineKind::Auto},
-        {1.0, 0.1, EngineKind::Dense},
-        {10.0, 0.0005, EngineKind::Event},
-        {10.0, 0.002, EngineKind::Auto},
-        {10.0, 0.019, EngineKind::Dense},
-        {0.1, 0.05, EngineKind::Event},
-        {0.1, 0.2, EngineKind::Auto},
-        {0.1, 0.5, EngineKind::Dense},
-    };
-    for (const Case &c : cases) {
-        const ExecutionPlanner planner(
-            syntheticCalibration(c.eventFactor));
-        const plan::EnginePlan p = planner.plan(net, c.rate, 1);
-        EXPECT_EQ(p.engine, c.expect)
-            << "eventFactor=" << c.eventFactor << " rate=" << c.rate
-            << " planned " << engineKindName(p.engine);
-        // The prediction backing the choice must be the cheaper one.
-        EXPECT_LE(p.predictedStepSec,
-                  std::max(p.predictedDenseStepSec,
-                           p.predictedEventStepSec));
-        EXPECT_EQ(p.calibrationVersion, "test-synthetic");
-    }
-}
-
 TEST(Planner, PredictionsScaleWithRateAndThreads)
 {
     const ExecutionPlanner planner(plan::builtinCalibration());
     const NetworkStats big{1000000, 50000000};
     const NetworkStats tiny{50, 2500};
 
-    // Both engines get more expensive as activity rises.
+    // A step gets more expensive as activity rises.
     EXPECT_LT(planner.predictDenseStepSec(big, 0.01, 1),
               planner.predictDenseStepSec(big, 0.1, 1));
-    EXPECT_LT(planner.predictEventStepSec(big, 0.01),
-              planner.predictEventStepSec(big, 0.1));
 
     // A million neurons are worth their worker lanes; fifty neurons
     // are not worth one dispatch.
@@ -223,11 +170,11 @@ TEST(Planner, PredictionsScaleWithRateAndThreads)
               planner.predictDenseStepSec(tiny, 0.02, 2));
 }
 
-TEST(Planner, SerialPerNeuronCostAddsToBothEnginesUnthreaded)
+TEST(Planner, SerialPerNeuronCostAddsUnthreaded)
 {
     // The serial per-neuron term (stimulus draw, fired sweep) is paid
-    // by both engines and by no worker lane: it adds n x serial to
-    // each prediction at any thread count and leaves the crossover.
+    // by no worker lane: it adds n x serial to the prediction at any
+    // thread count.
     CalibrationData cal = plan::builtinCalibration();
     const ExecutionPlanner without(cal);
     cal.model.serialNsPerNeuron = 6.5;
@@ -239,10 +186,6 @@ TEST(Planner, SerialPerNeuronCostAddsToBothEnginesUnthreaded)
                         without.predictDenseStepSec(net, 0.02, threads),
                     added, 1e-15);
     }
-    EXPECT_NEAR(with.predictEventStepSec(net, 0.02) -
-                    without.predictEventStepSec(net, 0.02),
-                added, 1e-15);
-    EXPECT_EQ(with.crossoverRate(net), without.crossoverRate(net));
 }
 
 TEST(Planner, ThreadChoiceWeighsDispatchAgainstWork)
@@ -268,19 +211,21 @@ TEST(Planner, PlanIsDeterministic)
 {
     // Same calibration + same inputs -> field-identical plans (the
     // reproducibility contract: no clocks, no sampling).
-    const CalibrationData cal = syntheticCalibration(2.0);
+    CalibrationData cal = plan::builtinCalibration();
+    cal.version = "test-synthetic";
+    cal.model.denseNsPerNeuron = 8.0;
     const ExecutionPlanner a(cal);
     const ExecutionPlanner b(cal);
     const NetworkStats net{3900, 750000};
     const plan::EnginePlan pa = a.plan(net, 0.007, 4);
     const plan::EnginePlan pb = b.plan(net, 0.007, 4);
-    EXPECT_EQ(pa.engine, pb.engine);
     EXPECT_EQ(pa.threads, pb.threads);
-    EXPECT_EQ(pa.crossoverRate, pb.crossoverRate);
     EXPECT_EQ(pa.predictedStepSec, pb.predictedStepSec);
-    EXPECT_EQ(pa.predictedDenseStepSec, pb.predictedDenseStepSec);
-    EXPECT_EQ(pa.predictedEventStepSec, pb.predictedEventStepSec);
+    EXPECT_EQ(pa.calibrationVersion, "test-synthetic");
     EXPECT_EQ(pa.calibrationVersion, pb.calibrationVersion);
+    // The prediction is the step cost at the chosen thread count.
+    EXPECT_EQ(pa.predictedStepSec,
+              a.predictDenseStepSec(net, 0.007, pa.threads));
 }
 
 /** A recurrent LLIF network with background stimulus. */
@@ -306,54 +251,6 @@ llifNetwork(size_t neurons, double rate, uint64_t seed)
 }
 
 /**
- * The acceptance contract: running under the planner's choice (for
- * every engine it can choose, at several thread counts) produces
- * the same spike train as the pinned dense engine — bit for bit.
- */
-TEST(PlanBitIdentity, PlannedStrategiesMatchPinnedEngines)
-{
-    const uint64_t total = 640;
-    for (const size_t threads : {size_t{1}, size_t{3}, size_t{4}}) {
-        SimulatorOptions opts;
-        opts.recordSpikes = true;
-        opts.probes = {0, 3, 11};
-        opts.threads = threads;
-
-        LlifSetup a = llifNetwork(90, 0.05, 13);
-        Simulator dense(a.net, a.stim, opts);
-        dense.run(total);
-        ASSERT_GT(dense.stats().spikes, 0u) << "silent network";
-
-        for (const EngineKind kind :
-             {EngineKind::Dense, EngineKind::Event,
-              EngineKind::Auto}) {
-            LlifSetup b = llifNetwork(90, 0.05, 13);
-            SimulatorOptions kindOpts = opts;
-            kindOpts.engine = kind;
-            // The default planner (builtin calibration) drives the
-            // Auto case; pinned kinds must ignore it entirely.
-            Simulator sim(b.net, b.stim, kindOpts);
-            sim.run(total);
-            EXPECT_EQ(sim.spikeCounts(), dense.spikeCounts())
-                << "threads=" << threads
-                << " engine=" << engineKindName(kind);
-            EXPECT_EQ(sim.stats().spikes, dense.stats().spikes);
-            ASSERT_EQ(sim.spikeEvents().size(),
-                      dense.spikeEvents().size());
-            for (size_t i = 0; i < dense.spikeEvents().size(); ++i) {
-                EXPECT_EQ(sim.spikeEvents()[i].step,
-                          dense.spikeEvents()[i].step);
-                EXPECT_EQ(sim.spikeEvents()[i].neuron,
-                          dense.spikeEvents()[i].neuron);
-            }
-            for (size_t p = 0; p < opts.probes.size(); ++p)
-                EXPECT_EQ(sim.probeTrace(p), dense.probeTrace(p))
-                    << "probe " << p;
-        }
-    }
-}
-
-/**
  * The planner's provenance must flow into the session's plan info
  * (what the run report's plan section is generated from).
  */
@@ -361,14 +258,20 @@ TEST(PlanBitIdentity, PlanInfoReachesTheSession)
 {
     LlifSetup s = llifNetwork(60, 0.03, 5);
     SimulatorOptions opts;
-    opts.engine = EngineKind::Auto;
+    opts.threads = 3;
     Simulator sim(s.net, s.stim, opts);
     const PlanInfo &info = sim.planInfo();
-    EXPECT_EQ(info.strategy, "auto");
+    EXPECT_FALSE(info.planned);
     EXPECT_EQ(info.calibrationVersion,
               plan::kBuiltinCalibrationVersion);
-    EXPECT_FALSE(info.strategy.empty());
+    // The session predicts at its own thread count and the rate
+    // prior.
+    const ExecutionPlanner planner(plan::builtinCalibration());
     EXPECT_GT(info.predictedStepSec, 0.0);
+    EXPECT_EQ(info.predictedStepSec,
+              planner.predictDenseStepSec(
+                  {s.net.numNeurons(), s.net.numSynapses()},
+                  plan::kDefaultRatePrior, 3));
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -382,6 +384,31 @@ TEST(IntrinsicExcitability, RestoreRequiresMatchingRules)
     Simulator second(b.inst.network, b.inst.stimulus, opts);
     EXPECT_DEATH(second.loadCheckpoint(snapshot, &b.inst.network),
                  "plasticity rules");
+}
+
+TEST(IntrinsicExcitability, NonFiniteStateRestoresAndResaves)
+{
+    // The rule writes rates and offsets with operator<<, so a
+    // non-finite value is `nan`, `inf` or `-inf` in the checkpoint
+    // text; the restore must read it back (and re-apply the offsets)
+    // and a re-save must write the same line.
+    Network net;
+    net.addPopulation("ie", defaultParams(ModelKind::LLIF), 2);
+    net.finalize();
+    const auto backend = makeReferenceBackend(net);
+    IePlasticityConfig config;
+    config.enabled = true;
+    IntrinsicExcitabilityRule rule(*backend, 2, config);
+    const std::string text = "ie 2 nan inf -inf 0.25\n";
+    std::istringstream is(text);
+    rule.loadState(is);
+    EXPECT_EQ(backend->thresholdOffset(0),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(backend->thresholdOffset(1), 0.25);
+    std::ostringstream os;
+    os << std::setprecision(17);
+    rule.saveState(os);
+    EXPECT_EQ(os.str(), text);
 }
 
 TEST(IntrinsicExcitability, RequiresThresholdCapableBackend)

@@ -6,10 +6,8 @@
  * with delays spanning the full ring depth, multiple synapse types
  * and populations, and on the degenerate shapes (more than 64 delay
  * buckets, zero synapses, a single neuron, every neuron firing on
- * every step). Each shape runs on materialized and compressed rows,
- * and in its LLIF form on the event-driven engine — plus the
- * sparse/dense
- * ring-clear crossover, live STDP weight updates, and the router's
+ * every step). Each shape runs on materialized and compressed rows —
+ * plus the sparse/dense ring-clear crossover, live STDP weight updates, and the router's
  * checkpoint: restart equivalence and rejection of corrupt state.
  *
  * The oracle replays the exact pre-routing-table semantics: dense
@@ -107,34 +105,19 @@ expectRingBitIdentical(const std::vector<double> &oracle,
 }
 
 /**
- * Neuron parameters of a shape's population: `kind`, or LLIF (without
- * a refractory period, like LIF) for the event engine's form of the
- * shape.
- */
-NeuronParams
-shapeParams(ModelKind kind, bool llif)
-{
-    if (!llif)
-        return defaultParams(kind);
-    NeuronParams p = defaultParams(ModelKind::LLIF);
-    p.features.remove(Feature::AR);
-    return p;
-}
-
-/**
  * Three populations, synapse types 0..3, delays spanning the full
  * ring (1..maxDelay, including explicit maxDelay edges).
  */
 Network
-mixedNetwork(uint8_t maxDelay, bool llif = false)
+mixedNetwork(uint8_t maxDelay)
 {
     Network net;
     const size_t a = net.addPopulation(
-        "a", shapeParams(ModelKind::DLIF, llif), 40);
+        "a", defaultParams(ModelKind::DLIF), 40);
     const size_t b =
-        net.addPopulation("b", shapeParams(ModelKind::LIF, llif), 30);
+        net.addPopulation("b", defaultParams(ModelKind::LIF), 30);
     const size_t c = net.addPopulation(
-        "c", shapeParams(ModelKind::DLIF, llif), 25);
+        "c", defaultParams(ModelKind::DLIF), 25);
     Rng rng(77);
     net.connectRandom(a, b, 0.15, 0.08, 1, maxDelay, 0, rng);
     net.connectRandom(b, c, 0.15, 0.07, 1, maxDelay, 1, rng);
@@ -167,11 +150,11 @@ enum class NetShape {
 
 /** More than 64 distinct delays (1..100), so no bucket mask fits. */
 Network
-manyDelayNetwork(bool llif)
+manyDelayNetwork()
 {
     Network net;
     const size_t a =
-        net.addPopulation("a", shapeParams(ModelKind::DLIF, llif), 60);
+        net.addPopulation("a", defaultParams(ModelKind::DLIF), 60);
     Rng rng(19);
     net.connectRandom(a, a, 0.25, 0.06, 1, 100, 0, rng);
     net.connectRandom(a, a, 0.05, -0.04, 1, 100, 1, rng);
@@ -187,43 +170,43 @@ manyDelayNetwork(bool llif)
  * every step, and the excitatory recurrence only adds to it.
  */
 Network
-allFiringNetwork(bool llif)
+allFiringNetwork()
 {
     Network net;
     const size_t a =
-        net.addPopulation("a", shapeParams(ModelKind::LIF, llif), 40);
+        net.addPopulation("a", defaultParams(ModelKind::LIF), 40);
     Rng rng(23);
     net.connectRandom(a, a, 0.2, 0.05, 1, 6, 0, rng);
     net.finalize();
     return net;
 }
 
-/** A shape's network; `llif` builds its LLIF form. */
+/** A shape's network. */
 Network
-shapeNetwork(NetShape shape, bool llif)
+shapeNetwork(NetShape shape)
 {
     switch (shape) {
     case NetShape::Mixed:
-        return mixedNetwork(8, llif);
+        return mixedNetwork(8);
     case NetShape::ManyDelays:
-        return manyDelayNetwork(llif);
+        return manyDelayNetwork();
     case NetShape::NoSynapses: {
         Network net;
-        net.addPopulation("bare", shapeParams(ModelKind::DLIF, llif),
+        net.addPopulation("bare", defaultParams(ModelKind::DLIF),
                           95);
         net.finalize();
         return net;
     }
     case NetShape::OneNeuron: {
         Network net;
-        net.addPopulation("one", shapeParams(ModelKind::DLIF, llif), 1);
+        net.addPopulation("one", defaultParams(ModelKind::DLIF), 1);
         net.addSynapse(0, {0, 0.3f, 2, 0});
         net.addSynapse(0, {0, -0.1f, 5, 1});
         net.finalize();
         return net;
     }
     case NetShape::AllFiring:
-        return allFiringNetwork(llif);
+        return allFiringNetwork();
     }
     return {};
 }
@@ -244,9 +227,8 @@ shapeStimulus(NetShape shape, size_t neurons)
 
 /** How an oracle case delivers. */
 enum class Delivery {
-    Dense,      ///< dense engine over materialized rows
-    Compressed, ///< dense engine over compressed rows
-    Event,      ///< event engine over materialized rows, LLIF shapes
+    Materialized, ///< materialized rows
+    Compressed,   ///< compressed rows
 };
 
 /** One cell of the oracle matrix. */
@@ -254,7 +236,7 @@ struct EquivalenceCase
 {
     NetShape shape;
     size_t threads;
-    Delivery delivery = Delivery::Dense;
+    Delivery delivery = Delivery::Materialized;
 };
 
 /** Name prefix; the mixed shape keeps the bare t1/t3/t4 names. */
@@ -267,11 +249,11 @@ shapePrefix(NetShape shape)
     return prefix[static_cast<int>(shape)];
 }
 
-/** Name prefix; dense materialized cases keep the bare names. */
+/** Name prefix; materialized cases keep the bare names. */
 const char *
 deliveryPrefix(Delivery delivery)
 {
-    static const char *const prefix[] = {"", "compressed_", "event_"};
+    static const char *const prefix[] = {"", "compressed_"};
     return prefix[static_cast<int>(delivery)];
 }
 
@@ -288,7 +270,7 @@ equivalenceCases()
 {
     std::vector<EquivalenceCase> cases;
     for (const Delivery delivery :
-         {Delivery::Dense, Delivery::Compressed, Delivery::Event})
+         {Delivery::Materialized, Delivery::Compressed})
         for (const NetShape shape :
              {NetShape::Mixed, NetShape::ManyDelays,
               NetShape::NoSynapses, NetShape::OneNeuron,
@@ -306,8 +288,7 @@ class RoutingEquivalence
 TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
 {
     const auto [shape, threads, delivery] = GetParam();
-    const bool event = delivery == Delivery::Event;
-    Network net = shapeNetwork(shape, event);
+    Network net = shapeNetwork(shape);
     const StimulusGenerator stim =
         shapeStimulus(shape, net.numNeurons());
 
@@ -316,8 +297,6 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
     opts.recordSpikes = true;
     if (delivery == Delivery::Compressed)
         opts.connectivity = ConnectivityKind::Compressed;
-    if (event)
-        opts.engine = EngineKind::Event;
     Simulator sim(net, stim, opts);
     OracleSimulator oracle(net, stim);
     if (shape == NetShape::Mixed) {
@@ -332,9 +311,7 @@ TEST_P(RoutingEquivalence, BitIdenticalToNaiveOracle)
         sim.stepOnce();
         oracle.stepOnce();
         ASSERT_EQ(oracle.fired_, sim.lastFired()) << "step " << step;
-        // The event engine keeps pending records, not a ring.
-        if (!event)
-            expectRingBitIdentical(oracle.ring_, sim.ringBuffer(), step);
+        expectRingBitIdentical(oracle.ring_, sim.ringBuffer(), step);
         if (shape == NetShape::AllFiring) {
             const std::vector<uint8_t> &fired = sim.lastFired();
             ASSERT_TRUE(std::all_of(fired.begin(), fired.end(),
@@ -567,7 +544,7 @@ TEST(RoutingRefresh, FullRefreshAfterLogOverflow)
 
 // ---- Sparse-activity delivery (activity bitmaps + shard skip) ---
 
-/** A recurrent LLIF network every delivery engine can run. */
+/** A recurrent LLIF network at a few-percent firing rate. */
 Network
 llifNet(size_t neurons, uint64_t seed)
 {
@@ -597,17 +574,15 @@ class SparseDelivery : public ::testing::TestWithParam<size_t>
 {
 };
 
-TEST_P(SparseDelivery, DenseAndEventEnginesMatchOracle)
+TEST_P(SparseDelivery, MatchesOracleAndSkipsShards)
 {
-    // The dense engine (activity masks, shard skipping) and the
-    // event-driven engine against the naive serial oracle: spike for
-    // spike, and ring double for ring double for the dense engine, at
-    // every thread count.
+    // Delivery with activity masks and shard skipping against the
+    // naive serial oracle: spike for spike and ring double for ring
+    // double, at every thread count.
     const size_t threads = GetParam();
     const size_t n = 120;
     Network netOracle = llifNet(n, 31);
     Network netDense = llifNet(n, 31);
-    Network netEvent = llifNet(n, 31);
 
     OracleSimulator oracle(netOracle, llifStim(n, 5));
     SimulatorOptions opts;
@@ -615,26 +590,18 @@ TEST_P(SparseDelivery, DenseAndEventEnginesMatchOracle)
     opts.recordSpikes = true;
     Simulator dense(netDense, llifStim(n, 5), opts);
 
-    SimulatorOptions evOpts = opts;
-    evOpts.engine = EngineKind::Event;
-    Simulator event(netEvent, llifStim(n, 5), evOpts);
-
     for (uint64_t step = 0; step < 600; ++step) {
         oracle.stepOnce();
         dense.stepOnce();
-        event.stepOnce();
         ASSERT_EQ(oracle.fired_, dense.lastFired()) << "step " << step;
-        ASSERT_EQ(oracle.fired_, event.lastFired()) << "step " << step;
         expectRingBitIdentical(oracle.ring_, dense.ringBuffer(), step);
     }
     EXPECT_GT(oracle.events_.size(), 0u) << "network stayed silent";
     EXPECT_EQ(oracle.counts_, dense.spikeCounts());
-    EXPECT_EQ(oracle.counts_, event.spikeCounts());
     EXPECT_EQ(oracle.synapseEvents_, dense.stats().synapseEvents);
-    EXPECT_EQ(oracle.synapseEvents_, event.stats().synapseEvents);
 
-    // The dense engine must actually skip work: on a low-rate network
-    // most shards receive nothing on most steps.
+    // Delivery must actually skip work: on a low-rate network most
+    // shards receive nothing on most steps.
     EXPECT_GT(dense.router().bucketsVisited(), 0u);
     if (threads > 1) {
         EXPECT_GT(dense.router().shardsSkipped(), 0u);

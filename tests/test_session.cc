@@ -6,16 +6,19 @@
  * steps,
  * saving a checkpoint, restoring it into a freshly constructed
  * session, and running the remaining N - k steps. Exercised for
- * every dense backend at several thread counts, for the
- * event-driven engine, with STDP mutating weights mid-run, and for
- * restore-onto-a-used-session semantics. The auto-engine suite checks
- * that a switch inside the one session keeps everything around the
- * engine running: spikes, plasticity, metrics and checkpoints.
+ * every backend at several thread counts, with STDP mutating weights
+ * mid-run, with a NaN membrane in a probe trace, and for
+ * restore-onto-a-used-session semantics; corrupt checkpoints are
+ * rejected with a diagnostic. Also covered: attached plasticity
+ * rules, the router's use of the session's provider, and the crash
+ * dump's copy of the session metrics.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -25,7 +28,6 @@
 
 #include "common/health.hh"
 #include "features/model_table.hh"
-#include "forced_switch.hh"
 #include "nets/table1.hh"
 #include "snn/plasticity.hh"
 #include "snn/simulator.hh"
@@ -56,12 +58,6 @@ const std::vector<std::string> kDenseCounters = {
     "snn.router.cells_cleared",
     "snn.router.shards_skipped",
     "snn.router.buckets_visited",
-};
-
-/** Registry counters an event-engine restore must continue. */
-const std::vector<std::string> kEventCounters = {
-    "sim.steps",  "sim.spikes",       "sim.synapse_events",
-    "ev.updates", "ev.dense_updates",
 };
 
 RunResult
@@ -218,79 +214,6 @@ llifNetwork(size_t neurons, double rate, uint64_t seed)
     return s;
 }
 
-SimulatorOptions
-evOptions()
-{
-    SimulatorOptions opts;
-    opts.engine = EngineKind::Event;
-    opts.recordSpikes = true;
-    opts.probes = {0, 3, 11};
-    return opts;
-}
-
-TEST(EventDrivenRestart, SplitRunMatchesFullRunBitForBit)
-{
-    const uint64_t total = 1200, split = 500;
-    const SimulatorOptions opts = evOptions();
-
-    LlifSetup a = llifNetwork(80, 0.02, 7);
-    Simulator full(a.net, a.stim, opts);
-    full.run(total);
-
-    LlifSetup b = llifNetwork(80, 0.02, 7);
-    std::stringstream snapshot;
-    {
-        Simulator first(b.net, b.stim, opts);
-        first.run(split);
-        first.saveCheckpoint(snapshot);
-    }
-
-    Simulator second(b.net, b.stim, opts);
-    second.loadCheckpoint(snapshot);
-    EXPECT_EQ(second.restoredStep(), split);
-    second.run(total - split);
-
-    // The update counters continue across the restore too (they
-    // are part of the checkpoint).
-    expectIdentical(capture(full, opts.probes.size(), kEventCounters),
-                    capture(second, opts.probes.size(),
-                            kEventCounters));
-    EXPECT_GT(full.stats().spikes, 0u);
-}
-
-TEST(EventDrivenRestart, ShardedProviderSplitRunMatchesFullRun)
-{
-    // Over a 3-shard compressed provider the engine lists pending
-    // records shard by shard, so its checkpoint text differs from a
-    // 1-shard run's; what must hold is that a split run equals the
-    // full run.
-    const uint64_t total = 1200, split = 500;
-    SimulatorOptions opts = evOptions();
-    opts.threads = 3;
-    opts.connectivity = ConnectivityKind::Compressed;
-
-    LlifSetup a = llifNetwork(80, 0.02, 7);
-    Simulator full(a.net, a.stim, opts);
-    ASSERT_EQ(full.connectivity().shardCount(), 3u);
-    full.run(total);
-
-    LlifSetup b = llifNetwork(80, 0.02, 7);
-    std::stringstream snapshot;
-    {
-        Simulator first(b.net, b.stim, opts);
-        first.run(split);
-        first.saveCheckpoint(snapshot);
-    }
-    Simulator second(b.net, b.stim, opts);
-    second.loadCheckpoint(snapshot);
-    second.run(total - split);
-
-    expectIdentical(capture(full, opts.probes.size(), kEventCounters),
-                    capture(second, opts.probes.size(),
-                            kEventCounters));
-    EXPECT_GT(full.stats().spikes, 0u);
-}
-
 TEST(SessionCheckpoint, RestoreOntoUsedSessionEqualsFreshRestore)
 {
     const uint64_t total = 150, split = 60;
@@ -319,6 +242,64 @@ TEST(SessionCheckpoint, RestoreOntoUsedSessionEqualsFreshRestore)
     expectIdentical(capture(full, opts.probes.size(), kDenseCounters),
                     capture(second, opts.probes.size(),
                             kDenseCounters));
+}
+
+/** A trace's bit patterns, with every NaN mapped to one pattern. */
+std::vector<uint64_t>
+traceBits(const std::vector<double> &trace)
+{
+    std::vector<uint64_t> bits;
+    for (const double v : trace)
+        bits.push_back(std::isnan(v) ? ~uint64_t{0}
+                                     : std::bit_cast<uint64_t>(v));
+    return bits;
+}
+
+TEST(SessionCheckpoint, NanProbeTraceRestoresBitForBit)
+{
+    // A probed neuron whose membrane went NaN (the default Report
+    // policy counts it and runs on) writes `nan` into its probe trace;
+    // the restore must read it back. LIF keeps a NaN membrane NaN,
+    // where LLIF's leak floor would clear it.
+    const uint64_t total = 120, poison = 30, split = 70;
+    SimulatorOptions opts;
+    opts.recordSpikes = true;
+    opts.probes = {0, 5};
+
+    Network net;
+    const size_t pop =
+        net.addPopulation("lif", defaultParams(ModelKind::LIF), 30);
+    Rng rng(17);
+    net.connectRandom(pop, pop, 0.1, 20.0f, 1, 6, 0, rng);
+    net.finalize();
+    StimulusGenerator stim(17);
+    stim.addSource(StimulusSource::poisson(0, 30, 0.1, 150.0f, 0));
+
+    Simulator full(net, stim, opts);
+    full.run(poison);
+    ASSERT_TRUE(full.debugPoisonMembrane(0));
+    full.run(total - poison);
+    ASSERT_TRUE(std::isnan(full.probeTrace(0).back()));
+    ASSERT_GT(full.stats().spikes, 0u) << "network stayed silent";
+
+    std::stringstream snapshot;
+    {
+        Simulator first(net, stim, opts);
+        first.run(poison);
+        ASSERT_TRUE(first.debugPoisonMembrane(0));
+        first.run(split - poison);
+        first.saveCheckpoint(snapshot);
+    }
+    Simulator second(net, stim, opts);
+    second.loadCheckpoint(snapshot);
+    second.run(total - split);
+
+    for (size_t p = 0; p < opts.probes.size(); ++p) {
+        EXPECT_EQ(traceBits(full.probeTrace(p)),
+                  traceBits(second.probeTrace(p)))
+            << "probe " << p;
+    }
+    EXPECT_EQ(full.spikeCounts(), second.spikeCounts());
 }
 
 TEST(SessionCheckpoint, StdpWeightsRehydrateAndLearningContinues)
@@ -396,20 +377,6 @@ TEST(SessionCheckpoint, StdpCheckpointNeedsTheMutableNetwork)
     Simulator second(s.net, s.stim, opts);
     EXPECT_DEATH(second.loadCheckpoint(snapshot),
                  "mutated synapse weights");
-}
-
-TEST(SessionCheckpoint, RejectsEngineKindMismatch)
-{
-    LlifSetup a = llifNetwork(30, 0.02, 9);
-    Simulator dense(a.net, a.stim, SimulatorOptions{});
-    dense.run(20);
-    std::stringstream snapshot;
-    dense.saveCheckpoint(snapshot);
-
-    LlifSetup b = llifNetwork(30, 0.02, 9);
-    Simulator sparse(b.net, b.stim, evOptions());
-    EXPECT_DEATH(sparse.loadCheckpoint(snapshot),
-                 "written by a 'dense' engine");
 }
 
 TEST(SessionCheckpoint, RejectsNeuronCountMismatch)
@@ -501,45 +468,6 @@ TEST(StimulusCheckpoint, RejectsOuStateOnAPoissonSource)
                  "has 1 OU values, this source keeps 0");
 }
 
-TEST(EventDrivenCheckpoint, RejectsPendingCellsOutsideTheNetwork)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    LlifSetup s = llifNetwork(30, 0.02, 9);
-    Simulator sim(s.net, s.stim, evOptions());
-    const SavedLines saved = savedAfterRun(sim);
-    const std::string cells =
-        std::to_string(s.net.numNeurons() * maxSynapseTypes);
-    for (const char *block : {"slot ", "carry "}) {
-        SCOPED_TRACE(block);
-        SavedLines cp = saved;
-        cp.line(block) = block + ("1 " + cells + " 0.5");
-        Simulator fresh(s.net, s.stim, evOptions());
-        std::istringstream is(cp.text());
-        EXPECT_DEATH(fresh.loadCheckpoint(is),
-                     "event-driven cell " + cells + " is outside");
-    }
-}
-
-TEST(EventDrivenCheckpoint, RejectsLastUpdateAfterTheRestoredStep)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    LlifSetup s = llifNetwork(30, 0.02, 9);
-    Simulator sim(s.net, s.stim, evOptions());
-    SavedLines cp = savedAfterRun(sim);
-    // `states` holds v, refractory, lastUpdate per neuron: move the
-    // first neuron's lastUpdate one step past the restored step 40.
-    std::istringstream states(cp.line("states "));
-    std::string tag, v, refractory, lastUpdate;
-    states >> tag >> v >> refractory >> lastUpdate;
-    std::string rest;
-    std::getline(states, rest);
-    cp.line("states ") = tag + ' ' + v + ' ' + refractory + " 41" + rest;
-    Simulator fresh(s.net, s.stim, evOptions());
-    std::istringstream is(cp.text());
-    EXPECT_DEATH(fresh.loadCheckpoint(is),
-                 "updated at step 41, after the restored step 40");
-}
-
 /** Restore `text` into a fresh session over `s` with `opts`. */
 void
 restoreText(const LlifSetup &s, const SimulatorOptions &opts,
@@ -548,6 +476,21 @@ restoreText(const LlifSetup &s, const SimulatorOptions &opts,
     Simulator fresh(s.net, s.stim, opts);
     std::istringstream is(text);
     fresh.loadCheckpoint(is);
+}
+
+TEST(SessionCheckpoint, RejectsEventDrivenSnapshot)
+{
+    // Snapshots of the event-driven engine older builds had carry
+    // `event-driven` in the header; the restore names it.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    LlifSetup s = llifNetwork(30, 0.02, 9);
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
+    SavedLines cp = savedAfterRun(sim);
+    EXPECT_EQ(cp.line("flexon-checkpoint "), "flexon-checkpoint v4 dense");
+    cp.line("flexon-checkpoint ") = "flexon-checkpoint v4 event-driven";
+    EXPECT_EXIT(restoreText(s, SimulatorOptions{}, cp.text()),
+                ::testing::ExitedWithCode(1),
+                "checkpoint was written by a 'event-driven' engine");
 }
 
 TEST(SessionCheckpoint, RejectsNonNumericVersionWithoutAborting)
@@ -569,8 +512,9 @@ TEST(SessionCheckpoint, BoundsRecordedCountsByTheRestoredSteps)
     // fails with a diagnostic instead of std::bad_alloc.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     LlifSetup s = llifNetwork(30, 0.02, 9);
-    SimulatorOptions opts = evOptions();
-    opts.engine = EngineKind::Dense;
+    SimulatorOptions opts;
+    opts.recordSpikes = true;
+    opts.probes = {0, 3, 11};
     Simulator sim(s.net, s.stim, opts);
     const SavedLines saved = savedAfterRun(sim);
 
@@ -588,168 +532,6 @@ TEST(SessionCheckpoint, BoundsRecordedCountsByTheRestoredSteps)
                 "probe trace has 99999999999999 samples after 40 steps");
 }
 
-TEST(EventDrivenCheckpoint, BoundsPendingCountsByTheNetwork)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    LlifSetup s = llifNetwork(30, 0.02, 9);
-    Simulator sim(s.net, s.stim, evOptions());
-    const SavedLines saved = savedAfterRun(sim);
-
-    SavedLines slot = saved;
-    slot.line("slot ") = "slot 99999999999999";
-    EXPECT_EXIT(restoreText(s, evOptions(), slot.text()),
-                ::testing::ExitedWithCode(1),
-                "slot holds 99999999999999 records, more than the "
-                "[0-9]+ this network can pend");
-
-    SavedLines carry = saved;
-    carry.line("carry ") = "carry 99999999999999";
-    EXPECT_EXIT(restoreText(s, evOptions(), carry.text()),
-                ::testing::ExitedWithCode(1),
-                "carry holds 99999999999999 values, more than the 120 "
-                "cells");
-}
-
-// ---- Rate-adaptive engine switch --------------------------------
-
-/** Auto-engine options with spike recording and three probes. */
-SimulatorOptions
-autoOptions()
-{
-    SimulatorOptions opts;
-    opts.engine = EngineKind::Auto;
-    opts.recordSpikes = true;
-    opts.probes = {0, 3, 11};
-    return opts;
-}
-
-/** Steps that take a forced-switch run past two decisions. */
-constexpr uint64_t kSwitchRunSteps = 640;
-static_assert(kSwitchRunSteps > 2 * plan::kDecisionWindow);
-
-TEST(AutoEngine, SwitchingRunMatchesPinnedEnginesBitForBit)
-{
-    // Every neuron is probed after every step: a silent neuron's
-    // catch-up on the event engine, and the membranes it hands to
-    // dense at the switch, must equal the dense kernel's per-step
-    // leak to the bit.
-    const ForcedSwitchCalibration forced;
-    SimulatorOptions opts = autoOptions();
-    opts.probes.clear();
-    for (uint32_t n = 0; n < 90; ++n)
-        opts.probes.push_back(n);
-
-    SimulatorOptions denseOpts = opts;
-    denseOpts.engine = EngineKind::Dense;
-    LlifSetup a = llifNetwork(90, 0.05, 13);
-    Simulator dense(a.net, a.stim, denseOpts);
-    dense.run(kSwitchRunSteps);
-    ASSERT_GT(dense.stats().spikes, 0u) << "network stayed silent";
-
-    LlifSetup b = llifNetwork(90, 0.05, 13);
-    Simulator autoSim(b.net, b.stim, opts);
-    ASSERT_TRUE(autoSim.adaptive());
-    autoSim.run(kSwitchRunSteps);
-    EXPECT_GE(autoSim.switches(), 1u)
-        << "forced crossover never triggered a switch";
-    EXPECT_FALSE(autoSim.eventActive());
-    EXPECT_EQ(autoSim.metrics().counter("sim.engine_switches").value(),
-              autoSim.switches());
-
-    expectIdentical(capture(dense, opts.probes.size()),
-                    capture(autoSim, opts.probes.size()));
-}
-
-TEST(AutoEngine, CheckpointAcrossSwitchRestoresBitForBit)
-{
-    const ForcedSwitchCalibration forced;
-    const uint64_t split = plan::kDecisionWindow + 64;
-    const SimulatorOptions opts = autoOptions();
-
-    // Uninterrupted adaptive baseline.
-    LlifSetup a = llifNetwork(90, 0.05, 13);
-    Simulator full(a.net, a.stim, opts);
-    full.run(kSwitchRunSteps);
-    ASSERT_GE(full.switches(), 1u);
-
-    // Same run split at a point past the switch; the snapshot is
-    // written by whichever engine is live at the split.
-    const std::string path =
-        ::testing::TempDir() + "auto-switch.fxc";
-    LlifSetup b = llifNetwork(90, 0.05, 13);
-    {
-        Simulator first(b.net, b.stim, opts);
-        first.run(split);
-        ASSERT_GE(first.switches(), 1u)
-            << "split point landed before the switch";
-        EXPECT_FALSE(first.eventActive());
-        ASSERT_TRUE(first.saveCheckpointFile(path));
-    } // restore below must be self-contained
-
-    // A fresh adaptive session starts on the event engine; the
-    // restore must switch to the engine the checkpoint was written by
-    // and then continue bit-exactly, including later decisions (the
-    // EWMA estimator travels in the snapshot).
-    Simulator second(b.net, b.stim, opts);
-    EXPECT_TRUE(second.eventActive());
-    second.loadCheckpointFile(path);
-    EXPECT_FALSE(second.eventActive());
-    EXPECT_EQ(second.restoredStep(), split);
-    second.run(kSwitchRunSteps - split);
-
-    expectIdentical(capture(full, opts.probes.size()),
-                    capture(second, opts.probes.size()));
-}
-
-TEST(AutoEngine, PinnedKindsNeverSwitch)
-{
-    SimulatorOptions pin;
-    pin.engine = EngineKind::Event;
-    LlifSetup a = llifNetwork(50, 0.05, 5);
-    Simulator ev(a.net, a.stim, pin);
-    EXPECT_FALSE(ev.adaptive());
-    EXPECT_TRUE(ev.eventActive());
-    ev.run(300);
-    EXPECT_EQ(ev.switches(), 0u);
-
-    LlifSetup b = llifNetwork(50, 0.05, 5);
-    pin.engine = EngineKind::Dense;
-    Simulator dense(b.net, b.stim, pin);
-    EXPECT_FALSE(dense.adaptive());
-    EXPECT_FALSE(dense.eventActive());
-    dense.run(300);
-    EXPECT_EQ(dense.switches(), 0u);
-
-    // Identical spikes regardless of the pin.
-    EXPECT_EQ(ev.spikeCounts(), dense.spikeCounts());
-}
-
-TEST(AutoEngine, AutoFallsBackToDenseWhenIneligible)
-{
-    // A non-LLIF network cannot run event-driven, and neither can
-    // the flexon backend; Auto must pin dense instead of dying.
-    Network net;
-    net.addPopulation("lif", defaultParams(ModelKind::LIF), 40);
-    net.finalize();
-    StimulusGenerator stim(3);
-    stim.addSource(StimulusSource::poisson(0, 40, 0.05, 0.8f, 0));
-
-    SimulatorOptions opts;
-    opts.engine = EngineKind::Auto;
-    Simulator sim(net, stim, opts);
-    EXPECT_FALSE(sim.adaptive());
-    EXPECT_FALSE(sim.eventActive());
-    sim.run(100);
-    EXPECT_EQ(sim.switches(), 0u);
-    EXPECT_EQ(sim.currentStep(), 100u);
-
-    LlifSetup s = llifNetwork(40, 0.05, 3);
-    opts.backend = BackendKind::Flexon;
-    Simulator flexon(s.net, s.stim, opts);
-    EXPECT_FALSE(flexon.adaptive());
-    EXPECT_STREQ(flexon.activeEngine(), "dense");
-}
-
 /** Counts the steps it observes. */
 class CountingRule : public PlasticityRule
 {
@@ -765,28 +547,24 @@ class CountingRule : public PlasticityRule
     uint64_t steps = 0;
 };
 
-TEST(AutoEngine, AttachedRuleSeesEveryStepAcrossASwitch)
+TEST(SessionPlasticity, AttachedRuleSeesEveryStep)
 {
-    const ForcedSwitchCalibration forced;
     LlifSetup s = llifNetwork(90, 0.05, 13);
-    Simulator sim(s.net, s.stim, autoOptions());
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
     CountingRule rule;
     sim.attachPlasticityRule(&rule);
-    sim.run(kSwitchRunSteps);
-    ASSERT_GE(sim.switches(), 1u);
-    EXPECT_EQ(rule.steps, kSwitchRunSteps);
+    sim.run(640);
+    EXPECT_EQ(rule.steps, 640u);
 }
 
-TEST(AutoEngine, CrashDumpAfterSwitchCarriesSessionMetrics)
+TEST(SessionCrashDump, CarriesTheSessionMetrics)
 {
-    const ForcedSwitchCalibration forced;
     LlifSetup s = llifNetwork(90, 0.05, 13);
-    Simulator sim(s.net, s.stim, autoOptions());
+    Simulator sim(s.net, s.stim, SimulatorOptions{});
     health::setCrashDumpRegistry(&sim.metrics());
-    sim.run(kSwitchRunSteps);
-    ASSERT_GE(sim.switches(), 1u);
+    sim.run(640);
 
-    const std::string path = ::testing::TempDir() + "switch-dump.json";
+    const std::string path = ::testing::TempDir() + "session-dump.json";
     health::setCrashDumpPath(path);
     ASSERT_TRUE(health::writeCrashDump("test"));
     health::setCrashDumpPath("flexon-crash-dump.json");
@@ -796,93 +574,27 @@ TEST(AutoEngine, CrashDumpAfterSwitchCarriesSessionMetrics)
     buffer << is.rdbuf();
     const std::string dump = buffer.str();
     EXPECT_NE(dump.find("\"metrics\""), std::string::npos);
-    EXPECT_NE(dump.find("\"sim.engine_switches\""), std::string::npos);
+    EXPECT_NE(dump.find("\"sim.steps\": 640"), std::string::npos);
+    EXPECT_NE(dump.find("\"snn.router.buckets_visited\""),
+              std::string::npos);
 }
 
-TEST(AutoEngine, StdpAcrossSwitchMatchesPinnedDense)
+TEST(SessionConnectivity, RouterDeliversFromTheSessionsProvider)
 {
-    // Spikes, learned weights and membranes all match: the event
-    // engine replays the dense kernel's per-step leak.
-    const ForcedSwitchCalibration forced;
+    // The session builds its connectivity provider once and its
+    // router borrows it, across a run and a reset.
     SimulatorOptions opts;
-    opts.recordSpikes = true;
-    LlifSetup a = llifNetwork(60, 0.05, 21);
-    StdpEngine denseStdp(a.net, {});
-    Simulator dense(a.net, a.stim, opts);
-    dense.attachPlasticityRule(&denseStdp);
-    dense.run(kSwitchRunSteps);
-
-    opts.engine = EngineKind::Auto;
-    LlifSetup b = llifNetwork(60, 0.05, 21);
-    StdpEngine autoStdp(b.net, {});
-    Simulator autoSim(b.net, b.stim, opts);
-    autoSim.attachPlasticityRule(&autoStdp);
-    autoSim.run(kSwitchRunSteps);
-    ASSERT_GE(autoSim.switches(), 1u);
-
-    EXPECT_EQ(dense.spikeCounts(), autoSim.spikeCounts());
-    ASSERT_EQ(dense.spikeEvents().size(), autoSim.spikeEvents().size());
-    for (size_t i = 0; i < dense.spikeEvents().size(); ++i) {
-        EXPECT_EQ(dense.spikeEvents()[i].step,
-                  autoSim.spikeEvents()[i].step);
-        EXPECT_EQ(dense.spikeEvents()[i].neuron,
-                  autoSim.spikeEvents()[i].neuron);
-    }
-    ASSERT_GT(a.net.weightMutations(), 0u) << "STDP never fired";
-    for (uint64_t i = 0; i < a.net.numSynapses(); ++i) {
-        EXPECT_EQ(std::as_const(a.net).synapseAt(i).weight,
-                  std::as_const(b.net).synapseAt(i).weight)
-            << "synapse " << i;
-    }
-    for (uint32_t n = 0; n < a.net.numNeurons(); ++n)
-        EXPECT_EQ(dense.membrane(n), autoSim.membrane(n))
-            << "neuron " << n;
-}
-
-TEST(AutoEngine, SwitchReusesTheSessionsProvider)
-{
-    // The session builds its connectivity provider once; the engines
-    // it installs borrow it, so a switch builds no provider.
-    const ForcedSwitchCalibration forced;
-    SimulatorOptions opts = autoOptions();
     opts.threads = 3;
     LlifSetup s = llifNetwork(90, 0.05, 13);
     Simulator sim(s.net, s.stim, opts);
     const ConnectivityProvider *const provider = &sim.connectivity();
-    ASSERT_TRUE(sim.eventActive());
-    sim.run(kSwitchRunSteps);
-    ASSERT_GE(sim.switches(), 1u);
-    ASSERT_FALSE(sim.eventActive());
+    EXPECT_EQ(provider->shardCount(), 3u);
+    EXPECT_EQ(&sim.router().provider(), provider);
+    sim.run(300);
+    sim.reset();
+    sim.run(300);
     EXPECT_EQ(&sim.connectivity(), provider);
     EXPECT_EQ(&sim.router().provider(), provider);
-
-    // Back to the event engine (reset) and across the switch again.
-    sim.reset();
-    ASSERT_TRUE(sim.eventActive());
-    sim.run(kSwitchRunSteps);
-    ASSERT_FALSE(sim.eventActive());
-    EXPECT_EQ(&sim.connectivity(), provider);
-    EXPECT_EQ(&sim.router().provider(), provider);
-}
-
-TEST(AutoEngine, ResetReturnsToTheStartEngine)
-{
-    const ForcedSwitchCalibration forced;
-    const SimulatorOptions opts = autoOptions();
-    LlifSetup s = llifNetwork(90, 0.05, 13);
-    Simulator sim(s.net, s.stim, opts);
-    sim.run(kSwitchRunSteps);
-    ASSERT_FALSE(sim.eventActive());
-    const RunResult first = capture(sim, opts.probes.size());
-    const uint64_t decisions = sim.planDecisionsTotal();
-
-    sim.reset();
-    EXPECT_TRUE(sim.eventActive());
-    EXPECT_EQ(sim.switches(), 0u);
-    EXPECT_EQ(sim.planDecisionsTotal(), 1u); // the step-0 choice
-    sim.run(kSwitchRunSteps);
-    expectIdentical(first, capture(sim, opts.probes.size()));
-    EXPECT_EQ(sim.planDecisionsTotal(), decisions);
 }
 
 TEST(SessionCheckpoint, ReportCarriesCheckpointSection)

@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iomanip>
+#include <sstream>
+#include <string>
 
 #include "features/model_table.hh"
 #include "snn/simulator.hh"
@@ -193,6 +196,22 @@ TEST(Stdp, CorrelatedInputsWinTheCompetition)
     for (uint32_t i = 10; i < 20; ++i)
         uncorr += net.outgoing(i)[0].weight;
     EXPECT_GT(corr / 10.0, 1.15 * (uncorr / 10.0));
+}
+
+TEST(Stdp, NonFiniteTracesRestoreAndResave)
+{
+    // Checkpoints write traces with operator<<, so a non-finite trace
+    // is `nan`, `inf` or `-inf` in the text; the restore must read it
+    // back and a re-save must write the same line.
+    Network net = pairNetwork(0.5f);
+    StdpEngine engine(net, {});
+    const std::string text = "stdp 2 nan inf -inf 0.25\n";
+    std::istringstream is(text);
+    engine.loadState(is);
+    std::ostringstream os;
+    os << std::setprecision(17);
+    engine.saveState(os);
+    EXPECT_EQ(os.str(), text);
 }
 
 TEST(Stdp, MeanWeightDiagnostics)

@@ -378,13 +378,17 @@ TEST(TelemetrySimulator, RunReportIsWellFormed)
     const std::string json = oss.str();
     std::remove(path.c_str());
 
-    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v7\""),
+    EXPECT_NE(json.find("\"schema\": \"flexon-run-report-v8\""),
               std::string::npos);
     for (const char *section :
          {"\"build\"", "\"telemetry\"", "\"config\"", "\"pool\"",
-          "\"metrics\"", "\"global_metrics\""})
+          "\"plan\"", "\"metrics\"", "\"global_metrics\""})
         EXPECT_NE(json.find(section), std::string::npos)
             << section;
+    // v8: one delivery engine, so no strategy, crossover or audit.
+    for (const char *gone :
+         {"\"strategy\"", "\"crossover_rate\"", "\"plan_audit\""})
+        EXPECT_EQ(json.find(gone), std::string::npos) << gone;
     EXPECT_EQ(countOf(json, "{"), countOf(json, "}"));
     EXPECT_EQ(countOf(json, "["), countOf(json, "]"));
 }

@@ -44,8 +44,8 @@ fail() {
 "$TRACE_SUMMARY" trace.json --report run.json > cross_check.out 2>&1 \
     || fail "trace_summary cross-check rejected a good pair"
 
-grep -q '"flexon-run-report-v7"' run.json \
-    || fail "report is not schema v7"
+grep -q '"flexon-run-report-v8"' run.json \
+    || fail "report is not schema v8"
 grep -q '"health"' run.json || fail "report lacks a health section"
 
 # --- A restored run: save at step 200, restore, run 100 more. --------
@@ -63,12 +63,12 @@ grep -q '"health"' run.json || fail "report lacks a health section"
 # --- Prometheus snapshot shape. -------------------------------------
 grep -q '^# TYPE flexon_export_step gauge$' metrics.prom \
     || fail "metrics snapshot lacks the export_step TYPE line"
-grep -q '^flexon_export_step{session="Vogels-Abbott",engine=' \
+grep -q '^flexon_export_step{session="Vogels-Abbott"} ' \
     metrics.prom || fail "metrics snapshot lacks session labels"
 test -s metrics.prom.jsonl || fail "metrics JSONL history is empty"
 
 # --- Corrupted artifacts must fail non-zero. ------------------------
-sed 's/"flexon-run-report-v7"/"flexon-run-report-v99"/' run.json \
+sed 's/"flexon-run-report-v8"/"flexon-run-report-v99"/' run.json \
     > bad_schema.json
 if "$CHECK_REPORT" bad_schema.json > /dev/null 2>&1; then
     fail "check_report accepted an unknown schema version"
@@ -78,6 +78,17 @@ sed 's/"health\.sweeps": [0-9]*/"health.sweeps": 999999/' run.json \
     > bad_health.json
 if "$CHECK_REPORT" bad_health.json > /dev/null 2>&1; then
     fail "check_report accepted an impossible sweep count"
+fi
+
+# v8 plan sections carry no engine strategy.
+python3 -c "
+import json
+d = json.load(open('run.json'))
+d['plan']['strategy'] = 'dense'
+json.dump(d, open('bad_plan.json', 'w'))
+"
+if "$CHECK_REPORT" bad_plan.json > /dev/null 2>&1; then
+    fail "check_report accepted a plan section with a strategy"
 fi
 
 head -c 100 run.json > truncated.json

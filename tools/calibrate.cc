@@ -11,17 +11,16 @@
  * grid:
  *
  *   denseNsPerNeuron     Theil-Sen slope of neuron-phase ns/step
- *                        vs N (dense engine, T = 1)
+ *                        vs N (T = 1)
  *   deliveryNsPerRecord  Theil-Sen slope of route ns/step vs
  *   ringClearNsPerCell     records/step; cleared cells track records
  *                        on every measured host, so only the sum is
  *                        identifiable — split at the builtin ratio
+ *   serialNsPerNeuron    Theil-Sen slope over N of the step cost
+ *                        the neuron and delivery phases leave over
  *   stepOverheadNs       median per-point step cost left over after
- *                        the modelled neuron and delivery phases
- *   eventNsPerUnit       Theil-Sen slope of event-engine step ns vs
- *                        fired x (K + 1), delivery terms removed
- *                        (the engine's own overhead rides in the
- *                        line's intercept, not the slope)
+ *                        the modelled neuron, delivery and serial
+ *                        per-neuron terms
  *   dispatchNsPerLane    per-lane step-cost increase on a population
  *                        too small to gain from threads
  *   parallelEfficiency   neuron-phase speedup of T = 2 on a large
@@ -70,10 +69,8 @@ struct GridPoint
     double rate = 0.0;       ///< measured spikes/neuron/step
     double stepNs = 0.0;     ///< full step (stimulus+neuron+synapse)
     double neuronNs = 0.0;   ///< neuron phase
-    double routeNs = 0.0;    ///< delivery engine (clear + route)
+    double routeNs = 0.0;    ///< router (clear + route)
     double recordsPerStep = 0.0;
-    double cellsPerStep = 0.0;
-    double firedPerStep = 0.0;
 };
 
 struct SweepConfig
@@ -134,33 +131,6 @@ measureDense(size_t neurons, double stimRate, size_t threads,
     g.routeNs = st.synapseRouteSec / steps * 1e9;
     g.recordsPerStep =
         static_cast<double>(st.synapseEvents) / steps;
-    g.cellsPerStep =
-        static_cast<double>(sim.router().cellsCleared()) / steps;
-    g.firedPerStep = static_cast<double>(st.spikes) / steps;
-    return g;
-}
-
-GridPoint
-measureEvent(size_t neurons, double stimRate,
-             const SweepConfig &cfg)
-{
-    Microbench m = makeMicrobench(neurons, stimRate, cfg.seed);
-    SimulatorOptions opts;
-    opts.engine = EngineKind::Event;
-    Simulator sim(m.net, m.stim, opts);
-    sim.run(cfg.warmup + cfg.steps);
-    const PhaseStats &st = sim.stats();
-    const double steps = static_cast<double>(st.steps);
-
-    GridPoint g;
-    g.neurons = neurons;
-    g.meanFanOut =
-        static_cast<double>(m.net.numSynapses()) /
-        static_cast<double>(m.net.numNeurons());
-    g.rate = static_cast<double>(st.spikes) / steps /
-             static_cast<double>(neurons);
-    g.stepNs = st.totalSec() / steps * 1e9;
-    g.firedPerStep = static_cast<double>(st.spikes) / steps;
     return g;
 }
 
@@ -196,10 +166,10 @@ std::string
 contentVersion(const plan::CostModel &m, uint64_t gridPoints)
 {
     const double values[] = {
-        m.denseNsPerNeuron,   m.eventNsPerUnit,
-        m.deliveryNsPerRecord, m.ringClearNsPerCell,
-        m.stepOverheadNs,      m.serialNsPerNeuron,
-        m.dispatchNsPerLane,   m.parallelEfficiency,
+        m.denseNsPerNeuron,  m.deliveryNsPerRecord,
+        m.ringClearNsPerCell, m.stepOverheadNs,
+        m.serialNsPerNeuron,  m.dispatchNsPerLane,
+        m.parallelEfficiency,
         static_cast<double>(gridPoints),
     };
     uint64_t h = 1469598103934665603ull;
@@ -224,14 +194,13 @@ runSweep(const SweepConfig &cfg)
     plan::CostModel &model = cal.model;
     std::vector<GridPoint> dense1; // T = 1 grid (the fit basis)
 
-    inform("sweeping dense engine: %zu sizes x %zu rates",
+    inform("sweeping sizes x rates: %zu x %zu",
            cfg.sizes.size(), cfg.stimRates.size());
     for (const size_t n : cfg.sizes)
         for (const double r : cfg.stimRates)
             dense1.push_back(measureDense(n, r, 1, cfg));
 
-    // denseNsPerNeuron: the neuron phase of the dense engine is
-    // rate-independent, so every T = 1 point constrains
+    // denseNsPerNeuron: the neuron phase is rate-independent, so every T = 1 point constrains
     // neuron ns/step = const + N * denseNs.
     {
         std::vector<double> xs, yn;
@@ -282,27 +251,6 @@ runSweep(const SweepConfig &cfg)
         for (size_t i = 0; i < ys.size(); ++i)
             ys[i] -= xs[i] * model.serialNsPerNeuron;
         model.stepOverheadNs = std::max(medianOf(ys), 1.0);
-    }
-
-    // eventNsPerUnit: event-engine step cost minus the common
-    // delivery terms, per touched fan-out unit. Theil-Sen ignores
-    // the intercept, so the event engine's own per-step overhead
-    // cannot corrupt the slope (subtracting the dense overhead here
-    // would do exactly that).
-    inform("sweeping event-driven engine");
-    {
-        std::vector<double> x, y;
-        for (const size_t n : cfg.sizes)
-            for (const double r : cfg.stimRates) {
-                const GridPoint g = measureEvent(n, r, cfg);
-                const double k = g.meanFanOut;
-                x.push_back(g.firedPerStep * (k + 1.0));
-                y.push_back(g.stepNs -
-                            g.firedPerStep * k * combinedRouteNs);
-                cal.gridPoints++;
-            }
-        model.eventNsPerUnit =
-            std::max(theilSenSlope(x, y), 0.01);
     }
 
     // dispatchNsPerLane: on a population too small for threads to
@@ -509,7 +457,6 @@ main(int argc, char **argv)
                 out.c_str(), cal.version.c_str(), cal.gridPoints);
     std::printf("  dense      %8.3f ns/neuron\n",
                 m.denseNsPerNeuron);
-    std::printf("  event      %8.3f ns/unit\n", m.eventNsPerUnit);
     std::printf("  delivery   %8.3f ns/record\n",
                 m.deliveryNsPerRecord);
     std::printf("  ring clear %8.3f ns/cell\n",

@@ -41,7 +41,6 @@
 #include "plan/planner.hh"
 #include "registry/model_file.hh"
 #include "registry/registry.hh"
-#include "snn/event_driven.hh"
 #include "snn/plasticity.hh"
 #include "snn/serialize.hh"
 #include "snn/simulator.hh"
@@ -61,7 +60,6 @@ struct Args
     std::string csv;
     double scale = 10.0;
     double rateScale = 1.0;
-    EngineKind engine = EngineKind::Dense;
     ConnectivityKind connectivity = ConnectivityKind::Materialized;
     /** True once --connectivity was given; any explicit kind (even
      *  materialized) builds benchmarks in a spec wiring so all three
@@ -70,13 +68,12 @@ struct Args
     uint64_t steps = 1000;
     uint64_t seed = 1;
     size_t threads = 1;
-    /** True once --engine / --threads were given explicitly (the
-     *  planner only fills in what the user left unspecified). */
-    bool engineSet = false;
+    /** True once --threads was given explicitly (the planner only
+     *  fills in the thread count when the user left it unspecified). */
     bool threadsSet = false;
     /** Calibration JSON installed process-wide before planning. */
     std::string calibration;
-    /** --plan=auto: let the planner pick engine and threads. */
+    /** --plan=auto: let the planner pick the thread count. */
     bool planAuto = false;
     BackendKind backend = BackendKind::Reference;
     IntegrationMode mode = IntegrationMode::Discrete;
@@ -115,8 +112,6 @@ usage()
         "                    with --connectivity grows when S < 1\n"
         "  [--steps N] [--seed N] [--threads N]\n"
         "  [--backend reference|flexon|folded]\n"
-        "  [--engine dense|event|auto]  delivery engine "
-        "(auto = rate-adaptive)\n"
         "  [--connectivity materialized|compressed|procedural]\n"
         "                    synapse-table representation. With\n"
         "                    --benchmark any value, materialized\n"
@@ -126,8 +121,8 @@ usage()
         "  [--calibration FILE]  install a measured calibration.json "
         "(tools/calibrate)\n"
         "  [--plan auto|fixed]  auto = the execution planner picks\n"
-        "                    engine and thread count from the "
-        "calibrated cost model\n"
+        "                    the thread count from the calibrated "
+        "cost model\n"
         "  [--rate-scale R]  external-drive multiplier, > 0 "
         "(microcircuit)\n"
         "  [--solver euler|rkf45]  (reference backend only)\n"
@@ -162,8 +157,8 @@ usage()
  * Reject a flag value with a message naming the flag, the offending
  * text, and what would have been accepted; exits 2 like usage().
  * Enum and numeric flags must never fall back to a default or a
- * partial parse on a typo — a long run under the wrong engine or
- * backend looks plausible and wastes the whole simulation.
+ * partial parse on a typo — a long run under the wrong backend or
+ * connectivity looks plausible and wastes the whole simulation.
  */
 [[noreturn]] void
 badValue(const std::string &flag, const char *value,
@@ -236,11 +231,6 @@ parseArgs(int argc, char **argv)
             args.rateScale = parseReal(flag, v);
             if (!(args.rateScale > 0.0))
                 badValue(flag, v, "a positive number");
-        } else if (flag == "--engine") {
-            const char *v = need_value(i);
-            if (!parseEngineKind(v, args.engine))
-                badValue(flag, v, "dense, event, or auto");
-            args.engineSet = true;
         } else if (flag == "--calibration") {
             args.calibration = need_value(i);
         } else if (flag == "--plan") {
@@ -562,7 +552,6 @@ main(int argc, char **argv)
     }
 
     SimulatorOptions opts;
-    opts.engine = args.engine;
     opts.backend = args.backend;
     opts.mode = args.mode;
     opts.solver = args.solver;
@@ -574,10 +563,10 @@ main(int argc, char **argv)
     opts.metricsEvery = args.metricsEvery;
     opts.label = title;
 
-    // --plan=auto: predict per-engine step cost from the active
-    // calibration and fill in whatever the user left unspecified
-    // (engine, thread count). Deterministic — depends only on the
-    // calibration and the network's neuron/synapse counts.
+    // --plan=auto: predict the step cost from the active calibration
+    // and fill in the thread count unless the user gave one.
+    // Deterministic — depends only on the calibration and the
+    // network's neuron/synapse counts.
     std::optional<plan::EnginePlan> planned;
     if (args.planAuto) {
         const plan::ExecutionPlanner planner;
@@ -593,17 +582,11 @@ main(int argc, char **argv)
                                maxThreads);
         if (!args.threadsSet)
             opts.threads = planned->threads;
-        // Where the event-driven engine cannot run, the dense engine
-        // is the only executor, so the plan degrades to it.
-        if (!args.engineSet)
-            opts.engine = eventDrivenEligible(net, opts)
-                              ? planned->engine
-                              : EngineKind::Dense;
     }
 
-    // Intrinsic-excitability plasticity attaches a rule to the dense
-    // backend, so it needs the discrete reference backend and a
-    // pinned dense engine (a switch would replace that backend).
+    // Intrinsic-excitability plasticity attaches a rule to the
+    // backend's per-neuron thresholds, so it needs the discrete
+    // reference backend.
     const bool wantIe = modelDesc != nullptr && modelDesc->ie.enabled;
     if (wantIe) {
         if (args.backend != BackendKind::Reference ||
@@ -612,13 +595,6 @@ main(int argc, char **argv)
                   "plasticity, which needs the discrete reference "
                   "backend",
                   args.model.c_str());
-        }
-        if (opts.engine != EngineKind::Dense) {
-            if (args.engineSet)
-                warn("--engine %s overridden: plasticity rules "
-                     "require the pinned dense engine",
-                     engineKindName(opts.engine));
-            opts.engine = EngineKind::Dense;
         }
     }
 
@@ -640,20 +616,14 @@ main(int argc, char **argv)
                modelDesc->ie.maxOffset);
     }
     if (planned) {
-        // This run's engine was planner-chosen, and the prediction
-        // to audit against is the planned one.
-        PlanInfo info = sim.planInfo();
-        info.planned = true;
-        info.predictedStepSec = planned->predictedStepSec;
-        info.calibrationVersion = planned->calibrationVersion;
-        sim.setPlanInfo(info);
-        std::printf("plan: strategy=%s threads=%zu "
-                    "predicted-step=%.3f us (dense %.3f us, event "
-                    "%.3f us) calibration=%s\n",
-                    engineKindName(opts.engine), opts.threads,
-                    planned->predictedStepSec * 1e6,
-                    planned->predictedDenseStepSec * 1e6,
-                    planned->predictedEventStepSec * 1e6,
+        // The prediction to audit against is the planned one.
+        sim.setPlanInfo({.planned = true,
+                         .predictedStepSec = planned->predictedStepSec,
+                         .calibrationVersion =
+                             planned->calibrationVersion});
+        std::printf("plan: threads=%zu predicted-step=%.3f us "
+                    "calibration=%s\n",
+                    opts.threads, planned->predictedStepSec * 1e6,
                     planned->calibrationVersion.c_str());
     }
     if (!args.restore.empty()) {
@@ -743,16 +713,9 @@ main(int argc, char **argv)
         watchdog->stop();
 
     const PhaseStats &st = sim.stats();
-    std::printf("%s: %zu neurons, %zu synapses, backend=%s, "
-                "engine=%s%s\n",
+    std::printf("%s: %zu neurons, %zu synapses, backend=%s\n",
                 title.c_str(), net.numNeurons(), net.numSynapses(),
-                backendName(args.backend), sim.activeEngine(),
-                sim.adaptive() ? " (adaptive)" : "");
-    if (sim.switches() > 0)
-        std::printf("engine switches: %llu (crossover rate %.5f "
-                    "spikes/neuron/step)\n",
-                    static_cast<unsigned long long>(sim.switches()),
-                    sim.crossoverRate());
+                backendName(args.backend));
     std::printf("steps=%llu spikes=%llu rate=%.5f/neuron/step "
                 "synapse-events=%llu\n",
                 static_cast<unsigned long long>(st.steps),
