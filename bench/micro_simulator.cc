@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/health.hh"
 #include "common/random.hh"
 #include "common/telemetry.hh"
+#include "nets/potjans_diesmann.hh"
 #include "nets/table1.hh"
 #include "plan/calibration.hh"
 #include "registry/registry.hh"
@@ -209,6 +211,39 @@ BM_SynapsePhase(benchmark::State &state)
                             static_cast<int64_t>(perStep));
 }
 
+/**
+ * Stimulus generation in isolation: one step's Poisson draws of the
+ * PD 1/10 microcircuit (7,718 neurons) at x1 and x8 drive, and of one
+ * 4,000-neuron source at p = 0.01, with no injection around them.
+ * Arg: the microcircuit's drive, or 0 for the single source.
+ */
+void
+BM_StimulusGenerate(benchmark::State &state)
+{
+    const int64_t drive = state.range(0);
+    StimulusGenerator gen(1);
+    uint64_t draws = 4000;
+    if (drive == 0) {
+        gen.addSource(StimulusSource::poisson(0, 4000, 0.01, 1.0f, 0));
+        state.SetLabel("n4000/p0.01");
+    } else {
+        MicrocircuitOptions mc;
+        mc.scale = 10.0;
+        mc.rateScale = static_cast<double>(drive);
+        MicrocircuitInstance inst = buildMicrocircuit(mc);
+        gen = std::move(inst.stimulus);
+        draws = inst.network.numNeurons();
+        state.SetLabel("pd10/x" + std::to_string(drive));
+    }
+    uint64_t t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(gen.generate(t++).data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(draws));
+}
+
 } // namespace
 } // namespace flexon
 
@@ -241,6 +276,7 @@ BENCHMARK(flexon::BM_SynapsePhase)
     ->Args({1, 4})
     ->Args({10, 4})
     ->Args({100, 4});
+BENCHMARK(flexon::BM_StimulusGenerate)->Arg(1)->Arg(8)->Arg(0);
 
 /**
  * Custom main (overrides the benchmark_main archive member):

@@ -19,12 +19,6 @@ splitmix64(uint64_t &x)
     return z ^ (z >> 31);
 }
 
-uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(uint64_t seed)
@@ -36,20 +30,6 @@ Rng::Rng(uint64_t seed)
     // cannot produce four zero outputs, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 double
@@ -107,6 +87,13 @@ bool
 Rng::bernoulli(double p)
 {
     return uniform() < p;
+}
+
+uint64_t
+Rng::bernoulliThreshold(double p)
+{
+    flexon_assert(p >= 0.0 && p <= 1.0);
+    return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
 }
 
 double

@@ -49,8 +49,23 @@ class Rng
     /** Next raw 64-bit value. */
     uint64_t operator()() { return next(); }
 
-    /** Next raw 64-bit value. */
-    uint64_t next();
+    /**
+     * Next raw 64-bit value. Inline, so a loop of draws (the Poisson
+     * stimulus makes one per neuron per step) keeps the state in
+     * registers instead of making a call per draw.
+     */
+    uint64_t next()
+    {
+        const uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -69,6 +84,19 @@ class Rng
 
     /** Bernoulli trial with probability p of returning true. */
     bool bernoulli(double p);
+
+    /**
+     * The integer form of bernoulli(p): for p in [0, 1] and every
+     * draw x, `(x >> 11) < bernoulliThreshold(p)` exactly when
+     * bernoulli(p) is true for that draw. It returns ceil(p * 2^53).
+     *
+     * bernoulli(p) tests uniform() = k * 2^-53 < p with k = x >> 11.
+     * Scaling by 2^53 is exact, so that holds exactly when
+     * k < p * 2^53; since k is an integer, exactly when
+     * k < ceil(p * 2^53). p = 1 gives 2^53, which every k is below,
+     * as every uniform() is below 1.0.
+     */
+    static uint64_t bernoulliThreshold(double p);
 
     /** Exponential variate with the given rate (lambda). */
     double exponential(double rate);
@@ -91,6 +119,11 @@ class Rng
     void setState(const RngState &state);
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t s_[4];
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;

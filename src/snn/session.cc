@@ -1,6 +1,8 @@
 #include "snn/session.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -187,17 +189,35 @@ SimulationSession::phaseSynapse()
     connectivity_->refreshWeights();
 
     // Serial bookkeeping sweep: spike counters, optional event
-    // recording, and the ascending fired list delivery iterates.
+    // recording, and the ascending fired list delivery iterates. It
+    // reads eight flags per load and skips the all-zero words; the
+    // last numNeurons % 8 flags are read one by one.
     firedList_.clear();
     const uint32_t numNeurons =
         static_cast<uint32_t>(network_.numNeurons());
-    for (uint32_t n = 0; n < numNeurons; ++n) {
-        if (!fired_[n])
-            continue;
+    const auto noteFired = [&](uint32_t n) {
         firedList_.push_back(n);
         ++spikeCounts_[n];
         if (options_.recordSpikes)
             spikeEvents_.push_back({t_, n});
+    };
+    const uint8_t *flags = fired_.data();
+    const uint32_t wordEnd = numNeurons & ~uint32_t{7};
+    for (uint32_t base = 0; base < wordEnd; base += 8) {
+        uint64_t word;
+        std::memcpy(&word, flags + base, sizeof word);
+        // Flag base + i is byte i counted from the low end.
+        if constexpr (std::endian::native == std::endian::big)
+            word = __builtin_bswap64(word);
+        while (word != 0) {
+            const unsigned byte = std::countr_zero(word) / 8;
+            noteFired(base + byte);
+            word &= ~(uint64_t{0xff} << (8 * byte));
+        }
+    }
+    for (uint32_t n = wordEnd; n < numNeurons; ++n) {
+        if (flags[n])
+            noteFired(n);
     }
     spikesCounter_.add(firedList_.size());
 

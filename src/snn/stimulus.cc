@@ -1,6 +1,7 @@
 #include "snn/stimulus.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <istream>
 #include <ostream>
@@ -64,9 +65,24 @@ StimulusSource::generate(uint64_t t, Rng &rng,
                          std::vector<StimulusSpike> &out)
 {
     if (kind_ == Kind::Poisson) {
-        for (uint32_t i = 0; i < count_; ++i) {
-            if (rng.bernoulli(probability_))
-                out.push_back({base_ + i, weight_, type_});
+        // rng.bernoulli(p) in its exact integer form (see
+        // Rng::bernoulliThreshold): one draw per neuron, in neuron
+        // order, so the stream is the same. Each block of up to 64
+        // draws lands in a mask, and only its set bits are appended.
+        // The threshold is not a member: a larger source shifts later
+        // heap allocations (DESIGN.md §10).
+        const uint64_t threshold = Rng::bernoulliThreshold(probability_);
+        for (uint32_t block = 0; block < count_; block += 64) {
+            const uint32_t len = std::min<uint32_t>(64, count_ - block);
+            uint64_t mask = 0;
+            for (uint32_t k = 0; k < len; ++k)
+                mask |= uint64_t{(rng.next() >> 11) < threshold} << k;
+            for (; mask != 0; mask &= mask - 1) {
+                out.push_back({base_ + block +
+                                   static_cast<uint32_t>(
+                                       std::countr_zero(mask)),
+                               weight_, type_});
+            }
         }
     } else if (kind_ == Kind::Pattern) {
         if (t % period_ == 0) {

@@ -15,6 +15,7 @@
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "bernoulli_cases.hh"
 
 namespace flexon {
 namespace {
@@ -140,6 +141,38 @@ TEST(Rng, StateRestoreContinuesTheIdenticalStream)
         EXPECT_EQ(restored.bernoulli(0.4), reference.bernoulli(0.4))
             << i;
     }
+}
+
+TEST(Rng, BernoulliThresholdIsExact)
+{
+    // k = threshold - 1 is the largest k whose uniform() k * 2^-53 is
+    // below p, and a draw at k fires exactly when bernoulli(p) does.
+    std::vector<double> ps = bernoulliEdgeProbabilities();
+    for (const double p : bernoulliRandomProbabilities(1000, 2024))
+        ps.push_back(p);
+    Rng lowBits(5);
+    for (const double p : ps) {
+        const uint64_t threshold = Rng::bernoulliThreshold(p);
+        ASSERT_LE(threshold, uint64_t{1} << 53) << p;
+        if (threshold > 0) {
+            EXPECT_LT(static_cast<double>(threshold - 1) * 0x1.0p-53, p)
+                << "p = " << p;
+        }
+        if (threshold < (uint64_t{1} << 53)) {
+            EXPECT_FALSE(static_cast<double>(threshold) * 0x1.0p-53 < p)
+                << "p = " << p;
+        }
+        for (const uint64_t k : {threshold - 1, threshold}) {
+            if (k >= (uint64_t{1} << 53))
+                continue; // no draw has it (threshold 0, or p = 1)
+            Rng rng;
+            rng.setState(rngStateDrawing(k << 11 | lowBits.next() >> 53));
+            EXPECT_EQ(rng.bernoulli(p), k < threshold)
+                << "p = " << p << " k = " << k;
+        }
+    }
+    EXPECT_EQ(Rng::bernoulliThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::bernoulliThreshold(1.0), uint64_t{1} << 53);
 }
 
 TEST(Rng, SetStateRejectsAllZeroState)

@@ -10,8 +10,9 @@
  * mid-run, with a NaN membrane in a probe trace, and for
  * restore-onto-a-used-session semantics; corrupt checkpoints are
  * rejected with a diagnostic. Also covered: attached plasticity
- * rules, the router's use of the session's provider, and the crash
- * dump's copy of the session metrics.
+ * rules, the router's use of the session's provider, the crash
+ * dump's copy of the session metrics, and the fired sweep on
+ * degenerate shapes.
  */
 
 #include <gtest/gtest.h>
@@ -595,6 +596,69 @@ TEST(SessionConnectivity, RouterDeliversFromTheSessionsProvider)
     sim.run(300);
     EXPECT_EQ(&sim.connectivity(), provider);
     EXPECT_EQ(&sim.router().provider(), provider);
+}
+
+TEST(SessionSweep, EventsAndCountsMatchTheFlagsOnEveryShape)
+{
+    // The fired sweep reads eight flags per word and the last
+    // numNeurons % 8 one by one: sizes below, at and around a word,
+    // with no neuron, every neuron and a random mix firing. A LIF
+    // neuron fires in the step a 150 input arrives (CUB, epsilon_m).
+    enum class Drive { None, All, Mix };
+    for (const uint32_t neurons : {1u, 7u, 8u, 9u, 65u}) {
+        for (const Drive drive : {Drive::None, Drive::All, Drive::Mix}) {
+            Network net;
+            net.addPopulation("pop", defaultParams(ModelKind::LIF),
+                              neurons);
+            net.finalize();
+            StimulusGenerator stim(neurons);
+            if (drive == Drive::All) {
+                stim.addSource(
+                    StimulusSource::pattern(0, neurons, 1, 150.0f, 0));
+            } else if (drive == Drive::Mix) {
+                stim.addSource(
+                    StimulusSource::poisson(0, neurons, 0.3, 150.0f, 0));
+            }
+            SimulatorOptions opts;
+            opts.recordSpikes = true;
+            Simulator sim(net, stim, opts);
+            std::vector<uint64_t> counts(neurons, 0);
+            uint64_t fired = 0;
+            for (uint64_t t = 0; t < 40; ++t) {
+                const size_t before = sim.spikeEvents().size();
+                sim.stepOnce();
+                const std::vector<uint8_t> &flags = sim.lastFired();
+                ASSERT_EQ(flags.size(), neurons);
+                std::vector<uint32_t> expected;
+                for (uint32_t n = 0; n < neurons; ++n) {
+                    if (flags[n] != 0) {
+                        expected.push_back(n);
+                        ++counts[n];
+                    }
+                }
+                std::vector<uint32_t> events;
+                for (size_t i = before; i < sim.spikeEvents().size(); ++i) {
+                    EXPECT_EQ(sim.spikeEvents()[i].step, t);
+                    events.push_back(sim.spikeEvents()[i].neuron);
+                }
+                ASSERT_EQ(events, expected)
+                    << neurons << " neurons, drive "
+                    << static_cast<int>(drive) << ", step " << t;
+                ASSERT_EQ(sim.spikeCounts(), counts) << t;
+                if (drive == Drive::All) {
+                    ASSERT_EQ(expected.size(), neurons) << t;
+                }
+                fired += expected.size();
+            }
+            if (drive == Drive::None) {
+                EXPECT_EQ(fired, 0u);
+            }
+            if (drive == Drive::Mix) {
+                EXPECT_GT(fired, 0u);
+                EXPECT_LT(fired, 40u * neurons);
+            }
+        }
+    }
 }
 
 TEST(SessionCheckpoint, ReportCarriesCheckpointSection)

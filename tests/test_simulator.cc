@@ -21,6 +21,7 @@
 #include "features/model_table.hh"
 #include "snn/backend.hh"
 #include "snn/simulator.hh"
+#include "bernoulli_cases.hh"
 
 namespace flexon {
 namespace {
@@ -36,6 +37,109 @@ TEST(Stimulus, PoissonRateStatistics)
     // E = 100 * 0.05 * steps = 50000; binomial sd ~218.
     EXPECT_NEAR(static_cast<double>(total), 50000.0, 1200.0);
     EXPECT_NEAR(gen.expectedSpikesPerStep(), 5.0, 1e-12);
+}
+
+/** A Poisson source's parameters, for the reference draw below. */
+struct PoissonSpec
+{
+    uint32_t base;
+    uint32_t count;
+    double p;
+    float weight;
+    uint8_t type;
+};
+
+/** The generator text of `sources` Poisson sources at RNG state `st`. */
+std::string
+poissonGeneratorState(size_t sources, const RngState &st)
+{
+    std::ostringstream os;
+    os << "stimulus " << sources << "\nrng " << st.s[0] << ' ' << st.s[1]
+       << ' ' << st.s[2] << ' ' << st.s[3] << ' ' << st.cachedNormal
+       << ' ' << (st.hasCachedNormal ? 1 : 0) << '\n';
+    for (size_t i = 0; i < sources; ++i)
+        os << "source 0\n";
+    return os.str();
+}
+
+/**
+ * Run `steps` steps of a generator over `specs` from RNG state `st`
+ * and require every step to equal a loop of Rng::bernoulli on the
+ * same stream, spike for spike, and the final state text to equal
+ * the reference stream's.
+ */
+void
+expectPoissonMatchesBernoulli(const std::vector<PoissonSpec> &specs,
+                              const RngState &st, int steps)
+{
+    StimulusGenerator gen;
+    for (const PoissonSpec &sp : specs) {
+        gen.addSource(StimulusSource::poisson(sp.base, sp.count, sp.p,
+                                              sp.weight, sp.type));
+    }
+    std::istringstream in(poissonGeneratorState(specs.size(), st));
+    gen.loadState(in);
+    Rng ref;
+    ref.setState(st);
+    std::vector<StimulusSpike> expected;
+    for (int t = 0; t < steps; ++t) {
+        expected.clear();
+        for (const PoissonSpec &sp : specs) {
+            for (uint32_t i = 0; i < sp.count; ++i) {
+                if (ref.bernoulli(sp.p))
+                    expected.push_back({sp.base + i, sp.weight, sp.type});
+            }
+        }
+        const std::vector<StimulusSpike> &got = gen.generate(t);
+        ASSERT_EQ(got.size(), expected.size())
+            << "step " << t << " p = " << specs[0].p << ", "
+            << specs.back().p << " count " << specs[0].count;
+        for (size_t k = 0; k < got.size(); ++k) {
+            EXPECT_EQ(got[k].target, expected[k].target) << t;
+            EXPECT_EQ(got[k].weight, expected[k].weight) << t;
+            EXPECT_EQ(got[k].type, expected[k].type) << t;
+        }
+    }
+    std::ostringstream saved;
+    gen.saveState(saved);
+    EXPECT_EQ(saved.str(), poissonGeneratorState(specs.size(), ref.state()));
+}
+
+TEST(Stimulus, PoissonDrawMatchesBernoulliStream)
+{
+    // The mask draw against Rng::bernoulli on the same seed: block
+    // lengths around 64 at non-zero bases, over the edge and random
+    // probabilities, then draws placed exactly on each threshold.
+    const std::vector<double> edges = bernoulliEdgeProbabilities();
+    const std::vector<double> randoms =
+        bernoulliRandomProbabilities(1000, 2024);
+    const uint32_t counts[] = {1, 63, 64, 65, 130};
+    const auto specs = [](uint32_t count, double pa, double pb) {
+        return std::vector<PoissonSpec>{
+            {3, count, pa, 0.5f, 0}, {3 + count + 7, count, pb, 1.5f, 1}};
+    };
+    uint64_t seed = 1;
+    for (const uint32_t count : counts) {
+        for (size_t i = 0; i < edges.size(); ++i) {
+            expectPoissonMatchesBernoulli(
+                specs(count, edges[i], edges[(i + 5) % edges.size()]),
+                Rng(seed++).state(), 200);
+        }
+    }
+    for (size_t i = 0; i < randoms.size(); i += 2) {
+        expectPoissonMatchesBernoulli(
+            specs(counts[i / 2 % 5], randoms[i], randoms[i + 1]),
+            Rng(seed++).state(), 200);
+    }
+    for (const double p : edges) {
+        const uint64_t threshold = Rng::bernoulliThreshold(p);
+        for (const uint64_t k : {threshold - 1, threshold}) {
+            if (k < (uint64_t{1} << 53)) {
+                expectPoissonMatchesBernoulli(
+                    specs(1, p, p), rngStateDrawing(k << 11 | 0x7ff), 1);
+            }
+        }
+    }
 }
 
 TEST(Stimulus, OrnsteinUhlenbeckStatistics)

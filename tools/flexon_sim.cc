@@ -564,24 +564,29 @@ main(int argc, char **argv)
     opts.label = title;
 
     // --plan=auto: predict the step cost from the active calibration
-    // and fill in the thread count unless the user gave one.
-    // Deterministic — depends only on the calibration and the
-    // network's neuron/synapse counts.
+    // and fill in the thread count unless the user gave one; a given
+    // --threads N is run as is, so the prediction is at N, as the
+    // session predicts for itself. Deterministic — depends only on
+    // the calibration and the network's neuron/synapse counts.
     std::optional<plan::EnginePlan> planned;
     if (args.planAuto) {
         const plan::ExecutionPlanner planner;
         const plan::NetworkStats netStats{net.numNeurons(),
                                           net.numSynapses()};
-        const unsigned maxThreads =
-            args.threadsSet
-                ? static_cast<unsigned>(
-                      std::max<size_t>(1, args.threads))
-                : std::max(1u,
-                           std::thread::hardware_concurrency());
-        planned = planner.plan(netStats, plan::kDefaultRatePrior,
-                               maxThreads);
-        if (!args.threadsSet)
+        if (args.threadsSet) {
+            const unsigned lanes =
+                static_cast<unsigned>(std::max<size_t>(1, args.threads));
+            planned = plan::EnginePlan{
+                .threads = lanes,
+                .predictedStepSec = planner.predictDenseStepSec(
+                    netStats, plan::kDefaultRatePrior, lanes),
+                .calibrationVersion = planner.calibration().version};
+        } else {
+            planned = planner.plan(
+                netStats, plan::kDefaultRatePrior,
+                std::max(1u, std::thread::hardware_concurrency()));
             opts.threads = planned->threads;
+        }
     }
 
     // Intrinsic-excitability plasticity attaches a rule to the
@@ -621,9 +626,9 @@ main(int argc, char **argv)
                          .predictedStepSec = planned->predictedStepSec,
                          .calibrationVersion =
                              planned->calibrationVersion});
-        std::printf("plan: threads=%zu predicted-step=%.3f us "
+        std::printf("plan: threads=%u predicted-step=%.3f us "
                     "calibration=%s\n",
-                    opts.threads, planned->predictedStepSec * 1e6,
+                    planned->threads, planned->predictedStepSec * 1e6,
                     planned->calibrationVersion.c_str());
     }
     if (!args.restore.empty()) {
