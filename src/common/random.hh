@@ -98,6 +98,14 @@ class Rng
      */
     static uint64_t bernoulliThreshold(double p);
 
+    /**
+     * One Bernoulli trial in integer form: draws once and returns
+     * `(x >> 11) < threshold`, which for threshold =
+     * bernoulliThreshold(p) is exactly bernoulli(p). Inline, like
+     * next(), for loops that test one probability many times.
+     */
+    bool below(uint64_t threshold) { return (next() >> 11) < threshold; }
+
     /** Exponential variate with the given rate (lambda). */
     double exponential(double rate);
 

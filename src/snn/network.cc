@@ -85,13 +85,14 @@ Network::connectRandom(size_t src_pop, size_t dst_pop,
 
     const Population &src = populations_[src_pop];
     const Population &dst = populations_[dst_pop];
+    const uint64_t threshold = Rng::bernoulliThreshold(probability);
     for (size_t s = 0; s < src.count; ++s) {
         const auto src_id = static_cast<uint32_t>(src.base + s);
         for (size_t d = 0; d < dst.count; ++d) {
             const auto dst_id = static_cast<uint32_t>(dst.base + d);
             if (src_id == dst_id)
                 continue;
-            if (!rng.bernoulli(probability))
+            if (!rng.below(threshold))
                 continue;
             staging_.push_back(
                 {src_id,
@@ -182,26 +183,26 @@ void
 Network::finalize()
 {
     flexon_assert(!finalized_);
-    // Stable: same-source synapses keep their insertion order, so
-    // save/load round-trips reproduce the CSR exactly.
-    std::stable_sort(staging_.begin(), staging_.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-
     rowPtr_.assign(numNeurons_ + 1, 0);
     incomingCount_.assign(numNeurons_, 0);
     delayUsed_ = {};
-    synapses_.reserve(staging_.size());
     for (const auto &[src, syn] : staging_) {
         ++rowPtr_[src + 1];
-        synapses_.push_back(syn);
         maxDelay_ = std::max(maxDelay_, syn.delay);
         ++incomingCount_[syn.target];
         delayUsed_[syn.delay] = true;
     }
     for (size_t i = 1; i <= numNeurons_; ++i)
         rowPtr_[i] += rowPtr_[i - 1];
+
+    // Counting sort by source. Walking the staged entries in order,
+    // each goes to the next free slot of its row, so same-source
+    // synapses keep their insertion order (what a stable sort by
+    // source gives) and save/load round-trips reproduce the CSR.
+    std::vector<uint64_t> cursor(rowPtr_.begin(), rowPtr_.end() - 1);
+    synapses_.resize(staging_.size());
+    for (const auto &[src, syn] : staging_)
+        synapses_[cursor[src]++] = syn;
 
     staging_.clear();
     staging_.shrink_to_fit();
@@ -227,43 +228,29 @@ Network::buildFromSpec(const ConnectivitySpec &spec, bool procedural)
     }
     spec_ = spec;
     hasSpec_ = true;
+    procedural_ = procedural;
 
-    std::vector<Synapse> row;
-    if (!procedural) {
-        // Realize the spec into the ordinary CSR table. Rows are
-        // generated per source in ascending order, so the staged
-        // stream is already row-sorted and finalize()'s stable sort
-        // preserves the generation order exactly.
-        for (size_t src = 0; src < numNeurons_; ++src) {
-            generateRow(static_cast<uint32_t>(src), row);
-            for (const Synapse &syn : row)
-                staging_.push_back(
-                    {static_cast<uint32_t>(src), syn});
-        }
-        finalize();
-        return;
-    }
-
-    // Procedural: one counting pass derives the geometry; the rows
-    // themselves are regenerated on demand by rowFor().
-    procedural_ = true;
+    // Rows are generated in ascending source order, so appending each
+    // one builds the CSR directly. A procedural network keeps only
+    // the geometry; rowFor() regenerates its rows on demand.
     rowPtr_.assign(numNeurons_ + 1, 0);
     incomingCount_.assign(numNeurons_, 0);
     delayUsed_ = {};
-    uint64_t total = 0;
+    std::vector<Synapse> row;
     for (size_t src = 0; src < numNeurons_; ++src) {
         generateRow(static_cast<uint32_t>(src), row);
-        rowPtr_[src + 1] = row.size();
-        total += row.size();
+        rowPtr_[src + 1] = rowPtr_[src] + row.size();
         for (const Synapse &syn : row) {
             maxDelay_ = std::max(maxDelay_, syn.delay);
             ++incomingCount_[syn.target];
             delayUsed_[syn.delay] = true;
         }
+        if (!procedural)
+            synapses_.insert(synapses_.end(), row.begin(), row.end());
     }
-    for (size_t i = 1; i <= numNeurons_; ++i)
-        rowPtr_[i] += rowPtr_[i - 1];
-    synapseCount_ = total;
+    // Drop the growth slack: connectivityBytes() counts capacity.
+    synapses_.shrink_to_fit();
+    synapseCount_ = rowPtr_.back();
     finalized_ = true;
 }
 

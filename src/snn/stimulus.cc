@@ -76,7 +76,7 @@ StimulusSource::generate(uint64_t t, Rng &rng,
             const uint32_t len = std::min<uint32_t>(64, count_ - block);
             uint64_t mask = 0;
             for (uint32_t k = 0; k < len; ++k)
-                mask |= uint64_t{(rng.next() >> 11) < threshold} << k;
+                mask |= uint64_t{rng.below(threshold)} << k;
             for (; mask != 0; mask &= mask - 1) {
                 out.push_back({base_ + block +
                                    static_cast<uint32_t>(

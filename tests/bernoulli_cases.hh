@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared inputs of the exactness tests for the integer Bernoulli test
- * (Rng::bernoulliThreshold, the Poisson stimulus draw): the
+ * (Rng::bernoulliThreshold and Rng::below, the Poisson stimulus draw,
+ * connectRandom's pair test): the
  * probabilities to try, and an Rng state whose next draw is a chosen
  * value, so a test can put a draw exactly on a threshold.
  */

@@ -146,7 +146,8 @@ TEST(Rng, StateRestoreContinuesTheIdenticalStream)
 TEST(Rng, BernoulliThresholdIsExact)
 {
     // k = threshold - 1 is the largest k whose uniform() k * 2^-53 is
-    // below p, and a draw at k fires exactly when bernoulli(p) does.
+    // below p, and a draw at k fires exactly when bernoulli(p) and
+    // below(threshold) do.
     std::vector<double> ps = bernoulliEdgeProbabilities();
     for (const double p : bernoulliRandomProbabilities(1000, 2024))
         ps.push_back(p);
@@ -165,9 +166,14 @@ TEST(Rng, BernoulliThresholdIsExact)
         for (const uint64_t k : {threshold - 1, threshold}) {
             if (k >= (uint64_t{1} << 53))
                 continue; // no draw has it (threshold 0, or p = 1)
+            const RngState at =
+                rngStateDrawing(k << 11 | lowBits.next() >> 53);
             Rng rng;
-            rng.setState(rngStateDrawing(k << 11 | lowBits.next() >> 53));
+            rng.setState(at);
             EXPECT_EQ(rng.bernoulli(p), k < threshold)
+                << "p = " << p << " k = " << k;
+            rng.setState(at);
+            EXPECT_EQ(rng.below(threshold), k < threshold)
                 << "p = " << p << " k = " << k;
         }
     }
