@@ -2,8 +2,8 @@
  * @file
  * Potjans-Diesmann microcircuit scenario benchmarks (the PR 6
  * sparse-activity study): realistic few-Hz cortical activity is the
- * regime where the dense delivery schedule wastes its time on empty
- * (shard, bucket) streams and full-slot clears.
+ * regime where a delivery schedule that walks every (shard, bucket)
+ * stream wastes its time on empty ones.
  *
  *   BM_MicrocircuitSynapsePhase  synapse phase in isolation, real
  *       recorded spike activity replayed through the router, at a

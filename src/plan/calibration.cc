@@ -43,21 +43,6 @@ finitePositive(double v)
     return std::isfinite(v) && v > 0.0;
 }
 
-void
-writeMap(std::ostream &os, const char *name,
-         const std::vector<std::pair<std::string, double>> &entries,
-         bool trailingComma)
-{
-    os << "  \"" << name << "\": {";
-    for (size_t i = 0; i < entries.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ") << '"'
-           << jsonEscaped(entries[i].first)
-           << "\": " << entries[i].second;
-    }
-    os << (entries.empty() ? "}" : "\n  }")
-       << (trailingComma ? ",\n" : "\n");
-}
-
 } // namespace
 
 const CalibrationData &
@@ -99,10 +84,7 @@ writeCalibrationJson(std::ostream &os, const CalibrationData &cal)
     os << "  \"fit\": {\n";
     os << "    \"max_residual\": " << cal.maxResidual << ",\n";
     os << "    \"grid_points\": " << cal.gridPoints << "\n";
-    os << "  },\n";
-    writeMap(os, "mask_ns_per_neuron", cal.maskNsPerNeuron, true);
-    writeMap(os, "provider_delivery_ns", cal.providerDeliveryNs,
-             false);
+    os << "  }\n";
     os << "}\n";
 }
 
@@ -186,17 +168,6 @@ loadCalibrationFile(const std::string &path, CalibrationData &out,
     std::string schema;
     MiniJson json(text);
 
-    auto parseNumberMap =
-        [&json](std::vector<std::pair<std::string, double>> &map) {
-            return json.parseObject([&](const std::string &key) {
-                double v = 0.0;
-                if (!json.parseNumber(v))
-                    return false;
-                map.emplace_back(key, v);
-                return true;
-            });
-        };
-
     const bool ok = json.parseObject([&](const std::string &key) {
         if (key == "schema")
             return json.parseString(schema);
@@ -244,10 +215,8 @@ loadCalibrationFile(const std::string &path, CalibrationData &out,
                 return json.skipValue();
             });
         }
-        if (key == "mask_ns_per_neuron")
-            return parseNumberMap(cal.maskNsPerNeuron);
-        if (key == "provider_delivery_ns")
-            return parseNumberMap(cal.providerDeliveryNs);
+        // Unknown keys are skipped, such as the mask_ns_per_neuron
+        // and provider_delivery_ns maps older builds wrote.
         return json.skipValue();
     });
 

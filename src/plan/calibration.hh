@@ -10,12 +10,11 @@
  * replacement (the Hyrise cost-model-calibration idea ported to the
  * simulator).
  *
- * `tools/calibrate` sweeps parametrized microbenches (feature mask x
- * population size x firing rate x connectivity provider x thread
- * count), fits the cost curves by least squares, and writes a
- * versioned `calibration.json`. This module loads that document (a
- * deliberately tiny JSON subset parser — flat objects of numbers,
- * strings and string->number maps — so no third-party dependency is
+ * `tools/calibrate` sweeps parametrized microbenches (population
+ * size x firing rate x thread count), fits the cost curves by robust
+ * slopes, and writes a versioned `calibration.json`. This module
+ * loads that document (a deliberately tiny JSON subset parser — flat
+ * objects of numbers and strings — so no third-party dependency is
  * needed) and exposes it process-wide via activeCalibration().
  * When no calibration file has been installed, builtinCalibration()
  * supplies hand-anchored defaults (see the CostModel fields).
@@ -33,8 +32,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace flexon {
 namespace plan {
@@ -69,8 +66,14 @@ struct CostModel
     double denseNsPerNeuron = 4.0;
     /** One routed delivery record (ring accumulate), phase 3. */
     double deliveryNsPerRecord = 1.0;
-    /** One ring cell zeroed by the slot-clear sweep. */
-    double ringClearNsPerCell = 0.25;
+    /**
+     * One ring cell zeroed by the slot clear, which every step runs
+     * over the whole consumed slot (N x maxSynapseTypes cells). The
+     * builtin 0.15 is what `calibrate --quick` measures on a 4-vCPU
+     * Xeon (AVX-512) with the default RelWithDebInfo build: 0.141 to
+     * 0.150 ns in eight runs.
+     */
+    double ringClearNsPerCell = 0.15;
     /** Fixed per-step orchestration cost (phase setup, serial). */
     double stepOverheadNs = 400.0;
     /**
@@ -110,16 +113,6 @@ struct CalibrationData
     double maxResidual = 0.0;
     /** Sweep-grid points the fits were computed from. */
     uint64_t gridPoints = 0;
-    /**
-     * Measured ns/neuron-update per neuron model (the feature-mask
-     * sweep dimension), informational: name -> ns.
-     */
-    std::vector<std::pair<std::string, double>> maskNsPerNeuron;
-    /**
-     * Measured ns/delivery-record per connectivity provider
-     * (materialized / compressed / procedural), informational.
-     */
-    std::vector<std::pair<std::string, double>> providerDeliveryNs;
 };
 
 /** The hand-anchored defaults (see CostModel field docs). */

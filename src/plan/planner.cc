@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "features/params.hh"
+
 namespace flexon {
 namespace plan {
 
@@ -41,9 +43,12 @@ ExecutionPlanner::predictDenseStepSec(const NetworkStats &net,
     const double dispatch =
         threads > 1 ? threads * m.dispatchNsPerLane : 0.0;
     const double neuronPhase = n * m.denseNsPerNeuron / eff;
+    // Every step clears the consumed slot, split across the lanes,
+    // and delivers the fired rows' records.
     const double synapsePhase =
-        rate * n * net.meanFanOut() *
-        (m.deliveryNsPerRecord / eff + m.ringClearNsPerCell);
+        (n * maxSynapseTypes * m.ringClearNsPerCell +
+         rate * n * net.meanFanOut() * m.deliveryNsPerRecord) /
+        eff;
     return (m.stepOverheadNs + n * m.serialNsPerNeuron + dispatch +
             neuronPhase + synapsePhase) *
            kNsToSec;

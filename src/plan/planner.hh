@@ -11,14 +11,18 @@
  * bit-identical to the corresponding fixed-thread runs: the planner
  * only ever changes how many lanes step, never what a step computes.
  *
- * Cost model (all times per step, rate r = fired fraction):
+ * Cost model (all times per step, rate r = fired fraction, C =
+ * maxSynapseTypes ring cells per neuron):
  *
  *   eff(T)       = 1 + (T - 1) * parallelEfficiency
  *   dispatch(T)  = (T > 1) ? T * dispatchNsPerLane : 0
  *   step(r, T)   = stepOverhead + N * serialNs + dispatch(T)
  *                  + N * denseNs / eff(T)                 [phase 2]
- *                  + r * N * K * (deliveryNs / eff(T)
- *                                 + ringClearNs)          [phase 3]
+ *                  + (N * C * ringClearNs
+ *                     + r * N * K * deliveryNs) / eff(T)  [phase 3]
+ *
+ * Phase 3 clears the whole consumed slot every step, each lane its
+ * own shard, so the clear scales with N, not with the activity.
  */
 
 #ifndef FLEXON_PLAN_PLANNER_HH

@@ -662,23 +662,17 @@ class ProceduralProvider final : public ConnectivityProvider
     }
 
     RowView
-    rowSpan(uint32_t src, size_t shard,
-            RowScratch &scratch) const override
+    rowSpan(uint32_t src, size_t shard, RowScratch &) const override
     {
         // Lanes only read the cache; prepareStep() is where it
-        // mutates (serial). Rows absent from the cache — undo
-        // probes for spikes fired before the cached window — decode
-        // into the caller's scratch instead.
+        // mutates (serial), and it caches every row of the step.
         const auto it = cache_.find(src);
-        if (it != cache_.end()) {
-            const CachedRow &c = it->second;
-            return {std::span<const uint32_t>(
-                        c.runs.data() + c.runBegin[shard],
-                        c.runBegin[shard + 1] - c.runBegin[shard]),
-                    c.records.data() + c.recBegin[shard]};
-        }
-        return decodeRowForShard(net_.rowFor(src, scratch.synapses),
-                                 shard, geo_, scratch);
+        flexon_assert(it != cache_.end());
+        const CachedRow &c = it->second;
+        return {std::span<const uint32_t>(
+                    c.runs.data() + c.runBegin[shard],
+                    c.runBegin[shard + 1] - c.runBegin[shard]),
+                c.records.data() + c.recBegin[shard]};
     }
 
     void

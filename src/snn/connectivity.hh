@@ -175,10 +175,6 @@ class ConnectivityProvider
     {
         return geo_.shardTargetBegin;
     }
-    size_t shardOfCell(uint32_t cell) const
-    {
-        return geo_.shardOf[cell / maxSynapseTypes];
-    }
 
     /** True when per-source masks are exact (bucketCount <= 64). */
     bool rowMasksExact() const { return masksExact_; }

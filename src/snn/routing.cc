@@ -13,17 +13,6 @@
 
 namespace flexon {
 
-namespace {
-
-/** Touch key of a routed run: its delay bucket and fired source. */
-constexpr uint64_t
-touchKey(size_t bucket, uint32_t src)
-{
-    return (static_cast<uint64_t>(bucket) << 32) | src;
-}
-
-} // namespace
-
 SpikeRouter::SpikeRouter(const Network &network, size_t shardCount,
                          telemetry::Registry *metrics,
                          ConnectivityKind kind)
@@ -50,17 +39,6 @@ SpikeRouter::SpikeRouter(const Network &network,
                       : nullptr),
       metrics_(metrics != nullptr ? *metrics : *ownMetrics_),
       events_(synapseEventsCounter(metrics_)),
-      denseClears_(metrics_.counter("snn.router.dense_clears",
-                                    "ring-slot clears via dense fill")),
-      sparseClears_(metrics_.counter(
-          "snn.router.sparse_clears",
-          "ring-slot clears via tracked-write undo")),
-      cellsCleared_(metrics_.counter(
-          "snn.router.cells_cleared",
-          "cells zeroed by sparse clears (incl. duplicates)")),
-      shardsSkipped_(metrics_.counter(
-          "snn.router.shards_skipped",
-          "target shards skipped entirely by sparse delivery")),
       bucketsVisited_(metrics_.counter(
           "snn.router.buckets_visited",
           "(source, shard, delay-bucket) runs streamed by delivery")),
@@ -68,48 +46,12 @@ SpikeRouter::SpikeRouter(const Network &network,
       ringDepth_(static_cast<size_t>(network.maxDelay()) + 1),
       slotSize_(network.numNeurons() * maxSynapseTypes)
 {
-    if (slotSize_ > 0) {
-        touchedCellsCounter_ = &metrics_.counter(
-            "route.touched_cells",
-            "ring cells tracked as written, summed over steps");
-        occupancyHist_ = &metrics_.histogram(
-            "route.ring_occupancy", 0.0, 1.0, 20,
-            "per-step fraction of the consumed slot's cells "
-            "tracked as written (1.0 = saturated/dense)");
-    }
     ring_.assign(ringDepth_ * slotSize_, 0.0);
     slotBase_.assign(ringDepth_, nullptr);
-    touchBase_.assign(ringDepth_, nullptr);
-    const size_t shards = shards_;
-    scratch_.resize(shards);
-    laneEvents_.assign(shards, 0);
-    laneBuckets_.assign(shards, 0);
-    laneDense_.assign(shards, 0);
-    routeMask_.assign(shards, 0);
-    activeShards_.reserve(shards);
-
-    // Crossover between undoing tracked writes and a dense fill: the
-    // sequential std::fill streams ~4x faster per cell than scattered
-    // zeroing, so clear sparsely only below a quarter of the shard's
-    // cell range. The touch lists share the budget, so a saturated
-    // list always implies a dense clear for its shard.
-    shardClearBudget_.assign(shards, 1);
-    const auto &targetBegin = conn_.shardTargetBegin();
-    touched_.reserve(ringDepth_ * shards);
-    stimTouched_.reserve(ringDepth_ * shards);
-    for (size_t s = 0; s < shards; ++s) {
-        const uint64_t cells =
-            static_cast<uint64_t>(targetBegin[s + 1] -
-                                  targetBegin[s]) *
-            maxSynapseTypes;
-        shardClearBudget_[s] = cells / 4 + 1;
-    }
-    for (size_t slot = 0; slot < ringDepth_; ++slot)
-        for (size_t s = 0; s < shards; ++s)
-            touched_.emplace_back(shardClearBudget_[s]);
-    for (size_t slot = 0; slot < ringDepth_; ++slot)
-        for (size_t s = 0; s < shards; ++s)
-            stimTouched_.emplace_back(shardClearBudget_[s]);
+    scratch_.resize(shards_);
+    laneEvents_.assign(shards_, 0);
+    laneBuckets_.assign(shards_, 0);
+    routeMask_.assign(shards_, 0);
 }
 
 std::span<double>
@@ -122,47 +64,6 @@ std::span<const double>
 SpikeRouter::slot(uint64_t t) const
 {
     return {ring_.data() + (t % ringDepth_) * slotSize_, slotSize_};
-}
-
-void
-SpikeRouter::laneClear(size_t slotIdx, size_t shard, bool dense)
-{
-    double *const base = ring_.data() + slotIdx * slotSize_;
-
-    if (dense) {
-        const auto &targetBegin = conn_.shardTargetBegin();
-        const uint32_t cellLo = targetBegin[shard] * maxSynapseTypes;
-        const uint32_t cellHi =
-            targetBegin[shard + 1] * maxSynapseTypes;
-        std::fill(base + cellLo, base + cellHi, 0.0);
-    } else {
-        // Undo the tracked writes of this shard only; lanes never
-        // touch another shard's cells. A routed key names one run of
-        // a fired row; re-walking the row finds it again (topology is
-        // immutable, so the row covers exactly the cells the delivery
-        // wrote — decoding providers regenerate it into the lane's
-        // scratch).
-        for (const uint64_t cell : stimTouch(slotIdx, shard).keys())
-            base[cell] = 0.0;
-        RowScratch &scratch = scratch_[shard];
-        for (const uint64_t key : touch(slotIdx, shard).keys()) {
-            const auto bucket = static_cast<uint32_t>(key >> 32);
-            const RowView row = conn_.rowSpan(
-                static_cast<uint32_t>(key), shard, scratch);
-            const DeliveryRecord *rec = row.records;
-            for (const uint32_t header : row.runs) {
-                const uint32_t len = runHeaderLength(header);
-                if (runHeaderBucket(header) == bucket) {
-                    for (uint32_t k = 0; k < len; ++k)
-                        base[rec[k].cell] = 0.0;
-                    break;
-                }
-                rec += len;
-            }
-        }
-    }
-    touch(slotIdx, shard).clear();
-    stimTouch(slotIdx, shard).clear();
 }
 
 void
@@ -179,15 +80,10 @@ SpikeRouter::laneRoute(size_t shard, std::span<const uint32_t> fired)
         const DeliveryRecord *rec = row.records;
         streams += row.runs.size();
         for (const uint32_t header : row.runs) {
-            const size_t b = runHeaderBucket(header);
             const uint32_t len = runHeaderLength(header);
-            const uint8_t delay = conn_.bucketDelay(b);
+            const uint8_t delay =
+                conn_.bucketDelay(runHeaderBucket(header));
             double *const base = slotBase_[delay];
-            TouchList &pending = touchBase_[delay][shard];
-            // A saturated slot is already committed to a dense clear,
-            // so tracking further writes buys nothing.
-            if (!pending.saturated())
-                pending.add(touchKey(b, n), len);
             events += len;
             for (uint32_t k = 0; k < len; ++k, ++rec)
                 base[rec->cell] += rec->weight;
@@ -209,40 +105,14 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
     if (!fired.empty())
         conn_.prepareStep(fired);
 
-    // Dense/sparse decision for the consumed slot, per shard:
-    // tracked undo cost vs. the shard's crossover budget. Saturated
-    // touch lists have cost >= budget, so an incomplete key list
-    // always forces the dense path for its shard.
-    uint64_t totalCost = 0;
-    bool anyDense = false;
-    for (size_t s = 0; s < shards; ++s) {
-        const uint64_t cost =
-            stimTouch(slotIdx, s).cost() + touch(slotIdx, s).cost();
-        totalCost += cost;
-        laneDense_[s] = cost >= shardClearBudget_[s] ? 1 : 0;
-        anyDense = anyDense || laneDense_[s] != 0;
-    }
-    if (anyDense) {
-        denseClears_.add(1);
-    } else {
-        sparseClears_.add(1);
-        cellsCleared_.add(totalCost);
-    }
-    if (occupancyHist_ != nullptr && telemetry::detailEnabled()) {
-        touchedCellsCounter_->add(totalCost);
-        occupancyHist_->sample(static_cast<double>(totalCost) /
-                               static_cast<double>(slotSize_));
-    }
-
     // Route-activity masks: OR the fired sources' per-shard bucket
     // bitmaps. Without exact masks (> 64 delay buckets) any firing
     // marks every shard active.
-    const bool exact = conn_.rowMasksExact();
     const bool haveRoute =
         !fired.empty() && conn_.bucketCount() > 0;
     std::fill(routeMask_.begin(), routeMask_.end(), 0);
     if (haveRoute) {
-        if (exact) {
+        if (conn_.rowMasksExact()) {
             for (const uint32_t n : fired) {
                 const uint64_t *const m = conn_.rowMaskRow(n);
                 for (size_t s = 0; s < shards; ++s)
@@ -252,51 +122,33 @@ SpikeRouter::routeStep(uint64_t t, std::span<const uint32_t> fired)
             std::fill(routeMask_.begin(), routeMask_.end(),
                       ~uint64_t{0});
         }
+        for (size_t d = 0; d < ringDepth_; ++d)
+            slotBase_[d] = ring_.data() + ((t + d) % ringDepth_) *
+                                              slotSize_;
     }
 
-    // Compact the shards that have any work: route deliveries or a
-    // non-empty consumed slot. The rest are skipped outright — their
-    // slot region is already zero and nothing routes into them.
-    activeShards_.clear();
-    for (size_t s = 0; s < shards; ++s) {
-        const bool clearWork =
-            stimTouch(slotIdx, s).cost() + touch(slotIdx, s).cost() >
-            0;
-        if (clearWork || routeMask_[s] != 0)
-            activeShards_.push_back(static_cast<uint32_t>(s));
-    }
-    shardsSkipped_.add(shards - activeShards_.size());
-    if (activeShards_.empty())
-        return;
-
-    if (haveRoute) {
-        for (size_t d = 0; d < ringDepth_; ++d) {
-            const size_t slot = (t + d) % ringDepth_;
-            slotBase_[d] = ring_.data() + slot * slotSize_;
-            touchBase_[d] = touched_.data() + slot * shards;
-        }
-    }
-
-    auto laneWork = [&](size_t i) {
-        const size_t s = activeShards_[i];
+    // Each lane zeroes its own cells of the consumed slot, then
+    // routes into its shard; no other lane writes those cells.
+    double *const consumed = ring_.data() + slotIdx * slotSize_;
+    const auto &targetBegin = conn_.shardTargetBegin();
+    auto laneWork = [&](size_t s) {
         laneEvents_[s] = 0;
         laneBuckets_[s] = 0;
-        laneClear(slotIdx, s, laneDense_[s] != 0);
+        std::fill(consumed + targetBegin[s] * maxSynapseTypes,
+                  consumed + targetBegin[s + 1] * maxSynapseTypes, 0.0);
         if (routeMask_[s] != 0)
             laneRoute(s, fired);
     };
     if (!haveRoute) {
-        // Clear-only step: stay inline regardless of shard count —
-        // the undo work is tiny and never worth a pool barrier.
-        for (size_t i = 0; i < activeShards_.size(); ++i)
-            laneWork(i);
+        // Clear-only step: stay inline, never worth a pool barrier.
+        for (size_t s = 0; s < shards; ++s)
+            laneWork(s);
     } else {
-        ThreadPool::global().forEachLane(activeShards_.size(),
-                                         laneWork);
+        ThreadPool::global().forEachLane(shards, laneWork);
     }
     uint64_t events = 0;
     uint64_t visited = 0;
-    for (const uint32_t s : activeShards_) {
+    for (size_t s = 0; s < shards; ++s) {
         events += laneEvents_[s];
         visited += laneBuckets_[s];
     }
@@ -364,44 +216,24 @@ readRingRle(std::istream &is, std::vector<double> &values)
         fatal("truncated delay-ring data in checkpoint");
 }
 
-void
-writeTouchList(std::ostream &os, const TouchList &list)
-{
-    const auto keys = list.keys();
-    os << "touch " << list.cost() << ' ' << keys.size();
-    for (const uint64_t key : keys)
-        os << ' ' << key;
-    os << '\n';
-}
-
-/** One checkpointed touch list: its undo cost and stored keys. */
-struct TouchLine
-{
-    uint64_t cost = 0;
-    std::vector<uint64_t> keys;
-};
-
 /**
- * Read one `touch <cost> <count> <keys...>` line. A list stores keys
- * only while its cost is under `budget`, and every key costs at least
- * 1, so a count above the budget is corrupt — and must not size an
- * allocation.
+ * Read past one `touch <cost> <count> <keys...>` line of a pre-v5
+ * router block. Nothing is sized from `count`: a count above the
+ * tokens that follow is a truncated line.
  */
-TouchLine
-readTouchLine(std::istream &is, uint64_t budget)
+void
+skipTouchLine(std::istream &is)
 {
     std::string tag;
-    TouchLine line;
-    uint64_t count = 0;
-    is >> tag >> line.cost >> count;
-    if (tag != "touch" || !is || count > budget)
+    uint64_t cost = 0, count = 0;
+    is >> tag >> cost >> count;
+    if (tag != "touch" || !is)
         fatal("malformed touch list in checkpoint");
-    line.keys.resize(count);
-    for (uint64_t &key : line.keys)
-        is >> key;
+    uint64_t key = 0;
+    while (count > 0 && is >> key)
+        --count;
     if (!is)
         fatal("truncated touch list in checkpoint");
-    return line;
 }
 
 } // namespace
@@ -414,18 +246,12 @@ SpikeRouter::saveState(std::ostream &os) const
     os << "ring";
     writeRingRle(os, ring_);
     os << '\n';
-    for (const TouchList &list : touched_)
-        writeTouchList(os, list);
-    for (const TouchList &list : stimTouched_)
-        writeTouchList(os, list);
-    os << "counters";
-    for (const telemetry::Counter *c : counters())
-        os << ' ' << c->value();
-    os << '\n';
+    os << "counters " << events_.value() << ' '
+       << bucketsVisited_.value() << '\n';
 }
 
 void
-SpikeRouter::loadState(std::istream &is)
+SpikeRouter::loadState(std::istream &is, int version)
 {
     std::string tag;
     size_t depth = 0, slot = 0, shards = 0;
@@ -441,73 +267,33 @@ SpikeRouter::loadState(std::istream &is)
         fatal("malformed ring section in checkpoint");
     readRingRle(is, ring_);
 
-    // laneClear walks every restored key, so a key this router could
-    // not have written would clear outside its shard or the ring.
-    const uint64_t neurons = slotSize_ / maxSynapseTypes;
-    for (size_t i = 0; i < touched_.size(); ++i) {
-        const size_t shard = i % shards_;
-        TouchLine line = readTouchLine(is, shardClearBudget_[shard]);
-        bool rangeKey = false;
-        for (const uint64_t key : line.keys) {
-            if ((key >> 63) != 0) {
-                rangeKey = true;
-                continue;
-            }
-            const uint64_t bucket = key >> 32;
-            const auto src = static_cast<uint32_t>(key);
-            if (bucket >= conn_.bucketCount() || src >= neurons ||
-                (conn_.rowMasksExact() &&
-                 ((conn_.rowMask(src, shard) >> bucket) & 1) == 0)) {
-                fatal("touch key %llu is outside shard %zu of the "
-                      "routing geometry in checkpoint",
-                      static_cast<unsigned long long>(key), shard);
-            }
-        }
-        if (rangeKey) {
-            // Older builds keyed runs by record ranges into arrays
-            // this build does not have. Restored saturated, the list
-            // forces a dense clear of its shard, which zeroes every
-            // cell any of its keys could name.
-            line.keys.clear();
-            line.cost = std::max(line.cost, shardClearBudget_[shard]);
-        }
-        touched_[i].restore(std::move(line.keys), line.cost);
-    }
-    for (size_t i = 0; i < stimTouched_.size(); ++i) {
-        const size_t shard = i % shards_;
-        TouchLine line = readTouchLine(is, shardClearBudget_[shard]);
-        for (const uint64_t cell : line.keys) {
-            if (cell >= slotSize_ ||
-                conn_.shardOfCell(static_cast<uint32_t>(cell)) !=
-                    shard) {
-                fatal("stimulus cell %llu is outside shard %zu of "
-                      "the ring in checkpoint",
-                      static_cast<unsigned long long>(cell), shard);
-            }
-        }
-        stimTouched_[i].restore(std::move(line.keys), line.cost);
-    }
-    is >> tag;
-    for (telemetry::Counter *c : counters()) {
-        uint64_t value = 0;
-        is >> value;
-        c->reset();
-        c->add(value);
-    }
+    // Before v5 the block also held the undo clear's routed and
+    // stimulus touch lists, one per (slot, shard) each, and the
+    // counters line had the clear and skip counts between the event
+    // and bucket counts. The ring alone restores the state.
+    const bool older = version < 5;
+    if (older)
+        for (size_t i = 0; i < 2 * ringDepth_ * shards_; ++i)
+            skipTouchLine(is);
+    uint64_t events = 0, dropped = 0, buckets = 0;
+    is >> tag >> events;
+    for (int i = 0; older && i < 4; ++i)
+        is >> dropped;
+    is >> buckets;
     if (tag != "counters" || !is)
         fatal("truncated router counters in checkpoint");
+    events_.reset();
+    events_.add(events);
+    bucketsVisited_.reset();
+    bucketsVisited_.add(buckets);
 }
 
 void
 SpikeRouter::reset()
 {
     std::fill(ring_.begin(), ring_.end(), 0.0);
-    for (TouchList &list : touched_)
-        list.clear();
-    for (TouchList &list : stimTouched_)
-        list.clear();
-    for (telemetry::Counter *c : counters())
-        c->reset();
+    events_.reset();
+    bucketsVisited_.reset();
     if (ownConn_)
         ownConn_->reset();
 }

@@ -209,7 +209,11 @@ constexpr const char *checkpointMagic = "flexon-checkpoint";
 // (STDP traces, intrinsic-excitability rates and threshold offsets).
 // v2/v3 snapshots simply lack the block and restore with the rules'
 // current state untouched.
-constexpr int checkpointVersion = 4;
+// v5: the router block drops the per-(slot, shard) touch lists and
+// keeps two counters (synapse events, buckets visited); the ring is
+// the whole delivery state. Older blocks are read past their touch
+// lines.
+constexpr int checkpointVersion = 5;
 constexpr int checkpointMinVersion = 2;
 // The header's engine token. Older builds also had an event-driven
 // engine, whose snapshots carry `event-driven` and cannot be read.

@@ -31,7 +31,7 @@ void saveNetworkFile(const std::string &path, const Network &network);
 Network loadNetworkFile(const std::string &path);
 
 /**
- * Checkpoint file framing ("flexon-checkpoint v4 dense"): the
+ * Checkpoint file framing ("flexon-checkpoint v5 dense"): the
  * versioned header of a SimulationSession snapshot. The trailing
  * token names the engine that wrote the snapshot; the dense engine is
  * the only one, so it is always `dense`. The header writer arms the

@@ -157,15 +157,12 @@ void
 SimulationSession::phaseStimulus()
 {
     telemetry::ScopedTimer scope(stimulusTimer_, "sim.stimulus");
-    // Accumulate into step t's ring slot; the router notes each cell
-    // so the sparse clear can undo it.
+    // Accumulate into step t's ring slot.
     const std::span<double> current = router_.slot(t_);
     for (const StimulusSpike &s : stimulus_.generate(t_)) {
         flexon_assert(s.target < network_.numNeurons());
         flexon_assert(s.type < maxSynapseTypes);
-        const uint32_t cell = s.target * maxSynapseTypes + s.type;
-        current[cell] += s.weight;
-        router_.noteStimulus(t_, cell);
+        current[s.target * maxSynapseTypes + s.type] += s.weight;
     }
 }
 
@@ -230,10 +227,9 @@ SimulationSession::phaseSynapse()
         ewmaRateGauge_.set(ewma + (inst - ewma) * plan::kEwmaAlpha);
     }
 
-    // Clear the consumed slot (activity-proportionally) and stream
-    // the fired rows' delivery records into the t + delay slots —
-    // bit-identical to the serial scan at any thread count (see
-    // snn/routing.hh).
+    // Clear the consumed slot and stream the fired rows' delivery
+    // records into the t + delay slots — bit-identical to the serial
+    // scan at any thread count (see snn/routing.hh).
     telemetry::ScopedTimer routeScope(routeTimer_,
                                       "sim.synapse.route");
     router_.routeStep(t_, firedList_);
@@ -856,7 +852,7 @@ SimulationSession::loadCheckpoint(std::istream &is,
     if (tag != "engine" || !is)
         fatal("malformed checkpoint engine block");
     backend_->loadState(is);
-    router_.loadState(is);
+    router_.loadState(is, version);
 
     is >> tag;
     if (tag != "end" || !is)

@@ -21,12 +21,12 @@
  * session's recording state (spike counts, probe traces, recorded
  * spike events), the stimulus RNG stream, any plasticity-mutated
  * weights, and the backend's and router's dynamic state (neuron
- * arrays, delay ring, touch tracking). Restoring a snapshot into a
+ * arrays, delay ring). Restoring a snapshot into a
  * freshly built session and running the remaining steps is
  * bit-identical — spike for spike, probe sample for probe sample — to
  * the uninterrupted run (tests/test_session.cc).
  *
- * Format: text, "flexon-checkpoint v4" framing (snn/serialize.hh),
+ * Format: text, "flexon-checkpoint v5" framing (snn/serialize.hh),
  * doubles at 17 significant digits and fixed-point values as raw
  * integers, so every value round trips exactly. Wall-clock phase
  * timers are deliberately *not* checkpointed — host seconds are not
@@ -93,7 +93,7 @@ struct SimulatorOptions
  * registry handles. printStats and the run report read the registry
  * itself, so a new metric reaches them without touching this struct,
  * and router counters are read where they live (registry names, or
- * accessors such as SpikeRouter::denseClears()).
+ * accessors such as SpikeRouter::bucketsVisited()).
  *
  * Units: every `*Sec` field is host wall-clock seconds accumulated
  * since the timers last started (construction, reset or restore);
@@ -472,9 +472,9 @@ class SimulationSession
     std::unique_ptr<ConnectivityProvider> connectivity_;
     std::unique_ptr<NeuronBackend> backend_;
     /**
-     * Spike delivery from the provider: delay ring and
-     * activity-proportional ring maintenance (snn/routing.hh). Shard
-     * count == configured threads; results are bit-identical to
+     * Spike delivery from the provider into the delay ring, each
+     * lane clearing its shard of the consumed slot (snn/routing.hh).
+     * Shard count == configured threads; results are bit-identical to
      * serial at any thread count.
      */
     SpikeRouter router_;

@@ -26,6 +26,8 @@
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
 
+#include "older_checkpoint.hh"
+
 namespace flexon {
 namespace {
 
@@ -334,9 +336,11 @@ TEST(ConnectivityCheckpoint, ReadsVersion2Snapshots)
         ASSERT_TRUE(first.saveCheckpointFile(path));
     }
 
-    // A fixed-weight materialized snapshot is byte-compatible with
-    // the v2 format; rewrite the header to what an older build would
-    // have written and make sure this build still restores it.
+    // Outside the router block and the plasticity block, a
+    // fixed-weight materialized snapshot is byte-compatible with the
+    // v2 format; rewrite it to what an older build would have
+    // written, touch lists included, and make sure this build still
+    // restores it.
     std::string text;
     {
         std::ifstream is(path);
@@ -344,16 +348,9 @@ TEST(ConnectivityCheckpoint, ReadsVersion2Snapshots)
         ss << is.rdbuf();
         text = ss.str();
     }
-    const size_t at = text.find("flexon-checkpoint v4");
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, 20, "flexon-checkpoint v2");
-    // v2 files predate the plasticity block; drop it too.
-    const size_t pl = text.find("\nplasticity 0\n");
-    ASSERT_NE(pl, std::string::npos);
-    text.erase(pl, 14);
     {
         std::ofstream os(path);
-        os << text;
+        os << olderCheckpoint(text, 2);
     }
 
     Simulator second(b.network, b.stimulus, opts);
@@ -362,6 +359,8 @@ TEST(ConnectivityCheckpoint, ReadsVersion2Snapshots)
     second.run(total - split);
     EXPECT_EQ(full.stats().spikes, second.stats().spikes);
     EXPECT_EQ(full.spikeCounts(), second.spikeCounts());
+    EXPECT_EQ(full.stats().synapseEvents,
+              second.stats().synapseEvents);
 }
 
 TEST(ConnectivityGuards, MisconfigurationsDieWithClearMessages)

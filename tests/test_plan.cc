@@ -40,9 +40,6 @@ TEST(Calibration, JsonRoundTripPreservesEverything)
     cal.model.parallelEfficiency = 0.625;
     cal.maxResidual = 0.0625;
     cal.gridPoints = 42;
-    cal.maskNsPerNeuron = {{"LLIF", 4.5}, {"Izhikevich", 9.25}};
-    cal.providerDeliveryNs = {{"materialized", 1.0},
-                              {"procedural", 2.5}};
 
     const std::string path =
         ::testing::TempDir() + "/roundtrip_cal.json";
@@ -69,8 +66,6 @@ TEST(Calibration, JsonRoundTripPreservesEverything)
               cal.model.parallelEfficiency);
     EXPECT_EQ(loaded.maxResidual, cal.maxResidual);
     EXPECT_EQ(loaded.gridPoints, cal.gridPoints);
-    EXPECT_EQ(loaded.maskNsPerNeuron, cal.maskNsPerNeuron);
-    EXPECT_EQ(loaded.providerDeliveryNs, cal.providerDeliveryNs);
 }
 
 TEST(Calibration, LoaderRejectsBadDocuments)
@@ -99,7 +94,9 @@ TEST(Calibration, LoaderRejectsBadDocuments)
     EXPECT_FALSE(error.empty());
 
     // A document from a build with an event-driven engine carries
-    // event_ns_per_unit; the field is skipped and the rest loads.
+    // event_ns_per_unit, and older builds also wrote the
+    // mask_ns_per_neuron and provider_delivery_ns maps; those are
+    // skipped and the rest loads.
     const std::string older =
         ::testing::TempDir() + "/older_cal.json";
     std::ofstream(older)
@@ -114,7 +111,10 @@ TEST(Calibration, LoaderRejectsBadDocuments)
            " \"dispatch_ns_per_lane\": 1200,"
            " \"parallel_efficiency\": 0.5},"
            " \"fit\": {\"max_residual\": 0.5, \"grid_points\": 30},"
-           " \"mask_ns_per_neuron\": {}, \"provider_delivery_ns\": {}}";
+           " \"mask_ns_per_neuron\": {\"LLIF\": 4.5,"
+           " \"Izhikevich\": 9.25},"
+           " \"provider_delivery_ns\": {\"materialized\": 1.0,"
+           " \"procedural\": 2.5}}";
     CalibrationData loaded;
     ASSERT_TRUE(plan::loadCalibrationFile(older, loaded, &error))
         << error;

@@ -7,8 +7,8 @@
  * and populations, and on the degenerate shapes (more than 64 delay
  * buckets, zero synapses, a single neuron, every neuron firing on
  * every step). Each shape runs on materialized and compressed rows —
- * plus the sparse/dense ring-clear crossover, live STDP weight updates, and the router's
- * checkpoint: restart equivalence and rejection of corrupt state.
+ * plus live STDP weight updates and the router's checkpoint: restart
+ * equivalence, older router blocks, and rejection of corrupt state.
  *
  * The oracle replays the exact pre-routing-table semantics: dense
  * std::fill slot clears and per-fired-source scans of
@@ -29,6 +29,8 @@
 #include "snn/routing.hh"
 #include "snn/simulator.hh"
 #include "snn/stdp.hh"
+
+#include "older_checkpoint.hh"
 
 namespace flexon {
 namespace {
@@ -400,67 +402,6 @@ TEST(RoutingTable, LayoutPreservesRowOrderAndCoversAllSynapses)
               net.numSynapses() * sizeof(DeliveryRecord));
 }
 
-TEST(RingMaintenance, QuietNetworkClearsSparsely)
-{
-    // A nearly silent chain: per-step activity touches a handful of
-    // cells, far below the dense-fill crossover.
-    Network net;
-    NeuronParams p = defaultParams(ModelKind::LIF);
-    net.addPopulation("quiet", p, 400);
-    net.addSynapse(0, {1, 150.0f, 1, 0});
-    net.addSynapse(0, {2, 150.0f, 2, 0});
-    net.finalize();
-    StimulusGenerator stim(1);
-    stim.addSource(StimulusSource::pattern(0, 1, 50, 150.0f, 0));
-
-    SimulatorOptions opts;
-    opts.threads = 3;
-    Simulator sim(net, stim, opts);
-    OracleSimulator oracle(net, stim);
-    for (int step = 0; step < 300; ++step) {
-        sim.stepOnce();
-        oracle.stepOnce();
-        expectRingBitIdentical(oracle.ring_, sim.ringBuffer(),
-                               static_cast<uint64_t>(step));
-    }
-    const SpikeRouter &router = sim.router();
-    EXPECT_EQ(router.denseClears(), 0u);
-    EXPECT_EQ(router.sparseClears(), 300u);
-    EXPECT_GT(sim.stats().spikes, 0u);
-    // Sparse clears undo far fewer cells than 300 dense fills would.
-    EXPECT_LT(router.cellsCleared(),
-              300u * net.numNeurons() * maxSynapseTypes / 10);
-}
-
-TEST(RingMaintenance, DenseActivityFallsBackToFill)
-{
-    // Dense wiring + every neuron driven every step: the tracked
-    // clear cost crosses the budget and the engine must fall back to
-    // std::fill — and stay bit-identical while doing so.
-    Network net;
-    NeuronParams p = defaultParams(ModelKind::LIF);
-    const size_t a = net.addPopulation("dense", p, 60);
-    Rng rng(5);
-    net.connectRandom(a, a, 0.9, 0.1, 1, 2, 0, rng);
-    net.finalize();
-    StimulusGenerator stim(3);
-    stim.addSource(StimulusSource::pattern(0, 60, 1, 150.0f, 0));
-
-    SimulatorOptions opts;
-    opts.threads = 4;
-    Simulator sim(net, stim, opts);
-    OracleSimulator oracle(net, stim);
-    for (int step = 0; step < 100; ++step) {
-        sim.stepOnce();
-        oracle.stepOnce();
-        expectRingBitIdentical(oracle.ring_, sim.ringBuffer(),
-                               static_cast<uint64_t>(step));
-    }
-    EXPECT_GT(sim.router().denseClears(), 0u);
-    EXPECT_EQ(sim.router().denseClears() + sim.router().sparseClears(),
-              100u);
-}
-
 TEST(RoutingRefresh, StdpWeightUpdatesReachTheTable)
 {
     // Two identical runs, each with its own network copy and STDP
@@ -542,7 +483,7 @@ TEST(RoutingRefresh, FullRefreshAfterLogOverflow)
     EXPECT_GT(sim.stats().spikes, 0u);
 }
 
-// ---- Sparse-activity delivery (activity bitmaps + shard skip) ---
+// ---- Sparse-activity delivery (activity bitmaps) ---------------
 
 /** A recurrent LLIF network at a few-percent firing rate. */
 Network
@@ -576,9 +517,9 @@ class SparseDelivery : public ::testing::TestWithParam<size_t>
 
 TEST_P(SparseDelivery, MatchesOracleAndSkipsShards)
 {
-    // Delivery with activity masks and shard skipping against the
-    // naive serial oracle: spike for spike and ring double for ring
-    // double, at every thread count.
+    // Delivery with activity masks against the naive serial oracle:
+    // spike for spike and ring double for ring double, at every
+    // thread count.
     const size_t threads = GetParam();
     const size_t n = 120;
     Network netOracle = llifNet(n, 31);
@@ -599,13 +540,7 @@ TEST_P(SparseDelivery, MatchesOracleAndSkipsShards)
     EXPECT_GT(oracle.events_.size(), 0u) << "network stayed silent";
     EXPECT_EQ(oracle.counts_, dense.spikeCounts());
     EXPECT_EQ(oracle.synapseEvents_, dense.stats().synapseEvents);
-
-    // Delivery must actually skip work: on a low-rate network most
-    // shards receive nothing on most steps.
     EXPECT_GT(dense.router().bucketsVisited(), 0u);
-    if (threads > 1) {
-        EXPECT_GT(dense.router().shardsSkipped(), 0u);
-    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SparseDelivery,
@@ -637,21 +572,19 @@ TEST(SparseDelivery, BucketsVisitedBoundedByPopulatedStreams)
     // Neuron 0's two targets live in one shard; every firing visits
     // at most 2 (shard, bucket) streams.
     EXPECT_LE(sim.router().bucketsVisited(), 2 * spikes);
-    EXPECT_GT(sim.router().shardsSkipped(), 0u);
 }
 
 // ---- Router checkpoint: restart equivalence and corrupt state ---
 
 /**
  * A checkpoint as lines, with the router section located: the
- * `router D S K` line, the ring line, D x S routed touch lists, then
- * D x S stimulus touch lists (slot-major).
+ * `router D S K` line, the ring line, then (before v5) 2 x D x K
+ * touch lines, routed lists first.
  */
 struct CheckpointLines
 {
     std::vector<std::string> lines;
     size_t router = 0;
-    size_t lists = 0;
 
     explicit CheckpointLines(const std::string &text)
     {
@@ -661,20 +594,10 @@ struct CheckpointLines
         while (router < lines.size() &&
                lines[router].rfind("router ", 0) != 0)
             ++router;
-        std::istringstream header(lines.at(router));
-        std::string tag;
-        size_t depth = 0, cells = 0, shards = 0;
-        header >> tag >> depth >> cells >> shards;
-        lists = depth * shards;
     }
 
     std::string &ring() { return lines.at(router + 1); }
-    std::string &routed(size_t i) { return lines.at(router + 2 + i); }
-    std::string &
-    stimulus(size_t i)
-    {
-        return lines.at(router + 2 + lists + i);
-    }
+    std::string &touch(size_t i) { return lines.at(router + 2 + i); }
 
     std::string
     text() const
@@ -716,41 +639,30 @@ restoreInto(const Network &net, const std::string &text)
 
 TEST(RouterCheckpoint, RangeKeyFromOlderBuildForcesExactDenseClear)
 {
-    // Older builds keyed some undo runs by record range (bit 63). A
-    // restored list holding one is saturated, so its slot is cleared
-    // densely; were the key dropped instead, the cells it named would
-    // keep stale weights and the runs would diverge.
+    // A router block from an older build holds touch lists of every
+    // kind: run keys, record-range keys (bit 63), saturated lists and
+    // stimulus cells. The ring alone is the delivery state, so the
+    // restored run must step bit for bit with the full run, and keep
+    // its event and bucket counts.
     const Network net = mixedNetwork(8);
     const uint64_t split = 60, total = 200;
     Simulator full(net, mixedStimulus(), checkpointOptions());
     full.run(split);
     std::stringstream saved;
     full.saveCheckpoint(saved);
-
-    CheckpointLines cp(saved.str());
-    bool rewritten = false;
-    for (size_t i = 0; i < cp.lists && !rewritten; ++i) {
-        std::istringstream line(cp.routed(i));
-        std::string tag;
-        uint64_t cost = 0, count = 0, first = 0;
-        line >> tag >> cost >> count;
-        if (count == 0)
-            continue;
-        line >> first;
-        std::ostringstream os;
-        os << "touch " << cost << ' ' << count << ' '
-           << ((uint64_t{3} << 62) | (uint64_t{4} << 32) | 17);
-        for (uint64_t key = 0; line >> key;)
-            os << ' ' << key;
-        cp.routed(i) = os.str();
-        rewritten = true;
-    }
-    ASSERT_TRUE(rewritten) << "no pending routed writes to rewrite";
+    const std::string older = olderCheckpoint(saved.str(), 4);
+    ASSERT_NE(older.find(std::to_string(olderRoutedKey(2, 2, true))),
+              std::string::npos)
+        << "the older block carries no range key";
 
     Simulator resumed(net, mixedStimulus(), checkpointOptions());
-    std::istringstream is(cp.text());
+    std::istringstream is(older);
     resumed.loadCheckpoint(is);
-    const uint64_t denseBefore = full.router().denseClears();
+    expectRingBitIdentical(full.ringBuffer(), resumed.ringBuffer(),
+                           split);
+    EXPECT_EQ(resumed.router().events(), full.router().events());
+    EXPECT_EQ(resumed.router().bucketsVisited(),
+              full.router().bucketsVisited());
     for (uint64_t step = split; step < total; ++step) {
         full.stepOnce();
         resumed.stepOnce();
@@ -763,55 +675,29 @@ TEST(RouterCheckpoint, RangeKeyFromOlderBuildForcesExactDenseClear)
     EXPECT_EQ(full.spikeCounts(), resumed.spikeCounts());
     EXPECT_EQ(full.stats().synapseEvents,
               resumed.stats().synapseEvents);
-    // The saturated list took the dense clear the full run did not.
-    EXPECT_GT(resumed.router().denseClears() - denseBefore,
-              full.router().denseClears() - denseBefore);
+    EXPECT_EQ(full.router().bucketsVisited(),
+              resumed.router().bucketsVisited());
 }
 
 // Corrupt-state death tests: each edits one field of a checkpoint the
 // test saved itself. "threadsafe" re-executes the binary for the
 // death assertion, since the pool's worker threads are alive.
 
-TEST(RouterCheckpoint, RejectsStimulusCellOutsideItsShard)
+TEST(RouterCheckpoint, RejectsTouchCountAboveItsTokens)
 {
+    // An older block's touch line is read past, never stored: a count
+    // above the keys that follow is a truncated line, and must not
+    // size an allocation.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     const Network net = mixedNetwork(8);
-    const std::string text = savedCheckpoint(net, 60);
-    CheckpointLines cp(text);
-    const uint64_t cells = net.numNeurons() * maxSynapseTypes;
-    cp.stimulus(0) = "touch 1 1 " + std::to_string(cells);
-    EXPECT_DEATH(restoreInto(net, cp.text()),
-                 "stimulus cell [0-9]+ is outside shard 0");
-    // Cell 0 belongs to shard 0, not to the last shard's list.
-    CheckpointLines other(text);
-    other.stimulus(other.lists - 1) = "touch 1 1 0";
-    EXPECT_DEATH(restoreInto(net, other.text()),
-                 "stimulus cell 0 is outside shard 2");
-}
-
-TEST(RouterCheckpoint, RejectsTouchKeyOutsideTheGeometry)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const Network net = mixedNetwork(8);
-    const std::string text = savedCheckpoint(net, 60);
-    CheckpointLines source(text);
-    source.routed(0) =
-        "touch 1 1 " + std::to_string(net.numNeurons()); // bucket 0
-    EXPECT_DEATH(restoreInto(net, source.text()),
-                 "touch key [0-9]+ is outside shard 0");
-    CheckpointLines bucket(text);
-    bucket.routed(0) = "touch 1 1 " + std::to_string(uint64_t{8} << 32);
-    EXPECT_DEATH(restoreInto(net, bucket.text()),
-                 "touch key [0-9]+ is outside shard 0");
-}
-
-TEST(RouterCheckpoint, RejectsTouchCountAboveTheClearBudget)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    const Network net = mixedNetwork(8);
-    CheckpointLines cp(savedCheckpoint(net, 60));
-    cp.routed(0) = "touch 5 1000000000000 1 2 3";
-    EXPECT_DEATH(restoreInto(net, cp.text()),
+    const std::string older = olderCheckpoint(savedCheckpoint(net, 60), 4);
+    CheckpointLines truncated(older);
+    truncated.touch(0) = "touch 5 1000000000000 1 2 3";
+    EXPECT_DEATH(restoreInto(net, truncated.text()),
+                 "truncated touch list in checkpoint");
+    CheckpointLines malformed(older);
+    malformed.touch(1) = "touched 0 0";
+    EXPECT_DEATH(restoreInto(net, malformed.text()),
                  "malformed touch list in checkpoint");
 }
 

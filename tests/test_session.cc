@@ -54,10 +54,6 @@ const std::vector<std::string> kDenseCounters = {
     "sim.steps",
     "sim.spikes",
     "sim.synapse_events",
-    "snn.router.dense_clears",
-    "snn.router.sparse_clears",
-    "snn.router.cells_cleared",
-    "snn.router.shards_skipped",
     "snn.router.buckets_visited",
 };
 
@@ -122,17 +118,19 @@ expectIdentical(const RunResult &full, const RunResult &restored)
 }
 
 SimulatorOptions
-denseOptions(BackendKind backend, size_t threads)
+denseOptions(BackendKind backend, size_t threads,
+             ConnectivityKind connectivity = ConnectivityKind::Materialized)
 {
     SimulatorOptions opts;
     opts.backend = backend;
     opts.threads = threads;
+    opts.connectivity = connectivity;
     opts.recordSpikes = true;
     opts.probes = {0, 7, 42};
     return opts;
 }
 
-using DenseRestartParam = std::tuple<BackendKind, size_t>;
+using DenseRestartParam = std::tuple<BackendKind, ConnectivityKind, size_t>;
 
 class DenseRestart
     : public ::testing::TestWithParam<DenseRestartParam>
@@ -141,17 +139,22 @@ class DenseRestart
 
 TEST_P(DenseRestart, SplitRunMatchesFullRunBitForBit)
 {
-    const auto [backend, threads] = GetParam();
+    const auto [backend, connectivity, threads] = GetParam();
     const uint64_t total = 160, split = 70;
-    const SimulatorOptions opts = denseOptions(backend, threads);
+    const SimulatorOptions opts =
+        denseOptions(backend, threads, connectivity);
+    // Procedural rows are generated from the network's spec.
+    const Wiring wiring = connectivity == ConnectivityKind::Procedural
+                              ? Wiring::Procedural
+                              : Wiring::Staged;
 
-    BenchmarkInstance a =
-        buildBenchmark(findBenchmark("Vogels-Abbott"), 20.0, 5);
+    BenchmarkInstance a = buildBenchmark(findBenchmark("Vogels-Abbott"),
+                                         20.0, 5, wiring);
     Simulator full(a.network, a.stimulus, opts);
     full.run(total);
 
-    BenchmarkInstance b =
-        buildBenchmark(findBenchmark("Vogels-Abbott"), 20.0, 5);
+    BenchmarkInstance b = buildBenchmark(findBenchmark("Vogels-Abbott"),
+                                         20.0, 5, wiring);
     std::stringstream snapshot;
     {
         Simulator first(b.network, b.stimulus, opts);
@@ -174,24 +177,44 @@ TEST_P(DenseRestart, SplitRunMatchesFullRunBitForBit)
     EXPECT_GT(full.stats().spikes, 0u) << "network stayed silent";
 }
 
+std::string
+denseRestartName(const ::testing::TestParamInfo<DenseRestartParam> &info)
+{
+    const auto [backend, connectivity, threads] = info.param;
+    std::string name;
+    switch (backend) {
+      case BackendKind::Reference: name = "Reference"; break;
+      case BackendKind::Flexon: name = "Flexon"; break;
+      case BackendKind::Folded: name = "Folded"; break;
+      default: name = "Unknown"; break;
+    }
+    switch (connectivity) {
+      case ConnectivityKind::Compressed: name += "Compressed"; break;
+      case ConnectivityKind::Procedural: name += "Procedural"; break;
+      default: break;
+    }
+    return name + "T" + std::to_string(threads);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     BackendsAndThreads, DenseRestart,
     ::testing::Combine(
         ::testing::Values(BackendKind::Reference, BackendKind::Flexon,
                           BackendKind::Folded),
+        ::testing::Values(ConnectivityKind::Materialized),
         ::testing::Values(size_t{1}, size_t{3}, size_t{4})),
-    [](const ::testing::TestParamInfo<DenseRestartParam> &info) {
-        const BackendKind backend = std::get<0>(info.param);
-        const size_t threads = std::get<1>(info.param);
-        std::string name;
-        switch (backend) {
-          case BackendKind::Reference: name = "Reference"; break;
-          case BackendKind::Flexon: name = "Flexon"; break;
-          case BackendKind::Folded: name = "Folded"; break;
-          default: name = "Unknown"; break;
-        }
-        return name + "T" + std::to_string(threads);
-    });
+    denseRestartName);
+
+// The router block holds only the ring and its counters, whatever
+// the provider; the restore must continue on every provider.
+INSTANTIATE_TEST_SUITE_P(
+    ProvidersAndThreads, DenseRestart,
+    ::testing::Combine(
+        ::testing::Values(BackendKind::Reference),
+        ::testing::Values(ConnectivityKind::Compressed,
+                          ConnectivityKind::Procedural),
+        ::testing::Values(size_t{1}, size_t{3}, size_t{4})),
+    denseRestartName);
 
 /** A recurrent LLIF network with background stimulus. */
 struct LlifSetup
@@ -487,7 +510,7 @@ TEST(SessionCheckpoint, RejectsEventDrivenSnapshot)
     LlifSetup s = llifNetwork(30, 0.02, 9);
     Simulator sim(s.net, s.stim, SimulatorOptions{});
     SavedLines cp = savedAfterRun(sim);
-    EXPECT_EQ(cp.line("flexon-checkpoint "), "flexon-checkpoint v4 dense");
+    EXPECT_EQ(cp.line("flexon-checkpoint "), "flexon-checkpoint v5 dense");
     cp.line("flexon-checkpoint ") = "flexon-checkpoint v4 event-driven";
     EXPECT_EXIT(restoreText(s, SimulatorOptions{}, cp.text()),
                 ::testing::ExitedWithCode(1),

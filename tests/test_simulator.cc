@@ -621,8 +621,7 @@ TEST(Simulator, ResetClearsLastFired)
                   .gauge("snn.connectivity.provider_bytes")
                   .value(),
               0.0);
-    EXPECT_EQ(sim.router().denseClears() + sim.router().sparseClears(),
-              0u);
+    EXPECT_EQ(sim.router().bucketsVisited(), 0u);
 }
 
 TEST(Simulator, RunReservesSpikeEventStorage)

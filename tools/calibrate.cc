@@ -4,22 +4,25 @@
  * and emit a versioned calibration.json for the execution planner.
  *
  * The harness sweeps parametrized microbenches over population size
- * x stimulus rate x thread count (plus an informational feature-mask
- * and connectivity-provider dimension), reads the per-phase costs
- * off the sessions' existing telemetry timers (PhaseStats), and fits
- * the plan::CostModel coefficients by least squares over the sweep
- * grid:
+ * x stimulus rate x thread count, reads the per-phase costs off the
+ * sessions' existing telemetry timers (PhaseStats), and fits the
+ * plan::CostModel coefficients by robust slopes over the sweep grid
+ * (C = maxSynapseTypes ring cells per neuron):
  *
  *   denseNsPerNeuron     Theil-Sen slope of neuron-phase ns/step
  *                        vs N (T = 1)
- *   deliveryNsPerRecord  Theil-Sen slope of route ns/step vs
- *   ringClearNsPerCell     records/step; cleared cells track records
- *                        on every measured host, so only the sum is
- *                        identifiable — split at the builtin ratio
+ *   deliveryNsPerRecord  median over sizes of each size's Theil-Sen
+ *                        slope of route ns/step vs records/step (at
+ *                        one size the slot clear is a constant)
+ *   ringClearNsPerCell   Theil-Sen slope over N * C of the route
+ *                        ns/step that delivery leaves, measured on a
+ *                        silent grid (no stimulus, so nothing fires
+ *                        and the route time is the clear)
  *   serialNsPerNeuron    Theil-Sen slope over N of the step cost
- *                        the neuron and delivery phases leave over
+ *                        the neuron phase and the modelled route
+ *                        leave over
  *   stepOverheadNs       median per-point step cost left over after
- *                        the modelled neuron, delivery and serial
+ *                        the modelled neuron, route and serial
  *                        per-neuron terms
  *   dispatchNsPerLane    per-lane step-cost increase on a population
  *                        too small to gain from threads
@@ -52,7 +55,6 @@
 
 #include "common/logging.hh"
 #include "features/model_table.hh"
-#include "nets/table1.hh"
 #include "plan/calibration.hh"
 #include "plan/planner.hh"
 #include "snn/simulator.hh"
@@ -90,11 +92,10 @@ struct Microbench
 };
 
 Microbench
-makeMicrobench(size_t neurons, double stimRate, uint64_t seed,
-               ModelKind model = ModelKind::LLIF)
+makeMicrobench(size_t neurons, double stimRate, uint64_t seed)
 {
     Microbench m;
-    NeuronParams p = defaultParams(model);
+    NeuronParams p = defaultParams(ModelKind::LLIF);
     const size_t pop = m.net.addPopulation("cal", p, neurons);
     Rng rng(seed);
     m.net.connectRandom(pop, pop, 0.05, 0.4, 1, 6, 0, rng);
@@ -199,6 +200,9 @@ runSweep(const SweepConfig &cfg)
     for (const size_t n : cfg.sizes)
         for (const double r : cfg.stimRates)
             dense1.push_back(measureDense(n, r, 1, cfg));
+    std::vector<GridPoint> silent; // T = 1, no stimulus
+    for (const size_t n : cfg.sizes)
+        silent.push_back(measureDense(n, 0.0, 1, cfg));
 
     // denseNsPerNeuron: the neuron phase is rate-independent, so every T = 1 point constrains
     // neuron ns/step = const + N * denseNs.
@@ -212,26 +216,43 @@ runSweep(const SweepConfig &cfg)
             std::max(theilSenSlope(xs, yn), 0.01);
     }
 
-    // deliveryNsPerRecord + ringClearNsPerCell: the planner charges
-    // both per delivery record (cleared cells track written records
-    // on every measured host), so fit the combined route ns/record
-    // slope and split it at the builtin delivery:clear ratio — only
-    // the sum is identifiable from the sweep.
-    double combinedRouteNs = 0.0;
+    // deliveryNsPerRecord: at one size every step clears the same
+    // slot, so route ns/step over records/step is delivery alone;
+    // take the median of the per-size slopes.
+    // ringClearNsPerCell: the clear is linear in the N * C cells of a
+    // slot, and a few hundred ns per step at these sizes, far below
+    // the spread of the active points' delivery time. So fit it on
+    // the silent points, where the route time delivery leaves is the
+    // whole route time.
     {
-        std::vector<double> x, y;
-        for (const GridPoint &g : dense1) {
-            x.push_back(g.recordsPerStep);
-            y.push_back(g.routeNs);
+        std::vector<double> perSize;
+        for (const size_t n : cfg.sizes) {
+            std::vector<double> x, y;
+            for (const GridPoint &g : dense1) {
+                if (g.neurons != n)
+                    continue;
+                x.push_back(g.recordsPerStep);
+                y.push_back(g.routeNs);
+            }
+            perSize.push_back(theilSenSlope(x, y));
         }
-        combinedRouteNs = std::max(theilSenSlope(x, y), 0.0125);
-        const double split =
-            1.0 + plan::CostModel{}.ringClearNsPerCell /
-                      plan::CostModel{}.deliveryNsPerRecord;
-        model.deliveryNsPerRecord = combinedRouteNs / split;
+        model.deliveryNsPerRecord = std::max(medianOf(perSize), 0.01);
+
+        std::vector<double> cells, y;
+        for (const GridPoint &g : silent) {
+            cells.push_back(static_cast<double>(g.neurons) *
+                            maxSynapseTypes);
+            y.push_back(g.routeNs -
+                        g.recordsPerStep * model.deliveryNsPerRecord);
+        }
         model.ringClearNsPerCell =
-            combinedRouteNs - model.deliveryNsPerRecord;
+            std::max(theilSenSlope(cells, y), 0.001);
     }
+    const auto modelledRouteNs = [&model](const GridPoint &g) {
+        return g.recordsPerStep * model.deliveryNsPerRecord +
+               static_cast<double>(g.neurons) * maxSynapseTypes *
+                   model.ringClearNsPerCell;
+    };
 
     // serialNsPerNeuron + stepOverheadNs: the per-point step cost
     // the fitted phases do not explain still grows with N (stimulus
@@ -245,7 +266,7 @@ runSweep(const SweepConfig &cfg)
         for (const GridPoint &g : dense1) {
             xs.push_back(static_cast<double>(g.neurons));
             ys.push_back(g.stepNs - xs.back() * model.denseNsPerNeuron -
-                         g.recordsPerStep * combinedRouteNs);
+                         modelledRouteNs(g));
         }
         model.serialNsPerNeuron = std::max(theilSenSlope(xs, ys), 0.0);
         for (size_t i = 0; i < ys.size(); ++i)
@@ -279,54 +300,7 @@ runSweep(const SweepConfig &cfg)
         cal.gridPoints += 4;
     }
 
-    // Informational: ns/neuron-update per feature-mask (model) at a
-    // fixed size, and ns/delivery-record per connectivity provider.
-    inform("sweeping feature masks and providers");
-    {
-        const ModelKind masks[] = {ModelKind::LLIF, ModelKind::LIF,
-                                   ModelKind::Izhikevich,
-                                   ModelKind::AdEx};
-        const size_t n = cfg.sizes[cfg.sizes.size() / 2];
-        for (const ModelKind kind : masks) {
-            Microbench m =
-                makeMicrobench(n, cfg.stimRates[0], cfg.seed, kind);
-            Simulator sim(m.net, m.stim, SimulatorOptions{});
-            sim.run(cfg.steps);
-            const PhaseStats &st = sim.stats();
-            cal.maskNsPerNeuron.emplace_back(
-                modelName(kind),
-                st.neuronSec /
-                    static_cast<double>(st.steps) / n * 1e9);
-            cal.gridPoints++;
-        }
-
-        const ConnectivityKind providers[] = {
-            ConnectivityKind::Materialized,
-            ConnectivityKind::Compressed,
-            ConnectivityKind::Procedural};
-        for (const ConnectivityKind kind : providers) {
-            BenchmarkInstance inst = buildBenchmark(
-                findBenchmark("Vogels-Abbott"), 40.0, cfg.seed,
-                kind == ConnectivityKind::Materialized
-                    ? Wiring::Spec
-                    : Wiring::Procedural);
-            SimulatorOptions opts;
-            opts.connectivity = kind;
-            Simulator sim(inst.network, inst.stimulus, opts);
-            sim.run(cfg.steps);
-            const PhaseStats &st = sim.stats();
-            const double records =
-                static_cast<double>(st.synapseEvents);
-            cal.providerDeliveryNs.emplace_back(
-                connectivityKindName(kind),
-                records > 0.0
-                    ? st.synapseRouteSec / records * 1e9
-                    : 0.0);
-            cal.gridPoints++;
-        }
-    }
-
-    cal.gridPoints += dense1.size();
+    cal.gridPoints += dense1.size() + silent.size();
 
     // Residual: worst relative error of the fitted model's full-step
     // prediction over the dense T = 1 grid it was fitted on.
